@@ -53,10 +53,9 @@ def _compute_engine_fingerprint() -> str:
     """A content hash of the engine's own source tree.
 
     ``repro.__engine_fingerprint__`` keys persisted verdicts (the
-    checkpoint journal of :mod:`repro.core.checkpoint`, and eventually the
-    content-addressed verdict store): a cached verdict is only valid for
-    the exact engine that produced it, so *any* source change invalidates
-    it.  The hash covers every ``.py`` file of the installed package in a
+    content-addressed verdict store of :mod:`repro.core.store`): a cached
+    verdict is only valid for the exact engine that produced it, so *any*
+    source change invalidates it.  The hash covers every ``.py`` file of the installed package in a
     fixed order -- deterministic across processes, machines and import
     order, unlike bytecode hashes or mtimes.
     """

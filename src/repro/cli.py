@@ -18,7 +18,6 @@ Usage (after ``pip install -e .``)::
     python -m repro trace summary run.jsonl --json
     python -m repro batch --matrix "mesh:4x4, routing=[xy,yx]" --store .repro-store
     python -m repro store stats .repro-store --json -
-    python -m repro serve --store .repro-store --socket /tmp/repro.sock --work-dir serve-state
 
 Each sub-command drives one part of the library's public API; the examples in
 ``examples/`` show the same flows as scripts.  The ``batch`` command is the
@@ -189,20 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-retries", type=int, default=2, metavar="N",
                        help="worker-crash retries before the run degrades "
                             "to in-process serial execution (default: 2)")
-    batch.add_argument("--checkpoint", type=str, default=None,
-                       metavar="PATH",
-                       help="append-only JSONL journal of completed "
-                            "groups; survives SIGKILL and feeds --resume")
-    batch.add_argument("--resume", action="store_true",
-                       help="replay completed groups from the --checkpoint "
-                            "journal instead of re-solving them (verdicts "
-                            "identical to a fresh run)")
     batch.add_argument("--store", type=str, default=None, metavar="DIR",
                        help="persistent content-addressed verdict store: "
                             "groups already proved there (same engine "
                             "fingerprint, run parameters, spec hashes) are "
                             "replayed with zero solver work; freshly solved "
-                            "groups are durably recorded for later runs")
+                            "groups are durably recorded as they complete, "
+                            "so rerunning an interrupted sweep with the "
+                            "same DIR resumes it (use a fresh DIR for a "
+                            "run-local store)")
     batch.add_argument("--store-readonly", action="store_true",
                        help="consult the --store but never write to it "
                             "(e.g. a shared cache this runner must not "
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     store = commands.add_parser(
         "store",
         help="inspect a persistent verdict store directory "
-             "(see 'repro batch --store' / 'repro serve')")
+             "(see 'repro batch --store')")
     store_commands = store.add_subparsers(dest="store_command",
                                           required=True)
     store_stats = store_commands.add_parser(
@@ -294,34 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="PATH",
                              help="write the stats JSON to PATH "
                                   "('-' for stdout)")
-
-    serve = commands.add_parser(
-        "serve",
-        help="long-lived verification service: a job queue over a shared "
-             "verdict store, accepting batch requests from concurrent "
-             "submitters via a line-JSON Unix socket")
-    serve.add_argument("--store", type=str, required=True, metavar="DIR",
-                       help="the verdict store every job reads and warms")
-    serve.add_argument("--socket", type=str, required=True, metavar="PATH",
-                       help="Unix socket path to listen on")
-    serve.add_argument("--work-dir", type=str, required=True, metavar="DIR",
-                       help="serve journal + per-job checkpoints/reports; "
-                            "restart with the same directory to resume "
-                            "unfinished jobs")
-    serve.add_argument("--max-retries", type=int, default=2, metavar="N",
-                       help="crash retries per job before it is marked "
-                            "failed (default: 2)")
-    serve.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="default per-job deadline (a request's own "
-                            "'deadline' field overrides); wedged workers "
-                            "are reaped past 1.25x this budget")
-    serve.add_argument("--drain-grace", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="on SIGTERM/shutdown: seconds the in-flight "
-                            "job may use to finish before it is "
-                            "interrupted and left checkpointed "
-                            "(default: 5)")
 
     trace = commands.add_parser(
         "trace",
@@ -709,15 +675,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                              vc_counts=args.vcs,
                                              buffer_capacity=buffers)
     shard = _parse_shard(args.shard)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH")
     if args.max_retries < 0:
         raise SystemExit("--max-retries must be >= 0")
     if args.store_readonly and not args.store:
         raise SystemExit("--store-readonly requires --store DIR")
     robustness = dict(group_timeout=args.timeout, run_deadline=args.deadline,
                       max_retries=args.max_retries,
-                      checkpoint=args.checkpoint, resume=args.resume,
                       store=args.store, store_readonly=args.store_readonly)
     try:
         if args.trace is not None:
@@ -740,7 +703,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                    shard_balance=args.shard_balance,
                                    **robustness)
     except KeyboardInterrupt:
-        return _batch_interrupted(args.checkpoint)
+        return _batch_interrupted(args, scenarios, shard)
     print(report.formatted())
     print(report.summary())
     if shard is not None:
@@ -762,10 +725,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
               f"crash(es)"
               + (" -- degraded to serial execution"
                  if recovery.get("degraded_serial") else ""))
-    if recovery.get("replayed_groups"):
-        replayed = recovery["replayed_groups"]
-        print(f"  resumed {len(replayed)} group(s) from checkpoint: "
-              f"{', '.join(replayed)}")
     store_stats = report.store_stats
     if store_stats:
         line = (f"  verdict store [{store_stats.get('mode')}]: "
@@ -790,41 +749,35 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 1 if report.failure_count else 0
 
 
-def _batch_interrupted(checkpoint: "str | None") -> int:
-    """SIGINT epilogue for ``repro batch``: salvage the journal, exit 130.
+def _batch_interrupted(args: argparse.Namespace, scenarios,
+                       shard) -> int:
+    """SIGINT epilogue for ``repro batch``: salvage the store, exit 130.
 
-    ``run_portfolio`` closes (and fsyncs) the journal in its ``finally``
-    block before the KeyboardInterrupt propagates here, so every group
-    that completed before the interrupt is on disk and replayable.
+    ``run_portfolio`` records every group in the store as it completes,
+    so the groups finished before the interrupt are on disk.  They are
+    read back with the lookups a rerun replays them through.
     """
     print("\ninterrupted", flush=True)
-    if checkpoint:
-        from repro.core.checkpoint import CheckpointJournal
-        from repro.core.portfolio import PortfolioReport, ScenarioVerdict
+    if not args.store:
+        print("the sweep was not resumable: run with --store DIR to keep "
+              "completed groups across interruptions")
+        return 130
+    from repro.core.portfolio import PortfolioReport, stored_groups
 
-        try:
-            records = CheckpointJournal(checkpoint).load_records()
-        except OSError as error:
-            print(f"checkpoint journal unreadable: {error}")
-            return 130
-        latest = {}
-        for record in records:
-            latest[record.get("group")] = record
-        verdicts = []
-        for record in latest.values():
-            for entry in record.get("verdicts", []):
-                verdicts.append(ScenarioVerdict.from_json_dict(
-                    entry, index=int(entry["index"])))
-        if verdicts:
-            verdicts.sort(key=lambda verdict: verdict.index)
-            partial = PortfolioReport(verdicts=verdicts, elapsed_seconds=0.0)
-            print(f"partial results ({len(latest)} completed group(s) "
-                  f"journalled in {checkpoint}):")
-            print(partial.formatted())
-        else:
-            print(f"no completed groups journalled in {checkpoint} yet")
-        print(f"resume with: repro batch ... "
-              f"--checkpoint {checkpoint} --resume")
+    replayed = stored_groups(scenarios, args.store,
+                             cross_check=args.cross_check, shard=shard,
+                             shard_balance=args.shard_balance)
+    verdicts = sorted((verdict for _, pairs, _, _ in replayed.values()
+                       for _, verdict in pairs),
+                      key=lambda verdict: verdict.index)
+    if verdicts:
+        partial = PortfolioReport(verdicts=verdicts, elapsed_seconds=0.0)
+        print(f"partial results ({len(replayed)} completed group(s) "
+              f"recorded in {args.store}):")
+        print(partial.formatted())
+    else:
+        print(f"no completed groups recorded in {args.store} yet")
+    print(f"rerun with --store {args.store} to resume")
     return 130
 
 
@@ -961,17 +914,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.serve import serve_main
-
-    if args.max_retries < 0:
-        raise SystemExit("--max-retries must be >= 0")
-    return serve_main(args.store, args.socket, args.work_dir,
-                      max_retries=args.max_retries,
-                      default_deadline=args.deadline,
-                      drain_grace=args.drain_grace)
-
-
 _COMMANDS = {
     "verify": _cmd_verify,
     "simulate": _cmd_simulate,
@@ -983,7 +925,6 @@ _COMMANDS = {
     "fuzz": _cmd_fuzz,
     "bench": _cmd_bench,
     "store": _cmd_store,
-    "serve": _cmd_serve,
     "trace": _cmd_trace,
 }
 

@@ -34,18 +34,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.checking.graphs import DirectedGraph
 from repro.checking.sat import SolverTimeout
 from repro.core.cache import instance_cache
-from repro.core.checkpoint import (
-    CheckpointJournal,
-    engine_fingerprint,
-    make_run_key,
-    scenario_fingerprint,
-)
-from repro.core.store import VerdictStore
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import routing_dependency_graph
 from repro.core.faultplan import execute_directive, resolve_fault_plan
 from repro.core.instance import NoCInstance
 from repro.core.spec import ScenarioSpec, expand_matrix
+from repro.core.store import (
+    VerdictStore,
+    engine_fingerprint,
+    make_run_key,
+    scenario_fingerprint,
+)
 from repro.network.port import Port
 
 #: Verdict statuses a scenario can end a run with: ``"ok"`` (the solver
@@ -62,6 +61,9 @@ DEFAULT_MAX_RETRIES = 2
 #: rebuilds: ``base * 2**(retry-1)``, capped at :data:`RETRY_BACKOFF_CAP`.
 DEFAULT_RETRY_BACKOFF = 0.1
 RETRY_BACKOFF_CAP = 2.0
+
+#: The record kind portfolio groups are stored under (part of the key).
+STORE_KIND = "repro-portfolio-report"
 
 
 @dataclass
@@ -238,7 +240,7 @@ class ScenarioVerdict:
 
     @staticmethod
     def _format_edge(entry) -> str:
-        # Replayed verdicts (checkpoint journals) carry cores as the
+        # Verdicts replayed from the store carry cores as the
         # already-formatted strings of their JSON image.
         if isinstance(entry, str):
             return entry
@@ -274,7 +276,7 @@ class ScenarioVerdict:
                        index: Optional[int] = None) -> "ScenarioVerdict":
         """Rebuild a verdict from its :meth:`to_json_dict` image.
 
-        The inverse used by checkpoint resume: cores/escape edges stay in
+        The inverse used by store replay: cores/escape edges stay in
         their formatted string form (:meth:`to_json_dict` passes them
         through unchanged), so a replayed verdict re-serialises
         byte-identically to the original.
@@ -318,10 +320,10 @@ class PortfolioReport:
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: ``(index, count)`` of a sharded run (``None``: the whole matrix).
     shard: Optional[Tuple[int, int]] = None
-    #: How the run survived: retry/degradation/replay bookkeeping
-    #: (``crash_retries``, ``degraded_serial``, ``group_attempts``,
-    #: ``replayed_groups``).  Environment history, not workload content --
-    #: stripped by :meth:`comparable_dict` like the cache counters.
+    #: How the run survived: retry/degradation bookkeeping
+    #: (``crash_retries``, ``degraded_serial``, ``group_attempts``).
+    #: Environment history, not workload content -- stripped by
+    #: :meth:`comparable_dict` like the cache counters.
     recovery: Dict[str, object] = field(default_factory=dict)
     #: Verdict-store session counters (:meth:`VerdictStore.stats`) when a
     #: store was attached; empty otherwise.  Environment history like
@@ -517,17 +519,14 @@ def merge_shard_reports(reports: Sequence[PortfolioReport]
     recovery: Dict[str, object] = {}
     if any(report.recovery for report in reports):
         group_attempts: Dict[str, int] = {}
-        replayed: List[str] = []
         for report in reports:
             group_attempts.update(report.recovery.get("group_attempts", {}))
-            replayed.extend(report.recovery.get("replayed_groups", []))
         recovery = {
             "crash_retries": sum(int(report.recovery.get("crash_retries", 0))
                                  for report in reports),
             "degraded_serial": any(report.recovery.get("degraded_serial")
                                    for report in reports),
             "group_attempts": group_attempts,
-            "replayed_groups": sorted(replayed),
         }
     store_stats: Dict[str, object] = {}
     if any(report.store_stats for report in reports):
@@ -861,8 +860,8 @@ def _emit_replayed_group(trace, result: Tuple,
     satisfy the reconciliation contract (per-scenario ``scenario_end``
     solver deltas sum to the group's ``session_summary`` stats), so the
     spans are re-emitted from the stored record with ``cached: true``.
-    The per-scenario ``cache`` deltas are process history, not workload
-    content (scrubbed by analysis anyway), and are empty on replay.
+    A replayed group built nothing, so its per-scenario ``cache`` deltas
+    are empty.
     """
     key, pairs, stats, _cache_delta = result
     for index, verdict in pairs:
@@ -879,6 +878,88 @@ def _emit_replayed_group(trace, result: Tuple,
                    status=verdict.status, cached=True)
     trace.emit("session_summary", group=key, stats=dict(stats),
                cached=True)
+
+
+def _select_groups(scenarios: Sequence[Scenario],
+                   shard: Optional[Tuple[int, int]],
+                   shard_balance: str
+                   ) -> Dict[str, List[Tuple[int, Scenario]]]:
+    """The run's ``(index, scenario)`` groups, cut to its shard.
+
+    Groups and the scenarios within them keep submission order.  Each
+    group's worker seeds its session with the union of the group's vertex
+    universes, so scenarios over growing channel sets (1, 2, 4 VCs of one
+    topology) can share one encoding.
+    """
+    groups: Dict[str, List[Tuple[int, Scenario]]] = {}
+    for index, scenario in enumerate(scenarios):
+        groups.setdefault(scenario.group_key(), []).append((index, scenario))
+    if shard is None:
+        return groups
+    if shard_balance == "weighted":
+        # Costs are derived from the FULL group set (every shard sees the
+        # whole scenario list), so all shards compute the same LPT
+        # assignment independently.
+        costs = {key: sum(scenario_cost(scenario) for _, scenario in indexed)
+                 for key, indexed in groups.items()}
+        assignment = weighted_shard_assignment(costs, shard[1])
+        return {key: indexed for key, indexed in groups.items()
+                if assignment[key] == shard[0]}
+    return {key: indexed for key, indexed in groups.items()
+            if shard_index_of(key, shard[1]) == shard[0]}
+
+
+def _group_specs(indexed: List[Tuple[int, Scenario]]
+                 ) -> List[Tuple[int, str]]:
+    """A group's ``(index, scenario_fingerprint)`` pairs: its store identity."""
+    return [(index, scenario_fingerprint(
+                scenario.spec if scenario.spec is not None else scenario))
+            for index, scenario in indexed]
+
+
+def _replay_stored_groups(verdict_store: VerdictStore, fingerprint: str,
+                          run_key: Dict[str, object],
+                          group_specs: Dict[str, List[Tuple[int, str]]]
+                          ) -> Dict[str, Tuple]:
+    """Every group the store already holds, as :func:`_run_group` results.
+
+    The one replay path: :func:`run_portfolio` skips these groups, and
+    :func:`stored_groups` (the ``repro batch`` SIGINT epilogue) prints
+    them.  A replayed group built nothing, so it contributes no
+    construction-cache work.
+    """
+    replayed: Dict[str, Tuple] = {}
+    for key, specs in group_specs.items():
+        record = verdict_store.lookup(fingerprint, STORE_KIND, run_key, key,
+                                      specs)
+        if record is None:
+            continue
+        pairs = [(int(entry["index"]),
+                  ScenarioVerdict.from_json_dict(entry,
+                                                 index=int(entry["index"])))
+                 for entry in record["verdicts"]]
+        replayed[key] = (key, pairs, dict(record["session_stats"]),
+                         {"hits": 0, "misses": 0})
+    return replayed
+
+
+def stored_groups(scenarios: Sequence[Scenario], store: str,
+                  seed: int = 2010, analyse_failures: bool = True,
+                  cross_check: bool = False,
+                  shard: Optional[Tuple[int, int]] = None,
+                  shard_balance: str = "hash") -> Dict[str, Tuple]:
+    """The groups of a sweep that ``store`` already holds, read-only.
+
+    Takes the same run parameters as :func:`run_portfolio` and looks the
+    groups up exactly as a rerun would, so what it returns is what a
+    rerun with the same store replays.
+    """
+    groups = _select_groups(scenarios, shard, shard_balance)
+    verdict_store = VerdictStore(os.fspath(store), readonly=True).open()
+    return _replay_stored_groups(
+        verdict_store, engine_fingerprint(),
+        make_run_key(seed, analyse_failures, cross_check, shard),
+        {key: _group_specs(indexed) for key, indexed in groups.items()})
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -924,8 +1005,6 @@ def run_portfolio(scenarios: Sequence[Scenario],
                   run_deadline: Optional[float] = None,
                   max_retries: int = DEFAULT_MAX_RETRIES,
                   retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                  checkpoint: Optional[str] = None,
-                  resume: bool = False,
                   store=None,
                   store_readonly: bool = False,
                   _fault_plan=None) -> PortfolioReport:
@@ -990,29 +1069,23 @@ def run_portfolio(scenarios: Sequence[Scenario],
     scenario always gets a verdict, and ``report.recovery`` records what
     it took.
 
-    **Checkpoint/resume.**  ``checkpoint`` journals every fully-decided
-    group (verdicts + session stats) to an append-only, fsynced JSONL
-    file as soon as it completes; ``resume=True`` replays the journal's
-    valid records -- matching engine fingerprint, run parameters and
-    scenario spec hashes -- instead of re-solving them, so a killed sweep
-    continues where it crashed and merges to the byte-identical report
-    (:meth:`PortfolioReport.comparable_dict`).  Stale records (edited
-    engine or scenarios) are recomputed, never trusted.
-
-    **Verdict store.**  ``store`` (a directory path or an opened
-    :class:`~repro.core.store.VerdictStore`) consults a *persistent,
-    cross-run* content-addressed cache before solving: a group whose
-    record matches the engine fingerprint, run key and spec hashes is
-    replayed from disk (zero solver work) and still yields a
+    **Verdict store and resume.**  ``store`` (a directory path or an
+    opened :class:`~repro.core.store.VerdictStore`) is the only
+    persistence layer.  Before solving, a group whose record matches the
+    engine fingerprint, run key and spec hashes is replayed from disk
+    (zero solver work) and still yields a
     :meth:`~PortfolioReport.comparable_dict`-identical report; every
-    freshly solved all-``ok`` group is durably recorded for the next run.
-    The store degrades rather than fails -- corrupt records are
-    quarantined and recomputed, an unwritable directory serves lookups
-    only (or pass ``store_readonly=True`` to demand that), an unusable
-    one turns the run cache-less -- and its session counters land in
-    ``report.store_stats``.  Composes with ``checkpoint``/``resume``
-    (journal replay wins, then the store fills in) and with ``jobs``
-    (lookups and records happen in the orchestrator, not the workers).
+    freshly solved all-``ok`` group is durably recorded as soon as it
+    completes.  Resuming a killed sweep is therefore rerunning it with
+    the same store: it continues where it crashed and reproduces the
+    clean report byte for byte.  Stale records (edited engine or
+    scenarios) are recomputed, never trusted.  The store degrades rather
+    than fails -- corrupt records are quarantined and recomputed, an
+    unwritable directory serves lookups only (or pass
+    ``store_readonly=True`` to demand that), an unusable one turns the
+    run cache-less -- and its session counters land in
+    ``report.store_stats``.  Lookups and records happen in the
+    orchestrator, not the workers, so the store composes with ``jobs``.
 
     ``_fault_plan`` (tests/CI only; also settable via the
     ``REPRO_FAULT_PLAN`` environment variable) deterministically injects
@@ -1025,8 +1098,6 @@ def run_portfolio(scenarios: Sequence[Scenario],
     if trace is not None and jobs > 1:
         raise ValueError(
             "tracing requires a serial run: pass jobs=1 with trace=")
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires checkpoint=PATH")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     fault_plan = resolve_fault_plan(_fault_plan)
@@ -1040,28 +1111,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
                              f"got {shard!r}")
         shard = (shard_index, shard_count)
 
-    # Group scenarios by key, preserving submission order.  Each group's
-    # worker seeds its session with the union of the group's vertex
-    # universes, so scenarios over growing channel sets (1, 2, 4 VCs of
-    # one topology) can share one encoding.
-    groups: Dict[str, List[Tuple[int, Scenario]]] = {}
-    for index, scenario in enumerate(ordered):
-        groups.setdefault(scenario.group_key(), []).append((index, scenario))
-
-    if shard is not None:
-        if shard_balance == "weighted":
-            # Costs are derived from the FULL group set (every shard sees
-            # the whole scenario list), so all shards compute the same
-            # LPT assignment independently.
-            costs = {key: sum(scenario_cost(scenario)
-                              for _, scenario in indexed)
-                     for key, indexed in groups.items()}
-            assignment = weighted_shard_assignment(costs, shard[1])
-            groups = {key: indexed for key, indexed in groups.items()
-                      if assignment[key] == shard[0]}
-        else:
-            groups = {key: indexed for key, indexed in groups.items()
-                      if shard_index_of(key, shard[1]) == shard[0]}
+    groups = _select_groups(ordered, shard, shard_balance)
 
     # In a sharded run the verdict list covers only this shard's scenarios;
     # verdicts keep their original submission index, the report orders them
@@ -1079,12 +1129,8 @@ def run_portfolio(scenarios: Sequence[Scenario],
         trace.emit("portfolio_begin", scenarios=len(kept_indices),
                    shard=list(shard) if shard is not None else None)
 
-    # -- durable layers: checkpoint journal + verdict store ------------------
-    journal: Optional[CheckpointJournal] = None
+    # -- the verdict store: replay recorded groups, record solved ones -------
     verdict_store: Optional[VerdictStore] = None
-    fingerprint = run_key = group_specs = None
-    replayed_groups: List[str] = []
-    store_replayed: List[str] = []
     completed: Dict[str, Tuple] = {}
     if isinstance(store, VerdictStore):
         verdict_store = store
@@ -1094,100 +1140,33 @@ def run_portfolio(scenarios: Sequence[Scenario],
     elif store is not None:
         verdict_store = VerdictStore(os.fspath(store),
                                      readonly=store_readonly).open()
-    if verdict_store is not None and trace is not None:
-        verdict_store.attach_trace(trace)
-    if checkpoint is not None or verdict_store is not None:
+    if verdict_store is not None:
+        if trace is not None:
+            verdict_store.attach_trace(trace)
         fingerprint = engine_fingerprint()
         run_key = make_run_key(seed, analyse_failures, cross_check, shard)
-        group_specs = {
-            key: [(index, scenario_fingerprint(scenario.spec
-                                               if scenario.spec is not None
-                                               else scenario))
-                  for index, scenario in groups[key]]
-            for key in order}
-
-    def replay_pairs(record: Dict) -> List[Tuple[int, ScenarioVerdict]]:
-        return [(int(entry["index"]),
-                 ScenarioVerdict.from_json_dict(
-                     entry, index=int(entry["index"])))
-                for entry in record["verdicts"]]
-
-    if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint)
-        if resume:
-            replayable = journal.replayable_groups(
-                fingerprint, "repro-portfolio-report", run_key, group_specs)
+        group_specs = {key: _group_specs(groups[key]) for key in order}
+        completed = _replay_stored_groups(verdict_store, fingerprint,
+                                          run_key, group_specs)
+        if trace is not None:
             for key in order:
-                record = replayable.get(key)
-                if record is None:
-                    continue
-                completed[key] = (key, replay_pairs(record),
-                                  dict(record["session_stats"]),
-                                  dict(record["cache"]))
-                replayed_groups.append(key)
-                if trace is not None:
-                    trace.emit("checkpoint", action="replay", group=key)
+                if key in completed:
+                    _emit_replayed_group(trace, completed[key], shard)
+    store_replayed = sorted(completed)
 
     def store_group(result: Tuple) -> None:
-        """Persist an all-``ok`` group into the cross-run verdict store."""
+        """Durably record a freshly solved group as it completes (iff
+        every verdict is a real decision -- failures describe a run, not
+        the scenarios)."""
         key, pairs, stats, cache_delta = result
         if verdict_store is None:
             return
         if any(verdict.status != "ok" for _, verdict in pairs):
             return
         verdict_store.record(
-            fingerprint, "repro-portfolio-report", run_key, key,
-            group_specs[key],
+            fingerprint, STORE_KIND, run_key, key, group_specs[key],
             [(index, verdict.to_json_dict()) for index, verdict in pairs],
             stats, cache_delta)
-
-    if verdict_store is not None:
-        # The journal (this exact run's own history) wins; the store fills
-        # in everything other runs already proved.  A journal-replayed
-        # group is pushed forward into the store so an interrupted cold
-        # sweep still warms the cache it was asked to populate.
-        for key in order:
-            if key in completed:
-                store_group(completed[key])
-                continue
-            record = verdict_store.lookup(
-                fingerprint, "repro-portfolio-report", run_key, key,
-                group_specs[key])
-            if record is None:
-                continue
-            result = (key, replay_pairs(record),
-                      dict(record["session_stats"]),
-                      dict(record["cache"]))
-            completed[key] = result
-            store_replayed.append(key)
-            if trace is not None:
-                _emit_replayed_group(trace, result, shard)
-
-    def journal_only(result: Tuple) -> None:
-        key, pairs, stats, cache_delta = result
-        if journal is not None and \
-                all(verdict.status == "ok" for _, verdict in pairs):
-            journal.record_group(
-                fingerprint, "repro-portfolio-report", run_key, key,
-                group_specs[key],
-                [(index, verdict.to_json_dict())
-                 for index, verdict in pairs],
-                stats, cache_delta)
-            if trace is not None:
-                trace.emit("checkpoint", action="record", group=key)
-
-    def journal_group(result: Tuple) -> None:
-        """Durably record a freshly solved group in both layers (iff every
-        verdict is a real decision -- failures describe a run, not the
-        scenarios)."""
-        journal_only(result)
-        store_group(result)
-
-    if journal is not None:
-        # Store-replayed groups enter the journal too, so a later resume
-        # of this run replays them without consulting the store again.
-        for key in store_replayed:
-            journal_only(completed[key])
 
     # -- execution with deadlines, crash recovery, degradation ---------------
     deadline = (time.monotonic() + run_deadline
@@ -1237,139 +1216,135 @@ def run_portfolio(scenarios: Sequence[Scenario],
                                             fault_directive(key), parent_pid)
             result = _run_group(payload, trace=trace)
             completed[key] = result
-            journal_group(result)
+            store_group(result)
             pending.pop(key, None)
 
     use_pool = jobs > 1 and len(pending) > 1
     report_jobs = min(jobs, len(pending)) if use_pool else 1
 
-    try:
-        if not use_pool:
-            run_in_process(list(pending))
-        else:
-            from concurrent.futures import (
-                FIRST_COMPLETED,
-                ProcessPoolExecutor,
-                wait as futures_wait,
-            )
-            from concurrent.futures.process import BrokenProcessPool
+    if not use_pool:
+        run_in_process(list(pending))
+    else:
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait as futures_wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
 
-            # The parent-side watch loop reaps workers the cooperative
-            # in-worker deadline cannot reach (truly wedged processes),
-            # with a grace margin so a worker about to return its own
-            # richer timeout verdict usually wins the race.
-            external_timeout = (group_timeout * 1.25 + 0.2
-                                if group_timeout is not None else None)
-            while pending:
-                if deadline is not None and time.monotonic() >= deadline:
-                    for key in list(pending):
-                        completed[key] = parent_failure(
-                            key, "timeout", "run deadline exceeded")
-                    pending.clear()
-                    break
-                if degraded:
-                    run_in_process(list(pending))
-                    break
-                workers = min(jobs, len(pending))
-                pool = ProcessPoolExecutor(max_workers=workers)
-                pool_broken = False
-                kill_pool = False
-                try:
-                    queue = list(pending)
-                    active: Dict[object, Tuple[str, float]] = {}
+        # The parent-side watch loop reaps workers the cooperative
+        # in-worker deadline cannot reach (truly wedged processes),
+        # with a grace margin so a worker about to return its own
+        # richer timeout verdict usually wins the race.
+        external_timeout = (group_timeout * 1.25 + 0.2
+                            if group_timeout is not None else None)
+        while pending:
+            if deadline is not None and time.monotonic() >= deadline:
+                for key in list(pending):
+                    completed[key] = parent_failure(
+                        key, "timeout", "run deadline exceeded")
+                pending.clear()
+                break
+            if degraded:
+                run_in_process(list(pending))
+                break
+            workers = min(jobs, len(pending))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            pool_broken = False
+            kill_pool = False
+            try:
+                queue = list(pending)
+                active: Dict[object, Tuple[str, float]] = {}
 
-                    def submit_ready() -> None:
-                        # At most ``workers`` groups in flight: a group's
-                        # timeout clock must not start ticking while it
-                        # sits in an executor queue behind other groups.
-                        while queue and len(active) < workers:
-                            key = queue.pop(0)
-                            attempts[key] = attempts.get(key, 0) + 1
-                            payload = base_payloads[key] + (
-                                group_budget(), fault_directive(key),
-                                parent_pid)
-                            future = pool.submit(_run_group, payload)
-                            active[future] = (key, time.monotonic())
+                def submit_ready() -> None:
+                    # At most ``workers`` groups in flight: a group's
+                    # timeout clock must not start ticking while it
+                    # sits in an executor queue behind other groups.
+                    while queue and len(active) < workers:
+                        key = queue.pop(0)
+                        attempts[key] = attempts.get(key, 0) + 1
+                        payload = base_payloads[key] + (
+                            group_budget(), fault_directive(key),
+                            parent_pid)
+                        future = pool.submit(_run_group, payload)
+                        active[future] = (key, time.monotonic())
 
-                    submit_ready()
-                    while active:
-                        tick = (0.05 if (external_timeout is not None
-                                         or deadline is not None) else None)
-                        done, _ = futures_wait(set(active), timeout=tick,
-                                               return_when=FIRST_COMPLETED)
-                        for future in done:
-                            key, _started = active.pop(future)
-                            try:
-                                result = future.result()
-                            except BrokenProcessPool:
-                                pool_broken = True
-                                continue
-                            except Exception as exc:
-                                completed[key] = parent_failure(
-                                    key, "error",
-                                    f"{type(exc).__name__}: {exc}")
-                                pending.pop(key, None)
-                                continue
-                            completed[key] = result
-                            journal_group(result)
+                submit_ready()
+                while active:
+                    tick = (0.05 if (external_timeout is not None
+                                     or deadline is not None) else None)
+                    done, _ = futures_wait(set(active), timeout=tick,
+                                           return_when=FIRST_COMPLETED)
+                    for future in done:
+                        key, _started = active.pop(future)
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool:
+                            pool_broken = True
+                            continue
+                        except Exception as exc:
+                            completed[key] = parent_failure(
+                                key, "error",
+                                f"{type(exc).__name__}: {exc}")
                             pending.pop(key, None)
-                        if pool_broken:
+                            continue
+                        completed[key] = result
+                        store_group(result)
+                        pending.pop(key, None)
+                    if pool_broken:
+                        kill_pool = True
+                        break
+                    now = time.monotonic()
+                    if deadline is not None and now >= deadline:
+                        kill_pool = True
+                        break
+                    if external_timeout is not None:
+                        expired = [
+                            (future, key)
+                            for future, (key, started) in active.items()
+                            if now - started >= external_timeout]
+                        if expired:
+                            for future, key in expired:
+                                active.pop(future)
+                                completed[key] = parent_failure(
+                                    key, "timeout",
+                                    f"group timeout after "
+                                    f"{group_timeout:g}s")
+                                pending.pop(key, None)
+                            # A wedged worker cannot be cancelled --
+                            # the pool dies with it; innocent active
+                            # groups stay pending and are resubmitted
+                            # (progress is guaranteed: ``pending``
+                            # shrank by the expired groups).
                             kill_pool = True
                             break
-                        now = time.monotonic()
-                        if deadline is not None and now >= deadline:
-                            kill_pool = True
-                            break
-                        if external_timeout is not None:
-                            expired = [
-                                (future, key)
-                                for future, (key, started) in active.items()
-                                if now - started >= external_timeout]
-                            if expired:
-                                for future, key in expired:
-                                    active.pop(future)
-                                    completed[key] = parent_failure(
-                                        key, "timeout",
-                                        f"group timeout after "
-                                        f"{group_timeout:g}s")
-                                    pending.pop(key, None)
-                                # A wedged worker cannot be cancelled --
-                                # the pool dies with it; innocent active
-                                # groups stay pending and are resubmitted
-                                # (progress is guaranteed: ``pending``
-                                # shrank by the expired groups).
-                                kill_pool = True
-                                break
-                        submit_ready()
-                except BrokenProcessPool:
-                    # submit() on an already-broken pool raises too; the
-                    # group stays pending and the rebuild path retries it.
-                    pool_broken = True
-                    kill_pool = True
-                except KeyboardInterrupt:
-                    # Ctrl-C must not join a possibly-hung worker: kill the
-                    # pool and let the interrupt propagate (the outer
-                    # ``finally`` flushes the checkpoint journal).
-                    kill_pool = True
-                    raise
-                finally:
-                    if kill_pool or pool_broken:
-                        _terminate_pool(pool)
-                    else:
-                        pool.shutdown(wait=True)
-                if pool_broken:
-                    crash_retries += 1
-                    if crash_retries > max_retries:
-                        degraded = True
-                    elif retry_backoff > 0:
-                        # Deterministic exponential backoff -- no jitter,
-                        # so retried runs stay reproducible.
-                        time.sleep(min(
-                            retry_backoff * 2 ** (crash_retries - 1),
-                            RETRY_BACKOFF_CAP))
-    finally:
-        if journal is not None:
-            journal.close()
+                    submit_ready()
+            except BrokenProcessPool:
+                # submit() on an already-broken pool raises too; the
+                # group stays pending and the rebuild path retries it.
+                pool_broken = True
+                kill_pool = True
+            except KeyboardInterrupt:
+                # Ctrl-C must not join a possibly-hung worker: kill the
+                # pool and let the interrupt propagate (every group
+                # completed so far is already in the store).
+                kill_pool = True
+                raise
+            finally:
+                if kill_pool or pool_broken:
+                    _terminate_pool(pool)
+                else:
+                    pool.shutdown(wait=True)
+            if pool_broken:
+                crash_retries += 1
+                if crash_retries > max_retries:
+                    degraded = True
+                elif retry_backoff > 0:
+                    # Deterministic exponential backoff -- no jitter,
+                    # so retried runs stay reproducible.
+                    time.sleep(min(
+                        retry_backoff * 2 ** (crash_retries - 1),
+                        RETRY_BACKOFF_CAP))
 
     group_results = [completed[key] for key in order]
 
@@ -1396,7 +1371,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
     store_stats: Dict[str, object] = {}
     if verdict_store is not None:
         store_stats = verdict_store.stats()
-        store_stats["replayed_groups"] = sorted(store_replayed)
+        store_stats["replayed_groups"] = store_replayed
     return PortfolioReport(
         verdicts=verdicts,  # type: ignore[arg-type]
         elapsed_seconds=time.perf_counter() - start,
@@ -1409,7 +1384,6 @@ def run_portfolio(scenarios: Sequence[Scenario],
             "degraded_serial": degraded,
             "group_attempts": {key: attempts[key] for key in order
                                if key in attempts},
-            "replayed_groups": sorted(replayed_groups),
         },
         store_stats=store_stats)
 

@@ -204,10 +204,9 @@ class ScenarioSpec:
         Computed over the *normalized* spec's sorted-key JSON image, so
         two spellings of the same scenario (defaults written out or left
         implicit) hash identically.  Together with
-        ``repro.__engine_fingerprint__`` this is the key of the
-        checkpoint journal (:mod:`repro.core.checkpoint`) and the future
-        content-addressed verdict store: same hash + same engine =
-        the verdict may be reused verbatim.
+        ``repro.__engine_fingerprint__`` this keys the content-addressed
+        verdict store (:mod:`repro.core.store`): same hash + same engine
+        = the verdict may be reused verbatim.
         """
         import hashlib
         import json

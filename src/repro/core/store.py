@@ -4,9 +4,12 @@ A verdict is a deterministic function of a frozen
 :class:`~repro.core.spec.ScenarioSpec`, the run parameters, and the
 engine version -- so once a sweep has proved a scenario group, no later
 sweep with the same inputs should pay for the solver again.  This module
-is the persistent cross-run cache that makes that true: a directory of
-content-addressed records that many batch runs (and ``repro serve``
-workers) share safely.
+is the only persistence layer of the portfolio: a directory of
+content-addressed records that many batch runs share safely.  It is
+both the cross-run cache and the resume mechanism -- an interrupted or
+killed sweep is resumed by rerunning the same command with the same
+``--store DIR``: every group recorded before the interruption replays,
+only the rest is solved.  A fresh directory gives a run-local store.
 
 Granularity
 -----------
@@ -29,8 +32,10 @@ Durability contract
 -------------------
 
 * **Atomic writes.** Records are written to a temp file in the same
-  directory, flushed, ``fsync``\\ ed, then ``os.replace``\\ d into place.
-  Readers never observe a half-written record under the final name.
+  directory, flushed, ``fsync``\\ ed, then ``os.replace``\\ d into place,
+  and the directory is ``fsync``\\ ed so the rename itself survives a
+  power loss.  Readers never observe a half-written record under the
+  final name.
 * **Checksums.** Every record embeds a sha256 over its own canonical
   JSON (minus the checksum field).  A record that fails to parse or to
   verify is *quarantined* -- moved into ``quarantine/`` with a logged
@@ -75,6 +80,47 @@ STORE_COUNTERS = (
 )
 
 
+def engine_fingerprint() -> str:
+    """The current engine source fingerprint (see ``repro.__init__``).
+
+    A hash over every ``.py`` source in the package: any code change --
+    solver, routing, spec normalization -- yields a new fingerprint, so
+    verdicts computed by an older engine are recomputed, never replayed.
+    """
+    import repro
+
+    return repro.__engine_fingerprint__
+
+
+def scenario_fingerprint(scenario) -> str:
+    """A content hash identifying one scenario independent of spelling.
+
+    :class:`~repro.core.spec.ScenarioSpec` inputs hash their normalized
+    canonical form; pre-built instances (which have no spec) fall back to
+    their name, which is the only identity they carry.
+    """
+    canonical = getattr(scenario, "canonical_hash", None)
+    if callable(canonical):
+        return canonical()
+    return "instance:" + getattr(scenario, "name", repr(scenario))
+
+
+def make_run_key(seed: int, analyse_failures: bool, cross_check: bool,
+                 shard: Optional[Tuple[int, int]]) -> Dict[str, Any]:
+    """The run parameters a stored group must match to be replayable.
+
+    Solver stat deltas and verdict details are functions of the whole
+    run configuration, not just the spec, so records are never mixed
+    across differently parameterised sweeps.
+    """
+    return {
+        "seed": seed,
+        "analyse_failures": bool(analyse_failures),
+        "cross_check": bool(cross_check),
+        "shard": list(shard) if shard is not None else None,
+    }
+
+
 def group_record_key(kind: str, run_key: Dict[str, Any], group: str,
                      specs: List[Tuple[int, str]]) -> str:
     """Content address of a scenario group's verdict record.
@@ -99,6 +145,15 @@ def record_checksum(record: Dict[str, Any]) -> str:
     body = {key: value for key, value in record.items() if key != "checksum"}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make a rename into ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class _StoreLock:
@@ -246,7 +301,7 @@ class VerdictStore:
     # -- low-level durable IO -------------------------------------------
 
     def _atomic_write(self, path: str, payload: Dict[str, Any]) -> None:
-        """write-temp -> flush -> fsync -> rename, in the target dir."""
+        """write-temp -> flush -> fsync -> rename -> fsync the dir."""
         directory = os.path.dirname(path) or "."
         os.makedirs(directory, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
@@ -258,6 +313,7 @@ class VerdictStore:
             os.fsync(handle.fileno())
             handle.close()
             os.replace(handle.name, path)
+            _fsync_directory(directory)
         except BaseException:
             handle.close()
             try:
@@ -366,9 +422,8 @@ class VerdictStore:
         """Durably persist one fully solved group.  Never raises.
 
         Returns ``True`` if the record landed on disk.  Only all-``ok``
-        groups should be recorded (the caller enforces that, mirroring
-        the checkpoint journal's rule): timeout/error verdicts describe
-        a run, not the scenarios.
+        groups should be recorded (the caller enforces that):
+        timeout/error verdicts describe a run, not the scenarios.
         """
         written = False
         if self.mode == "rw":

@@ -68,8 +68,6 @@ Event taxonomy (``ev`` field):
 ``group_retry``    a crashed group was resubmitted: ``group``, ``attempt``,
                    ``reason`` (parallel runs only; reserved -- traced runs
                    are serial)
-``checkpoint``     journal activity: ``action`` (``record``/``replay``),
-                   ``group``
 ``store_lookup``   verdict-store probe for one group: ``group``, the content
                    ``key``, ``hit``
 ``store_write``    verdict-store persist attempt: ``group``, ``written``
@@ -137,7 +135,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "group_timeout": ("group", "reason"),
     "group_error": ("group", "reason"),
     "group_retry": ("group", "attempt", "reason"),
-    "checkpoint": ("action", "group"),
     "store_lookup": ("group", "key", "hit"),
     "store_write": ("group", "written"),
 }

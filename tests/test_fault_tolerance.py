@@ -7,9 +7,9 @@ projection is identical to a fault-free run.  The matrix covers worker
 kills (pool rebuild + retry), repeated kills (serial degradation),
 planned errors and timeouts (structured verdicts), hung workers (parent
 watch-loop reaping), run deadlines, cooperative solver interruption
-mid-search, checkpoint/resume -- including resume after a SIGKILLed
-sweep on the 24-scenario acceptance matrix -- and the ``repro batch``
-SIGINT epilogue.
+mid-search, resume by rerunning with the same verdict store -- including
+resume after a SIGKILLed sweep on the 24-scenario acceptance matrix --
+and the ``repro batch`` SIGINT epilogue.
 """
 
 import json
@@ -22,13 +22,6 @@ import time
 import pytest
 
 from repro.checking.sat import IncrementalSatSolver, SolverTimeout
-from repro.core.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointJournal,
-    engine_fingerprint,
-    make_run_key,
-    scenario_fingerprint,
-)
 from repro.core.faultplan import (
     DEFAULT_HANG_SECONDS,
     FAULT_PLAN_ENV,
@@ -45,11 +38,12 @@ from repro.core.portfolio import (
     scenarios_from_specs,
 )
 from repro.core.spec import expand_matrix
+from repro.core.store import scan_store
 
 # Two session groups, three scenarios: small enough that every test in
 # the matrix re-solves it in well under a second, structured enough
 # (multi-scenario group + single-scenario group) to exercise group-level
-# recovery, journaling and replay.
+# recovery, recording and replay.
 SMALL_MATRIX = "mesh:3x3, routing=[xy,yx]; ring:4, routing=clockwise"
 
 # The PR-4 acceptance matrix (24 scenarios, 6 session groups) -- the
@@ -266,95 +260,27 @@ class TestInjectedFaults:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint journal
+# Resume: rerun with the same verdict store
 # ---------------------------------------------------------------------------
 
-class TestCheckpointJournal:
-    RUN_KEY = make_run_key(2010, True, False, None)
+def object_paths(root):
+    """All record files currently in the store, sorted for determinism."""
+    paths = []
+    for dirpath, _dirnames, filenames in os.walk(
+            os.path.join(root, "objects")):
+        for name in sorted(filenames):
+            if name.endswith(".json") and not name.startswith(".tmp-"):
+                paths.append(os.path.join(dirpath, name))
+    return sorted(paths)
 
-    def _record(self, journal, group="g", fingerprint="f",
-                specs=((0, "h0"),)):
-        journal.record_group(
-            fingerprint, "repro-portfolio-report", self.RUN_KEY, group,
-            list(specs), [(0, {"scenario": "s", "deadlock_free": True})],
-            {"solves": 1}, {"hits": 0, "misses": 1})
-
-    def test_record_and_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path) as journal:
-            self._record(journal)
-        records = CheckpointJournal(path).load_records()
-        assert len(records) == 1
-        assert records[0]["schema"] == CHECKPOINT_SCHEMA
-        assert records[0]["group"] == "g"
-        assert records[0]["verdicts"][0]["index"] == 0
-
-    def test_torn_tail_is_skipped(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path) as journal:
-            self._record(journal)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "kind": "repro-port')  # torn write
-        records = CheckpointJournal(path).load_records()
-        assert len(records) == 1
-
-    def test_replayable_requires_exact_match(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path) as journal:
-            self._record(journal)
-        journal = CheckpointJournal(path)
-        specs = {"g": [(0, "h0")]}
-        good = journal.replayable_groups(
-            "f", "repro-portfolio-report", self.RUN_KEY, specs)
-        assert set(good) == {"g"}
-        assert not journal.replayable_groups(        # engine changed
-            "other", "repro-portfolio-report", self.RUN_KEY, specs)
-        assert not journal.replayable_groups(        # run parameters changed
-            "f", "repro-portfolio-report",
-            make_run_key(11, True, False, None), specs)
-        assert not journal.replayable_groups(        # scenario edited
-            "f", "repro-portfolio-report", self.RUN_KEY, {"g": [(0, "hX")]})
-        assert not journal.replayable_groups(        # group no longer present
-            "f", "repro-portfolio-report", self.RUN_KEY, {"h": [(0, "h0")]})
-
-    def test_later_records_win(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path) as journal:
-            self._record(journal)
-            journal.record_group(
-                "f", "repro-portfolio-report", self.RUN_KEY, "g",
-                [(0, "h0")],
-                [(0, {"scenario": "s2", "deadlock_free": False})],
-                {"solves": 2}, {"hits": 1, "misses": 0})
-        replay = CheckpointJournal(path).replayable_groups(
-            "f", "repro-portfolio-report", self.RUN_KEY, {"g": [(0, "h0")]})
-        assert replay["g"]["verdicts"][0]["scenario"] == "s2"
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        journal = CheckpointJournal(str(tmp_path / "absent.jsonl"))
-        assert journal.load_records() == []
-
-    def test_scenario_fingerprint_distinguishes_specs(self):
-        specs = expand_matrix(SMALL_MATRIX)
-        hashes = {scenario_fingerprint(spec) for spec in specs}
-        assert len(hashes) == len(specs)
-        assert scenario_fingerprint(specs[0]) == scenario_fingerprint(
-            expand_matrix(SMALL_MATRIX)[0])
-
-    def test_engine_fingerprint_shape(self):
-        fingerprint = engine_fingerprint()
-        assert fingerprint.startswith("repro-")
-        assert len(fingerprint.rsplit("-", 1)[1]) == 16
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint/resume through run_portfolio
-# ---------------------------------------------------------------------------
 
 class TestCheckpointResume:
+    """The verdict store is the checkpoint: every all-``ok`` group is
+    recorded as it completes, and rerunning with the same store resumes."""
+
     def test_resume_replays_without_resolving(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "journal.jsonl")
-        first = run_portfolio(small_scenarios(), checkpoint=path)
+        store = str(tmp_path / "store")
+        first = run_portfolio(small_scenarios(), store=store)
 
         import repro.core.portfolio as portfolio_module
         calls = {"n": 0}
@@ -365,21 +291,20 @@ class TestCheckpointResume:
             return original(payload, trace=trace)
 
         monkeypatch.setattr(portfolio_module, "_run_group", counting)
-        resumed = run_portfolio(small_scenarios(), checkpoint=path,
-                                resume=True)
-        assert calls["n"] == 0, "resume re-solved journaled groups"
-        assert resumed.recovery["replayed_groups"] == ["mesh-3x3", "ring-4"]
+        resumed = run_portfolio(small_scenarios(), store=store)
+        assert calls["n"] == 0, "resume re-solved recorded groups"
+        assert resumed.store_stats["replayed_groups"] == ["mesh-3x3",
+                                                          "ring-4"]
         assert resumed.comparable_dict() == first.comparable_dict()
 
-    def test_partial_journal_resolves_only_the_missing_group(
+    def test_partial_store_resolves_only_the_missing_group(
             self, tmp_path, monkeypatch):
-        path = str(tmp_path / "journal.jsonl")
-        run_portfolio(small_scenarios(), checkpoint=path)
-        records = CheckpointJournal(path).load_records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                if record["group"] != "ring-4":
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+        store = str(tmp_path / "store")
+        run_portfolio(small_scenarios(), store=store)
+        for path in object_paths(store):
+            with open(path, encoding="utf-8") as handle:
+                if json.load(handle)["group"] == "ring-4":
+                    os.unlink(path)
 
         import repro.core.portfolio as portfolio_module
         solved = []
@@ -390,76 +315,50 @@ class TestCheckpointResume:
             return original(payload, trace=trace)
 
         monkeypatch.setattr(portfolio_module, "_run_group", recording)
-        resumed = run_portfolio(small_scenarios(), checkpoint=path,
-                                resume=True)
+        resumed = run_portfolio(small_scenarios(), store=store)
         assert solved == ["ring-4"]
-        assert resumed.recovery["replayed_groups"] == ["mesh-3x3"]
-
-    def test_failed_groups_are_not_journaled(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        run_portfolio(small_scenarios(), checkpoint=path,
-                      _fault_plan="ring-4=timeout")
-        groups = {record["group"]
-                  for record in CheckpointJournal(path).load_records()}
-        assert groups == {"mesh-3x3"}  # the timed-out group must re-solve
-
-    def test_resume_requires_checkpoint(self):
-        with pytest.raises(ValueError):
-            run_portfolio(small_scenarios(), resume=True)
+        assert resumed.store_stats["replayed_groups"] == ["mesh-3x3"]
 
     def test_resume_after_sigkill_is_byte_identical(self, tmp_path):
         """SIGKILL a sweep of the 24-scenario acceptance matrix mid-run;
-        resuming from its journal must reproduce the clean run's
+        rerunning with its store must reproduce the clean run's
         comparable projection byte for byte."""
-        path = str(tmp_path / "journal.jsonl")
+        store = str(tmp_path / "store")
         env = dict(os.environ,
                    PYTHONPATH="src",
                    REPRO_FAULT_PLAN="vc-ring-4=hang:120@*")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "batch",
              "--matrix", ACCEPTANCE_MATRIX, "--jobs", "2",
-             "--checkpoint", path],
+             "--store", store],
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True)
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if (os.path.exists(path)
-                        and len(CheckpointJournal(path).load_records()) >= 2):
+                if scan_store(store)["records"] >= 2:
                     break
                 time.sleep(0.05)
             else:
-                pytest.fail("no journal records appeared before SIGKILL")
+                pytest.fail("no store records appeared before SIGKILL")
         finally:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
-        journaled = {record["group"]
-                     for record in CheckpointJournal(path).load_records()}
-        assert journaled, "the killed sweep left no replayable groups"
+        recorded = set()
+        for path in object_paths(store):
+            with open(path, encoding="utf-8") as handle:
+                recorded.add(json.load(handle)["group"])
+        assert recorded, "the killed sweep left no replayable groups"
 
         scenarios = scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX))
         clean = run_portfolio(scenarios)
-        resumed = run_portfolio(scenarios, checkpoint=path, resume=True)
-        assert set(resumed.recovery["replayed_groups"]) == journaled
+        resumed = run_portfolio(scenarios, store=store)
+        assert set(resumed.store_stats["replayed_groups"]) == recorded
         clean_bytes = json.dumps(clean.comparable_dict(), sort_keys=True)
         resumed_bytes = json.dumps(resumed.comparable_dict(), sort_keys=True)
         assert clean_bytes == resumed_bytes
-
-    def test_stale_engine_fingerprint_forces_recompute(
-            self, tmp_path, monkeypatch):
-        path = str(tmp_path / "journal.jsonl")
-        run_portfolio(small_scenarios(), checkpoint=path)
-        records = CheckpointJournal(path).load_records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                record["fingerprint"] = "repro-0.0.0-deadbeefdeadbeef"
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        resumed = run_portfolio(small_scenarios(), checkpoint=path,
-                                resume=True)
-        assert resumed.recovery["replayed_groups"] == []
-        assert resumed.status_counts()["ok"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +398,7 @@ class TestFailureReporting:
         payload = merged.to_json_dict()
         assert payload["schema"] == 4
         assert set(payload["recovery"]) == {
-            "crash_retries", "degraded_serial",
-            "group_attempts", "replayed_groups"}
+            "crash_retries", "degraded_serial", "group_attempts"}
         shard_entries = {entry["scenario"]: entry
                          for report in shards
                          for entry in report.to_json_dict()["scenarios"]}
@@ -548,24 +446,6 @@ class TestFailureReporting:
                 for event in events if event["ev"] == "scenario_end"}
         assert ends == {"mesh-3x3/Rxy/Swh": "ok", "mesh-3x3/Ryx/Swh": "ok"}
 
-    def test_traced_checkpoint_run_records_journal_events(self, tmp_path):
-        from repro.core.trace import TraceWriter, load_trace, validate_trace
-
-        journal = str(tmp_path / "journal.jsonl")
-        trace_path = str(tmp_path / "trace.jsonl")
-        with TraceWriter(trace_path, label="checkpoint trace") as trace:
-            run_portfolio(small_scenarios(), trace=trace, checkpoint=journal)
-        with TraceWriter(trace_path + ".2", label="resume trace") as trace:
-            run_portfolio(small_scenarios(), trace=trace, checkpoint=journal,
-                          resume=True)
-        recorded = [event for event in load_trace(trace_path)
-                    if event["ev"] == "checkpoint"]
-        assert {event["action"] for event in recorded} == {"record"}
-        replays = [event for event in load_trace(trace_path + ".2")
-                   if event["ev"] == "checkpoint"]
-        assert {event["action"] for event in replays} == {"replay"}
-        assert validate_trace(load_trace(trace_path)) == []
-
 
 # ---------------------------------------------------------------------------
 # CLI exit codes and the SIGINT epilogue
@@ -597,25 +477,18 @@ class TestBatchCli:
         payload = json.load(open(out))
         assert payload["summary"]["timeouts"] == 1
 
-    def test_resume_flag_requires_checkpoint(self):
-        result = self._batch("--resume")
-        assert result.returncode != 0
-        assert "--checkpoint" in result.stderr
-
     def test_sigint_prints_partial_table_and_exits_130(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
+        store = str(tmp_path / "store")
         env = dict(os.environ, PYTHONPATH="src")
         env[FAULT_PLAN_ENV] = "ring-4=hang:120@*"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "batch",
-             "--matrix", SMALL_MATRIX, "--jobs", "2",
-             "--checkpoint", journal],
+             "--matrix", SMALL_MATRIX, "--jobs", "2", "--store", store],
             cwd=self.REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if (os.path.exists(journal)
-                    and CheckpointJournal(journal).load_records()):
+            if scan_store(store)["records"]:
                 break
             time.sleep(0.05)
         time.sleep(0.2)
@@ -624,4 +497,14 @@ class TestBatchCli:
         assert proc.returncode == 130, out
         assert "partial results" in out
         assert "mesh-3x3" in out
-        assert "--resume" in out
+        assert f"rerun with --store {store} to resume" in out
+
+    def test_sigint_without_store_says_the_sweep_is_not_resumable(
+            self, capsys):
+        import argparse
+
+        from repro.cli import _batch_interrupted
+
+        args = argparse.Namespace(store=None)
+        assert _batch_interrupted(args, small_scenarios(), None) == 130
+        assert "not resumable" in capsys.readouterr().out

@@ -15,17 +15,13 @@ trace lane for cached runs, and the shard-merge of store counters.
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.core.fingerprint import (
-    engine_fingerprint,
-    make_run_key,
-    scenario_fingerprint,
-)
 from repro.core.portfolio import (
     merge_shard_reports,
     run_portfolio,
@@ -37,26 +33,22 @@ from repro.core.store import (
     STORE_SCHEMA,
     VerdictStore,
     _StoreLock,
+    engine_fingerprint,
     group_record_key,
+    make_run_key,
     record_checksum,
     scan_store,
+    scenario_fingerprint,
 )
-from tests.test_fault_tolerance import ACCEPTANCE_MATRIX, SMALL_MATRIX
+from tests.test_fault_tolerance import (
+    ACCEPTANCE_MATRIX,
+    SMALL_MATRIX,
+    object_paths,
+)
 
 
 def small_scenarios():
     return scenarios_from_specs(expand_matrix(SMALL_MATRIX))
-
-
-def object_paths(root):
-    """All record files currently in the store, sorted for determinism."""
-    paths = []
-    for dirpath, _dirnames, filenames in os.walk(
-            os.path.join(root, "objects")):
-        for name in sorted(filenames):
-            if name.endswith(".json") and not name.startswith(".tmp-"):
-                paths.append(os.path.join(dirpath, name))
-    return sorted(paths)
 
 
 def comparable_bytes(report):
@@ -112,7 +104,41 @@ class TestAddressing:
         scenarios = small_scenarios()
         prints = {scenario_fingerprint(s) for s in scenarios}
         assert len(prints) == len(scenarios)
-        assert engine_fingerprint()  # non-empty, importable from one place
+        specs = expand_matrix(SMALL_MATRIX)
+        assert [scenario_fingerprint(spec) for spec in specs] == [
+            scenario_fingerprint(spec) for spec in expand_matrix(SMALL_MATRIX)]
+
+    def test_engine_fingerprint_shape(self):
+        fingerprint = engine_fingerprint()
+        assert fingerprint.startswith("repro-")
+        assert len(fingerprint.rsplit("-", 1)[1]) == 16
+
+
+class TestAtomicWrite:
+    def test_directory_is_synced_after_the_rename(self, tmp_path,
+                                                  monkeypatch):
+        store = VerdictStore(str(tmp_path / "store")).open()
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.path.dirname(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.record(
+            engine_fingerprint(), "k", make_run_key(2010, True, False, None),
+            "g", [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
+        [record] = object_paths(store.root)
+        assert events == [("fsync", "file"),
+                          ("replace", os.path.dirname(record)),
+                          ("fsync", "dir")]
 
 
 class TestStoreLock:
@@ -165,8 +191,10 @@ class TestWarmReplay:
         assert warm.store_stats["writes"] == 0
         assert sorted(warm.store_stats["replayed_groups"]) \
             == ["mesh-3x3", "ring-4"]
-        # Zero solver work: no group was ever attempted by the pool.
+        # Zero solver work: no group was ever attempted by the pool, and
+        # nothing was built.
         assert warm.recovery["group_attempts"] == {}
+        assert warm.cache_stats == {"hits": 0, "misses": 0}
         assert comparable_bytes(warm) == comparable_bytes(cold)
 
     def test_acceptance_matrix_warm_rerun_is_byte_identical(self, tmp_path):
@@ -188,22 +216,6 @@ class TestWarmReplay:
                                 cross_check=True)
         assert crossed.store_stats["hits"] == 0
         assert crossed.store_stats["misses"] == 2
-
-    def test_store_composes_with_checkpoint_journal(self, tmp_path):
-        store = str(tmp_path / "store")
-        journal = str(tmp_path / "journal.jsonl")
-        run_portfolio(small_scenarios(), store=store)
-        warm = run_portfolio(small_scenarios(), store=store,
-                             checkpoint=journal)
-        # Store-replayed groups enter the journal, so a resume of this
-        # run replays from its own history without consulting the store.
-        assert sorted(warm.store_stats["replayed_groups"]) \
-            == ["mesh-3x3", "ring-4"]
-        resumed = run_portfolio(small_scenarios(), checkpoint=journal,
-                                resume=True)
-        assert sorted(resumed.recovery["replayed_groups"]) \
-            == ["mesh-3x3", "ring-4"]
-        assert comparable_bytes(resumed) == comparable_bytes(warm)
 
     def test_failed_groups_are_not_recorded(self, tmp_path):
         store = str(tmp_path / "store")
