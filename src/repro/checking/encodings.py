@@ -215,7 +215,7 @@ def is_acyclic_by_sat(graph: DirectedGraph[V]) -> bool:
     return solve_cnf(cnf).satisfiable
 
 
-def acyclicity_oracle(graph: DirectedGraph[V], seed: int = 2010):
+def acyclicity_oracle(graph: DirectedGraph[V]):
     """An incremental acyclicity oracle over ``graph``'s edge universe.
 
     Convenience re-export of
@@ -225,7 +225,7 @@ def acyclicity_oracle(graph: DirectedGraph[V], seed: int = 2010):
     """
     from repro.checking.incremental import AcyclicityOracle
 
-    return AcyclicityOracle(graph, seed=seed)
+    return AcyclicityOracle(graph)
 
 
 def decode_topological_numbering(graph: DirectedGraph[V]) -> Dict[V, int]:

@@ -61,19 +61,14 @@ class IncrementalSession:
         session.solve([-fast])                         # ... and with it off
     """
 
-    def __init__(self, seed: int = 2010, trace=None,
-                 solver_options: Optional[Dict[str, object]] = None) -> None:
+    def __init__(self, trace=None) -> None:
         self.cnf = CNF()
         self.encoder = TseitinEncoder(self.cnf)
         #: Optional :class:`repro.core.trace.TraceWriter`, shared with the
         #: solver so session-level spans and solver events interleave in
         #: one stream.
         self.trace = trace
-        #: ``solver_options`` overrides individual heuristic knobs
-        #: (``restart_policy``/``chrono``/``vivify``/``inprocess``); unset
-        #: knobs resolve via ``REPRO_SOLVER_OPTS`` and the defaults.
-        self.solver = IncrementalSatSolver(seed=seed, trace=trace,
-                                           **(solver_options or {}))
+        self.solver = IncrementalSatSolver(trace=trace)
         self._loaded_clauses = 0
         self._selectors: Dict[str, Literal] = {}
 
@@ -102,15 +97,11 @@ class IncrementalSession:
     def selector(self, name: str, sync: bool = True) -> Literal:
         """The (positive literal of the) named selector variable.
 
-        Selector variables are *frozen* in the solver: the inprocessing
-        pass never eliminates them, so assumption queries and UNSAT cores
-        over selectors survive simplification.  ``sync=False`` defers the
-        solver sync to the caller (bulk encoding paths).
+        ``sync=False`` defers the solver sync to the caller (bulk encoding
+        paths).
         """
         if name not in self._selectors:
-            literal = self.cnf.var(f"sel::{name}")
-            self._selectors[name] = literal
-            self.solver.freeze_var(literal)
+            self._selectors[name] = self.cnf.var(f"sel::{name}")
         if sync:
             self._sync()
         return self._selectors[name]
@@ -178,11 +169,8 @@ class AcyclicityOracle:
     edges are simultaneously satisfiable.
     """
 
-    def __init__(self, graph: DirectedGraph[V], seed: int = 2010,
-                 trace=None,
-                 solver_options: Optional[Dict[str, object]] = None) -> None:
-        self._session = IncrementalSession(seed=seed, trace=trace,
-                                           solver_options=solver_options)
+    def __init__(self, graph: DirectedGraph[V], trace=None) -> None:
+        self._session = IncrementalSession(trace=trace)
         self._vertices = sorted(graph.vertices, key=repr)
         self._vertex_index = {vertex: index
                               for index, vertex in enumerate(self._vertices)}

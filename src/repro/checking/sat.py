@@ -18,6 +18,8 @@ The solver implements the standard conflict-driven clause-learning loop:
 * VSIDS-style activity-based decision heuristic backed by a binary heap,
   with phase saving,
 * Luby-sequence restarts,
+* chronological backtracking on far backjumps of assumption-free queries
+  and vivification of the best learned clauses at reduce-db time,
 * **incremental use**: clauses can be added between ``solve`` calls, a
   single solver instance can be re-queried many times, and each query can
   be made under *assumptions* (temporary unit hypotheses).  When a query is
@@ -32,8 +34,8 @@ assumptions.  This is what makes the repeated deadlock queries of
 :mod:`repro.core.portfolio` cheap: the CNF is encoded once and every
 topology/routing scenario is a fresh set of assumptions on the same solver.
 
-The solver is deterministic: two runs on the same formula with the same
-``seed`` take the same decisions and return the same model and statistics.
+The solver is deterministic: two runs on the same formula take the same
+decisions and return the same model and statistics.
 Correctness is cross-checked against a brute-force evaluator in the test
 suite (see ``tests/test_sat_incremental.py`` and
 ``tests/test_clause_management.py``).
@@ -42,8 +44,6 @@ suite (see ``tests/test_sat_incremental.py`` and
 from __future__ import annotations
 
 import itertools
-import os
-import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -53,77 +53,14 @@ from repro.checking.cnf import CNF, Literal
 #: Truth values of the literal-indexed assignment array.
 _UNASSIGNED, _TRUE, _FALSE = 0, 1, 2
 
-#: Default values of the search-heuristic knobs.  Each knob is individually
-#: switchable per constructor argument; a ``None`` argument falls back to
-#: the ``REPRO_SOLVER_OPTS`` environment variable (comma-separated
-#: ``key=value`` pairs, e.g. ``restart_policy=ema,chrono=100,vivify=1``)
-#: and then to this table.  The defaults encode the *measured* winners of
-#: the solver microbench suite (see ``docs/solver.md``); losing knobs ship
-#: off with their measurement recorded.
-SOLVER_DEFAULTS: Dict[str, object] = {
-    #: ``"luby"`` (Luby-sequence restarts, 32-conflict unit) or ``"ema"``
-    #: (Glucose-style dual exponential moving averages over learned-clause
-    #: LBD, with restart blocking on a trail-size EMA).
-    "restart_policy": "luby",
-    #: Chronological-backtracking threshold: on a conflict whose backjump
-    #: would discard more than this many decision levels, backtrack one
-    #: level instead.  ``0`` disables.
-    "chrono": 5,
-    #: Vivify (shorten via propagation) the best learned clauses at
-    #: reduce-db time.
-    "vivify": True,
-    #: Run the inprocessing pass (subsumption, self-subsuming resolution,
-    #: bounded variable elimination) between solves.
-    "inprocess": False,
-}
-
-#: Dual-EMA restart parameters (Glucose-style): smoothing windows of the
-#: fast/slow LBD averages, the trail-size average used for blocking, the
-#: fast-over-slow trigger ratio, the block ratio and the minimum number of
-#: conflicts between restarts (reported as the restart event's ``limit``).
-EMA_FAST_WINDOW = 32
-EMA_SLOW_WINDOW = 4096
-EMA_TRAIL_WINDOW = 4096
-EMA_THRESHOLD = 1.15
-EMA_BLOCK_THRESHOLD = 1.4
-EMA_MIN_INTERVAL = 32
+#: Chronological-backtracking threshold: on a conflict of an
+#: assumption-free query whose backjump would discard more than this many
+#: decision levels, backtrack one level instead (see ``docs/solver.md``).
+CHRONO_THRESHOLD = 5
 
 #: How many learned clauses one vivification pass inspects (the best
 #: retention candidates: lowest LBD, then highest activity).
 VIVIFY_MAX_CLAUSES = 64
-
-#: Automatic inprocessing triggers when at least this many problem clauses
-#: arrived since the last pass.
-INPROCESS_MIN_CLAUSES = 64
-
-#: Bounded-variable-elimination limits: a variable is only eliminated when
-#: its occurrence count stays under the cap and resolution does not grow
-#: the formula (at most ``|pos| + |neg|`` non-tautological resolvents).
-BVE_MAX_OCCURRENCES = 16
-
-
-def _solver_env_options() -> Dict[str, object]:
-    """Parse ``REPRO_SOLVER_OPTS`` into a knob dict (empty when unset)."""
-    raw = os.environ.get("REPRO_SOLVER_OPTS", "")
-    options: Dict[str, object] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in SOLVER_DEFAULTS:
-            raise ValueError(
-                f"unknown solver option {key!r} in REPRO_SOLVER_OPTS")
-        default = SOLVER_DEFAULTS[key]
-        if isinstance(default, bool):
-            options[key] = value.lower() in ("1", "true", "on", "yes")
-        elif isinstance(default, int):
-            options[key] = int(value)
-        else:
-            options[key] = value
-    return options
 
 #: LBD values at or above this bucket share one histogram key
 #: (``lbd_10`` counts every learned clause with LBD >= 10).
@@ -201,29 +138,8 @@ class _VarHeap:
         self._in_heap: List[bool] = [False]
         self._size = 0
 
-    def __contains__(self, var: int) -> bool:
-        return var < len(self._in_heap) and self._in_heap[var]
-
     def __len__(self) -> int:
         return self._size
-
-    def _grow_to(self, var: int) -> None:
-        while len(self._in_heap) <= var:
-            self._in_heap.append(False)
-            self._version.append(0)
-
-    def push(self, var: int) -> None:
-        in_heap = self._in_heap
-        if var >= len(in_heap):
-            self._grow_to(var)
-            in_heap = self._in_heap
-        if in_heap[var]:
-            return
-        in_heap[var] = True
-        self._size += 1
-        version = self._version[var] + 1
-        self._version[var] = version
-        heappush(self._entries, (-self._activity[var], var, version))
 
     def pop(self) -> int:
         entries = self._entries
@@ -252,13 +168,6 @@ class _VarHeap:
             version.append(1)
             heappush(entries, (-activity[var], var, 1))
         self._size += stop - start
-
-    def update(self, var: int) -> None:
-        """Re-establish the heap order after ``var``'s activity increased."""
-        if var < len(self._in_heap) and self._in_heap[var]:
-            version = self._version[var] + 1
-            self._version[var] = version
-            heappush(self._entries, (-self._activity[var], var, version))
 
     def rebuild(self) -> None:
         """Rebuild every live entry from current activities.
@@ -297,42 +206,7 @@ class IncrementalSatSolver:
     per-watch Python objects on the propagation path.
     """
 
-    def __init__(self, seed: int = 2010,
-                 random_polarity_freq: float = 0.0,
-                 trace=None,
-                 restart_policy: Optional[str] = None,
-                 chrono: Optional[int] = None,
-                 vivify: Optional[bool] = None,
-                 inprocess: Optional[bool] = None) -> None:
-        # Heuristic knobs: explicit argument > REPRO_SOLVER_OPTS > default.
-        env = _solver_env_options() if "REPRO_SOLVER_OPTS" in os.environ \
-            else {}
-
-        def _knob(name, value):
-            if value is not None:
-                return value
-            return env.get(name, SOLVER_DEFAULTS[name])
-
-        self._restart_policy = str(_knob("restart_policy", restart_policy))
-        if self._restart_policy not in ("luby", "ema"):
-            raise ValueError(
-                f"unknown restart policy {self._restart_policy!r}")
-        self._chrono = int(_knob("chrono", chrono))
-        self._vivify = bool(_knob("vivify", vivify))
-        self._inprocess_enabled = bool(_knob("inprocess", inprocess))
-        # Dual-EMA restart state (persistent across solves: the averages
-        # describe the learned-clause quality of the whole database).
-        self._ema_fast = 0.0
-        self._ema_slow = 0.0
-        self._ema_trail = 0.0
-        # Inprocessing state: frozen variables (assumption selectors --
-        # never eliminated), eliminated variables, and the stack of
-        # clause sets removed by variable elimination, kept for model
-        # reconstruction and for reviving a variable that reappears.
-        self._frozen = bytearray(1)
-        self._eliminated = bytearray(1)
-        self._elim_stack: List[Tuple[int, List[List[Literal]]]] = []
-        self._inprocess_mark = 0
+    def __init__(self, trace=None) -> None:
         self._num_vars = 0
         # Literal-indexed state: index ``_center + literal`` is valid for
         # every |literal| <= _cap, so truth lookups need no branch on the
@@ -375,18 +249,14 @@ class IncrementalSatSolver:
         self._clause_inc = 1.0
         self._clause_decay = 0.999
         self._max_learnts = 0.0
-        self._rng = random.Random(seed)
-        self._random_polarity_freq = random_polarity_freq
         #: Assumptions of the previous solve, for prefix-trail reuse.
         self._last_assumptions: List[Literal] = []
         self._stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
                        "restarts": 0, "learned": 0, "deleted": 0,
                        "solves": 0, "minimised": 0,
                        "arena_gcs": 0, "arena_reclaimed": 0,
-                       "blocked_restarts": 0, "chrono_backtracks": 0,
-                       "vivified_clauses": 0, "vivified_literals": 0,
-                       "subsumed": 0, "strengthened": 0,
-                       "eliminated_vars": 0, "inprocessings": 0}
+                       "chrono_backtracks": 0,
+                       "vivified_clauses": 0, "vivified_literals": 0}
         #: LBD histogram of learned clauses: bucket -> count, buckets
         #: capped at LBD_HISTOGRAM_CAP (the last bucket is ">= cap").
         self._lbd_hist: Dict[int, int] = {}
@@ -491,8 +361,6 @@ class IncrementalSatSolver:
         self._activity.extend([0.0] * grow)
         self._polarity.extend(b"\x00" * grow)
         self._seen.extend(b"\x00" * grow)
-        self._frozen.extend(b"\x00" * grow)
-        self._eliminated.extend(b"\x00" * grow)
         if count > self._cap:
             self._grow_literal_arrays(count)
         self._heap.push_fresh(start, count + 1)
@@ -517,48 +385,6 @@ class IncrementalSatSolver:
         self._watches = new_watches
         self._cap = new_cap
         self._center = new_center
-
-    # -- heuristic knobs / inprocessing support -------------------------------------
-    @property
-    def options(self) -> Dict[str, object]:
-        """The resolved heuristic-knob values of this instance."""
-        return {"restart_policy": self._restart_policy,
-                "chrono": self._chrono,
-                "vivify": self._vivify,
-                "inprocess": self._inprocess_enabled}
-
-    def freeze_var(self, var: int) -> None:
-        """Exempt ``var`` from bounded variable elimination.
-
-        The incremental layer freezes every assumption-selector variable
-        (and :meth:`solve` freezes assumption variables on use), so the
-        UNSAT-core and assumption contracts survive inprocessing: a frozen
-        variable keeps its original clauses and its model value is never
-        reconstructed.
-        """
-        if var > self._num_vars:
-            self.ensure_vars(var)
-        self._frozen[var] = 1
-
-    def _revive(self, var: int) -> None:
-        """Undo variable eliminations from the top of the stack down to
-        (and including) ``var``, re-adding the stored clauses.
-
-        Eliminations are undone newest-first so every re-added clause
-        mentions only live variables (a clause stored for an early
-        elimination may mention a variable eliminated later, never the
-        other way around).  The resolvents added at elimination time are
-        implied by the restored clauses, so leaving them in place is sound.
-        """
-        eliminated = self._eliminated
-        while self._elim_stack:
-            pivot, clauses = self._elim_stack.pop()
-            eliminated[pivot] = 0
-            self._heap.push(pivot)
-            self._stats["eliminated_vars"] -= 1
-            self.add_clauses(clauses)
-            if pivot == var or not self._ok:
-                break
 
     # -- assignment helpers --------------------------------------------------------
     def _value(self, literal: Literal) -> Optional[bool]:
@@ -603,7 +429,7 @@ class IncrementalSatSolver:
             lit_val[center + literal] = _UNASSIGNED
             lit_val[center - literal] = _UNASSIGNED
             reason[var] = -1
-            # Inlined heap.push (hot: every backtracked variable).
+            # Inlined lazy-heap push (hot: every backtracked variable).
             if not in_heap[var]:
                 in_heap[var] = True
                 entry_version = version[var] + 1
@@ -692,9 +518,6 @@ class IncrementalSatSolver:
         csize = self._csize
         clearned = self._clearned
         watches = self._watches
-        # Eliminated-variable guard: one truthiness test per literal while
-        # any elimination is in effect, nothing otherwise.
-        eliminated = self._eliminated if self._elim_stack else None
         added = 0
         ok = True
         for literals in clauses:
@@ -711,15 +534,6 @@ class IncrementalSatSolver:
                     center = self._center
                     num_vars = self._num_vars
                     watches = self._watches
-                elif eliminated is not None and eliminated[var]:
-                    # The clause resurrects an eliminated variable: restore
-                    # its clauses (and any elimination stacked above it)
-                    # before attaching anything that mentions it.
-                    self._revive(var)
-                    if not self._ok:
-                        return False
-                    if not self._elim_stack:
-                        eliminated = None
                 value = lit_val[center + literal]
                 if value:
                     if value == 1:
@@ -945,7 +759,7 @@ class IncrementalSatSolver:
                     continue
                 seen[var] = 1
                 to_clear.append(var)
-                # Inlined _bump_activity + heap.update (hot: every marked
+                # Inlined activity bump + lazy-heap update (hot: every marked
                 # variable; the inlined update reuses the bumped value
                 # instead of re-reading the activity array).
                 new_activity = activity[var] + self._activity_inc
@@ -1063,12 +877,6 @@ class IncrementalSatSolver:
             self._activity[index] *= 1e-100
         self._activity_inc *= 1e-100
         self._heap.rebuild()
-
-    def _bump_activity(self, var: int) -> None:
-        self._activity[var] += self._activity_inc
-        if self._activity[var] > 1e100:
-            self._rescale_activity()
-        self._heap.update(var)
 
     def _decay_activity(self) -> None:
         self._activity_inc /= self._activity_decay
@@ -1307,350 +1115,6 @@ class IncrementalSatSolver:
         watch_list.append(cid)
         watch_list.append(first)
 
-    # -- inprocessing ----------------------------------------------------------------
-    def inprocess(self) -> Dict[str, int]:
-        """Simplify the clause database between solves.
-
-        Three techniques, all run from decision level 0 over the extracted
-        (level-0-simplified) clause lists, after which the arena is rebuilt
-        from scratch:
-
-        * **subsumption** -- a problem clause that contains another problem
-          clause is dropped (learned clauses are also dropped when a
-          problem clause subsumes them, but never act as subsumers: they
-          are deletable, so nothing permanent may depend on them);
-        * **self-subsuming resolution** -- when resolving clause ``D`` with
-          a problem clause ``C`` on literal ``l`` yields a clause that
-          subsumes ``D``, the literal ``-l`` is removed from ``D``
-          (equivalence-preserving strengthening);
-        * **bounded variable elimination** -- a non-frozen, unassigned
-          variable whose occurrence count is under
-          :data:`BVE_MAX_OCCURRENCES` is resolved away when that produces
-          at most as many non-tautological resolvents as it removes
-          clauses.  The removed clauses go onto the elimination stack for
-          model reconstruction (:meth:`_reconstruct_model`) and for
-          reviving the variable if a later clause or assumption mentions
-          it (:meth:`_revive`).  Learned clauses over an eliminated
-          variable are dropped.
-
-        Frozen variables (assumption selectors, any variable ever used as
-        an assumption) are never eliminated, which preserves the UNSAT-core
-        and incremental-assumption contracts.  Returns the pass's deltas;
-        also emitted as an ``inprocess`` trace event.
-        """
-        stats = self._stats
-        result = {"subsumed": 0, "strengthened": 0, "eliminated": 0,
-                  "clauses_before": len(self._coff),
-                  "clauses_after": len(self._coff)}
-        self._inprocess_mark = self._num_problem
-        if not self._ok:
-            return result
-        self._cancel_until(0)
-        self._last_assumptions = []
-        if self._propagate() >= 0:
-            self._ok = False
-            return result
-        lit_val = self._lit_val
-        center = self._center
-        arena = self._arena
-        coff = self._coff
-        csize = self._csize
-        clearned = self._clearned
-        # 1. Extract the live clauses, simplified against level-0 facts.
-        #    Each entry: [literal list, learned flag, activity, lbd, alive].
-        entries: List[list] = []
-        for cid in range(len(coff)):
-            literals: List[Literal] = []
-            satisfied = False
-            offset = coff[cid]
-            for position in range(offset, offset + csize[cid]):
-                literal = arena[position]
-                value = lit_val[center + literal]
-                if value == 1:
-                    satisfied = True
-                    break
-                if value == 2:
-                    continue
-                literals.append(literal)
-            if satisfied or not literals:
-                continue  # level-0-satisfied (or dead weight): drop
-            if clearned[cid]:
-                entries.append([literals, True,
-                                self._cact[cid], self._clbd[cid], True])
-            else:
-                entries.append([literals, False, 0.0, 0, True])
-        subsumed, strengthened = self._subsume_and_strengthen(entries)
-        eliminated = self._eliminate_variables(entries)
-        units = self._rebuild_arena(entries)
-        stats["subsumed"] += subsumed
-        stats["strengthened"] += strengthened
-        stats["eliminated_vars"] += eliminated
-        stats["inprocessings"] += 1
-        result.update(subsumed=subsumed, strengthened=strengthened,
-                      eliminated=eliminated,
-                      clauses_after=len(self._coff))
-        if self._ok:
-            for literal in units:
-                value = self._lit_val[self._center + literal]
-                if value == 2:
-                    self._ok = False
-                    break
-                if value == 0:
-                    self._enqueue(literal, -1)
-            if self._ok and self._propagate() >= 0:
-                self._ok = False
-        self._inprocess_mark = self._num_problem
-        if self._trace is not None:
-            self._trace.emit("inprocess", subsumed=subsumed,
-                             strengthened=strengthened,
-                             eliminated=eliminated,
-                             clauses=len(self._coff))
-        return result
-
-    def _subsume_and_strengthen(self, entries: List[list]
-                                ) -> Tuple[int, int]:
-        """Forward subsumption + self-subsuming resolution over ``entries``.
-
-        Clauses are visited smallest-first; each is checked against the
-        already-accepted *problem* clauses via literal-occurrence lists
-        with 64-bit signatures, then accepted (problem clauses only) as a
-        potential subsumer itself.  Mutates ``entries`` in place (alive
-        flags, strengthened literal lists); returns (subsumed count,
-        strengthened-literal count).
-        """
-        order = sorted(range(len(entries)),
-                       key=lambda index: (len(entries[index][0]),
-                                          entries[index][1], index))
-        occurrences: Dict[Literal, List[int]] = {}
-        signatures: Dict[int, int] = {}
-        subsumed = strengthened = 0
-        for index in order:
-            entry = entries[index]
-            literals = entry[0]
-            signature = 0
-            for literal in literals:
-                signature |= 1 << (literal & 63)
-            # Subsumption check: any accepted clause hiding inside?
-            literal_sets = None
-            dead = False
-            for literal in literals:
-                for other in occurrences.get(literal, ()):
-                    other_literals = entries[other][0]
-                    if len(other_literals) > len(literals):
-                        continue
-                    if signatures[other] & ~signature:
-                        continue
-                    if literal_sets is None:
-                        literal_sets = set(literals)
-                    if all(candidate in literal_sets
-                           for candidate in other_literals):
-                        dead = True
-                        break
-                if dead:
-                    break
-            if dead:
-                entry[4] = False
-                subsumed += 1
-                continue
-            # Self-subsuming resolution: can some literal be removed?
-            position = 0
-            while position < len(literals):
-                literal = literals[position]
-                removed = False
-                for other in occurrences.get(-literal, ()):
-                    other_literals = entries[other][0]
-                    if len(other_literals) > len(literals):
-                        continue
-                    if signatures[other] & ~(signature
-                                             | (1 << (-literal & 63))):
-                        continue
-                    if literal_sets is None:
-                        literal_sets = set(literals)
-                    if all(candidate in literal_sets or candidate == -literal
-                           for candidate in other_literals):
-                        removed = True
-                        break
-                if removed:
-                    literal_sets.discard(literal)
-                    del literals[position]
-                    signature = 0
-                    for remaining in literals:
-                        signature |= 1 << (remaining & 63)
-                    strengthened += 1
-                else:
-                    position += 1
-            if entry[1]:
-                continue  # learned clauses never subsume (deletable)
-            for literal in literals:
-                occurrences.setdefault(literal, []).append(index)
-            signatures[index] = signature
-        return subsumed, strengthened
-
-    def _eliminate_variables(self, entries: List[list]) -> int:
-        """Bounded variable elimination over the alive problem ``entries``.
-
-        Appends resolvents as new problem entries, marks the resolved
-        clauses dead, kills learned clauses over eliminated variables and
-        pushes the removed problem clauses onto the elimination stack.
-        Returns the number of eliminated variables.
-        """
-        frozen = self._frozen
-        eliminated_flags = self._eliminated
-        lit_val = self._lit_val
-        center = self._center
-        occ_pos: Dict[int, List[int]] = {}
-        occ_neg: Dict[int, List[int]] = {}
-        learned_occ: Dict[int, List[int]] = {}
-        for index, entry in enumerate(entries):
-            if not entry[4]:
-                continue
-            target = learned_occ if entry[1] else None
-            for literal in entry[0]:
-                var = literal if literal > 0 else -literal
-                if target is not None:
-                    target.setdefault(var, []).append(index)
-                elif literal > 0:
-                    occ_pos.setdefault(var, []).append(index)
-                else:
-                    occ_neg.setdefault(var, []).append(index)
-        eliminated = 0
-        heap = self._heap
-        for var in range(1, self._num_vars + 1):
-            if frozen[var] or eliminated_flags[var]:
-                continue
-            if lit_val[center + var] != _UNASSIGNED:
-                continue
-            positive = [index for index in occ_pos.get(var, ())
-                        if entries[index][4]]
-            negative = [index for index in occ_neg.get(var, ())
-                        if entries[index][4]]
-            if not positive and not negative:
-                continue  # pure or unused: nothing forced, leave it
-            budget = len(positive) + len(negative)
-            if budget > BVE_MAX_OCCURRENCES:
-                continue
-            resolvents: List[List[Literal]] = []
-            overflow = False
-            for pos_index in positive:
-                pos_literals = entries[pos_index][0]
-                for neg_index in negative:
-                    resolvent = [literal for literal in pos_literals
-                                 if literal != var]
-                    tautology = False
-                    resolvent_set = set(resolvent)
-                    for literal in entries[neg_index][0]:
-                        if literal == -var:
-                            continue
-                        if -literal in resolvent_set:
-                            tautology = True
-                            break
-                        if literal not in resolvent_set:
-                            resolvent.append(literal)
-                            resolvent_set.add(literal)
-                    if tautology:
-                        continue
-                    resolvents.append(resolvent)
-                    if len(resolvents) > budget:
-                        overflow = True
-                        break
-                if overflow:
-                    break
-            if overflow:
-                continue
-            # Eliminate: drop the originals (and learned clauses over the
-            # variable -- they may not constrain it once it is free), add
-            # the resolvents, remember the originals for reconstruction.
-            stored: List[List[Literal]] = []
-            for index in positive + negative:
-                entries[index][4] = False
-                stored.append(list(entries[index][0]))
-            for index in learned_occ.get(var, ()):
-                entries[index][4] = False
-            for resolvent in resolvents:
-                new_index = len(entries)
-                entries.append([resolvent, False, 0.0, 0, True])
-                for literal in resolvent:
-                    res_var = literal if literal > 0 else -literal
-                    if literal > 0:
-                        occ_pos.setdefault(res_var, []).append(new_index)
-                    else:
-                        occ_neg.setdefault(res_var, []).append(new_index)
-            self._elim_stack.append((var, stored))
-            eliminated_flags[var] = 1
-            eliminated += 1
-            # Take the variable out of the decision heap; _revive pushes
-            # it back.  (Eliminated variables are unassigned and occur in
-            # no clause, so nothing else re-pushes them.)
-            if var in heap:
-                heap._in_heap[var] = False
-                heap._size -= 1
-        return eliminated
-
-    def _rebuild_arena(self, entries: List[list]) -> List[Literal]:
-        """Replace the arena with the alive ``entries``; returns the units.
-
-        Level-0 trail assignments survive; their reasons are reset to
-        ``-1`` (they are facts, and their old clause ids die with the old
-        arena).  Unit clauses are returned for the caller to enqueue and
-        propagate once the watchers exist.
-        """
-        self._arena = []
-        self._coff = []
-        self._csize = []
-        self._clearned = bytearray()
-        self._cact = {}
-        self._clbd = {}
-        self._learnt_cids = []
-        self._num_problem = 0
-        self._watches = [[] for _ in range(2 * self._cap + 1)]
-        reason = self._reason
-        for literal in self._trail:
-            reason[literal if literal > 0 else -literal] = -1
-        self._qhead = len(self._trail)
-        units: List[Literal] = []
-        for literals, learned, activity, lbd, alive in entries:
-            if not alive:
-                continue
-            if not literals:
-                # A strengthening chain or a BVE resolvent emptied the
-                # clause: the formula is UNSAT at level 0.
-                self._ok = False
-                continue
-            if len(literals) == 1:
-                units.append(literals[0])
-                continue
-            cid = self._new_clause(literals, learned=learned)
-            if learned:
-                self._cact[cid] = activity
-                self._clbd[cid] = min(lbd, len(literals)) if lbd else lbd
-        return units
-
-    def _reconstruct_model(self, model: Dict[int, bool]) -> None:
-        """Extend a model of the simplified formula to the original one.
-
-        Walks the elimination stack newest-first; each eliminated variable
-        is set true iff some clause with a positive occurrence is not
-        satisfied by its other literals (every negative-occurrence clause
-        is then satisfied too, or the corresponding resolvent would have
-        been falsified).
-        """
-        for var, clauses in reversed(self._elim_stack):
-            value = False
-            for literals in clauses:
-                pivot_positive = False
-                satisfied = False
-                for literal in literals:
-                    other = literal if literal > 0 else -literal
-                    if other == var:
-                        pivot_positive = literal > 0
-                    elif model.get(other, False) == (literal > 0):
-                        satisfied = True
-                        break
-                if not satisfied and pivot_positive:
-                    value = True
-                    break
-            model[var] = value
-
     # -- decisions -----------------------------------------------------------------
     def _pick_branch_variable(self) -> Optional[int]:
         # Inlined lazy-heap pop: stale entries (superseded versions) and
@@ -1673,12 +1137,6 @@ class IncrementalSatSolver:
                     return var
         heap._size = size
         return None
-
-    def _decision_polarity(self, var: int) -> bool:
-        if (self._random_polarity_freq > 0.0
-                and self._rng.random() < self._random_polarity_freq):
-            return self._rng.random() < 0.5
-        return bool(self._polarity[var])
 
     # -- tracing -------------------------------------------------------------------
     @property
@@ -1746,26 +1204,12 @@ class IncrementalSatSolver:
         self._stats["solves"] += 1
         self._last_core = None
         assumption_list = list(assumptions)
-        frozen = self._frozen
-        revive_check = bool(self._elim_stack)
         for literal in assumption_list:
             if literal == 0:
                 raise ValueError("0 is not a valid literal")
             var = literal if literal > 0 else -literal
             if var > self._num_vars:
                 self.ensure_vars(var)
-                frozen = self._frozen
-            elif revive_check and self._eliminated[var]:
-                # An assumption over an eliminated variable: restore its
-                # clauses so the query (and its core) see the original
-                # formula.  Freezing below prevents a repeat.
-                self._revive(var)
-                revive_check = bool(self._elim_stack)
-            frozen[var] = 1
-        if (self._inprocess_enabled and self._ok
-                and self._num_problem - self._inprocess_mark
-                >= INPROCESS_MIN_CLAUSES):
-            self.inprocess()
 
         if not self._ok:
             # Trivially UNSAT: the formula already failed at level 0.  The
@@ -1798,31 +1242,19 @@ class IncrementalSatSolver:
         restart_index = 1
         conflicts_since_restart = 0
         restart_limit = 32 * self._luby(restart_index)
-        ema = self._restart_policy == "ema"
         # Chronological backtracking only applies to assumption-free
         # queries.  Under a selector prefix the deep backjump IS the
         # productive mode -- the conflict clause anchors at early selector
         # levels and the far jump prunes -- and stepping back one level at
         # a time multiplies conflicts ~40x on the incremental oracle
         # workloads (measured on mesh-8x8 sessions; see docs/solver.md).
-        chrono = self._chrono if not assumption_list else 0
+        chrono = CHRONO_THRESHOLD if not assumption_list else 0
 
         while True:
             conflict = self._propagate()
             if conflict >= 0:
                 self._stats["conflicts"] += 1
                 conflicts_since_restart += 1
-                if ema:
-                    # Trail-size EMA, sampled at conflict time (before the
-                    # backjump): the restart blocker's reference point.
-                    # Seeded from the first sample -- starting from 0 would
-                    # make the blocker fire on every early conflict.
-                    if self._ema_trail == 0.0:
-                        self._ema_trail = float(len(self._trail))
-                    else:
-                        self._ema_trail += (
-                            (len(self._trail) - self._ema_trail)
-                            / EMA_TRAIL_WINDOW)
                 if (self._interrupt is not None
                         and self._stats["conflicts"]
                         >= self._interrupt_mark):
@@ -1838,15 +1270,6 @@ class IncrementalSatSolver:
                         self._emit_trace_solve_end(trace, stats_before, False)
                     return SatResult(satisfiable=False, stats=self.stats)
                 learned, backjump_level, lbd = self._analyse(conflict)
-                if ema:
-                    # Seeded from the first LBD sample (see trail EMA).
-                    if self._ema_slow == 0.0:
-                        self._ema_fast = self._ema_slow = float(lbd)
-                    else:
-                        self._ema_fast += ((lbd - self._ema_fast)
-                                           / EMA_FAST_WINDOW)
-                        self._ema_slow += ((lbd - self._ema_slow)
-                                           / EMA_SLOW_WINDOW)
                 if (chrono and len(learned) > 1
                         and len(self._trail_lim) - backjump_level > chrono):
                     # Chronological backtracking: a far backjump throws away
@@ -1886,7 +1309,7 @@ class IncrementalSatSolver:
                 self._decay_clause()
                 if len(self._learnt_cids) >= \
                         self._max_learnts + len(self._trail):
-                    if self._vivify and not self._vivify_learnts(trace):
+                    if not self._vivify_learnts(trace):
                         # Vivification hit a level-0 conflict: UNSAT.
                         self._ok = False
                         if trace is not None:
@@ -1897,39 +1320,12 @@ class IncrementalSatSolver:
                     self._max_learnts *= 1.1
                 continue
 
-            if ema:
-                if (conflicts_since_restart >= EMA_MIN_INTERVAL
-                        and self._ema_fast
-                        > EMA_THRESHOLD * self._ema_slow):
-                    if len(self._trail) > (EMA_BLOCK_THRESHOLD
-                                           * self._ema_trail):
-                        # Blocking: the trail is unusually deep -- the
-                        # search may be closing in on a model, so the
-                        # restart is postponed (the fast average is reset,
-                        # as on a taken restart).
-                        self._stats["blocked_restarts"] += 1
-                        self._ema_fast = self._ema_slow
-                        conflicts_since_restart = 0
-                    else:
-                        self._stats["restarts"] += 1
-                        if trace is not None:
-                            trace.emit(
-                                "restart",
-                                conflicts=self._stats["conflicts"],
-                                interval=conflicts_since_restart,
-                                limit=EMA_MIN_INTERVAL, policy="ema",
-                                fast=round(self._ema_fast, 4),
-                                slow=round(self._ema_slow, 4))
-                        self._ema_fast = self._ema_slow
-                        conflicts_since_restart = 0
-                        self._cancel_until(0)
-                        continue
-            elif conflicts_since_restart >= restart_limit:
+            if conflicts_since_restart >= restart_limit:
                 self._stats["restarts"] += 1
                 if trace is not None:
                     trace.emit("restart", conflicts=self._stats["conflicts"],
                                interval=conflicts_since_restart,
-                               limit=restart_limit, policy="luby")
+                               limit=restart_limit)
                 restart_index += 1
                 conflicts_since_restart = 0
                 restart_limit = 32 * self._luby(restart_index)
@@ -1968,8 +1364,6 @@ class IncrementalSatSolver:
                 center = self._center
                 model = {var: lit_val[center + var] == _TRUE
                          for var in range(1, self._num_vars + 1)}
-                if self._elim_stack:
-                    self._reconstruct_model(model)
                 if trace is not None:
                     self._emit_trace_solve_end(trace, stats_before, True)
                 # No backtrack (see the docstring): the next solve or
@@ -1984,9 +1378,9 @@ class IncrementalSatSolver:
                 self._check_interrupt(trace, stats_before)
             trail_lim = self._trail_lim
             trail_lim.append(len(self._trail))
-            polarity = self._decision_polarity(variable)
-            # Inlined _enqueue for the decision (reason-free) case.
-            literal = variable if polarity else -variable
+            # Inlined _enqueue for the decision (reason-free) case, with
+            # the saved phase as polarity.
+            literal = variable if self._polarity[variable] else -variable
             lit_val = self._lit_val
             center = self._center
             lit_val[center + literal] = _TRUE
@@ -2055,11 +1449,9 @@ class SatSolver:
     assumptions -- learned clauses are shared between the queries.
     """
 
-    def __init__(self, cnf: CNF, seed: int = 2010, trace=None,
-                 solver_options: Optional[Dict[str, object]] = None) -> None:
+    def __init__(self, cnf: CNF, trace=None) -> None:
         self._cnf = cnf
-        self._engine = IncrementalSatSolver(seed=seed, trace=trace,
-                                            **(solver_options or {}))
+        self._engine = IncrementalSatSolver(trace=trace)
         self._loaded_clauses = 0
         self._sync()
 

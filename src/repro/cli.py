@@ -677,6 +677,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     shard = _parse_shard(args.shard)
     if args.max_retries < 0:
         raise SystemExit("--max-retries must be >= 0")
+    if args.jobs < 0:
+        raise SystemExit("--jobs must be >= 0 (0 = one per core)")
+    for flag, value in (("--timeout", args.timeout),
+                        ("--deadline", args.deadline)):
+        if value is not None and value <= 0:
+            raise SystemExit(f"{flag} must be > 0 seconds")
     if args.store_readonly and not args.store:
         raise SystemExit("--store-readonly requires --store DIR")
     robustness = dict(group_timeout=args.timeout, run_deadline=args.deadline,
@@ -784,6 +790,7 @@ def _batch_interrupted(args: argparse.Namespace, scenarios,
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.errors import SpecificationError
     from repro.core.fuzz import run_fuzz_campaign
 
     try:
@@ -792,12 +799,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except ValueError:
         raise SystemExit(f"--max-size must look like '3x3', "
                          f"got {args.max_size!r}")
+    if args.seeds < 1:
+        raise SystemExit("--seeds must be at least 1")
     progress = None if args.quiet else (lambda line: print(line))
-    report = run_fuzz_campaign(count=args.seeds, max_size=max_size,
-                               campaign_seed=args.campaign_seed,
-                               brute_force=not args.no_brute,
-                               simulate=not args.no_sim,
-                               progress=progress)
+    try:
+        report = run_fuzz_campaign(count=args.seeds, max_size=max_size,
+                                   campaign_seed=args.campaign_seed,
+                                   brute_force=not args.no_brute,
+                                   simulate=not args.no_sim,
+                                   progress=progress)
+    except SpecificationError as error:
+        raise SystemExit(f"invalid --max-size {args.max_size!r}: {error}")
     print(report.format_summary())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

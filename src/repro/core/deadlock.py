@@ -179,11 +179,11 @@ class DeadlockQuerySession:
     """
 
     def __init__(self, graph, name: str = "dependency graph",
-                 seed: int = 2010, trace=None) -> None:
+                 trace=None) -> None:
         from repro.checking.incremental import AcyclicityOracle
 
         self.name = name
-        self._oracle = AcyclicityOracle(graph, seed=seed, trace=trace)
+        self._oracle = AcyclicityOracle(graph, trace=trace)
 
     # -- constructors ---------------------------------------------------------
     @classmethod

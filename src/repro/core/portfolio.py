@@ -603,7 +603,7 @@ def _run_group(payload: Tuple,
     """Run one scenario group through one shared incremental session.
 
     ``payload`` is a single picklable tuple ``(group_key, indexed_scenarios,
-    seed, analyse_failures, cross_check, shard[, budget_s, fault_directive,
+    analyse_failures, cross_check, shard[, budget_s, fault_directive,
     parent_pid])`` so the function can be shipped as-is to a
     :class:`~concurrent.futures.ProcessPoolExecutor` worker.  Spec-backed
     scenarios arrive as cheap declarative specs and are resolved *here*,
@@ -644,11 +644,11 @@ def _run_group(payload: Tuple,
     """
     from repro.routing.escape import EscapeChannelRouting
 
-    group_key, indexed_scenarios, seed, analyse_failures, \
-        cross_check, shard = payload[:6]
-    budget_s = payload[6] if len(payload) > 6 else None
-    directive = payload[7] if len(payload) > 7 else None
-    parent_pid = payload[8] if len(payload) > 8 else os.getpid()
+    group_key, indexed_scenarios, analyse_failures, \
+        cross_check, shard = payload[:5]
+    budget_s = payload[5] if len(payload) > 5 else None
+    directive = payload[6] if len(payload) > 6 else None
+    parent_pid = payload[7] if len(payload) > 7 else os.getpid()
     in_worker = os.getpid() != parent_pid
 
     cache = instance_cache()
@@ -696,8 +696,7 @@ def _run_group(payload: Tuple,
         base: DirectedGraph[Port] = DirectedGraph()
         for port in vertices:
             base.add_vertex(port)
-        session = DeadlockQuerySession(base, name=group_key, seed=seed,
-                                       trace=trace)
+        session = DeadlockQuerySession(base, name=group_key, trace=trace)
         if budget_s is not None:
             session.set_interrupt(interrupt)
         known_edges: set = set()
@@ -944,7 +943,7 @@ def _replay_stored_groups(verdict_store: VerdictStore, fingerprint: str,
 
 
 def stored_groups(scenarios: Sequence[Scenario], store: str,
-                  seed: int = 2010, analyse_failures: bool = True,
+                  analyse_failures: bool = True,
                   cross_check: bool = False,
                   shard: Optional[Tuple[int, int]] = None,
                   shard_balance: str = "hash") -> Dict[str, Tuple]:
@@ -958,7 +957,7 @@ def stored_groups(scenarios: Sequence[Scenario], store: str,
     verdict_store = VerdictStore(os.fspath(store), readonly=True).open()
     return _replay_stored_groups(
         verdict_store, engine_fingerprint(),
-        make_run_key(seed, analyse_failures, cross_check, shard),
+        make_run_key(analyse_failures, cross_check, shard),
         {key: _group_specs(indexed) for key, indexed in groups.items()})
 
 
@@ -994,7 +993,6 @@ def _terminate_pool(pool) -> None:
 
 
 def run_portfolio(scenarios: Sequence[Scenario],
-                  seed: int = 2010,
                   analyse_failures: bool = True,
                   cross_check: bool = False,
                   jobs: int = 1,
@@ -1122,7 +1120,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
                  for position, index in enumerate(kept_indices)}
 
     order = list(groups.keys())
-    base_payloads = {key: (key, groups[key], seed, analyse_failures,
+    base_payloads = {key: (key, groups[key], analyse_failures,
                            cross_check, shard) for key in order}
 
     if trace is not None:
@@ -1144,7 +1142,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
         if trace is not None:
             verdict_store.attach_trace(trace)
         fingerprint = engine_fingerprint()
-        run_key = make_run_key(seed, analyse_failures, cross_check, shard)
+        run_key = make_run_key(analyse_failures, cross_check, shard)
         group_specs = {key: _group_specs(groups[key]) for key in order}
         completed = _replay_stored_groups(verdict_store, fingerprint,
                                           run_key, group_specs)

@@ -16,8 +16,8 @@ Granularity
 
 Records are whole *scenario groups*, not single scenarios.  Per-scenario
 solver-stat deltas and the group's ``session_stats`` depend on the whole
-group's composition, order, and seed (sessions share a solver and a
-cache), so only replaying a complete identical group reproduces a
+group's composition and order (sessions share a solver and a cache), so
+only replaying a complete identical group reproduces a
 ``comparable_dict()``-identical report.  The record key is the sha256 of
 the canonical JSON of ``{kind, run_key, group, specs}`` where ``specs``
 is the ordered list of per-scenario canonical hashes -- i.e. the content
@@ -105,7 +105,7 @@ def scenario_fingerprint(scenario) -> str:
     return "instance:" + getattr(scenario, "name", repr(scenario))
 
 
-def make_run_key(seed: int, analyse_failures: bool, cross_check: bool,
+def make_run_key(analyse_failures: bool, cross_check: bool,
                  shard: Optional[Tuple[int, int]]) -> Dict[str, Any]:
     """The run parameters a stored group must match to be replayable.
 
@@ -114,7 +114,6 @@ def make_run_key(seed: int, analyse_failures: bool, cross_check: bool,
     across differently parameterised sweeps.
     """
     return {
-        "seed": seed,
         "analyse_failures": bool(analyse_failures),
         "cross_check": bool(cross_check),
         "shard": list(shard) if shard is not None else None,
@@ -126,8 +125,8 @@ def group_record_key(kind: str, run_key: Dict[str, Any], group: str,
     """Content address of a scenario group's verdict record.
 
     sha256 over the canonical JSON of everything the verdicts depend on
-    apart from the engine itself: the run kind, the run key (seed,
-    analyse/cross-check flags, shard), the group key, and the ordered
+    apart from the engine itself: the run kind, the run key
+    (analyse/cross-check flags, shard), the group key, and the ordered
     ``(index, scenario_fingerprint)`` pairs.
     """
     payload = {

@@ -36,17 +36,12 @@ Event taxonomy (``ev`` field):
                    ``conflicts``, per-window ``delta``, ``trail`` depth,
                    ``lbd`` histogram snapshot
 ``restart``        discrete restart: cumulative ``conflicts``,
-                   ``interval`` since the previous restart, the ``limit``
-                   the interval exceeded (Luby budget or EMA floor); the
-                   optional ``policy`` (``luby``/``ema``) and, for EMA
-                   restarts, the ``fast``/``slow`` LBD averages
+                   ``interval`` since the previous restart, the Luby
+                   budget ``limit`` the interval reached
 ``reduce_db``      learned-clause deletion: ``deleted``/``retained``
                    counts, ``lbd_cutoff`` (smallest deleted LBD)
 ``vivify``         one vivification pass: ``checked`` candidates,
                    ``shortened`` clauses, ``removed`` literals
-``inprocess``      one inprocessing pass: ``subsumed``/``strengthened``
-                   clause counts, ``eliminated`` variables, live
-                   ``clauses`` after the rebuild
 ``arena_gc``       arena compaction: ``reclaimed`` ints, ``live`` ints
 ``edge_batch``     oracle universe growth since the last query: ``edges``
                    added, new ``total``
@@ -65,9 +60,6 @@ Event taxonomy (``ev`` field):
 ``group_timeout``  a scenario group hit its deadline: ``group``, ``reason``
                    (its unfinished scenarios became ``timeout`` verdicts)
 ``group_error``    a scenario group failed for good: ``group``, ``reason``
-``group_retry``    a crashed group was resubmitted: ``group``, ``attempt``,
-                   ``reason`` (parallel runs only; reserved -- traced runs
-                   are serial)
 ``store_lookup``   verdict-store probe for one group: ``group``, the content
                    ``key``, ``hit``
 ``store_write``    verdict-store persist attempt: ``group``, ``written``
@@ -96,7 +88,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 #: Version of the event-stream shape.  Bump when events are renamed,
 #: removed, or their required fields change; additive optional fields do
 #: not need a bump.
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 #: Fields that legitimately differ between two runs of the same workload
 #: (wall-clock readings).  Everything else must be deterministic --
@@ -122,7 +114,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "restart": ("conflicts", "interval", "limit"),
     "reduce_db": ("deleted", "retained", "lbd_cutoff"),
     "vivify": ("checked", "shortened", "removed"),
-    "inprocess": ("subsumed", "strengthened", "eliminated", "clauses"),
     "arena_gc": ("reclaimed", "live"),
     "edge_batch": ("edges", "total"),
     "oracle_query": ("query", "edges", "sat"),
@@ -134,7 +125,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "portfolio_end": ("scenarios", "deadlock_free", "deadlock_prone"),
     "group_timeout": ("group", "reason"),
     "group_error": ("group", "reason"),
-    "group_retry": ("group", "attempt", "reason"),
     "store_lookup": ("group", "key", "hit"),
     "store_write": ("group", "written"),
 }

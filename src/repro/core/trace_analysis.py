@@ -256,26 +256,16 @@ def format_lbd(lbd: Dict[str, object]) -> str:
 
 def analyze_restarts(events: Sequence[Dict[str, object]]
                      ) -> Dict[str, object]:
-    """Restart cadence: one row per ``restart`` event plus summary stats.
-
-    Rows carry the emitting ``policy`` (``luby``/``ema``; older traces
-    without the field count as ``luby``) and, for EMA restarts, the
-    ``fast``/``slow`` LBD averages at the restart point.
-    """
+    """Restart cadence: one row per ``restart`` event plus summary stats."""
     rows = [{"eid": event.get("eid"),
              "conflicts": event.get("conflicts"),
              "interval": int(event.get("interval", 0)),
-             "limit": event.get("limit"),
-             "policy": event.get("policy", "luby"),
-             "fast": event.get("fast"),
-             "slow": event.get("slow")}
+             "limit": event.get("limit")}
             for event in events if event.get("ev") == "restart"]
     intervals = [row["interval"] for row in rows]
-    policies = sorted({row["policy"] for row in rows})
     return {
         "restarts": len(rows),
         "rows": rows,
-        "policies": policies,
         "mean_interval": (sum(intervals) / len(intervals)
                           if intervals else 0.0),
         "min_interval": min(intervals) if intervals else 0,
@@ -288,20 +278,10 @@ def format_restarts(restarts: Dict[str, object]) -> str:
 
     if not restarts["rows"]:
         return "no restarts in this trace"
-    with_ema = any(row["policy"] == "ema" for row in restarts["rows"])
-    headers = ["eid", "conflicts", "interval", "limit", "policy"]
-    if with_ema:
-        headers += ["fast", "slow"]
-    table_rows = []
-    for row in restarts["rows"]:
-        cells = [row["eid"], row["conflicts"], row["interval"],
-                 row["limit"], row["policy"]]
-        if with_ema:
-            cells += [row["fast"] if row["fast"] is not None else "-",
-                      row["slow"] if row["slow"] is not None else "-"]
-        table_rows.append(cells)
     table = format_table(
-        headers, table_rows,
+        ["eid", "conflicts", "interval", "limit"],
+        [[row["eid"], row["conflicts"], row["interval"], row["limit"]]
+         for row in restarts["rows"]],
         title=f"restart cadence ({restarts['restarts']} restarts)")
     return (f"{table}\n"
             f"interval: mean {restarts['mean_interval']:.1f}, "

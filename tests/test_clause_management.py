@@ -6,7 +6,9 @@ collection with watcher/reason remapping, the one-sided comparator
 ladder the acyclicity oracles encode edges with, and a randomized
 brute-force fuzz over the incremental API.  The acceptance contract of
 the rewrite -- verdict/escape-edge identity with the pre-rewrite engine
-on the PR-4 scenario matrix -- is pinned against a committed fixture.
+on the acceptance scenario matrix -- is pinned against a committed fixture,
+and the default search itself (every solver counter per session) against
+a second one.
 """
 
 import json
@@ -153,24 +155,23 @@ class TestArenaCompaction:
     def test_solver_still_correct_after_gc(self):
         """Force deletions during a real search, then check invariants and
         cross-check the verdict on a fresh solver."""
-        rng = random.Random(7)
+        # A satisfiable instance whose search reaches reduce-db (the test
+        # is specifically about deletions + GC during search).
+        rng = random.Random(8)
         cnf = CNF()
         for _ in range(480):
             variables = rng.sample(range(1, 121), 3)
             cnf.add_clause([var if rng.random() < 0.5 else -var
                             for var in variables])
-        # Knobs off: the default chronological backtracking finds a model
-        # in too few conflicts to reach reduce-db on this workload, and the
-        # test is specifically about deletions + GC during search.
-        solver = SatSolver(cnf, solver_options={"chrono": 0, "vivify": False})
+        solver = SatSolver(cnf)
         result = solver.solve()
         stats = solver.engine.stats
         assert stats["deleted"] > 0, "workload must trigger reduce_db"
         assert stats["arena_gcs"] > 0
         assert solver.engine.check_watch_invariants() == []
-        if result.satisfiable:
-            assert cnf.evaluate({var: result.model.get(var, False)
-                                 for var in cnf.variables()})
+        assert result.satisfiable
+        assert cnf.evaluate({var: result.model.get(var, False)
+                             for var in cnf.variables()})
         # Still usable incrementally after GC.
         assert solver.solve([1]).satisfiable or solver.solve([-1]).satisfiable
 
@@ -220,7 +221,7 @@ class TestRandomizedBruteForceFuzz:
                 width = rng.randint(1, 4)
                 cnf.add_clause([rng.choice([1, -1]) * rng.randint(1, num_vars)
                                 for _ in range(width)])
-            solver = SatSolver(cnf.copy(), seed=instance)
+            solver = SatSolver(cnf.copy())
             assert solver.solve().satisfiable \
                 == brute_force_satisfiable(cnf), f"instance {instance}"
             # A couple of assumption queries on the same solver.
@@ -243,29 +244,23 @@ class TestRandomizedBruteForceFuzz:
                 == brute_force_satisfiable(cnf), \
                 f"instance {instance} after addition"
 
-    #: Every heuristic knob on at once: EMA restarts, aggressive
-    #: chronological backtracking, vivification and inprocessing.
-    ALL_KNOBS = {"restart_policy": "ema", "chrono": 2,
-                 "vivify": True, "inprocess": True}
+    def test_engine_vs_brute_force_and_renamed(self):
+        """The default engine (Luby restarts, chronological backtracking,
+        vivification) against brute force over incremental clause batches
+        with assumption queries in between; every model and core is
+        checked against the original clauses.
 
-    def test_all_knobs_agree_with_brute_force_and_knobs_off(self):
-        """The knobs-on engine (EMA restarts + chrono + vivification +
-        inprocessing) against brute force AND the knobs-off engine, over
-        incremental clause batches with assumption queries in between.
-
-        Instances are sized so the inprocessing trigger actually fires
-        (>= 64 problem clauses) and bounded variable elimination, model
-        reconstruction and the elimination-stack revive paths all get
-        exercised; the final stats assert that the techniques ran."""
-        knobs_off = {"restart_policy": "luby", "chrono": 0,
-                     "vivify": False, "inprocess": False}
+        Chrono backtracking and vivification only trigger on searches
+        with real backjump depth and reduce-db pressure, so the second
+        half runs phase-transition 3-SAT instances (too big for brute
+        force): every model must satisfy every clause, and the verdict
+        must equal the verdict on a variable-renamed, clause-shuffled
+        copy of the same formula, which sends the search down a
+        different path."""
         rng = random.Random(88)
-        totals = {"inprocessings": 0, "eliminated_vars": 0, "subsumed": 0,
-                  "vivified_clauses": 0, "chrono_backtracks": 0}
         for instance in range(60):
             num_vars = rng.randint(8, 13)
-            on = IncrementalSatSolver(seed=instance, **self.ALL_KNOBS)
-            off = IncrementalSatSolver(seed=instance, **knobs_off)
+            solver = IncrementalSatSolver()
             cnf = CNF()
             for batch in range(3):
                 batch_clauses = []
@@ -275,24 +270,19 @@ class TestRandomizedBruteForceFuzz:
                               rng.sample(range(1, num_vars + 1), width)]
                     batch_clauses.append(clause)
                     cnf.add_clause(clause)
-                on.add_clauses(batch_clauses)
-                off.add_clauses(batch_clauses)
+                solver.add_clauses(batch_clauses)
                 count = rng.randint(0, 3)
                 assumptions = [rng.choice([1, -1]) * var for var in
                                rng.sample(range(1, num_vars + 1), count)]
                 reference = cnf.copy()
                 for literal in assumptions:
                     reference.add_unit(literal)
-                expected = brute_force_satisfiable(reference)
-                result_on = on.solve(assumptions)
-                result_off = off.solve(assumptions)
+                result = solver.solve(assumptions)
                 context = f"instance {instance} batch {batch} {assumptions}"
-                assert result_on.satisfiable == expected, context
-                assert result_off.satisfiable == expected, context
-                if result_on.satisfiable:
-                    # The model must cover eliminated variables too
-                    # (reconstruction) and satisfy every original clause.
-                    model = result_on.model
+                assert result.satisfiable \
+                    == brute_force_satisfiable(reference), context
+                if result.satisfiable:
+                    model = result.model
                     for literal in assumptions:
                         assert model.get(abs(literal)) == (literal > 0), \
                             context
@@ -300,40 +290,43 @@ class TestRandomizedBruteForceFuzz:
                         assert any(model.get(abs(lit)) == (lit > 0)
                                    for lit in clause), (context, clause)
                 else:
-                    core = result_on.core or []
+                    core = result.core or []
                     assert set(core) <= set(assumptions), context
                     reference = cnf.copy()
                     for literal in core:
                         reference.add_unit(literal)
                     assert not brute_force_satisfiable(reference), \
                         (context, core)
-            for key in totals:
-                totals[key] += on.stats[key]
-        # The inprocessing techniques must actually have run across the
-        # campaign (chrono/vivify need deeper searches; see below).
-        assert totals["inprocessings"] > 0, totals
-        assert totals["eliminated_vars"] > 0, totals
-        assert totals["subsumed"] > 0, totals
-        # Chrono backtracking and vivification trigger on searches with
-        # real backjump depth and reduce-db pressure; cross-check them on
-        # phase-transition 3-SAT instances (too big for brute force --
-        # compared against the knobs-off engine instead).
         deep = {"chrono_backtracks": 0, "vivified_clauses": 0}
         rng = random.Random(3)
+        shuffler = random.Random(4)
         for instance in range(6):
             clauses = []
             for _ in range(int(60 * 4.26)):
                 variables = rng.sample(range(1, 61), 3)
                 clauses.append([rng.choice([1, -1]) * var
                                 for var in variables])
-            on = IncrementalSatSolver(seed=instance, **self.ALL_KNOBS)
-            off = IncrementalSatSolver(seed=instance, **knobs_off)
-            on.add_clauses(clauses)
-            off.add_clauses(clauses)
-            assert on.solve().satisfiable == off.solve().satisfiable, \
+            renaming = list(range(1, 61))
+            shuffler.shuffle(renaming)
+            renamed = [[renaming[abs(lit) - 1] * (1 if lit > 0 else -1)
+                        for lit in clause] for clause in clauses]
+            shuffler.shuffle(renamed)
+            solver = IncrementalSatSolver()
+            twin = IncrementalSatSolver()
+            solver.add_clauses(clauses)
+            twin.add_clauses(renamed)
+            result = solver.solve()
+            twin_result = twin.solve()
+            assert result.satisfiable == twin_result.satisfiable, \
                 f"hard instance {instance}"
+            for formula, outcome in ((clauses, result),
+                                     (renamed, twin_result)):
+                if outcome.satisfiable:
+                    for clause in formula:
+                        assert any(outcome.model[abs(lit)] == (lit > 0)
+                                   for lit in clause), (instance, clause)
             for key in deep:
-                deep[key] += on.stats[key]
+                deep[key] += solver.stats[key]
         assert deep["chrono_backtracks"] > 0, deep
         assert deep["vivified_clauses"] > 0, deep
 
@@ -429,26 +422,51 @@ class TestEngineAcceptanceFixture:
             assert not find_cycle_dfs(witness).acyclic, verdict.scenario
         assert new_total <= old_total, (new_total, old_total)
 
+    def test_session_stats_pin_the_default_search(self, reports):
+        """The default search, counter for counter: per group, every
+        solver counter in ``tests/data/acceptance_session_stats.json``
+        (decisions, propagations, conflicts, restarts, LBD histogram,
+        chrono/vivify counts, ...) must come out exactly, and any counter
+        the fixture does not list must be zero.  The verdict fixtures
+        above strip these counters, so this is what pins that a solver
+        refactor kept the search itself unchanged."""
+        full, _ = reports
+        with open(os.path.join(FIXTURE_DIR,
+                               "acceptance_session_stats.json")) as handle:
+            fixture = json.load(handle)
+        session_stats = full.comparable_dict()["session_stats"]
+        assert sorted(session_stats) == sorted(fixture)
+        for group, stats in session_stats.items():
+            pinned = fixture[group]
+            assert {key: stats.get(key) for key in pinned} == pinned, group
+            extra = {key: value for key, value in stats.items()
+                     if key not in pinned}
+            assert not any(extra.values()), (group, extra)
+
     def test_merged_weighted_shards_equal_the_unsharded_run(self, reports):
         full, weighted = reports
         assert weighted.comparable_dict() == full.comparable_dict()
 
-    @pytest.mark.parametrize("opts", [
-        "restart_policy=luby,chrono=0,vivify=0,inprocess=0",
-        "restart_policy=ema,chrono=2,vivify=1,inprocess=1",
-    ], ids=["knobs-off", "all-knobs-on"])
+    @pytest.mark.parametrize("settings", [
+        {"CHRONO_THRESHOLD": 0, "VIVIFY_MAX_CLAUSES": 0},
+        {"CHRONO_THRESHOLD": 1, "VIVIFY_MAX_CLAUSES": 10 ** 6},
+    ], ids=["techniques-off", "techniques-aggressive"])
     def test_knob_settings_leave_acceptance_verdicts_identical(
-            self, reports, opts, monkeypatch):
+            self, reports, settings, monkeypatch):
         """Verdict byte-identity across solver heuristics: the acceptance
-        matrix run with every technique off, and with every technique on
-        (EMA restarts, chrono, vivification, inprocessing), must equal the
-        default-knob run scenario for scenario -- heuristics may only move
-        work counters, never answers, escape sets or conditions."""
+        matrix run with chronological backtracking and vivification
+        switched off, and with both turned up (step back one level on any
+        backjump over two or more levels, vivify every learned clause),
+        must equal the default run
+        scenario for scenario -- heuristics may only move work counters,
+        never answers, escape sets or conditions."""
+        from repro.checking import sat
         from repro.core.portfolio import run_portfolio, scenarios_from_specs
         from repro.core.spec import expand_matrix
 
         full, _ = reports
-        monkeypatch.setenv("REPRO_SOLVER_OPTS", opts)
+        for name, value in settings.items():
+            monkeypatch.setattr(sat, name, value)
         report = run_portfolio(
             scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX)))
         expected = full.comparable_dict()

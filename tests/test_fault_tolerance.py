@@ -499,6 +499,23 @@ class TestBatchCli:
         assert "mesh-3x3" in out
         assert f"rerun with --store {store} to resume" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--timeout", "0"], "--timeout must be > 0"),
+        (["--timeout", "-1"], "--timeout must be > 0"),
+        (["--deadline", "-5"], "--deadline must be > 0"),
+        (["--jobs", "-2"], "--jobs must be >= 0"),
+    ], ids=["timeout-zero", "timeout-negative", "deadline-negative",
+            "jobs-negative"])
+    def test_invalid_budgets_and_job_counts_are_rejected(self, flags,
+                                                         message):
+        """A non-positive budget would turn every scenario into a
+        TIMEOUT verdict, and a negative job count is not the documented
+        "0 = one per core": both are usage errors before any work."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=message):
+            main(["batch", "--matrix", SMALL_MATRIX] + flags)
+
     def test_sigint_without_store_says_the_sweep_is_not_resumable(
             self, capsys):
         import argparse

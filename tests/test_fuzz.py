@@ -145,3 +145,14 @@ class TestFuzzCli:
     def test_fuzz_rejects_malformed_max_size(self):
         with pytest.raises(SystemExit):
             cli_main(["fuzz", "--seeds", "1", "--max-size", "huge"])
+
+    @pytest.mark.parametrize("size", ["0x0", "1x5"])
+    def test_fuzz_rejects_a_max_size_below_2x2(self, size):
+        with pytest.raises(SystemExit, match="at least 2x2"):
+            cli_main(["fuzz", "--seeds", "1", "--max-size", size])
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_fuzz_rejects_a_seed_count_below_one(self, count, capsys):
+        with pytest.raises(SystemExit, match="--seeds must be at least 1"):
+            cli_main(["fuzz", "--seeds", count])
+        assert "all deciders agree" not in capsys.readouterr().out

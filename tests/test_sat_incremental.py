@@ -144,20 +144,12 @@ class TestAssumptionsAndCores:
 class TestDeterminism:
     @given(random_cnf())
     @settings(max_examples=50, deadline=None)
-    def test_same_seed_same_run(self, cnf):
-        first = SatSolver(cnf.copy(), seed=7).solve()
-        second = SatSolver(cnf.copy(), seed=7).solve()
+    def test_same_formula_same_run(self, cnf):
+        first = SatSolver(cnf.copy()).solve()
+        second = SatSolver(cnf.copy()).solve()
         assert first.satisfiable == second.satisfiable
         assert first.model == second.model
         assert first.stats == second.stats
-
-    def test_seed_parameter_reaches_polarity_choice(self):
-        cnf = CNF()
-        for var in range(1, 9):
-            cnf.add_clause([var, -var])  # every variable free
-        baseline = SatSolver(cnf.copy(), seed=1).solve()
-        again = SatSolver(cnf.copy(), seed=1).solve()
-        assert baseline.model == again.model
 
 
 class TestIncrementalSession:

@@ -94,10 +94,10 @@ class TestAddressing:
         assert record_checksum(dict(record, group="h")) != digest
 
     def test_run_key_distinguishes_run_parameters(self):
-        base = make_run_key(2010, True, False, None)
-        assert make_run_key(2011, True, False, None) != base
-        assert make_run_key(2010, True, True, None) != base
-        assert make_run_key(2010, True, False, (0, 2)) != base
+        base = make_run_key(True, False, None)
+        assert make_run_key(False, False, None) != base
+        assert make_run_key(True, True, None) != base
+        assert make_run_key(True, False, (0, 2)) != base
         assert json.dumps(base, sort_keys=True)  # JSON-serializable
 
     def test_scenario_fingerprint_tracks_spec_content(self):
@@ -138,7 +138,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         assert store.record(
-            engine_fingerprint(), "k", make_run_key(2010, True, False, None),
+            engine_fingerprint(), "k", make_run_key(True, False, None),
             "g", [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         [record] = object_paths(store.root)
         assert events == [("fsync", "file"),
@@ -168,7 +168,7 @@ class TestStoreLock:
         try:
             written = store.record(
                 engine_fingerprint(), "k",
-                make_run_key(2010, True, False, None), "g",
+                make_run_key(True, False, None), "g",
                 [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         finally:
             holder.release()
@@ -359,7 +359,7 @@ class TestFailureModes:
         monkeypatch.setattr(store, "_atomic_write", explode)
         written = store.record(
             engine_fingerprint(), "k",
-            make_run_key(2010, True, False, None), "g",
+            make_run_key(True, False, None), "g",
             [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         assert not written
         assert store.mode == "ro"

@@ -287,90 +287,23 @@ class TestTraceDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Solver-technique events (ISSUE 9: ema restarts, vivify, inprocess)
+# Solver-technique events (vivify, restart)
 # ---------------------------------------------------------------------------
 
 class TestSolverTechniqueEvents:
-    """The PR-9 technique events must validate against the schema,
-    reconcile with the solver's aggregate counters, and surface through
-    the restart analysis -- with all knobs forced on so every event
-    family actually fires."""
-
-    ALL_KNOBS = "restart_policy=ema,chrono=2,vivify=1,inprocess=1"
-
-    @pytest.fixture(scope="class")
-    def knobs_on(self):
-        import os
-
-        saved = os.environ.get("REPRO_SOLVER_OPTS")
-        os.environ["REPRO_SOLVER_OPTS"] = self.ALL_KNOBS
-        try:
-            yield _traced_portfolio(SMALL_MATRIX, label="knobs-on")
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_SOLVER_OPTS", None)
-            else:
-                os.environ["REPRO_SOLVER_OPTS"] = saved
-
-    def test_technique_events_validate_and_reconcile(self, knobs_on):
-        # The portfolio workload triggers inprocessing (bulk clause
-        # arrival between solves); vivification needs a reduce-db, which
-        # these sessions never reach -- the direct-solver test below
-        # covers the vivify stream.
-        report, events = knobs_on
-        kinds = {event["ev"] for event in events}
-        assert "inprocess" in kinds
-        assert validate_trace(events) == []
-        summary = trace_analysis.analyze_summary(events)
-        assert summary["reconciled"] is True
-
-    def test_ema_restart_events_carry_policy_fields(self, knobs_on):
-        _, events = knobs_on
-        restarts = [event for event in events if event["ev"] == "restart"]
-        assert restarts, "knobs-on workload must restart at least once"
-        for event in restarts:
-            assert event["policy"] == "ema"
-            assert isinstance(event["fast"], float)
-            assert isinstance(event["slow"], float)
-            assert event["interval"] >= event["limit"]
-
-    def test_restart_analysis_surfaces_policy(self, knobs_on):
-        _, events = knobs_on
-        restarts = trace_analysis.analyze_restarts(events)
-        assert restarts["policies"] == ["ema"]
-        for row in restarts["rows"]:
-            assert row["policy"] == "ema"
-            assert row["fast"] is not None and row["slow"] is not None
-        table = trace_analysis.format_restarts(restarts)
-        assert "policy" in table and "fast" in table and "slow" in table
-
-    def test_legacy_restart_events_default_to_luby(self):
-        # Pre-PR-9 traces carry no policy field; the analysis must not
-        # crash and must attribute them to the luby default.
-        events = [
-            {"eid": 0, "ev": "trace_begin", "t": 0.0, "schema": TRACE_SCHEMA},
-            {"eid": 1, "ev": "restart", "t": 1.0,
-             "conflicts": 40, "interval": 40, "limit": 32},
-        ]
-        restarts = trace_analysis.analyze_restarts(events)
-        assert restarts["policies"] == ["luby"]
-        row = restarts["rows"][0]
-        assert row["policy"] == "luby"
-        assert row["fast"] is None and row["slow"] is None
-        table = trace_analysis.format_restarts(restarts)
-        assert "policy" in table
+    """The technique events must validate against the schema and
+    reconcile with the solver's aggregate counters."""
 
     def test_direct_solver_event_stream_matches_stats(self):
-        # A deterministic all-knobs-on incremental workload (seed pinned
-        # to exercise every technique): the per-event counts must sum to
-        # the solver's own aggregate counters.
+        # A deterministic incremental workload deep enough for reduce-db
+        # (and so vivification): the per-event counts must sum to the
+        # solver's own aggregate counters.
         import random
 
         rng = random.Random(2)
         sink = io.StringIO()
         trace = TraceWriter(sink, clock=_counter_clock(), label="direct")
-        solver = IncrementalSatSolver(trace=trace, restart_policy="ema",
-                                      chrono=2, vivify=True, inprocess=True)
+        solver = IncrementalSatSolver(trace=trace)
         num_vars = 60
         for _ in range(num_vars):
             solver.new_var()
@@ -383,30 +316,21 @@ class TestSolverTechniqueEvents:
 
         add_random_batch(int(num_vars * 4.26))  # phase-transition density
         solver.solve()
-        add_random_batch(80)  # second batch arms the inprocess trigger
+        add_random_batch(80)  # an incremental second batch
         solver.solve()
         trace.close()
         events = load_trace(sink.getvalue().splitlines())
         assert validate_trace(events) == []
 
         vivify = [event for event in events if event["ev"] == "vivify"]
-        inprocess = [event for event in events if event["ev"] == "inprocess"]
-        ema = [event for event in events if event["ev"] == "restart"]
-        assert vivify and inprocess and ema
-        assert all(event["policy"] == "ema" for event in ema)
+        restarts = [event for event in events if event["ev"] == "restart"]
+        assert vivify and restarts
         stats = solver.stats
         assert stats["vivified_clauses"] \
             == sum(event["shortened"] for event in vivify)
         assert stats["vivified_literals"] \
             == sum(event["removed"] for event in vivify)
-        assert stats["inprocessings"] == len(inprocess)
-        assert stats["subsumed"] \
-            == sum(event["subsumed"] for event in inprocess)
-        assert stats["strengthened"] \
-            == sum(event["strengthened"] for event in inprocess)
-        assert stats["eliminated_vars"] \
-            == sum(event["eliminated"] for event in inprocess)
-        assert stats["chrono_backtracks"] > 0
+        assert stats["restarts"] == len(restarts)
 
 
 # ---------------------------------------------------------------------------
