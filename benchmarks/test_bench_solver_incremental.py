@@ -89,7 +89,7 @@ def test_bench_deadlock_session_escape_analysis(benchmark):
 
 
 def test_bench_portfolio_driver(benchmark):
-    """The standard portfolio sweep through shared incremental sessions."""
+    """The standard portfolio sweep, decided by graph search."""
 
     def sweep():
         return run_portfolio(

@@ -227,6 +227,21 @@ def _reconstruct_cycle(parent: Mapping[V, Optional[V]], vertex: V,
     return cycle
 
 
+def edges_on_every_cycle(graph: DirectedGraph[V],
+                         cycle: Sequence[Tuple[V, V]]) -> List[Tuple[V, V]]:
+    """The edges of ``cycle`` whose removal alone leaves ``graph`` acyclic.
+
+    Those are exactly the edges common to all cycles of ``graph``, so the
+    result does not depend on which cycle a search returned.  Sorted by
+    their ``"source -> target"`` text.
+    """
+    edges = graph.edges() if cycle else []
+    found = [edge for edge in cycle
+             if find_cycle_dfs(DirectedGraph.from_edges(
+                 kept for kept in edges if kept != edge)).acyclic]
+    return sorted(found, key=lambda edge: f"{edge[0]} -> {edge[1]}")
+
+
 def has_cycle(graph: DirectedGraph[V]) -> bool:
     return not find_cycle_dfs(graph).acyclic
 

@@ -21,9 +21,10 @@ Usage (after ``pip install -e .``)::
 
 Each sub-command drives one part of the library's public API; the examples in
 ``examples/`` show the same flows as scripts.  The ``batch`` command is the
-portfolio driver (:mod:`repro.core.portfolio`): it sweeps topology x routing
-x switching scenarios through one incremental CDCL session per topology.
-For programmatic incremental use, see
+portfolio driver (:mod:`repro.core.portfolio`): it decides topology x routing
+x switching scenarios by dependency-graph cycle search, and with
+``--cross-check`` re-derives every verdict on one incremental CDCL session
+per topology.  For programmatic incremental use, see
 :class:`repro.core.deadlock.DeadlockQuerySession` (encode a dependency-edge
 universe once, then re-query under assumptions) and
 :class:`repro.checking.incremental.AcyclicityOracle`.
@@ -129,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = commands.add_parser(
         "batch",
-        help="portfolio driver: sweep topology x routing x switching "
-             "scenarios through shared incremental CDCL sessions")
+        help="portfolio driver: decide topology x routing x switching "
+             "scenarios by dependency-graph cycle search")
     batch.add_argument("--matrix", type=str, nargs="+", default=None,
                        metavar="EXPR",
                        help="build the sweep from a scenario matrix "
@@ -167,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="torus sizes for the VC escape scenarios "
                             "(default: none)")
     batch.add_argument("--cross-check", action="store_true",
-                       help="re-derive every verdict with the explicit "
-                            "check and assert agreement")
+                       help="re-derive every verdict and escape set on a "
+                            "CDCL session per group (disagreement = 'error' "
+                            "verdict); adds solver stats and trace events")
     batch.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes; scenario groups are "
                             "scheduled group-affine across them and the "
@@ -192,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent content-addressed verdict store: "
                             "groups already proved there (same engine "
                             "fingerprint, run parameters, spec hashes) are "
-                            "replayed with zero solver work; freshly solved "
-                            "groups are durably recorded as they complete, "
-                            "so rerunning an interrupted sweep with the "
-                            "same DIR resumes it (use a fresh DIR for a "
-                            "run-local store)")
+                            "replayed without being decided again; freshly "
+                            "decided groups are durably recorded as they "
+                            "complete, so rerunning an interrupted sweep "
+                            "with the same DIR resumes it (use a fresh DIR "
+                            "for a run-local store)")
     batch.add_argument("--store-readonly", action="store_true",
                        help="consult the --store but never write to it "
                             "(e.g. a shared cache this runner must not "
@@ -206,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(scenarios, verdicts, solver stats) to PATH")
     batch.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a structured JSONL event trace of the "
-                            "run to PATH (solver/oracle/portfolio events; "
-                            "analyse with 'repro trace'); requires "
-                            "--jobs 1")
+                            "run to PATH (portfolio events, plus solver/"
+                            "oracle events under --cross-check; analyse "
+                            "with 'repro trace'); requires --jobs 1")
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -333,6 +335,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.width < 1 or args.height < 1:
+        raise SystemExit("--width and --height must be at least 1")
+    if args.width * args.height < 2:
+        raise SystemExit("simulate needs at least 2 nodes: a 1x1 mesh "
+                         "has no destination to send to")
+    for flag, value in (("--buffers", args.buffers),
+                        ("--flits", args.flits)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be at least 1")
+    if args.messages < 0:
+        raise SystemExit("--messages must be >= 0")
     instance = build_hermes_instance(args.width, args.height,
                                      buffer_capacity=args.buffers)
     workload = uniform_random_traffic(instance, num_messages=args.messages,
@@ -643,6 +656,7 @@ def _parse_shard(text: Optional[str]):
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.core.errors import SpecificationError
     from repro.core.portfolio import (
         run_portfolio,
         scenarios_from_specs,
@@ -650,30 +664,29 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         vc_escape_portfolio,
     )
 
-    if args.matrix:
-        from repro.core.errors import SpecificationError
-        from repro.core.spec import expand_matrix
+    if args.matrix and args.buffers is not None:
+        raise SystemExit(
+            "--buffers does not apply to --matrix sweeps; set "
+            "'buffers=N' inside the matrix term instead")
+    try:
+        if args.matrix:
+            from repro.core.spec import expand_matrix
 
-        if args.buffers is not None:
-            raise SystemExit(
-                "--buffers does not apply to --matrix sweeps; set "
-                "'buffers=N' inside the matrix term instead")
-        try:
             scenarios = scenarios_from_specs(expand_matrix(args.matrix))
-        except SpecificationError as error:
-            raise SystemExit(f"invalid scenario matrix: {error}")
-    else:
-        buffers = 2 if args.buffers is None else args.buffers
-        scenarios = standard_portfolio(mesh_sizes=args.mesh_sizes,
-                                       ring_sizes=args.ring_sizes,
-                                       buffer_capacity=buffers)
-        if args.vcs:
-            if any(count < 1 for count in args.vcs):
-                raise SystemExit("--vcs counts must be at least 1")
-            scenarios += vc_escape_portfolio(mesh_sizes=args.vc_mesh_sizes,
-                                             torus_sizes=args.torus_sizes,
-                                             vc_counts=args.vcs,
-                                             buffer_capacity=buffers)
+        else:
+            buffers = 2 if args.buffers is None else args.buffers
+            scenarios = standard_portfolio(mesh_sizes=args.mesh_sizes,
+                                           ring_sizes=args.ring_sizes,
+                                           buffer_capacity=buffers)
+            if args.vcs:
+                if any(count < 1 for count in args.vcs):
+                    raise SystemExit("--vcs counts must be at least 1")
+                scenarios += vc_escape_portfolio(
+                    mesh_sizes=args.vc_mesh_sizes,
+                    torus_sizes=args.torus_sizes, vc_counts=args.vcs,
+                    buffer_capacity=buffers)
+    except SpecificationError as error:
+        raise SystemExit(f"invalid scenario matrix: {error}")
     shard = _parse_shard(args.shard)
     if args.max_retries < 0:
         raise SystemExit("--max-retries must be >= 0")

@@ -10,8 +10,8 @@ compared against the committed trajectory of its predecessors:
   random-3SAT instance) timed best-of-N on a cold construction cache;
 * **portfolio runs** -- the scenario sweep (smoke or extended profile)
   executed at each requested job count through the *same*
-  :func:`~repro.core.portfolio.run_portfolio` the CLI uses, recording wall
-  time, verdict counts, per-scenario solver deltas and cache counters;
+  :func:`~repro.core.portfolio.run_portfolio` the CLI uses (cross-checked),
+  recording wall time, verdict counts, solver deltas and cache counters;
 * **reference deltas** -- an optional reference measurement set (e.g. the
   seed engine of the current PR, or the previous ``BENCH_*.json``) against
   which speedups are computed.
@@ -201,12 +201,13 @@ def _bench_scenarios(profile: str):
 
 def run_portfolio_bench(profile: str = "smoke",
                         jobs_list: Sequence[int] = (1,),
-                        cross_check: bool = False,
                         trace_dir: Optional[str] = None,
                         store_dir: Optional[str] = None
                         ) -> Dict[str, object]:
     """Run the profile's portfolio once per requested job count.
 
+    Every run is cross-checked, so the CDCL session runs and the bench
+    keeps measuring the solver trajectory.
     Every run re-derives the scenario list (construction cost is part of
     what the engine amortises, so it is *included* in the measured wall
     time) and resets the construction cache, making the job counts
@@ -249,12 +250,11 @@ def run_portfolio_bench(profile: str = "smoke",
                     trace_dir, f"portfolio-{profile}-jobs1.jsonl")
                 with TraceWriter(trace_path,
                                  label=f"bench {profile} jobs=1") as trace:
-                    report = run_portfolio(scenarios,
-                                           cross_check=cross_check,
+                    report = run_portfolio(scenarios, cross_check=True,
                                            jobs=jobs, trace=trace,
                                            store=store_dir)
             else:
-                report = run_portfolio(scenarios, cross_check=cross_check,
+                report = run_portfolio(scenarios, cross_check=True,
                                        jobs=jobs, store=store_dir)
         except Exception as exc:
             # One crashed lane degrades to a structured error entry; the

@@ -1,26 +1,25 @@
-"""Batch verification portfolios: many scenarios, one incremental solver.
+"""Batch verification portfolios: many scenarios, one graph search each.
 
 The paper verifies one instantiation (HERMES / XY / wormhole).  A
 production verification flow instead sweeps a *portfolio* of
 topology x routing x switching scenarios -- is each candidate design
 deadlock-free, and if not, which escape edges would fix it?  This module is
-the batch driver for that sweep, built on the incremental CDCL engine:
+the batch driver for that sweep:
 
 * scenarios are described declaratively (:class:`~repro.core.spec.ScenarioSpec`
   via :func:`~repro.core.spec.expand_matrix`) and resolved lazily in the
   worker that runs them, through the per-process construction cache;
-* scenarios are grouped by topology;
-* per topology group, **one** :class:`~repro.core.deadlock.DeadlockQuerySession`
-  hosts the union of every scenario's dependency edges, each behind a
-  selector variable (encoded the first time a scenario contributes it);
-* each scenario's verdict is then a single solve under assumptions --
-  clauses learned while deciding one routing function speed up the next.
+* scenarios are grouped by topology, and groups are the unit of
+  scheduling, sharding and persistence;
+* each scenario's verdict is Theorem 1's condition decided directly: a
+  linear-time DFS (:func:`~repro.checking.graphs.find_cycle_dfs`) over its
+  dependency graph, which also yields the cycle witness and the escape
+  edges (the edges lying on every cycle) of a deadlock-prone design.
 
-Compare :func:`run_portfolio` (shared incremental sessions) with
-``check_c3_routing_induced`` in a loop (fresh graph check per scenario):
-the verdicts agree (cross-checked when ``cross_check=True``), the
-incremental route additionally yields UNSAT-core cycle witnesses and
-escape-edge suggestions for the failing designs.
+``cross_check=True`` re-derives every verdict and escape set on one
+incremental :class:`~repro.core.deadlock.DeadlockQuerySession` per group
+(the CDCL engine, learned clauses shared across the group's scenarios)
+and turns any disagreement into an ``error`` verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +30,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.checking.graphs import DirectedGraph
+from repro.checking.graphs import (
+    DirectedGraph,
+    edges_on_every_cycle,
+    find_cycle_dfs,
+)
 from repro.checking.sat import SolverTimeout
 from repro.core.cache import instance_cache
 from repro.core.deadlock import DeadlockQuerySession
@@ -47,8 +50,8 @@ from repro.core.store import (
 )
 from repro.network.port import Port
 
-#: Verdict statuses a scenario can end a run with: ``"ok"`` (the solver
-#: decided it), ``"timeout"`` (a group/run deadline or solver budget cut
+#: Verdict statuses a scenario can end a run with: ``"ok"`` (it was
+#: decided), ``"timeout"`` (a group/run deadline or solver budget cut
 #: it off) or ``"error"`` (its group's worker crashed or raised and every
 #: retry was exhausted).
 VERDICT_STATUSES = ("ok", "timeout", "error")
@@ -81,8 +84,9 @@ class Scenario:
 
     name: str
     instance: Optional[NoCInstance] = None
-    #: Scenarios with equal group share one incremental session (their
-    #: topologies must have compatible port sets).  Defaults to the spec's
+    #: Scenarios with equal group are scheduled together and share one
+    #: cross-check session (their topologies must have compatible port
+    #: sets).  Defaults to the spec's
     #: group, else to the instance's topology shape.
     group: Optional[str] = None
     spec: Optional[ScenarioSpec] = None
@@ -130,7 +134,7 @@ def shard_index_of(group_key: str, shard_count: int) -> int:
     Uses CRC-32 of the group key -- *not* Python's salted ``hash()`` -- so
     every worker, machine and CI job agrees on the partition.  Sharding is
     group-granular by construction: a group's scenarios always land on one
-    shard, so sharded runs never split an incremental session.
+    shard, so sharded runs never split a group.
     """
     if shard_count < 1:
         raise ValueError("shard count must be at least 1")
@@ -206,13 +210,12 @@ class ScenarioVerdict:
     deadlock_free: Optional[bool]
     #: Dependency edges of this scenario's routing function.
     edges: int
-    #: Edges this scenario newly contributed to the shared encoding (0 for
-    #: a scenario whose edges were all seen before -- its query is purely
-    #: incremental).
+    #: Edges first seen in this scenario's group (0 for a scenario whose
+    #: edges all appeared in earlier scenarios of the group).
     new_edges: int
     elapsed_seconds: float
-    #: For deadlock-prone designs: the UNSAT-core cycle witness and the
-    #: single-edge removals that would restore deadlock freedom.
+    #: For deadlock-prone designs: a dependency cycle (as its edges) and
+    #: the single-edge removals that would restore deadlock freedom.
     cycle_core: List[Tuple[Port, Port]] = field(default_factory=list)
     escape_edges: List[Tuple[Port, Port]] = field(default_factory=list)
     #: Which deadlock condition produced the verdict: ``"theorem1"``
@@ -221,8 +224,9 @@ class ScenarioVerdict:
     condition: str = "theorem1"
     #: Virtual channels of the scenario (1 for the single-VC model).
     num_vcs: int = 1
-    #: Solver work this scenario's queries cost on the shared session
-    #: (stats-counter deltas: decisions, propagations, conflicts, ...).
+    #: Solver work this scenario's cross-check queries cost on the shared
+    #: session (stats-counter deltas: decisions, propagations, conflicts,
+    #: ...); empty when no cross-check ran.
     solver: Dict[str, int] = field(default_factory=dict)
     #: The originating :meth:`~repro.core.spec.ScenarioSpec.to_dict` image
     #: for spec-backed scenarios (``None`` for hand-built instances).
@@ -311,7 +315,8 @@ class PortfolioReport:
 
     verdicts: List[ScenarioVerdict]
     elapsed_seconds: float
-    #: Per topology group: solver statistics of the shared session.
+    #: Per topology group: solver statistics of the shared cross-check
+    #: session (empty when no cross-check ran).
     session_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Worker processes the run was scheduled across (1 = in-process serial).
     jobs: int = 1
@@ -600,55 +605,47 @@ def _failure_verdict(index: int, scenario: Scenario, group_key: str,
 def _run_group(payload: Tuple,
                trace=None) -> Tuple[str, List[Tuple[int, ScenarioVerdict]],
                                     Dict[str, int], Dict[str, int]]:
-    """Run one scenario group through one shared incremental session.
+    """Decide one scenario group with the dependency-graph search.
 
-    ``payload`` is a single picklable tuple ``(group_key, indexed_scenarios,
-    analyse_failures, cross_check, shard[, budget_s, fault_directive,
-    parent_pid])`` so the function can be shipped as-is to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` worker.  Spec-backed
-    scenarios arrive as cheap declarative specs and are resolved *here*,
-    through the worker's own :class:`~repro.core.cache.InstanceCache`; the
-    session's vertex universe is the union of the group's topologies,
-    enumerated in submission order.  Scenarios of one group are always
-    processed in their original submission order by exactly this code path,
-    whether the portfolio runs serially or across workers -- which is what
-    makes parallel runs bit-for-bit reproductions of serial ones (see
-    :meth:`PortfolioReport.comparable_dict`).
+    ``payload`` is one picklable tuple ``(group_key, indexed_scenarios,
+    cross_check, shard[, budget_s, fault_directive, parent_pid])``, so the
+    function ships as-is to a pool worker, which resolves spec-backed
+    scenarios through its own :class:`~repro.core.cache.InstanceCache`.
+    Scenarios run in submission order on this one code path, serially or
+    in a worker alike -- which makes parallel runs bit-for-bit
+    reproductions of serial ones.
 
-    The three optional trailing payload fields carry the fault-tolerance
-    contract: ``budget_s`` arms a cooperative group deadline (checked
-    between instance builds, at scenario starts, and -- via
-    :meth:`~repro.core.deadlock.DeadlockQuerySession.set_interrupt` --
-    every few dozen conflicts *inside* a running solve); ``fault_directive``
-    is a test-only injected failure (see :mod:`repro.core.faultplan`);
-    ``parent_pid`` lets the worker tell whether it is sacrificial (kill and
-    hang directives never fire in the orchestrating process).
+    A verdict is :func:`~repro.checking.graphs.find_cycle_dfs` over the
+    scenario's query edges: the whole dependency graph (Theorem 1), or its
+    escape-class edges behind explicit (V-1) coverage (VC scenarios).  A
+    cyclic query reports the DFS cycle as ``cycle_core`` and the edges on
+    every cycle as ``escape_edges``.  ``cross_check`` replays the same
+    questions on one :class:`~repro.core.deadlock.DeadlockQuerySession`
+    per group (new edges join its encoding; a verdict is one solve under
+    assumptions; a prone answer adds a core and one solve per core edge)
+    and raises on any difference; only then are solver stats recorded.
 
-    A group never aborts the run: a :class:`SolverTimeout` (budget or
-    injected) or any other exception downgrades the unfinished scenarios
-    to structured ``timeout``/``error`` verdicts -- completed scenarios
-    keep their decisions, the in-flight scenario keeps its partial solver
-    delta, and the function *returns* normally.
-
-    ``trace`` (a :class:`~repro.core.trace.TraceWriter`, serial runs only
-    -- writers cannot cross the process-pool boundary) opens a
-    ``scenario_begin``/``scenario_end`` span per scenario, nesting the
-    session's solver/oracle events, and closes the group with a
-    ``session_summary`` carrying the shared session's aggregate counters.
-    A cut-off group additionally emits ``group_timeout``/``group_error``
-    with the deterministic reason.
+    ``budget_s`` arms a cooperative deadline, checked before every build
+    and scenario and, through the session's interrupt, inside a running
+    solve; ``fault_directive`` is a test-only injected failure
+    (:mod:`repro.core.faultplan`); ``parent_pid`` tells a sacrificial
+    worker from the orchestrating process.  A group never aborts the run:
+    a :class:`SolverTimeout` or any other exception turns the unfinished
+    scenarios into ``timeout``/``error`` verdicts, and the in-flight one
+    keeps its partial solver delta.  ``trace`` (serial runs only) gets a
+    ``scenario_begin``/``scenario_end`` span per scenario and a closing
+    ``session_summary`` (plus ``group_timeout``/``group_error`` on a cut).
 
     Returns the group key, the ``(original_index, verdict)`` pairs, the
-    group session's solver statistics, and the construction-cache counter
-    deltas the group accounted for.
+    session's solver statistics (empty without a cross-check) and the
+    group's construction-cache counter deltas.
     """
     from repro.routing.escape import EscapeChannelRouting
 
-    group_key, indexed_scenarios, analyse_failures, \
-        cross_check, shard = payload[:5]
-    budget_s = payload[5] if len(payload) > 5 else None
-    directive = payload[6] if len(payload) > 6 else None
-    parent_pid = payload[7] if len(payload) > 7 else os.getpid()
+    group_key, indexed_scenarios, cross_check, shard = payload[:4]
+    budget_s = payload[4] if len(payload) > 4 else None
+    directive = payload[5] if len(payload) > 5 else None
+    parent_pid = payload[6] if len(payload) > 6 else os.getpid()
     in_worker = os.getpid() != parent_pid
 
     cache = instance_cache()
@@ -667,6 +664,9 @@ def _run_group(payload: Tuple,
         reason = interrupt()
         if reason:
             raise SolverTimeout(reason)
+
+    def solver_stats() -> Dict[str, int]:
+        return session.solver_stats if session is not None else {}
 
     session: Optional[DeadlockQuerySession] = None
     resolved: List[Tuple[int, Scenario, NoCInstance]] = []
@@ -688,17 +688,14 @@ def _run_group(payload: Tuple,
                                    "misses": cache.misses - misses_before}
             resolved.append((index, scenario, instance))
             instances[index] = instance
-        vertices: Dict[Port, None] = {}
-        for _, _, instance in resolved:
-            for port in instance.topology.ports:
-                vertices.setdefault(port)
-
-        base: DirectedGraph[Port] = DirectedGraph()
-        for port in vertices:
-            base.add_vertex(port)
-        session = DeadlockQuerySession(base, name=group_key, trace=trace)
-        if budget_s is not None:
-            session.set_interrupt(interrupt)
+        if cross_check:
+            base: DirectedGraph[Port] = DirectedGraph()
+            for _, _, instance in resolved:
+                for port in instance.topology.ports:
+                    base.add_vertex(port)
+            session = DeadlockQuerySession(base, name=group_key, trace=trace)
+            if budget_s is not None:
+                session.set_interrupt(interrupt)
         known_edges: set = set()
 
         for index, scenario, instance in resolved:
@@ -708,67 +705,55 @@ def _run_group(payload: Tuple,
                            group=group_key, index=index,
                            shard=list(shard) if shard is not None else None)
             scenario_start = time.perf_counter()
-            solver_before = session.solver_stats
+            solver_before = solver_stats()
             current = (index, scenario, instance, solver_before,
                        scenario_start)
             graph = routing_dependency_graph(instance.routing)
             edges = graph.edges()
-            new_edges = 0
-            for source, target in edges:
-                if (source, target) not in known_edges:
-                    session.add_edge(source, target)
-                    known_edges.add((source, target))
-                    new_edges += 1
+            new_edges = [edge for edge in edges if edge not in known_edges]
+            known_edges.update(new_edges)
 
             relation = (instance.routing
                         if isinstance(instance.routing, EscapeChannelRouting)
                         else None)
-            coverage = None
             if relation is None:
                 condition = "theorem1"
                 num_vcs = 1
                 query_edges = edges
-                deadlock_free = session.is_deadlock_free_edges(edges)
+                query_graph = graph
+                covered = True
             else:
                 # The VC-granular Duato condition: explicit (V-1) coverage
-                # plus the escape-class restriction of (V-2) on the shared
-                # session.
+                # plus the escape-class restriction of (V-2).
                 from repro.core.dependency import class_edges
                 from repro.core.obligations import check_v1_escape_coverage
 
                 condition = "vc-escape"
                 num_vcs = relation.num_vcs
                 query_edges = class_edges(graph, relation.escape_vcs)
-                coverage = check_v1_escape_coverage(relation)
-                deadlock_free = (coverage.holds
-                                 and session.is_deadlock_free_edges(
-                                     query_edges))
+                query_graph = DirectedGraph.from_edges(query_edges)
+                covered = check_v1_escape_coverage(relation).holds
+            cycle = find_cycle_dfs(query_graph).cycle or []
+            deadlock_free = covered and not cycle
+            cycle_core = list(zip(cycle, cycle[1:] + cycle[:1]))
+            escape = edges_on_every_cycle(query_graph, cycle_core)
 
-            cycle_core: List[Tuple[Port, Port]] = []
-            escape: List[Tuple[Port, Port]] = []
-            if not deadlock_free and analyse_failures:
-                cycle_core = session.cycle_core_for(query_edges) or []
-                escape = [edge for edge in cycle_core
-                          if session.is_deadlock_free_edges(
-                              e for e in query_edges if e != edge)]
-
-            if cross_check:
-                if relation is None:
-                    from repro.checking.graphs import find_cycle_dfs
-
-                    reference = find_cycle_dfs(graph).acyclic
-                else:
-                    from repro.core.theorems import check_deadlock_freedom_vc
-
-                    reference = check_deadlock_freedom_vc(
-                        relation, graph=graph, coverage=coverage).holds
-                if reference != deadlock_free:
+            if session is not None:
+                for source, target in new_edges:
+                    session.add_edge(source, target)
+                free = covered and session.is_deadlock_free_edges(query_edges)
+                core = [] if free else session.cycle_core_for(query_edges)
+                fixes = {edge for edge in core or []
+                         if session.is_deadlock_free_edges(
+                             e for e in query_edges if e != edge)}
+                if free != deadlock_free or fixes != set(escape):
                     raise AssertionError(
-                        f"portfolio verdict disagrees with the explicit "
-                        f"check for {scenario.name}: sat={deadlock_free} "
-                        f"explicit={reference}")
+                        f"cross-check disagrees on {scenario.name}: graph "
+                        f"search free={deadlock_free} with {len(escape)} "
+                        f"escape edges, CDCL session free={free} with "
+                        f"{len(fixes)} escape edges")
 
-            solver_after = session.solver_stats
+            solver_after = solver_stats()
             solver_delta = {key: solver_after[key] - solver_before.get(key, 0)
                             for key in solver_after}
             elapsed = time.perf_counter() - scenario_start
@@ -776,7 +761,7 @@ def _run_group(payload: Tuple,
                 trace.emit("scenario_end", scenario=scenario.name,
                            group=group_key, deadlock_free=deadlock_free,
                            condition=condition, edges=len(edges),
-                           new_edges=new_edges, solver=solver_delta,
+                           new_edges=len(new_edges), solver=solver_delta,
                            cache=cache_deltas[index],
                            wall_time_s=round(elapsed, 6), status="ok")
             results.append((index, ScenarioVerdict(
@@ -786,7 +771,7 @@ def _run_group(payload: Tuple,
                 switching=instance.switching.name(),
                 deadlock_free=deadlock_free,
                 edges=len(edges),
-                new_edges=new_edges,
+                new_edges=len(new_edges),
                 elapsed_seconds=elapsed,
                 cycle_core=cycle_core,
                 escape_edges=escape,
@@ -804,11 +789,6 @@ def _run_group(payload: Tuple,
     except Exception as exc:  # KeyboardInterrupt deliberately excluded
         failure = ("error", f"{type(exc).__name__}: {exc}")
 
-    if session is not None:
-        # The interrupt callback must not outlive this group: the session
-        # is per-group, but being explicit keeps the contract obvious.
-        session.set_interrupt(None)
-
     if failure is not None:
         status, reason = failure
         if current is not None:
@@ -817,11 +797,9 @@ def _run_group(payload: Tuple,
             # reconciliation (scenario deltas sum to session aggregates)
             # must keep holding on truncated traces.
             index, scenario, instance, solver_before, started = current
-            partial: Dict[str, int] = {}
-            if session is not None:
-                solver_after = session.solver_stats
-                partial = {key: solver_after[key] - solver_before.get(key, 0)
-                           for key in solver_after}
+            solver_after = solver_stats()
+            partial = {key: solver_after[key] - solver_before.get(key, 0)
+                       for key in solver_after}
             elapsed = time.perf_counter() - started
             if trace is not None:
                 trace.emit("scenario_end", scenario=scenario.name,
@@ -843,8 +821,8 @@ def _run_group(payload: Tuple,
             trace.emit("group_timeout" if status == "timeout"
                        else "group_error", group=group_key, reason=reason)
 
-    session_stats = session.solver_stats if session is not None else {}
-    if trace is not None and session is not None:
+    session_stats = solver_stats()
+    if trace is not None:
         trace.emit("session_summary", group=group_key, stats=session_stats)
     cache_delta = {"hits": cache.hits - cache_hits_before,
                    "misses": cache.misses - cache_misses_before}
@@ -855,12 +833,12 @@ def _emit_replayed_group(trace, result: Tuple,
                          shard: Optional[Tuple[int, int]]) -> None:
     """Trace spans for a group replayed from the verdict store.
 
-    A warm-cache run does no solver work, but its trace must still
-    satisfy the reconciliation contract (per-scenario ``scenario_end``
-    solver deltas sum to the group's ``session_summary`` stats), so the
-    spans are re-emitted from the stored record with ``cached: true``.
-    A replayed group built nothing, so its per-scenario ``cache`` deltas
-    are empty.
+    A warm-cache run does no graph or solver work, but its trace must
+    still satisfy the reconciliation contract (per-scenario
+    ``scenario_end`` solver deltas sum to the group's ``session_summary``
+    stats), so the spans are re-emitted from the stored record with
+    ``cached: true``.  A replayed group built nothing, so its per-scenario
+    ``cache`` deltas are empty.
     """
     key, pairs, stats, _cache_delta = result
     for index, verdict in pairs:
@@ -885,10 +863,10 @@ def _select_groups(scenarios: Sequence[Scenario],
                    ) -> Dict[str, List[Tuple[int, Scenario]]]:
     """The run's ``(index, scenario)`` groups, cut to its shard.
 
-    Groups and the scenarios within them keep submission order.  Each
-    group's worker seeds its session with the union of the group's vertex
-    universes, so scenarios over growing channel sets (1, 2, 4 VCs of one
-    topology) can share one encoding.
+    Groups and the scenarios within them keep submission order.  A
+    cross-checked group seeds its session with the union of the group's
+    vertex universes, so scenarios over growing channel sets (1, 2, 4 VCs
+    of one topology) can share one encoding.
     """
     groups: Dict[str, List[Tuple[int, Scenario]]] = {}
     for index, scenario in enumerate(scenarios):
@@ -943,7 +921,6 @@ def _replay_stored_groups(verdict_store: VerdictStore, fingerprint: str,
 
 
 def stored_groups(scenarios: Sequence[Scenario], store: str,
-                  analyse_failures: bool = True,
                   cross_check: bool = False,
                   shard: Optional[Tuple[int, int]] = None,
                   shard_balance: str = "hash") -> Dict[str, Tuple]:
@@ -957,7 +934,7 @@ def stored_groups(scenarios: Sequence[Scenario], store: str,
     verdict_store = VerdictStore(os.fspath(store), readonly=True).open()
     return _replay_stored_groups(
         verdict_store, engine_fingerprint(),
-        make_run_key(analyse_failures, cross_check, shard),
+        make_run_key(cross_check, shard),
         {key: _group_specs(indexed) for key, indexed in groups.items()})
 
 
@@ -993,7 +970,6 @@ def _terminate_pool(pool) -> None:
 
 
 def run_portfolio(scenarios: Sequence[Scenario],
-                  analyse_failures: bool = True,
                   cross_check: bool = False,
                   jobs: int = 1,
                   shard: Optional[Tuple[int, int]] = None,
@@ -1006,20 +982,20 @@ def run_portfolio(scenarios: Sequence[Scenario],
                   store=None,
                   store_readonly: bool = False,
                   _fault_plan=None) -> PortfolioReport:
-    """Run every scenario through shared incremental deadlock sessions.
+    """Decide every scenario with the dependency-graph search.
 
-    ``analyse_failures`` additionally extracts the cycle core and the
-    escape-edge suggestions for deadlock-prone scenarios (a handful of
-    extra incremental solves each).  ``cross_check`` re-derives every
-    verdict with the linear-time explicit check (DFS cycle search, or the
-    explicit (V-1)/(V-2) checker for VC scenarios) and asserts agreement --
-    the belt-and-braces mode used by the tests.
+    Each verdict comes from a DFS over the scenario's dependency graph
+    (see :func:`_run_group`); deadlock-prone scenarios also get a cycle
+    witness and their escape edges.  ``cross_check`` re-derives every
+    verdict and escape set on a shared incremental CDCL session per group
+    and turns any disagreement into an ``error`` verdict; only then does
+    the report carry solver statistics.
 
     ``jobs`` schedules the scenario *groups* across that many worker
     processes (``0``/``None``: one per core).  Scheduling is group-affine:
     scenarios sharing a ``group_key`` stay on one worker, in submission
-    order, so the group-union session seeding and the per-process
-    construction caches keep paying off exactly as in a serial run.  The
+    order, so the per-process construction caches (and a cross-check's
+    group session) keep paying off exactly as in a serial run.  The
     verdicts -- ordering, verdict bits, cores, solver statistics -- are
     identical to ``jobs=1``; only wall times and cache counters differ
     (assert with :meth:`PortfolioReport.comparable_dict`).
@@ -1029,7 +1005,6 @@ def run_portfolio(scenarios: Sequence[Scenario],
     across processes and machines).  Pass the **full** scenario list to
     every shard: each shard selects its own groups, keeps the original
     submission indices on its verdicts, and never splits a group -- so
-    incremental sessions stay whole and
     :func:`merge_shard_reports` reassembles the exact unsharded report.
 
     ``shard_balance`` chooses the group-to-shard assignment: ``"hash"``
@@ -1042,21 +1017,23 @@ def run_portfolio(scenarios: Sequence[Scenario],
     Scenarios whose routing is a
     :class:`~repro.routing.escape.EscapeChannelRouting` are decided by the
     VC-granular escape condition: (V-1) by explicit enumeration, (V-2) as
-    an incremental solve restricted to the escape-class edges of the shared
-    universe.  Their group sessions therefore host *channel* vertices; mix
-    VC and single-VC scenarios in one group only if their vertex universes
+    the cycle search restricted to the escape-class edges.  Their
+    cross-check sessions therefore host *channel* vertices; mix VC and
+    single-VC scenarios in one group only if their vertex universes
     agree.
 
     ``trace`` (a :class:`~repro.core.trace.TraceWriter`) records the run as
-    a structured event stream -- portfolio/scenario spans wrapping the
-    oracle and solver events.  Tracing is **serial only**: a writer cannot
-    cross the process-pool boundary, so ``trace`` with ``jobs != 1`` is an
-    error rather than a silently partial stream.
+    a structured event stream -- portfolio/scenario spans, wrapping the
+    oracle and solver events of a cross-checked run.  Tracing is **serial
+    only**: a writer cannot cross the process-pool boundary, so
+    ``trace`` with ``jobs != 1`` is an error rather than a silently
+    partial stream.
 
     **Fault tolerance.**  ``group_timeout`` bounds every scenario group's
-    wall time (seconds): the group's session cooperatively aborts its
-    running solve (:class:`~repro.checking.sat.SolverTimeout`) and the
-    group's unfinished scenarios become ``status="timeout"`` verdicts; a
+    wall time (seconds): the group stops at its next scenario (a
+    cross-check session also aborts its running solve,
+    :class:`~repro.checking.sat.SolverTimeout`) and the group's
+    unfinished scenarios become ``status="timeout"`` verdicts; a
     truly wedged worker is additionally reaped by the parent's watch
     loop.  ``run_deadline`` bounds the whole run the same way.  A crashed
     worker (:class:`~concurrent.futures.process.BrokenProcessPool`) is
@@ -1069,11 +1046,11 @@ def run_portfolio(scenarios: Sequence[Scenario],
 
     **Verdict store and resume.**  ``store`` (a directory path or an
     opened :class:`~repro.core.store.VerdictStore`) is the only
-    persistence layer.  Before solving, a group whose record matches the
+    persistence layer.  Before deciding, a group whose record matches the
     engine fingerprint, run key and spec hashes is replayed from disk
-    (zero solver work) and still yields a
+    (no graph or solver work) and still yields a
     :meth:`~PortfolioReport.comparable_dict`-identical report; every
-    freshly solved all-``ok`` group is durably recorded as soon as it
+    freshly decided all-``ok`` group is durably recorded as soon as it
     completes.  Resuming a killed sweep is therefore rerunning it with
     the same store: it continues where it crashed and reproduces the
     clean report byte for byte.  Stale records (edited engine or
@@ -1120,14 +1097,14 @@ def run_portfolio(scenarios: Sequence[Scenario],
                  for position, index in enumerate(kept_indices)}
 
     order = list(groups.keys())
-    base_payloads = {key: (key, groups[key], analyse_failures,
-                           cross_check, shard) for key in order}
+    base_payloads = {key: (key, groups[key], cross_check, shard)
+                     for key in order}
 
     if trace is not None:
         trace.emit("portfolio_begin", scenarios=len(kept_indices),
                    shard=list(shard) if shard is not None else None)
 
-    # -- the verdict store: replay recorded groups, record solved ones -------
+    # -- the verdict store: replay recorded groups, record decided ones -----
     verdict_store: Optional[VerdictStore] = None
     completed: Dict[str, Tuple] = {}
     if isinstance(store, VerdictStore):
@@ -1142,7 +1119,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
         if trace is not None:
             verdict_store.attach_trace(trace)
         fingerprint = engine_fingerprint()
-        run_key = make_run_key(analyse_failures, cross_check, shard)
+        run_key = make_run_key(cross_check, shard)
         group_specs = {key: _group_specs(groups[key]) for key in order}
         completed = _replay_stored_groups(verdict_store, fingerprint,
                                           run_key, group_specs)
@@ -1153,7 +1130,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
     store_replayed = sorted(completed)
 
     def store_group(result: Tuple) -> None:
-        """Durably record a freshly solved group as it completes (iff
+        """Durably record a freshly decided group as it completes (iff
         every verdict is a real decision -- failures describe a run, not
         the scenarios)."""
         key, pairs, stats, cache_delta = result
@@ -1451,15 +1428,15 @@ def vc_escape_portfolio(mesh_sizes: Iterable[int] = (3,),
                         torus_sizes: Iterable[int] = (4,),
                         vc_counts: Sequence[int] = (1, 2, 4),
                         buffer_capacity: int = 2) -> List[Scenario]:
-    """The virtual-channel escape sweep: one shared session per topology.
+    """The virtual-channel escape sweep: one group per topology.
 
     For every mesh size, fully-adaptive minimal routing with an XY escape
     VC at each VC count; for every torus size, dimension-order routing with
     a dateline escape pair (plus an adaptive class from 3 VCs up).  All VC
     counts of one topology share a group (their channel universes nest), so
-    the sweep exercises the incremental encoding across growing VC counts:
-    the 1-VC verdict is deadlock-prone, the multi-VC verdicts are proved
-    free by the escape condition on the same solver.
+    a cross-check exercises the incremental encoding across growing VC
+    counts: the 1-VC verdict is deadlock-prone, the multi-VC verdicts are
+    proved free by the escape condition.
     """
     return scenarios_from_specs(expand_matrix(vc_escape_matrix(
         mesh_sizes=mesh_sizes, torus_sizes=torus_sizes,

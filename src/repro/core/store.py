@@ -2,21 +2,21 @@
 
 A verdict is a deterministic function of a frozen
 :class:`~repro.core.spec.ScenarioSpec`, the run parameters, and the
-engine version -- so once a sweep has proved a scenario group, no later
-sweep with the same inputs should pay for the solver again.  This module
+engine version -- so once a sweep has decided a scenario group, no later
+sweep with the same inputs should pay for deciding it again.  This module
 is the only persistence layer of the portfolio: a directory of
 content-addressed records that many batch runs share safely.  It is
 both the cross-run cache and the resume mechanism -- an interrupted or
 killed sweep is resumed by rerunning the same command with the same
 ``--store DIR``: every group recorded before the interruption replays,
-only the rest is solved.  A fresh directory gives a run-local store.
+only the rest is decided.  A fresh directory gives a run-local store.
 
 Granularity
 -----------
 
-Records are whole *scenario groups*, not single scenarios.  Per-scenario
-solver-stat deltas and the group's ``session_stats`` depend on the whole
-group's composition and order (sessions share a solver and a cache), so
+Records are whole *scenario groups*, not single scenarios.  ``new_edges``
+and cross-check solver stats depend on the whole group's composition
+and order (one cross-check session serves the whole group), so
 only replaying a complete identical group reproduces a
 ``comparable_dict()``-identical report.  The record key is the sha256 of
 the canonical JSON of ``{kind, run_key, group, specs}`` where ``specs``
@@ -105,16 +105,15 @@ def scenario_fingerprint(scenario) -> str:
     return "instance:" + getattr(scenario, "name", repr(scenario))
 
 
-def make_run_key(analyse_failures: bool, cross_check: bool,
+def make_run_key(cross_check: bool,
                  shard: Optional[Tuple[int, int]]) -> Dict[str, Any]:
     """The run parameters a stored group must match to be replayable.
 
-    Solver stat deltas and verdict details are functions of the whole
-    run configuration, not just the spec, so records are never mixed
-    across differently parameterised sweeps.
+    Solver stat deltas (present only under a cross-check) are functions
+    of the whole run configuration, not just the spec, so records are
+    never mixed across differently parameterised sweeps.
     """
     return {
-        "analyse_failures": bool(analyse_failures),
         "cross_check": bool(cross_check),
         "shard": list(shard) if shard is not None else None,
     }
@@ -126,7 +125,7 @@ def group_record_key(kind: str, run_key: Dict[str, Any], group: str,
 
     sha256 over the canonical JSON of everything the verdicts depend on
     apart from the engine itself: the run kind, the run key
-    (analyse/cross-check flags, shard), the group key, and the ordered
+    (cross-check flag, shard), the group key, and the ordered
     ``(index, scenario_fingerprint)`` pairs.
     """
     payload = {

@@ -37,9 +37,11 @@ def _work_of(stats: Dict[str, int]) -> int:
 def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Whole-run breakdown: totals, per-group reconciliation, work shares.
 
-    ``reconciled`` is True iff, for every session group, the sum of the
+    ``reconciled`` is True iff, for every group, the sum of the
     per-scenario ``scenario_end.solver`` deltas equals the group's
     ``session_summary.stats`` on **every** counter the summary reports.
+    Empty stats match empty deltas (no ``--cross-check``: no solver ran),
+    but solver deltas without a summary never reconcile.
     """
     event_counts: Dict[str, int] = {}
     group_scenario_sums: Dict[str, Dict[str, int]] = {}
@@ -97,8 +99,8 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
         mismatched = sorted(
             key for key in stats
             if int(stats.get(key, 0)) != int(sums.get(key, 0)))
-        if mismatched or not stats:
-            reconciled = False
+        matched = not mismatched and bool(stats or not sums)
+        reconciled = reconciled and matched
         for key, value in stats.items():
             totals[key] = totals.get(key, 0) + int(value)
         groups.append({
@@ -106,7 +108,7 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
             "scenarios": group_scenarios.get(group, 0),
             "stats": stats,
             "scenario_delta_sum": sums,
-            "reconciled": not mismatched and bool(stats),
+            "reconciled": matched,
             "mismatched_keys": mismatched,
         })
 

@@ -345,14 +345,15 @@ class TestEngineAcceptanceFixture:
     """The rewrite's acceptance contract against the pre-rewrite engine.
 
     ``tests/data/acceptance_pr4_verdicts.json`` was generated by the
-    object-clause engine this PR replaced, on the PR-4 acceptance matrix.
-    The flat-array engine must reproduce every verdict, escape-edge set,
-    edge count and condition *bit for bit*.  Cycle cores are asserted to
-    be genuine cycle witnesses over the scenario's own edges; the
-    one-sided comparator encoding makes the solver's UNSAT cores tighter
-    than the old engine's on a handful of scenarios (strictly smaller
-    witness sets), so cores are pinned semantically, not byte-wise --
-    see docs/solver.md.
+    object-clause SAT engine on the PR-4 acceptance matrix.  The
+    graph-search verdict path must reproduce every verdict, escape-edge
+    set, edge count and condition *bit for bit*.  Cycle cores are
+    asserted to be genuine cycle witnesses over the scenario's own
+    edges: the DFS reports one simple cycle, never larger than the old
+    engine's UNSAT cores, so cores are pinned semantically, not
+    byte-wise -- see docs/solver.md.  The cross-checked run must also
+    reproduce the CDCL session's counters
+    (``tests/data/acceptance_session_stats.json``).
     """
 
     @pytest.fixture(scope="class")
@@ -370,11 +371,12 @@ class TestEngineAcceptanceFixture:
             [run_portfolio(scenarios, shard=(index, 2),
                            shard_balance="weighted")
              for index in range(2)])
-        return full, weighted
+        cross_checked = run_portfolio(scenarios, cross_check=True)
+        return full, weighted, cross_checked
 
     def test_everything_but_cores_matches_the_pre_rewrite_engine(
             self, reports):
-        full, _ = reports
+        full, _, _ = reports
         with open(os.path.join(FIXTURE_DIR,
                                "acceptance_pr4_verdicts.json")) as handle:
             fixture = json.load(handle)
@@ -382,21 +384,22 @@ class TestEngineAcceptanceFixture:
         del payload["session_stats"]
         for entry in payload["scenarios"]:
             del entry["solver"]
+        for entry in payload["scenarios"] + fixture["scenarios"]:
             del entry["cycle_core"]
-        for entry in fixture["scenarios"]:
-            del entry["cycle_core"]
+            # The fixture lists each escape set in the old solver's core
+            # order; the set is what the engines must agree on.
+            entry["escape_edges"] = sorted(entry["escape_edges"])
         assert payload == fixture
 
     def test_cycle_cores_are_genuine_and_no_looser_than_before(self, reports):
         """Every prone scenario's core must contain a cycle, and the cores
         must stay at least as tight as the pre-rewrite engine's: per
-        scenario at most 1.5x the old witness (the observed cores are a
-        strict subset-size on 4 of 5 divergent scenarios and +1 edge on
-        the fifth), and strictly smaller in aggregate.  A future engine
-        change that degrades cores to sloppy supersets fails here."""
+        scenario at most 1.5x the old witness, and no larger in
+        aggregate.  A future change that degrades cores to sloppy
+        supersets fails here."""
         from repro.checking.graphs import DirectedGraph, find_cycle_dfs
 
-        full, _ = reports
+        full, _, _ = reports
         with open(os.path.join(FIXTURE_DIR,
                                "acceptance_pr4_verdicts.json")) as handle:
             fixture = json.load(handle)
@@ -429,12 +432,13 @@ class TestEngineAcceptanceFixture:
         chrono/vivify counts, ...) must come out exactly, and any counter
         the fixture does not list must be zero.  The verdict fixtures
         above strip these counters, so this is what pins that a solver
-        refactor kept the search itself unchanged."""
-        full, _ = reports
+        refactor kept the search itself unchanged.  Only a cross-checked
+        run drives the solver, so the pin is taken on one."""
+        _, _, cross_checked = reports
         with open(os.path.join(FIXTURE_DIR,
                                "acceptance_session_stats.json")) as handle:
             fixture = json.load(handle)
-        session_stats = full.comparable_dict()["session_stats"]
+        session_stats = cross_checked.comparable_dict()["session_stats"]
         assert sorted(session_stats) == sorted(fixture)
         for group, stats in session_stats.items():
             pinned = fixture[group]
@@ -444,7 +448,7 @@ class TestEngineAcceptanceFixture:
             assert not any(extra.values()), (group, extra)
 
     def test_merged_weighted_shards_equal_the_unsharded_run(self, reports):
-        full, weighted = reports
+        full, weighted, _ = reports
         assert weighted.comparable_dict() == full.comparable_dict()
 
     @pytest.mark.parametrize("settings", [
@@ -454,28 +458,30 @@ class TestEngineAcceptanceFixture:
     def test_knob_settings_leave_acceptance_verdicts_identical(
             self, reports, settings, monkeypatch):
         """Verdict byte-identity across solver heuristics: the acceptance
-        matrix run with chronological backtracking and vivification
-        switched off, and with both turned up (step back one level on any
-        backjump over two or more levels, vivify every learned clause),
-        must equal the default run
-        scenario for scenario -- heuristics may only move work counters,
-        never answers, escape sets or conditions."""
+        matrix cross-checked with chronological backtracking and
+        vivification switched off, and with both turned up (step back one
+        level on any backjump over two or more levels, vivify every
+        learned clause), must agree with the graph search (a disagreement
+        is an error verdict) and equal the default run scenario for
+        scenario -- heuristics may only move work counters, never
+        answers, escape sets or conditions."""
         from repro.checking import sat
         from repro.core.portfolio import run_portfolio, scenarios_from_specs
         from repro.core.spec import expand_matrix
 
-        full, _ = reports
+        full, _, _ = reports
         for name, value in settings.items():
             monkeypatch.setattr(sat, name, value)
         report = run_portfolio(
-            scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX)))
+            scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX)),
+            cross_check=True)
         expected = full.comparable_dict()
         actual = report.comparable_dict()
         del expected["session_stats"]
         del actual["session_stats"]
         for entry in expected["scenarios"] + actual["scenarios"]:
-            # Work counters and cores legitimately vary across heuristics;
-            # verdicts, escape edges, conditions and edge counts may not.
+            # Work counters exist only under the cross-check; verdicts,
+            # escape edges, conditions and edge counts may not vary.
             entry.pop("solver", None)
             entry.pop("cycle_core", None)
         assert actual == expected

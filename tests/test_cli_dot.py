@@ -61,6 +61,19 @@ class TestCLI:
         assert "evacuated" in output
         assert "CorrThm: holds" in output
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--width", "0"], "--width and --height must be at least 1"),
+        (["--height", "0"], "--width and --height must be at least 1"),
+        (["--width", "1", "--height", "1"], "at least 2 nodes"),
+        (["--flits", "0"], "--flits must be at least 1"),
+        (["--buffers", "0"], "--buffers must be at least 1"),
+        (["--messages", "-1"], "--messages must be >= 0"),
+    ], ids=["width-zero", "height-zero", "single-node", "flits-zero",
+            "buffers-zero", "messages-negative"])
+    def test_simulate_rejects_invalid_arguments(self, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["simulate"] + flags)
+
     def test_table1_command(self, capsys):
         code = main(["table1", "--width", "2", "--height", "2"])
         output = capsys.readouterr().out

@@ -516,6 +516,22 @@ class TestBatchCli:
         with pytest.raises(SystemExit, match=message):
             main(["batch", "--matrix", SMALL_MATRIX] + flags)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--buffers", "0"], "buffers must be at least 1"),
+        (["--mesh-sizes", "0"], "dimensions must be positive"),
+        (["--mesh-sizes", "3", "--ring-sizes", "0"],
+         "dimensions must be positive"),
+    ], ids=["buffers-zero", "mesh-size-zero", "ring-size-zero"])
+    def test_invalid_sweep_sizes_are_usage_errors(self, flags, message):
+        """The sweep built without --matrix goes through the same spec
+        validation as --matrix, so a bad size is the same usage error,
+        not a traceback."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit,
+                           match=f"invalid scenario matrix: .*{message}"):
+            main(["batch"] + flags)
+
     def test_sigint_without_store_says_the_sweep_is_not_resumable(
             self, capsys):
         import argparse

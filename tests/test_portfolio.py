@@ -143,7 +143,8 @@ class TestPortfolioDriver:
 
     def test_sessions_are_shared_within_groups(self):
         report = run_portfolio(
-            standard_portfolio(mesh_sizes=(3,), ring_sizes=()))
+            standard_portfolio(mesh_sizes=(3,), ring_sizes=()),
+            cross_check=True)
         assert list(report.session_stats) == ["mesh-3x3"]
         # Later scenarios re-use earlier encodings: at least one scenario
         # contributed no new edges at all.
@@ -158,6 +159,45 @@ class TestPortfolioDriver:
         assert prone[0].escape_edges
         assert report.formatted()
         assert "deadlock-prone" in report.summary()
+
+
+    def test_default_run_never_builds_a_solver_session(self, monkeypatch):
+        """The verdict path is the graph search alone: a default run must
+        decide every condition kind without a CDCL session."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("default run built a DeadlockQuerySession")
+
+        monkeypatch.setattr(DeadlockQuerySession, "__init__", refuse)
+        report = run_portfolio(_mixed_portfolio())
+        assert report.status_counts()["ok"] == len(report.verdicts)
+        assert report.deadlock_prone_count > 0
+        assert report.session_stats == {}
+        assert all(verdict.solver == {} for verdict in report.verdicts)
+
+    @pytest.mark.parametrize("method, stub, answers", [
+        ("is_deadlock_free_edges", lambda self, edges: True,
+         ("graph search free=False with 8", "CDCL session free=True")),
+        ("cycle_core_for", lambda self, edges: [],
+         ("graph search free=False with 8",
+          "CDCL session free=False with 0")),
+    ], ids=["verdict", "escape-set"])
+    def test_cross_check_disagreement_is_an_error_verdict(
+            self, monkeypatch, method, stub, answers):
+        """A CDCL session that calls every query free, or finds no core,
+        contradicts the graph search on the prone ring: that scenario
+        must come back as an ``error`` verdict naming itself and both
+        answers."""
+        monkeypatch.setattr(DeadlockQuerySession, method, stub)
+        report = run_portfolio(
+            standard_portfolio(mesh_sizes=(), ring_sizes=(4,)),
+            cross_check=True)
+        statuses = {v.scenario: v.status for v in report.verdicts}
+        assert statuses == {"ring-4/chain": "ok",
+                            "ring-4/clockwise": "error"}
+        [failed] = [v for v in report.verdicts if v.status == "error"]
+        assert "ring-4/clockwise" in failed.error
+        for answer in answers:
+            assert answer in failed.error
 
 
 def _mixed_portfolio():
@@ -203,7 +243,8 @@ class TestParallelPortfolio:
 
     def test_per_scenario_solver_deltas_sum_to_session_stats(self):
         report = run_portfolio(standard_portfolio(mesh_sizes=(3,),
-                                                  ring_sizes=()))
+                                                  ring_sizes=()),
+                               cross_check=True)
         totals = {}
         for verdict in report.verdicts:
             assert verdict.solver  # schema 2: every scenario records work

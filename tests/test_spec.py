@@ -255,8 +255,7 @@ class TestSharding:
             group_names.setdefault(scenario.group_key(),
                                    set()).add(scenario.name)
         for index in range(2):
-            report = run_portfolio(scenarios, shard=(index, 2),
-                                   analyse_failures=False)
+            report = run_portfolio(scenarios, shard=(index, 2))
             shard_names = {verdict.scenario for verdict in report.verdicts}
             for group, names in group_names.items():
                 # A group is either fully on this shard or fully elsewhere.

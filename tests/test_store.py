@@ -60,8 +60,7 @@ def comparable_bytes(report):
 # ---------------------------------------------------------------------------
 
 class TestAddressing:
-    RUN_KEY = {"seed": 2010, "analyse_failures": True,
-               "cross_check": False, "shard": None}
+    RUN_KEY = {"cross_check": False, "shard": None}
     SPECS = [(0, "aa" * 32), (1, "bb" * 32)]
 
     def test_key_is_deterministic(self):
@@ -73,7 +72,7 @@ class TestAddressing:
 
     @pytest.mark.parametrize("mutate", [
         lambda a: a.__setitem__("kind", "other"),
-        lambda a: a["run_key"].__setitem__("seed", 2011),
+        lambda a: a["run_key"].__setitem__("cross_check", True),
         lambda a: a.__setitem__("group", "other-group"),
         lambda a: a["specs"].reverse(),
         lambda a: a["specs"].pop(),
@@ -94,10 +93,9 @@ class TestAddressing:
         assert record_checksum(dict(record, group="h")) != digest
 
     def test_run_key_distinguishes_run_parameters(self):
-        base = make_run_key(True, False, None)
-        assert make_run_key(False, False, None) != base
-        assert make_run_key(True, True, None) != base
-        assert make_run_key(True, False, (0, 2)) != base
+        base = make_run_key(False, None)
+        assert make_run_key(True, None) != base
+        assert make_run_key(False, (0, 2)) != base
         assert json.dumps(base, sort_keys=True)  # JSON-serializable
 
     def test_scenario_fingerprint_tracks_spec_content(self):
@@ -138,7 +136,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         assert store.record(
-            engine_fingerprint(), "k", make_run_key(True, False, None),
+            engine_fingerprint(), "k", make_run_key(False, None),
             "g", [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         [record] = object_paths(store.root)
         assert events == [("fsync", "file"),
@@ -168,7 +166,7 @@ class TestStoreLock:
         try:
             written = store.record(
                 engine_fingerprint(), "k",
-                make_run_key(True, False, None), "g",
+                make_run_key(False, None), "g",
                 [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         finally:
             holder.release()
@@ -359,7 +357,7 @@ class TestFailureModes:
         monkeypatch.setattr(store, "_atomic_write", explode)
         written = store.record(
             engine_fingerprint(), "k",
-            make_run_key(True, False, None), "g",
+            make_run_key(False, None), "g",
             [(0, "aa" * 32)], [(0, {"status": "ok"})], {}, {})
         assert not written
         assert store.mode == "ro"

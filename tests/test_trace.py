@@ -225,8 +225,10 @@ class TestSolverTrace:
 class TestTraceDeterminism:
 
     def test_identical_streams_modulo_timing(self):
-        _, first = _traced_portfolio(SMALL_MATRIX, label="det")
-        _, second = _traced_portfolio(SMALL_MATRIX, label="det")
+        _, first = _traced_portfolio(SMALL_MATRIX, label="det",
+                                     cross_check=True)
+        _, second = _traced_portfolio(SMALL_MATRIX, label="det",
+                                      cross_check=True)
         assert ([scrub_timing(event) for event in first]
                 == [scrub_timing(event) for event in second])
 
@@ -239,21 +241,26 @@ class TestTraceDeterminism:
                     if key not in ("t", "wall_time_s")}
 
         reset_instance_cache()
-        _, first = _traced_portfolio(SMALL_MATRIX, label="det")
+        _, first = _traced_portfolio(SMALL_MATRIX, label="det",
+                                     cross_check=True)
         reset_instance_cache()
-        _, second = _traced_portfolio(SMALL_MATRIX, label="det")
+        _, second = _traced_portfolio(SMALL_MATRIX, label="det",
+                                      cross_check=True)
         assert ([strip_wall(event) for event in first]
                 == [strip_wall(event) for event in second])
 
     def test_stream_validates(self):
-        _, events = _traced_portfolio(SMALL_MATRIX)
-        assert validate_trace(events) == []
+        for cross_check in (False, True):
+            _, events = _traced_portfolio(SMALL_MATRIX,
+                                          cross_check=cross_check)
+            assert validate_trace(events) == []
 
     def test_traced_vs_untraced_verdicts_byte_identical(self):
         # The acceptance-criterion pin, on the pinned 24-scenario matrix.
         scenarios = scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX))
-        untraced = run_portfolio(scenarios)
-        traced, events = _traced_portfolio(ACCEPTANCE_MATRIX)
+        untraced = run_portfolio(scenarios, cross_check=True)
+        traced, events = _traced_portfolio(ACCEPTANCE_MATRIX,
+                                           cross_check=True)
         assert len(traced.verdicts) == 24
         assert (json.dumps(traced.comparable_dict(), sort_keys=True)
                 == json.dumps(untraced.comparable_dict(), sort_keys=True))
@@ -274,7 +281,7 @@ class TestTraceDeterminism:
             reset_instance_cache()
             scenarios = scenarios_from_specs(expand_matrix(SMALL_MATRIX))
             started = time.perf_counter()
-            run_portfolio(scenarios, trace=trace)
+            run_portfolio(scenarios, cross_check=True, trace=trace)
             return time.perf_counter() - started
 
         untraced = min(run_once(None) for _ in range(3))
@@ -341,7 +348,8 @@ class TestTraceAnalysis:
 
     @pytest.fixture(scope="class")
     def run(self):
-        return _traced_portfolio(SMALL_MATRIX, label="analysis")
+        return _traced_portfolio(SMALL_MATRIX, label="analysis",
+                                 cross_check=True)
 
     def test_summary_reconciles_with_solver_stats(self, run):
         report, events = run
