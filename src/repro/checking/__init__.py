@@ -13,11 +13,18 @@ from scratch:
   :mod:`repro.checking.tseitin`, :mod:`repro.checking.dimacs`,
   :mod:`repro.checking.sat` -- a boolean-expression AST, CNF machinery and a
   DPLL/CDCL SAT solver (the stand-in for Z3).
-* :mod:`repro.checking.encodings` -- SAT encodings of graph acyclicity.
+* :mod:`repro.checking.encodings`, :mod:`repro.checking.incremental` --
+  SAT encodings of graph acyclicity and the incremental session/oracle
+  layer over the CDCL solver.
 * :mod:`repro.checking.ts`, :mod:`repro.checking.bmc` -- explicit-state
   transition systems and reachability analysis (the stand-in for NuSMV),
   used to validate Theorem 1 empirically by exhaustive exploration of small
   NoC state spaces.
+
+Only the graph algorithms are re-exported here: they are what every
+verdict runs.  The SAT stack is imported from its own modules (e.g.
+``from repro.checking.sat import IncrementalSatSolver``), so a default
+run never loads it.
 """
 
 from repro.checking.graphs import (
@@ -29,22 +36,6 @@ from repro.checking.graphs import (
     topological_sort,
     CycleSearchResult,
 )
-from repro.checking.bool_expr import Var, Not, And, Or, Implies, Iff, TRUE, FALSE
-from repro.checking.cnf import CNF, Clause
-from repro.checking.sat import (
-    IncrementalSatSolver,
-    SatSolver,
-    SatResult,
-    solve_cnf,
-)
-from repro.checking.encodings import (
-    acyclicity_oracle,
-    encode_acyclicity,
-    encode_numbering_constraint,
-    is_acyclic_by_sat,
-)
-from repro.checking.incremental import AcyclicityOracle, IncrementalSession
-from repro.checking.ts import TransitionSystem, ReachabilityResult
 
 # The configuration-space explorer depends on repro.core, which in turn uses
 # the graph algorithms of this package; importing it lazily avoids a circular
@@ -72,28 +63,6 @@ __all__ = [
     "strongly_connected_components",
     "topological_sort",
     "CycleSearchResult",
-    "Var",
-    "Not",
-    "And",
-    "Or",
-    "Implies",
-    "Iff",
-    "TRUE",
-    "FALSE",
-    "CNF",
-    "Clause",
-    "IncrementalSatSolver",
-    "SatSolver",
-    "SatResult",
-    "solve_cnf",
-    "AcyclicityOracle",
-    "IncrementalSession",
-    "acyclicity_oracle",
-    "encode_acyclicity",
-    "encode_numbering_constraint",
-    "is_acyclic_by_sat",
-    "TransitionSystem",
-    "ReachabilityResult",
     "ConfigurationSpace",
     "explore_configuration_space",
     "DeadlockSearchResult",

@@ -136,7 +136,7 @@ class IncrementalSession:
         Forwarded to
         :meth:`~repro.checking.sat.IncrementalSatSolver.set_interrupt`:
         once ``callback`` returns a truthy reason, queries raise
-        :class:`~repro.checking.sat.SolverTimeout` while leaving the
+        :class:`~repro.core.errors.SolverTimeout` while leaving the
         session's formula, learned clauses and selector map intact.
         """
         self.solver.set_interrupt(callback)

@@ -7,19 +7,13 @@ The solver implements the standard conflict-driven clause-learning loop:
   satisfied while its blocker is true is skipped without touching clause
   memory),
 * a **flat clause arena**: every clause lives in one shared int list,
-  referenced by a dense clause id with offset/length (and learned-flag,
-  activity, LBD) kept in parallel arrays -- no per-clause Python objects,
+  referenced by a dense clause id with offset/length kept in parallel
+  arrays -- no per-clause Python objects,
 * first-UIP conflict analysis with clause learning, learned-clause
   minimisation and non-chronological backjumping,
-* **LBD ("glue") tracking**: every learned clause records the number of
-  distinct decision levels among its literals at learning time, and
-  learned-clause deletion retains clauses LBD-first (glue and binary
-  clauses are immortal), compacting the arena afterwards,
 * VSIDS-style activity-based decision heuristic backed by a binary heap,
   with phase saving,
 * Luby-sequence restarts,
-* chronological backtracking on far backjumps of assumption-free queries
-  and vivification of the best learned clauses at reduce-db time,
 * **incremental use**: clauses can be added between ``solve`` calls, a
   single solver instance can be re-queried many times, and each query can
   be made under *assumptions* (temporary unit hypotheses).  When a query is
@@ -33,6 +27,10 @@ assumptions.  This is what makes the repeated deadlock queries of
 :mod:`repro.core.deadlock` and the portfolio driver of
 :mod:`repro.core.portfolio` cheap: the CNF is encoded once and every
 topology/routing scenario is a fresh set of assumptions on the same solver.
+
+Learned clauses are never deleted: they live as long as their solver.
+The solver's callers (the ``--cross-check`` sessions, ``repro fuzz``,
+``repro deadlock``) learn a few thousand clauses per session at most.
 
 The solver is deterministic: two runs on the same formula take the same
 decisions and return the same model and statistics.
@@ -49,44 +47,16 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.checking.cnf import CNF, Literal
+from repro.core.errors import SolverTimeout
 
 #: Truth values of the literal-indexed assignment array.
 _UNASSIGNED, _TRUE, _FALSE = 0, 1, 2
-
-#: Chronological-backtracking threshold: on a conflict of an
-#: assumption-free query whose backjump would discard more than this many
-#: decision levels, backtrack one level instead (see ``docs/solver.md``).
-CHRONO_THRESHOLD = 5
-
-#: How many learned clauses one vivification pass inspects (the best
-#: retention candidates: lowest LBD, then highest activity).
-VIVIFY_MAX_CLAUSES = 64
-
-#: LBD values at or above this bucket share one histogram key
-#: (``lbd_10`` counts every learned clause with LBD >= 10).
-LBD_HISTOGRAM_CAP = 10
 
 #: How many conflicts pass between cooperative interrupt checks.  The
 #: callback runs off the hot path (one int test per conflict, the callback
 #: itself only every Nth conflict), so a solve honours a budget within a
 #: few hundred conflicts of it expiring.
 INTERRUPT_CHECK_INTERVAL = 64
-
-
-class SolverTimeout(Exception):
-    """A cooperative solver interrupt fired mid-search.
-
-    Raised out of :meth:`IncrementalSatSolver.solve` when the interrupt
-    callback installed via :meth:`IncrementalSatSolver.set_interrupt`
-    reports an expired budget.  The solver unwinds to decision level 0
-    first, so the instance -- formula, learned clauses, statistics --
-    remains fully usable for later queries; only the interrupted query is
-    lost (no model, no core).
-    """
-
-    def __init__(self, reason: str = "solver budget exhausted") -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass
@@ -195,15 +165,15 @@ class IncrementalSatSolver:
         solver.solve(assumptions=[selector])   # with the clause enabled
         solver.solve(assumptions=[-selector])  # with the clause disabled
 
-    All learned clauses are kept between queries (subject to LBD-driven
-    deletion), so repeated related queries get monotonically faster.
+    All learned clauses are kept between queries, so repeated related
+    queries get monotonically faster.
 
     Internally the solver is a *flat-array engine*: clause literals live in
     one shared int arena (``_arena``), clauses are dense ids indexing the
-    parallel ``_coff``/``_csize``/``_clearned``/``_cact``/``_clbd`` arrays,
-    truth values live in a literal-indexed bytearray and watcher lists are
-    flat ``[clause_id, blocker, ...]`` int lists -- no per-clause or
-    per-watch Python objects on the propagation path.
+    parallel ``_coff``/``_csize`` arrays, truth values live in a
+    literal-indexed bytearray and watcher lists are flat
+    ``[clause_id, blocker, ...]`` int lists -- no per-clause or per-watch
+    Python objects on the propagation path.
     """
 
     def __init__(self, trace=None) -> None:
@@ -220,19 +190,10 @@ class IncrementalSatSolver:
         # The clause arena: all clause literals in one int list.  A clause
         # is a dense id ``cid`` with literals at
         # ``_arena[_coff[cid] : _coff[cid] + _csize[cid]]``; the watched
-        # pair sits at offsets 0 and 1.  Learned flags, activities and LBD
-        # scores live in parallel arrays indexed by ``cid``.
+        # pair sits at offsets 0 and 1.
         self._arena: List[int] = []
         self._coff: List[int] = []
         self._csize: List[int] = []
-        self._clearned = bytearray()
-        # Learned-clause side tables, keyed by cid.  Only learned clauses
-        # carry an activity and an LBD, so these stay off the problem-
-        # clause loading path (sparse "parallel arrays" of the arena).
-        self._cact: Dict[int, float] = {}
-        self._clbd: Dict[int, int] = {}
-        self._learnt_cids: List[int] = []
-        self._num_problem = 0
         # Per-variable state, 1-indexed (slot 0 unused).  Reasons are
         # clause ids (-1: decision / level-0 fact).
         self._level: List[int] = [0]
@@ -246,20 +207,11 @@ class IncrementalSatSolver:
         self._ok = True
         self._activity_inc = 1.0
         self._activity_decay = 0.95
-        self._clause_inc = 1.0
-        self._clause_decay = 0.999
-        self._max_learnts = 0.0
         #: Assumptions of the previous solve, for prefix-trail reuse.
         self._last_assumptions: List[Literal] = []
         self._stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
-                       "restarts": 0, "learned": 0, "deleted": 0,
-                       "solves": 0, "minimised": 0,
-                       "arena_gcs": 0, "arena_reclaimed": 0,
-                       "chrono_backtracks": 0,
-                       "vivified_clauses": 0, "vivified_literals": 0}
-        #: LBD histogram of learned clauses: bucket -> count, buckets
-        #: capped at LBD_HISTOGRAM_CAP (the last bucket is ">= cap").
-        self._lbd_hist: Dict[int, int] = {}
+                       "restarts": 0, "learned": 0, "solves": 0,
+                       "minimised": 0}
         self._last_core: Optional[List[Literal]] = None
         # Reusable conflict-analysis scratch buffer (one byte per variable,
         # slot 0 unused); cleared selectively after every analysis so no
@@ -320,24 +272,8 @@ class IncrementalSatSolver:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Search statistics, including the LBD histogram (``lbd_<n>``).
-
-        The key set is **identical on every path** -- the LBD buckets
-        ``lbd_1..lbd_{cap}`` are always present (zero-filled before any
-        clause is learned), so the trivially-UNSAT early return, a
-        fresh solver and a long search all report the same keys and
-        stat-delta consumers never have to special-case missing ones.
-        """
-        merged = dict(self._stats)
-        hist = self._lbd_hist
-        for bucket in range(1, LBD_HISTOGRAM_CAP + 1):
-            merged[f"lbd_{bucket}"] = hist.get(bucket, 0)
-        return merged
-
-    def lbd_histogram(self) -> Dict[int, int]:
-        """Learned-clause LBD counts (bucket ``LBD_HISTOGRAM_CAP`` is
-        ">= cap"); cumulative over the solver's lifetime."""
-        return dict(self._lbd_hist)
+        """Search statistics (a copy); the same key set on every path."""
+        return dict(self._stats)
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its index."""
@@ -443,24 +379,17 @@ class IncrementalSatSolver:
             self._qhead = limit
 
     # -- clause addition -----------------------------------------------------------
-    def _new_clause(self, literals: List[Literal], learned: bool) -> int:
-        """Append a clause to the arena and attach its watchers.
+    def _new_clause(self, literals: List[Literal]) -> int:
+        """Append a learned clause to the arena and attach its watchers.
 
         The first two literals become the watched pair; each watcher
         carries the *other* watched literal as its initial blocker.
         """
         arena = self._arena
+        cid = len(self._coff)
         self._coff.append(len(arena))
         self._csize.append(len(literals))
         arena.extend(literals)
-        cid = len(self._clearned)
-        self._clearned.append(1 if learned else 0)
-        if learned:
-            self._cact[cid] = 0.0
-            self._clbd[cid] = 0
-            self._learnt_cids.append(cid)
-        else:
-            self._num_problem += 1
         watches = self._watches
         center = self._center
         first, second = literals[0], literals[1]
@@ -516,9 +445,7 @@ class IncrementalSatSolver:
         arena = self._arena
         coff = self._coff
         csize = self._csize
-        clearned = self._clearned
         watches = self._watches
-        added = 0
         ok = True
         for literals in clauses:
             clause: List[Literal] = []
@@ -559,12 +486,10 @@ class IncrementalSatSolver:
                     ok = False
                     break
                 continue
+            cid = len(coff)
             coff.append(len(arena))
             csize.append(len(clause))
             arena.extend(clause)
-            cid = len(clearned)
-            clearned.append(0)
-            added += 1
             first, second = clause[0], clause[1]
             watch_list = watches[center + first]
             watch_list.append(cid)
@@ -572,7 +497,6 @@ class IncrementalSatSolver:
             watch_list = watches[center + second]
             watch_list.append(cid)
             watch_list.append(first)
-        self._num_problem += added
         return ok
 
     # -- propagation ---------------------------------------------------------------
@@ -717,12 +641,11 @@ class IncrementalSatSolver:
         return conflict
 
     # -- conflict analysis ---------------------------------------------------------
-    def _analyse(self, conflict: int) -> Tuple[List[Literal], int, int]:
+    def _analyse(self, conflict: int) -> Tuple[List[Literal], int]:
         """First-UIP conflict analysis.
 
-        Returns the learned clause (asserting literal first), the backjump
-        level and the clause's LBD (distinct decision levels among its
-        literals, measured before backjumping).
+        Returns the learned clause (asserting literal first) and the
+        backjump level.
         """
         learned: List[Literal] = []
         seen = self._seen
@@ -745,7 +668,6 @@ class IncrementalSatSolver:
         # so the whole conflict clause participates in the first round.
         skip: Literal = 0
         reason_cid = conflict
-        self._bump_clause(conflict)
         trail_index = len(trail) - 1
 
         while True:
@@ -790,7 +712,6 @@ class IncrementalSatSolver:
                 break
             reason_cid = reasons[literal if literal > 0 else -literal]
             assert reason_cid >= 0
-            self._bump_clause(reason_cid)
             skip = literal
 
         # Learned-clause minimisation: drop any literal whose reason clause
@@ -824,12 +745,7 @@ class IncrementalSatSolver:
             backjump_level = 0
         else:
             backjump_level = max(levels[abs(lit)] for lit in learned[1:])
-        # LBD while the conflict-time levels are still live (the asserting
-        # literal sits on the current level, the rest at or below the
-        # backjump level).
-        lbd = len({levels[abs(lit)] for lit in learned[1:]}) + 1 \
-            if len(learned) > 1 else 1
-        return learned, backjump_level, lbd
+        return learned, backjump_level
 
     def _analyse_final(self, failed: Literal) -> List[Literal]:
         """Why is the assumption ``failed`` false right now?
@@ -881,240 +797,6 @@ class IncrementalSatSolver:
     def _decay_activity(self) -> None:
         self._activity_inc /= self._activity_decay
 
-    def _bump_clause(self, cid: int) -> None:
-        if not self._clearned[cid]:
-            return
-        cact = self._cact
-        activity = cact[cid] + self._clause_inc
-        cact[cid] = activity
-        if activity > 1e20:
-            for learnt in self._learnt_cids:
-                cact[learnt] *= 1e-20
-            self._clause_inc *= 1e-20
-
-    def _decay_clause(self) -> None:
-        self._clause_inc /= self._clause_decay
-
-    # -- learned-clause deletion -----------------------------------------------------
-    def _reduce_db(self) -> None:
-        """Delete the worst half of the learned clauses, LBD-first.
-
-        Retention follows the glue-clause insight: clauses are ranked
-        worst-first by (LBD descending, activity ascending, age); binary
-        clauses, glue clauses (LBD <= 2) and clauses currently acting as
-        the reason of a trail assignment are immortal.  The arena is
-        compacted afterwards (see :meth:`_collect_garbage`).
-        """
-        reason = self._reason
-        locked = set()
-        for literal in self._trail:
-            reason_cid = reason[literal if literal > 0 else -literal]
-            if reason_cid >= 0:
-                locked.add(reason_cid)
-        csize = self._csize
-        clbd = self._clbd
-        cact = self._cact
-        candidates = [cid for cid in self._learnt_cids
-                      if csize[cid] > 2 and clbd[cid] > 2
-                      and cid not in locked]
-        # Worst first: highest LBD, then lowest activity, then oldest.
-        candidates.sort(key=lambda cid: (-clbd[cid], cact[cid], cid))
-        doomed = candidates[:len(self._learnt_cids) // 2]
-        if not doomed:
-            return
-        self._stats["deleted"] += len(doomed)
-        if self._trace is not None:
-            self._trace.emit(
-                "reduce_db", deleted=len(doomed),
-                retained=len(self._learnt_cids) - len(doomed),
-                lbd_cutoff=min(clbd[cid] for cid in doomed))
-        self._collect_garbage(set(doomed))
-
-    def _collect_garbage(self, doomed: set) -> None:
-        """Drop ``doomed`` clauses and compact the arena.
-
-        Every surviving clause is copied to a fresh, gap-free arena and
-        renumbered; watcher lists and reason references are rewritten to
-        the new ids (locked clauses are never doomed, so no reason can
-        dangle).  The reclaimed arena length is recorded in the
-        ``arena_reclaimed`` statistic.
-        """
-        old_arena = self._arena
-        coff = self._coff
-        csize = self._csize
-        clearned = self._clearned
-        cact = self._cact
-        clbd = self._clbd
-        count = len(coff)
-        remap = [-1] * count
-        new_arena: List[int] = []
-        new_coff: List[int] = []
-        new_csize: List[int] = []
-        new_learned = bytearray()
-        new_act: Dict[int, float] = {}
-        new_lbd: Dict[int, int] = {}
-        for cid in range(count):
-            if cid in doomed:
-                continue
-            new_cid = len(new_coff)
-            remap[cid] = new_cid
-            offset = coff[cid]
-            size = csize[cid]
-            new_coff.append(len(new_arena))
-            new_csize.append(size)
-            new_arena.extend(old_arena[offset:offset + size])
-            new_learned.append(clearned[cid])
-            if clearned[cid]:
-                new_act[new_cid] = cact[cid]
-                new_lbd[new_cid] = clbd[cid]
-        reclaimed = len(old_arena) - len(new_arena)
-        self._arena = new_arena
-        self._coff = new_coff
-        self._csize = new_csize
-        self._clearned = new_learned
-        self._cact = new_act
-        self._clbd = new_lbd
-        self._learnt_cids = [remap[cid] for cid in self._learnt_cids
-                             if remap[cid] >= 0]
-        for watch_list in self._watches:
-            if not watch_list:
-                continue
-            write = 0
-            for read in range(0, len(watch_list), 2):
-                new_cid = remap[watch_list[read]]
-                if new_cid < 0:
-                    continue
-                watch_list[write] = new_cid
-                watch_list[write + 1] = watch_list[read + 1]
-                write += 2
-            del watch_list[write:]
-        reason = self._reason
-        for var in range(1, self._num_vars + 1):
-            reason_cid = reason[var]
-            if reason_cid >= 0:
-                reason[var] = remap[reason_cid]
-        self._stats["arena_gcs"] += 1
-        self._stats["arena_reclaimed"] += reclaimed
-        if self._trace is not None:
-            self._trace.emit("arena_gc", reclaimed=reclaimed,
-                             live=len(new_arena))
-
-    # -- vivification ----------------------------------------------------------------
-    def _detach_clause(self, cid: int) -> None:
-        """Remove ``cid``'s two watcher entries (clause stays in the arena)."""
-        watches = self._watches
-        center = self._center
-        offset = self._coff[cid]
-        for literal in (self._arena[offset], self._arena[offset + 1]):
-            watch_list = watches[center + literal]
-            for read in range(0, len(watch_list), 2):
-                if watch_list[read] == cid:
-                    del watch_list[read:read + 2]
-                    break
-
-    def _vivify_learnts(self, trace) -> bool:
-        """Shorten the best learned clauses by propagation (vivification).
-
-        Runs at reduce-db time, from decision level 0 (the solve loop
-        re-places any cancelled assumptions afterwards, like after a
-        restart).  For each candidate clause, the negations of its literals
-        are asserted one by one: a conflict proves the asserted prefix is
-        itself a valid (shorter) clause; a literal found true means the
-        prefix plus that literal suffices; a literal found false is
-        redundant and dropped.  The clause under test is detached first so
-        it cannot propagate with itself.  Returns ``False`` when a level-0
-        conflict shows the formula is UNSAT.
-        """
-        self._cancel_until(0)
-        if self._propagate() >= 0:
-            return False
-        clbd = self._clbd
-        cact = self._cact
-        csize = self._csize
-        coff = self._coff
-        arena = self._arena
-        stats = self._stats
-        # Best retention candidates first: these survive reduce-db and do
-        # the most propagation work, so shortening them pays.
-        candidates = sorted(
-            (cid for cid in self._learnt_cids if csize[cid] > 2),
-            key=lambda cid: (clbd[cid], -cact[cid], cid))
-        candidates = candidates[:VIVIFY_MAX_CLAUSES]
-        checked = shortened_clauses = removed_literals = 0
-        doomed: set = set()
-        ok = True
-        for cid in candidates:
-            offset = coff[cid]
-            literals = arena[offset:offset + csize[cid]]
-            checked += 1
-            self._detach_clause(cid)
-            keep: List[Literal] = []
-            last = len(literals) - 1
-            for index, literal in enumerate(literals):
-                value = self._value(literal)
-                if value is True:
-                    # prefix -> literal: the clause shrinks to the prefix
-                    # plus this literal.
-                    keep.append(literal)
-                    break
-                if value is False:
-                    continue  # implied false by the asserted prefix: drop
-                keep.append(literal)
-                if index == last:
-                    break  # asserting the last literal cannot shrink more
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(-literal, -1)
-                if self._propagate() >= 0:
-                    break  # the asserted prefix is contradictory: keep it
-            self._cancel_until(0)
-            if len(keep) >= len(literals):
-                # No win: reattach unchanged.
-                self._attach_clause(cid)
-                continue
-            shortened_clauses += 1
-            removed_literals += len(literals) - len(keep)
-            if not keep:
-                ok = False
-                break
-            if len(keep) == 1:
-                value = self._value(keep[0])
-                if value is False:
-                    ok = False
-                    break
-                if value is None:
-                    self._enqueue(keep[0], -1)
-                    if self._propagate() >= 0:
-                        ok = False
-                        break
-                doomed.add(cid)
-                continue
-            arena[offset:offset + len(keep)] = keep
-            csize[cid] = len(keep)
-            clbd[cid] = min(clbd[cid], len(keep))
-            self._attach_clause(cid)
-        stats["vivified_clauses"] += shortened_clauses
-        stats["vivified_literals"] += removed_literals
-        if trace is not None:
-            trace.emit("vivify", checked=checked,
-                       shortened=shortened_clauses,
-                       removed=removed_literals)
-        if doomed:
-            self._collect_garbage(doomed)
-        return ok
-
-    def _attach_clause(self, cid: int) -> None:
-        """(Re-)attach ``cid``'s watchers on its first two arena slots."""
-        offset = self._coff[cid]
-        first, second = self._arena[offset], self._arena[offset + 1]
-        watches = self._watches
-        center = self._center
-        watch_list = watches[center + first]
-        watch_list.append(cid)
-        watch_list.append(second)
-        watch_list = watches[center + second]
-        watch_list.append(cid)
-        watch_list.append(first)
-
     # -- decisions -----------------------------------------------------------------
     def _pick_branch_variable(self) -> Optional[int]:
         # Inlined lazy-heap pop: stale entries (superseded versions) and
@@ -1154,9 +836,7 @@ class IncrementalSatSolver:
             "solver_phase",
             conflicts=stats["conflicts"],
             delta={key: stats[key] - snapshot.get(key, 0) for key in keys},
-            trail=len(self._trail),
-            lbd={str(bucket): self._lbd_hist[bucket]
-                 for bucket in sorted(self._lbd_hist)})
+            trail=len(self._trail))
         self._trace_phase_snapshot = {key: stats[key] for key in keys}
         self._trace_phase_mark = stats["conflicts"] + trace.phase_interval
 
@@ -1213,8 +893,8 @@ class IncrementalSatSolver:
 
         if not self._ok:
             # Trivially UNSAT: the formula already failed at level 0.  The
-            # span is still emitted (and the stats keys are the full set,
-            # see :attr:`stats`), so stream consumers need no special case.
+            # span is still emitted, so stream consumers need no special
+            # case.
             if trace is not None:
                 trace.emit("solve_begin", solve=self._stats["solves"],
                            assumptions=len(assumption_list), prefix_reuse=0)
@@ -1237,18 +917,9 @@ class IncrementalSatSolver:
                 self._trace_phase_mark = (self._stats["conflicts"]
                                           + trace.phase_interval)
 
-        if self._max_learnts <= 0:
-            self._max_learnts = max(100.0, self._num_problem / 3.0)
         restart_index = 1
         conflicts_since_restart = 0
         restart_limit = 32 * self._luby(restart_index)
-        # Chronological backtracking only applies to assumption-free
-        # queries.  Under a selector prefix the deep backjump IS the
-        # productive mode -- the conflict clause anchors at early selector
-        # levels and the far jump prunes -- and stepping back one level at
-        # a time multiplies conflicts ~40x on the incremental oracle
-        # workloads (measured on mesh-8x8 sessions; see docs/solver.md).
-        chrono = CHRONO_THRESHOLD if not assumption_list else 0
 
         while True:
             conflict = self._propagate()
@@ -1269,21 +940,7 @@ class IncrementalSatSolver:
                     if trace is not None:
                         self._emit_trace_solve_end(trace, stats_before, False)
                     return SatResult(satisfiable=False, stats=self.stats)
-                learned, backjump_level, lbd = self._analyse(conflict)
-                if (chrono and len(learned) > 1
-                        and len(self._trail_lim) - backjump_level > chrono):
-                    # Chronological backtracking: a far backjump throws away
-                    # a large trail that is usually rebuilt verbatim; step
-                    # back one level instead.  The learned clause stays
-                    # unit there (every non-asserting literal sits at or
-                    # below the backjump level), so the asserting literal
-                    # is enqueued with the clause as reason exactly as on
-                    # the non-chronological path.  Unit learned clauses are
-                    # exempt: a reason-free literal above level 0 would be
-                    # indistinguishable from an assumption in
-                    # ``_analyse_final``.
-                    backjump_level = len(self._trail_lim) - 1
-                    self._stats["chrono_backtracks"] += 1
+                learned, backjump_level = self._analyse(conflict)
                 self._cancel_until(backjump_level)
                 if len(learned) == 1:
                     self._enqueue(learned[0], -1)
@@ -1297,27 +954,10 @@ class IncrementalSatSolver:
                                 >= levels[abs(learned[1])]):
                             learned[1], learned[position] = (
                                 learned[position], learned[1])
-                    cid = self._new_clause(learned, learned=True)
-                    self._cact[cid] = self._clause_inc
-                    self._clbd[cid] = lbd
-                    bucket = min(lbd, LBD_HISTOGRAM_CAP)
-                    self._lbd_hist[bucket] = \
-                        self._lbd_hist.get(bucket, 0) + 1
+                    cid = self._new_clause(learned)
                     self._stats["learned"] += 1
                     self._enqueue(learned[0], cid)
                 self._decay_activity()
-                self._decay_clause()
-                if len(self._learnt_cids) >= \
-                        self._max_learnts + len(self._trail):
-                    if not self._vivify_learnts(trace):
-                        # Vivification hit a level-0 conflict: UNSAT.
-                        self._ok = False
-                        if trace is not None:
-                            self._emit_trace_solve_end(
-                                trace, stats_before, False)
-                        return SatResult(satisfiable=False, stats=self.stats)
-                    self._reduce_db()
-                    self._max_learnts *= 1.1
                 continue
 
             if conflicts_since_restart >= restart_limit:
@@ -1403,11 +1043,11 @@ class IncrementalSatSolver:
     def check_watch_invariants(self) -> List[str]:
         """Audit the watcher structures; returns violations (empty = OK).
 
-        Checked by the clause-management test suite, in particular across
-        arena garbage collections: every clause with >= 2 literals must be
+        Checked by the clause-management test suite after randomized
+        incremental batches: every clause with >= 2 literals must be
         watched on exactly its first two arena slots, every watcher entry
-        must reference a live clause, and every blocker must be a literal
-        of its clause.
+        must reference an existing clause, and every blocker must be a
+        literal of its clause.
         """
         errors: List[str] = []
         count = len(self._coff)

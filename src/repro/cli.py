@@ -52,6 +52,21 @@ def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
                         help="1-flit buffers per port (default 2)")
 
 
+def _check_mesh_arguments(args: argparse.Namespace,
+                          sends_messages: bool = False) -> None:
+    """Reject ``--width/--height/--buffers`` values no mesh is built from.
+
+    Commands that send messages also need a second node to send to.
+    """
+    if args.width < 1 or args.height < 1:
+        raise SystemExit("--width and --height must be at least 1")
+    if sends_messages and args.width * args.height < 2:
+        raise SystemExit(f"{args.command} needs at least 2 nodes: a 1x1 "
+                         f"mesh has no destination to send to")
+    if args.buffers < 1:
+        raise SystemExit("--buffers must be at least 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -300,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
             ("summary", "whole-run breakdown: event counts, solver work "
                         "shares, per-group reconciliation"),
-            ("lbd", "learned-clause LBD histogram over time"),
             ("restarts", "restart cadence table"),
             ("hot", "top-K scenarios by solver work")]:
         sub = trace_commands.add_parser(name, help=help_text)
@@ -309,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--json", action="store_true",
                          help="print the analysis as JSON instead of a "
                               "table")
-        if name == "lbd":
-            sub.add_argument("--buckets", type=int, default=6,
-                             help="LBD buckets before folding into the "
-                                  "'>=' tail (default 6)")
         if name == "hot":
             sub.add_argument("--top", type=int, default=10,
                              help="number of scenarios to list (default 10)")
@@ -325,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_mesh_arguments(args, sends_messages=True)
     instance = build_hermes_instance(args.width, args.height,
                                      buffer_capacity=args.buffers)
     workloads = [list(spec.travels)
@@ -335,15 +346,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.width < 1 or args.height < 1:
-        raise SystemExit("--width and --height must be at least 1")
-    if args.width * args.height < 2:
-        raise SystemExit("simulate needs at least 2 nodes: a 1x1 mesh "
-                         "has no destination to send to")
-    for flag, value in (("--buffers", args.buffers),
-                        ("--flits", args.flits)):
-        if value < 1:
-            raise SystemExit(f"{flag} must be at least 1")
+    _check_mesh_arguments(args, sends_messages=True)
+    if args.flits < 1:
+        raise SystemExit("--flits must be at least 1")
     if args.messages < 0:
         raise SystemExit("--messages must be >= 0")
     instance = build_hermes_instance(args.width, args.height,
@@ -360,6 +365,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    _check_mesh_arguments(args)
     table = build_effort_table(args.width, args.height,
                                buffer_capacity=args.buffers)
     print(table.formatted())
@@ -370,6 +376,9 @@ def _cmd_depgraph(args: argparse.Namespace) -> int:
     from repro.core import check_acyclicity, graph_statistics
     from repro.network.mesh import Mesh2D
 
+    _check_mesh_arguments(args)
+    if args.vcs < 0:
+        raise SystemExit("--vcs must be >= 0")
     mesh = Mesh2D(args.width, args.height)
     if args.vcs > 0:
         from repro.core.dependency import (
@@ -533,6 +542,9 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
         num_vcs = 2 if design == "adaptive-mesh" else 1
     if num_vcs < 1:
         raise SystemExit("--vcs must be at least 1")
+    min_size = 2 if design == "clockwise-ring" else 1
+    if args.size is not None and args.size < min_size:
+        raise SystemExit(f"--size must be at least {min_size} for {design}")
     if num_vcs > 1 or design == "adaptive-mesh":
         return _cmd_deadlock_vc(design, args, num_vcs)
     if args.escape is not None:
@@ -895,9 +907,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "summary":
         analysis = trace_analysis.analyze_summary(events)
         formatted = trace_analysis.format_summary(analysis)
-    elif args.trace_command == "lbd":
-        analysis = trace_analysis.analyze_lbd(events, buckets=args.buckets)
-        formatted = trace_analysis.format_lbd(analysis)
     elif args.trace_command == "restarts":
         analysis = trace_analysis.analyze_restarts(events)
         formatted = trace_analysis.format_restarts(analysis)

@@ -30,11 +30,11 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Schema 2 (the flat-array CDCL core): portfolio runs must carry the
-#: per-group ``session_stats``, whose solver counters now include the
-#: learned-clause LBD histogram (``lbd_<n>``, bucket 10 = ">= 10") and
-#: the arena garbage-collection counters (``arena_gcs``,
-#: ``arena_reclaimed``).  Schema 1 reports remain readable (`--compare`
-#: accepts both); new reports are always written at the current schema.
+#: per-group ``session_stats`` solver counters (decisions, propagations,
+#: conflicts, restarts, learned, solves, minimised; older schema-2
+#: reports also carry clause-management counters the solver no longer
+#: has).  Schema 1 reports remain readable (`--compare` accepts both);
+#: new reports are always written at the current schema.
 BENCH_SCHEMA = 2
 BENCH_KIND = "repro-bench-trajectory"
 

@@ -230,7 +230,7 @@ class DeadlockQuerySession:
         The portfolio driver uses this to enforce per-group deadlines on
         the serial path: ``callback`` returning a truthy reason makes the
         next (or the running) query raise
-        :class:`~repro.checking.sat.SolverTimeout`, with the session left
+        :class:`~repro.core.errors.SolverTimeout`, with the session left
         reusable.
         """
         self._oracle.set_interrupt(callback)

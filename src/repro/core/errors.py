@@ -40,3 +40,20 @@ class ObligationViolation(GeNoCError):
     def __init__(self, obligation: str, message: str) -> None:
         super().__init__(f"{obligation}: {message}")
         self.obligation = obligation
+
+
+class SolverTimeout(Exception):
+    """A cooperative solve budget expired mid-search.
+
+    Raised out of :meth:`repro.checking.sat.IncrementalSatSolver.solve`
+    when the interrupt callback installed via ``set_interrupt`` reports an
+    expired budget, and by the portfolio driver when a group's deadline
+    passes between scenarios.  The solver unwinds to decision level 0
+    first, so the instance -- formula, learned clauses, statistics --
+    remains fully usable for later queries; only the interrupted query is
+    lost (no model, no core).
+    """
+
+    def __init__(self, reason: str = "solver budget exhausted") -> None:
+        super().__init__(reason)
+        self.reason = reason

@@ -21,7 +21,7 @@ A plan is a mapping from session-group key to a directive::
   outside a pool worker, like ``kill``.
 * ``raise``     -- a deterministic ``RuntimeError`` at group start; the
   group reports structured ``error`` verdicts (both serial and pooled).
-* ``timeout``   -- a :class:`~repro.checking.sat.SolverTimeout` at group
+* ``timeout``   -- a :class:`~repro.core.errors.SolverTimeout` at group
   start, producing planned ``timeout`` verdicts without any wall-clock
   dependence.
 
@@ -43,6 +43,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+from repro.core.errors import SolverTimeout
 
 #: Environment variable carrying a serialized fault plan.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -206,7 +208,5 @@ def execute_directive(directive: Optional[Tuple[str, float]],
     if action == "raise":
         raise RuntimeError("injected fault: planned worker failure")
     if action == "timeout":
-        from repro.checking.sat import SolverTimeout
-
         raise SolverTimeout("injected fault: planned group timeout")
     raise ValueError(f"unknown fault directive action {action!r}")

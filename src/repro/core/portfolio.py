@@ -35,10 +35,10 @@ from repro.checking.graphs import (
     edges_on_every_cycle,
     find_cycle_dfs,
 )
-from repro.checking.sat import SolverTimeout
 from repro.core.cache import instance_cache
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import routing_dependency_graph
+from repro.core.errors import SolverTimeout
 from repro.core.faultplan import execute_directive, resolve_fault_plan
 from repro.core.instance import NoCInstance
 from repro.core.spec import ScenarioSpec, expand_matrix
@@ -1032,7 +1032,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
     **Fault tolerance.**  ``group_timeout`` bounds every scenario group's
     wall time (seconds): the group stops at its next scenario (a
     cross-check session also aborts its running solve,
-    :class:`~repro.checking.sat.SolverTimeout`) and the group's
+    :class:`~repro.core.errors.SolverTimeout`) and the group's
     unfinished scenarios become ``status="timeout"`` verdicts; a
     truly wedged worker is additionally reaped by the parent's watch
     loop.  ``run_deadline`` bounds the whole run the same way.  A crashed

@@ -33,16 +33,10 @@ Event taxonomy (``ev`` field):
 ``solve_end``      query outcome: ``sat`` plus ``delta`` (stat counters
                    spent by this solve)
 ``solver_phase``   sampled every ``phase_interval`` conflicts: cumulative
-                   ``conflicts``, per-window ``delta``, ``trail`` depth,
-                   ``lbd`` histogram snapshot
+                   ``conflicts``, per-window ``delta``, ``trail`` depth
 ``restart``        discrete restart: cumulative ``conflicts``,
                    ``interval`` since the previous restart, the Luby
                    budget ``limit`` the interval reached
-``reduce_db``      learned-clause deletion: ``deleted``/``retained``
-                   counts, ``lbd_cutoff`` (smallest deleted LBD)
-``vivify``         one vivification pass: ``checked`` candidates,
-                   ``shortened`` clauses, ``removed`` literals
-``arena_gc``       arena compaction: ``reclaimed`` ints, ``live`` ints
 ``edge_batch``     oracle universe growth since the last query: ``edges``
                    added, new ``total``
 ``oracle_query``   one acyclicity query: ``query`` index, ``edges``
@@ -88,7 +82,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 #: Version of the event-stream shape.  Bump when events are renamed,
 #: removed, or their required fields change; additive optional fields do
 #: not need a bump.
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 #: Fields that legitimately differ between two runs of the same workload
 #: (wall-clock readings).  Everything else must be deterministic --
@@ -110,11 +104,8 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "trace_begin": ("schema",),
     "solve_begin": ("solve", "assumptions", "prefix_reuse"),
     "solve_end": ("sat", "delta"),
-    "solver_phase": ("conflicts", "delta", "trail", "lbd"),
+    "solver_phase": ("conflicts", "delta", "trail"),
     "restart": ("conflicts", "interval", "limit"),
-    "reduce_db": ("deleted", "retained", "lbd_cutoff"),
-    "vivify": ("checked", "shortened", "removed"),
-    "arena_gc": ("reclaimed", "live"),
     "edge_batch": ("edges", "total"),
     "oracle_query": ("query", "edges", "sat"),
     "scenario_begin": ("scenario", "group", "index", "shard"),

@@ -2,11 +2,11 @@
 
 The recording side (:mod:`repro.core.trace`) writes what the engine did;
 this module answers what it *meant*: where the solver work went, how the
-learned-clause quality (LBD) evolved, how the restart cadence behaved and
-which scenarios dominated the run.  Every analysis consumes a parsed event
-list (:func:`repro.core.trace.load_trace`), returns a JSON-serialisable
-dict (the ``--json`` payload) and has a ``format_*`` companion rendering
-the human table.
+restart cadence behaved and which scenarios dominated the run.  Every
+analysis consumes a parsed event list
+(:func:`repro.core.trace.load_trace`), returns a JSON-serialisable dict
+(the ``--json`` payload) and has a ``format_*`` companion rendering the
+human table.
 
 The :func:`analyze_summary` reconciliation is the trace lab's core
 integrity check: per session group, the per-scenario ``scenario_end``
@@ -191,65 +191,6 @@ def format_summary(summary: Dict[str, object]) -> str:
                  ("OK (scenario deltas sum to session aggregates)"
                   if summary["reconciled"] else "MISMATCH"))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# lbd
-# ---------------------------------------------------------------------------
-
-def analyze_lbd(events: Sequence[Dict[str, object]],
-                buckets: int = 6) -> Dict[str, object]:
-    """LBD histogram over time: one row per ``solver_phase`` sample.
-
-    Each ``solver_phase`` record carries the solver's cumulative LBD
-    histogram; rows report the per-window *delta* (clauses learned in that
-    window per bucket, the last bucket folding everything ``>= buckets``).
-    A sample whose histogram does not dominate its predecessor starts a
-    fresh solver (new session group), so its delta is the snapshot itself.
-    """
-    buckets = max(1, int(buckets))
-    rows: List[Dict[str, object]] = []
-    previous: Dict[int, int] = {}
-    for event in events:
-        if event.get("ev") != "solver_phase":
-            continue
-        snapshot = {int(bucket): int(count)
-                    for bucket, count in (event.get("lbd") or {}).items()}
-        fresh = any(snapshot.get(bucket, 0) < count
-                    for bucket, count in previous.items())
-        base = {} if fresh else previous
-        delta: Dict[int, int] = {}
-        for bucket, count in snapshot.items():
-            window = count - base.get(bucket, 0)
-            slot = min(bucket, buckets)
-            delta[slot] = delta.get(slot, 0) + window
-        rows.append({
-            "eid": event.get("eid"),
-            "conflicts": event.get("conflicts"),
-            "learned": sum(delta.values()),
-            "buckets": {str(slot): delta.get(slot, 0)
-                        for slot in range(1, buckets + 1)},
-        })
-        previous = snapshot
-    return {"samples": len(rows), "bucket_cap": buckets, "rows": rows}
-
-
-def format_lbd(lbd: Dict[str, object]) -> str:
-    from repro.reporting.tables import format_table
-
-    buckets = int(lbd["bucket_cap"])
-    headers = (["eid", "conflicts", "learned"]
-               + [f"lbd{'>=' if b == buckets else '='}{b}"
-                  for b in range(1, buckets + 1)])
-    rows = [[row["eid"], row["conflicts"], row["learned"]]
-            + [row["buckets"][str(b)] for b in range(1, buckets + 1)]
-            for row in lbd["rows"]]
-    if not rows:
-        return ("no solver_phase samples in this trace "
-                "(run was below the phase-sampling interval)")
-    return format_table(headers, rows,
-                        title=f"LBD histogram over time "
-                              f"({lbd['samples']} samples)")
 
 
 # ---------------------------------------------------------------------------

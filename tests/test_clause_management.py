@@ -1,14 +1,12 @@
 """Tests for the flat-array CDCL core's clause management.
 
-Covers what the object-clause engine never had: LBD ("glue") computation
-at learning time, LBD-first learned-clause retention, arena garbage
-collection with watcher/reason remapping, the one-sided comparator
-ladder the acyclicity oracles encode edges with, and a randomized
-brute-force fuzz over the incremental API.  The acceptance contract of
-the rewrite -- verdict/escape-edge identity with the pre-rewrite engine
-on the acceptance scenario matrix -- is pinned against a committed fixture,
-and the default search itself (every solver counter per session) against
-a second one.
+Covers the one-sided comparator ladder the acyclicity oracles encode
+edges with and a randomized brute-force fuzz over the incremental API,
+which also audits the watcher structures after every clause batch.  The
+acceptance contract of the rewrite -- verdict/escape-edge identity with
+the pre-rewrite engine on the acceptance scenario matrix -- is pinned
+against a committed fixture, and the default search itself (every solver
+counter per session) against a second one.
 """
 
 import json
@@ -20,7 +18,6 @@ import pytest
 from repro.checking.cnf import CNF
 from repro.checking.encodings import bit_name, encode_numbering_constraint
 from repro.checking.sat import (
-    LBD_HISTOGRAM_CAP,
     IncrementalSatSolver,
     SatSolver,
     brute_force_satisfiable,
@@ -28,152 +25,6 @@ from repro.checking.sat import (
 from repro.checking.tseitin import TseitinEncoder
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-def _solver_with_learnts(specs):
-    """A solver holding manufactured learned clauses.
-
-    ``specs`` is a list of ``(literals, lbd, activity)``; variables are
-    allocated to cover every literal.  Returns the solver and the clause
-    ids in ``specs`` order.
-    """
-    solver = IncrementalSatSolver()
-    top = max(abs(lit) for literals, _, _ in specs for lit in literals)
-    solver.ensure_vars(top)
-    cids = []
-    for literals, lbd, activity in specs:
-        cid = solver._new_clause(list(literals), learned=True)
-        solver._clbd[cid] = lbd
-        solver._cact[cid] = activity
-        cids.append(cid)
-    return solver, cids
-
-
-class TestLbdComputation:
-    def test_learned_clauses_record_lbd(self):
-        """Drive a small UNSAT-ish search and check every learned clause's
-        recorded LBD is a plausible decision-level count."""
-        solver = IncrementalSatSolver()
-        rng = random.Random(11)
-        solver.ensure_vars(30)
-        for _ in range(120):
-            clause = rng.sample(range(1, 31), 3)
-            solver.add_clause([var if rng.random() < 0.5 else -var
-                               for var in clause])
-        solver.solve()
-        stats = solver.stats
-        assert stats["learned"] > 0
-        histogram = solver.lbd_histogram()
-        assert sum(histogram.values()) == stats["learned"]
-        assert all(1 <= bucket <= LBD_HISTOGRAM_CAP for bucket in histogram)
-        for cid in solver._learnt_cids:
-            lbd = solver._clbd[cid]
-            assert 1 <= lbd <= len(solver.clause_literals(cid))
-
-    def test_histogram_is_surfaced_in_stats(self):
-        solver = IncrementalSatSolver()
-        rng = random.Random(5)
-        solver.ensure_vars(25)
-        for _ in range(110):
-            clause = rng.sample(range(1, 26), 3)
-            solver.add_clause([var if rng.random() < 0.5 else -var
-                               for var in clause])
-        solver.solve()
-        stats = solver.stats
-        lbd_keys = [key for key in stats if key.startswith("lbd_")]
-        assert lbd_keys, "stats must carry the LBD histogram"
-        assert sum(stats[key] for key in lbd_keys) == stats["learned"]
-
-
-class TestReduceDbRetention:
-    def test_glue_binary_and_low_lbd_survive(self):
-        """LBD-first retention: high-LBD low-activity clauses go first;
-        binary and glue (LBD <= 2) clauses are immortal."""
-        specs = [
-            ([1, 2], 5, 0.0),          # binary: immortal
-            ([1, 2, 3], 2, 0.0),       # glue: immortal
-            ([1, 2, 4], 9, 0.0),       # worst: highest LBD, lowest act
-            ([1, 3, 4], 9, 5.0),       # same LBD, higher activity
-            ([2, 3, 4], 3, 1.0),       # lowest deletable LBD
-            ([1, 2, 5], 7, 0.0),
-        ]
-        solver, cids = _solver_with_learnts(specs)
-        solver._reduce_db()
-        survivors = set(solver._learnt_cids)
-        literals = {tuple(solver.clause_literals(cid)) for cid in survivors}
-        assert (1, 2) in literals, "binary clause must survive"
-        assert (1, 2, 3) in literals, "glue clause must survive"
-        # Half of the six learnts are deleted, worst-first:
-        # (lbd=9, act=0), (lbd=9, act=5), (lbd=7, act=0).
-        assert solver.stats["deleted"] == 3
-        assert (1, 2, 4) not in literals
-        assert (1, 3, 4) not in literals
-        assert (1, 2, 5) not in literals
-        assert (2, 3, 4) in literals
-
-    def test_retention_ranking_is_lbd_then_activity(self):
-        specs = [
-            ([1, 2, 3], 4, 9.0),   # lower LBD beats higher activity
-            ([1, 2, 4], 8, 99.0),
-            ([1, 3, 4], 8, 1.0),   # same LBD: lower activity goes first
-            ([2, 3, 4], 8, 2.0),
-        ]
-        solver, cids = _solver_with_learnts(specs)
-        solver._reduce_db()
-        literals = {tuple(solver.clause_literals(cid))
-                    for cid in solver._learnt_cids}
-        assert solver.stats["deleted"] == 2
-        assert (1, 2, 3) in literals        # best LBD survives
-        assert (1, 2, 4) in literals        # highest activity among LBD-8
-        assert (1, 3, 4) not in literals    # worst two deleted
-        assert (2, 3, 4) not in literals
-
-
-class TestArenaCompaction:
-    def test_watchers_and_reasons_survive_gc(self):
-        specs = [
-            ([1, 2, 3], 8, 0.0),
-            ([1, 2, 4], 8, 1.0),
-            ([2, 3, 4], 8, 2.0),
-            ([3, 4, 5], 8, 3.0),
-        ]
-        solver, _ = _solver_with_learnts(specs)
-        solver.add_clause([1, 2])          # a problem clause for company
-        before = solver.stats
-        solver._reduce_db()
-        after = solver.stats
-        assert after["arena_gcs"] == before["arena_gcs"] + 1
-        assert after["arena_reclaimed"] > 0
-        assert solver.check_watch_invariants() == []
-        # The arena is gap-free: offsets are cumulative sizes.
-        offset = 0
-        for cid in range(len(solver._coff)):
-            assert solver._coff[cid] == offset
-            offset += solver._csize[cid]
-        assert offset == len(solver._arena)
-
-    def test_solver_still_correct_after_gc(self):
-        """Force deletions during a real search, then check invariants and
-        cross-check the verdict on a fresh solver."""
-        # A satisfiable instance whose search reaches reduce-db (the test
-        # is specifically about deletions + GC during search).
-        rng = random.Random(8)
-        cnf = CNF()
-        for _ in range(480):
-            variables = rng.sample(range(1, 121), 3)
-            cnf.add_clause([var if rng.random() < 0.5 else -var
-                            for var in variables])
-        solver = SatSolver(cnf)
-        result = solver.solve()
-        stats = solver.engine.stats
-        assert stats["deleted"] > 0, "workload must trigger reduce_db"
-        assert stats["arena_gcs"] > 0
-        assert solver.engine.check_watch_invariants() == []
-        assert result.satisfiable
-        assert cnf.evaluate({var: result.model.get(var, False)
-                             for var in cnf.variables()})
-        # Still usable incrementally after GC.
-        assert solver.solve([1]).satisfiable or solver.solve([-1]).satisfiable
 
 
 class TestComparatorLadder:
@@ -211,7 +62,8 @@ class TestRandomizedBruteForceFuzz:
     def test_solver_agrees_with_brute_force_on_200_instances(self):
         """The tier-1 randomized cross-check: 200 seeded random CNFs,
         solved one-shot, under assumptions, and after incremental clause
-        addition -- every verdict against the exponential evaluator."""
+        addition -- every verdict against the exponential evaluator, and
+        the watcher structures audited after each clause batch."""
         rng = random.Random(2010)
         for instance in range(200):
             num_vars = rng.randint(1, 8)
@@ -224,6 +76,7 @@ class TestRandomizedBruteForceFuzz:
             solver = SatSolver(cnf.copy())
             assert solver.solve().satisfiable \
                 == brute_force_satisfiable(cnf), f"instance {instance}"
+            assert solver.engine.check_watch_invariants() == [], instance
             # A couple of assumption queries on the same solver.
             for _ in range(2):
                 count = rng.randint(0, num_vars)
@@ -243,20 +96,18 @@ class TestRandomizedBruteForceFuzz:
             assert solver.solve().satisfiable \
                 == brute_force_satisfiable(cnf), \
                 f"instance {instance} after addition"
+            assert solver.engine.check_watch_invariants() == [], instance
 
     def test_engine_vs_brute_force_and_renamed(self):
-        """The default engine (Luby restarts, chronological backtracking,
-        vivification) against brute force over incremental clause batches
+        """The engine against brute force over incremental clause batches
         with assumption queries in between; every model and core is
         checked against the original clauses.
 
-        Chrono backtracking and vivification only trigger on searches
-        with real backjump depth and reduce-db pressure, so the second
-        half runs phase-transition 3-SAT instances (too big for brute
-        force): every model must satisfy every clause, and the verdict
-        must equal the verdict on a variable-renamed, clause-shuffled
-        copy of the same formula, which sends the search down a
-        different path."""
+        The second half runs phase-transition 3-SAT instances (too big
+        for brute force), whose searches restart and backjump deeply:
+        every model must satisfy every clause, and the verdict must equal
+        the verdict on a variable-renamed, clause-shuffled copy of the
+        same formula, which sends the search down a different path."""
         rng = random.Random(88)
         for instance in range(60):
             num_vars = rng.randint(8, 13)
@@ -297,7 +148,6 @@ class TestRandomizedBruteForceFuzz:
                         reference.add_unit(literal)
                     assert not brute_force_satisfiable(reference), \
                         (context, core)
-        deep = {"chrono_backtracks": 0, "vivified_clauses": 0}
         rng = random.Random(3)
         shuffler = random.Random(4)
         for instance in range(6):
@@ -325,10 +175,6 @@ class TestRandomizedBruteForceFuzz:
                     for clause in formula:
                         assert any(outcome.model[abs(lit)] == (lit > 0)
                                    for lit in clause), (instance, clause)
-            for key in deep:
-                deep[key] += solver.stats[key]
-        assert deep["chrono_backtracks"] > 0, deep
-        assert deep["vivified_clauses"] > 0, deep
 
 
 ACCEPTANCE_MATRIX = (
@@ -428,8 +274,8 @@ class TestEngineAcceptanceFixture:
     def test_session_stats_pin_the_default_search(self, reports):
         """The default search, counter for counter: per group, every
         solver counter in ``tests/data/acceptance_session_stats.json``
-        (decisions, propagations, conflicts, restarts, LBD histogram,
-        chrono/vivify counts, ...) must come out exactly, and any counter
+        (decisions, propagations, conflicts, restarts, learned, solves,
+        minimised) must come out exactly, and any counter
         the fixture does not list must be zero.  The verdict fixtures
         above strip these counters, so this is what pins that a solver
         refactor kept the search itself unchanged.  Only a cross-checked
@@ -451,39 +297,18 @@ class TestEngineAcceptanceFixture:
         full, weighted, _ = reports
         assert weighted.comparable_dict() == full.comparable_dict()
 
-    @pytest.mark.parametrize("settings", [
-        {"CHRONO_THRESHOLD": 0, "VIVIFY_MAX_CLAUSES": 0},
-        {"CHRONO_THRESHOLD": 1, "VIVIFY_MAX_CLAUSES": 10 ** 6},
-    ], ids=["techniques-off", "techniques-aggressive"])
-    def test_knob_settings_leave_acceptance_verdicts_identical(
-            self, reports, settings, monkeypatch):
-        """Verdict byte-identity across solver heuristics: the acceptance
-        matrix cross-checked with chronological backtracking and
-        vivification switched off, and with both turned up (step back one
-        level on any backjump over two or more levels, vivify every
-        learned clause), must agree with the graph search (a disagreement
-        is an error verdict) and equal the default run scenario for
-        scenario -- heuristics may only move work counters, never
-        answers, escape sets or conditions."""
-        from repro.checking import sat
-        from repro.core.portfolio import run_portfolio, scenarios_from_specs
-        from repro.core.spec import expand_matrix
-
-        full, _, _ = reports
-        for name, value in settings.items():
-            monkeypatch.setattr(sat, name, value)
-        report = run_portfolio(
-            scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX)),
-            cross_check=True)
+    def test_cross_checked_run_matches_the_default_verdicts(self, reports):
+        """The CDCL session must agree with the graph search on every
+        acceptance scenario (a disagreement is an ``error`` verdict), so
+        the cross-checked report equals the default one once the solver
+        counters, which only the cross-check produces, are removed."""
+        full, _, cross_checked = reports
         expected = full.comparable_dict()
-        actual = report.comparable_dict()
-        del expected["session_stats"]
-        del actual["session_stats"]
-        for entry in expected["scenarios"] + actual["scenarios"]:
-            # Work counters exist only under the cross-check; verdicts,
-            # escape edges, conditions and edge counts may not vary.
-            entry.pop("solver", None)
-            entry.pop("cycle_core", None)
+        actual = cross_checked.comparable_dict()
+        for payload in (expected, actual):
+            del payload["session_stats"]
+            for entry in payload["scenarios"]:
+                del entry["solver"]
         assert actual == expected
 
 

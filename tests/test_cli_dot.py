@@ -1,5 +1,9 @@
 """Tests for the command-line interface and the DOT export."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.checking.graphs import find_cycle_dfs
@@ -74,6 +78,28 @@ class TestCLI:
         with pytest.raises(SystemExit, match=message):
             main(["simulate"] + flags)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--width", "0"], "--width and --height must be at least 1"),
+        (["verify", "--width", "1", "--height", "1"], "at least 2 nodes"),
+        (["verify", "--buffers", "0"], "--buffers must be at least 1"),
+        (["table1", "--width", "0"], "--width and --height must be at least 1"),
+        (["table1", "--buffers", "0"], "--buffers must be at least 1"),
+        (["depgraph", "--width", "0"],
+         "--width and --height must be at least 1"),
+        (["depgraph", "--vcs", "-1"], "--vcs must be >= 0"),
+        (["deadlock", "--size", "0"], "--size must be at least 2"),
+        (["deadlock", "--design", "zigzag-mesh", "--size", "0"],
+         "--size must be at least 1"),
+        (["deadlock", "--vcs", "2", "--size", "0"],
+         "--size must be at least 1"),
+    ], ids=["verify-width-zero", "verify-single-node", "verify-buffers-zero",
+            "table1-width-zero", "table1-buffers-zero", "depgraph-width-zero",
+            "depgraph-vcs-negative", "deadlock-ring-size-zero",
+            "deadlock-zigzag-size-zero", "deadlock-vc-size-zero"])
+    def test_rejects_invalid_sizes(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+
     def test_table1_command(self, capsys):
         code = main(["table1", "--width", "2", "--height", "2"])
         output = capsys.readouterr().out
@@ -102,3 +128,34 @@ class TestCLI:
         output = capsys.readouterr().out
         assert code == 0
         assert "constructed configuration is a deadlock: True" in output
+
+
+class TestImportPath:
+    #: Prints the ``repro.checking`` modules loaded after ``import
+    #: repro.cli`` and again after a default ``repro batch``.
+    PROBE = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(name for name in sys.modules\n"
+        "                  if name.startswith('repro.checking.'))\n"
+        "import repro.cli\n"
+        "print(loaded())\n"
+        "assert repro.cli.main(['batch']) == 0\n"
+        "print(loaded())\n"
+    )
+
+    def test_cli_and_default_batch_load_only_the_graph_search(self,
+                                                             tmp_path):
+        """The SAT stack stays off the default path: a fresh interpreter
+        importing the CLI and running a default sweep loads no
+        ``repro.checking`` module but the graph algorithms."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE], cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120, check=True)
+        lines = result.stdout.splitlines()
+        expected = "['repro.checking.graphs']"
+        assert lines[0] == expected
+        assert lines[-1] == expected

@@ -70,7 +70,7 @@ class TestTraceWriter:
         with TraceWriter(sink, clock=_counter_clock(), label="unit") as tr:
             assert tr.last_eid == 0  # the trace_begin header
             assert tr.emit("restart", conflicts=1, interval=1, limit=32) == 1
-            assert tr.emit("arena_gc", reclaimed=0, live=0) == 2
+            assert tr.emit("restart", conflicts=2, interval=1, limit=32) == 2
         events = load_trace(sink.getvalue().splitlines())
         assert [event["eid"] for event in events] == [0, 1, 2]
         assert events[0]["ev"] == "trace_begin"
@@ -80,23 +80,23 @@ class TestTraceWriter:
     def test_path_sink_owned_and_closed(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with TraceWriter(path, clock=_counter_clock()) as tr:
-            tr.emit("arena_gc", reclaimed=5, live=7)
+            tr.emit("restart", conflicts=5, interval=5, limit=32)
         events = load_trace(path)
         assert len(events) == 2
-        assert events[1]["reclaimed"] == 5
+        assert events[1]["conflicts"] == 5
 
     def test_emit_after_close_raises(self):
         tr = TraceWriter(io.StringIO(), clock=_counter_clock())
         tr.close()
         with pytest.raises(ValueError):
-            tr.emit("arena_gc", reclaimed=0, live=0)
+            tr.emit("restart", conflicts=0, interval=0, limit=32)
 
     def test_buffering_flushes_on_limit(self):
         sink = io.StringIO()
         tr = TraceWriter(sink, clock=_counter_clock(), buffer_limit=4)
         assert sink.getvalue() == ""  # header still buffered
         for _ in range(4):
-            tr.emit("arena_gc", reclaimed=0, live=0)
+            tr.emit("restart", conflicts=0, interval=0, limit=32)
         assert len(sink.getvalue().splitlines()) >= 4
         tr.close()
         assert len(load_trace(sink.getvalue().splitlines())) == 5
@@ -104,7 +104,7 @@ class TestTraceWriter:
     def test_timestamps_come_from_injected_clock(self):
         sink = io.StringIO()
         tr = TraceWriter(sink, clock=_counter_clock())
-        tr.emit("arena_gc", reclaimed=0, live=0)
+        tr.emit("restart", conflicts=0, interval=0, limit=32)
         tr.close()
         events = load_trace(sink.getvalue().splitlines())
         # epoch read at construction, header at 1.0, event at 2.0
@@ -171,8 +171,8 @@ class TestValidateTrace:
 class TestSolverTrace:
 
     def test_trivially_unsat_stats_keys_match_main_path(self):
-        # The satellite fix: the early-return path must report the exact
-        # key set of the main search path (incl. zero-filled lbd buckets).
+        # The early-return path must report the exact key set of the
+        # main search path.
         normal = IncrementalSatSolver()
         normal.add_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2]])
         normal_result = normal.solve()
@@ -181,7 +181,6 @@ class TestSolverTrace:
         trivial_result = trivial.solve()
         assert not trivial_result.satisfiable
         assert set(trivial_result.stats) == set(normal_result.stats)
-        assert trivial_result.stats["lbd_1"] == 0
 
     def test_solve_spans_and_deltas(self):
         sink = io.StringIO()
@@ -294,7 +293,7 @@ class TestTraceDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Solver-technique events (vivify, restart)
+# Solver-technique events (restart)
 # ---------------------------------------------------------------------------
 
 class TestSolverTechniqueEvents:
@@ -302,9 +301,9 @@ class TestSolverTechniqueEvents:
     reconcile with the solver's aggregate counters."""
 
     def test_direct_solver_event_stream_matches_stats(self):
-        # A deterministic incremental workload deep enough for reduce-db
-        # (and so vivification): the per-event counts must sum to the
-        # solver's own aggregate counters.
+        # A deterministic incremental workload deep enough to restart:
+        # the per-event counts must match the solver's own aggregate
+        # counters.
         import random
 
         rng = random.Random(2)
@@ -329,15 +328,9 @@ class TestSolverTechniqueEvents:
         events = load_trace(sink.getvalue().splitlines())
         assert validate_trace(events) == []
 
-        vivify = [event for event in events if event["ev"] == "vivify"]
         restarts = [event for event in events if event["ev"] == "restart"]
-        assert vivify and restarts
-        stats = solver.stats
-        assert stats["vivified_clauses"] \
-            == sum(event["shortened"] for event in vivify)
-        assert stats["vivified_literals"] \
-            == sum(event["removed"] for event in vivify)
-        assert stats["restarts"] == len(restarts)
+        assert restarts
+        assert solver.stats["restarts"] == len(restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +394,10 @@ class TestTraceAnalysis:
         works = [row["work"] for row in hot["rows"]]
         assert works == sorted(works, reverse=True)
 
-    def test_lbd_windows_sum_to_histogram(self, run):
-        _, events = run
-        lbd = trace_analysis.analyze_lbd(events, buckets=4)
-        samples = [event for event in events
-                   if event["ev"] == "solver_phase"]
-        assert lbd["samples"] == len(samples)
-        for row in lbd["rows"]:
-            assert row["learned"] == sum(row["buckets"].values())
-
     def test_formatters_render(self, run):
         _, events = run
         assert "reconciliation: OK" in trace_analysis.format_summary(
             trace_analysis.analyze_summary(events))
-        trace_analysis.format_lbd(trace_analysis.analyze_lbd(events))
         trace_analysis.format_restarts(
             trace_analysis.analyze_restarts(events))
         assert "scenarios by solver work" in trace_analysis.format_hot(
@@ -423,7 +406,6 @@ class TestTraceAnalysis:
     def test_analyses_are_json_serialisable(self, run):
         _, events = run
         for analysis in (trace_analysis.analyze_summary(events),
-                         trace_analysis.analyze_lbd(events),
                          trace_analysis.analyze_restarts(events),
                          trace_analysis.analyze_hot(events)):
             json.loads(json.dumps(analysis))
@@ -470,8 +452,7 @@ class TestTraceCli:
         path = str(tmp_path / "run.jsonl")
         main(["batch", "--matrix", SMALL_MATRIX, "--trace", path])
         capsys.readouterr()
-        for args in (["trace", "lbd", path, "--buckets", "4"],
-                     ["trace", "restarts", path],
+        for args in (["trace", "restarts", path],
                      ["trace", "hot", path, "--top", "3"]):
             assert main(args) == 0
         assert capsys.readouterr().out
