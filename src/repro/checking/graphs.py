@@ -62,8 +62,8 @@ class DirectedGraph(Generic[V]):
     def freeze(self) -> "DirectedGraph[V]":
         """Make the graph immutable and return it.
 
-        Frozen graphs can be shared safely -- e.g. by the construction
-        caches of :mod:`repro.core.cache` -- because any later
+        Frozen graphs can be shared safely -- e.g. the memoised
+        ``DependencyGraphSpec.to_graph`` -- because any later
         ``add_vertex``/``add_edge`` raises instead of silently corrupting
         every holder of the reference.  Derived graphs (:meth:`subgraph`,
         :meth:`reverse`) are fresh, mutable objects.

@@ -61,8 +61,7 @@ def _setup_cyclic_oracle():
     from repro.network.mesh import Mesh2D
     from repro.routing.adaptive import ZigZagRouting
 
-    return routing_dependency_graph(ZigZagRouting(Mesh2D(4, 4)),
-                                    cache=False)
+    return routing_dependency_graph(ZigZagRouting(Mesh2D(4, 4)))
 
 
 def _run_cyclic_oracle(graph) -> None:
@@ -76,7 +75,7 @@ def _setup_escape_ring():
     from repro.ringnoc import build_clockwise_ring_instance
 
     instance = build_clockwise_ring_instance(8)
-    return routing_dependency_graph(instance.routing, cache=False)
+    return routing_dependency_graph(instance.routing)
 
 
 def _run_escape_ring(graph) -> None:

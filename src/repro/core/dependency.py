@@ -130,41 +130,36 @@ class ExplicitDependencySpec(DependencyGraphSpec):
 
 def routing_dependency_graph(routing: RoutingFunction,
                              destinations: Optional[Sequence[Port]] = None,
-                             cache: bool = True) -> DirectedGraph[Port]:
+                             ) -> DirectedGraph[Port]:
     """The dependency graph *induced* by a routing function.
 
     Edges are the pairs ``(p, q)`` such that ``q ∈ R(p, d)`` for some
-    reachable destination ``d``.  This is computed by plain enumeration over
-    all ports and all destinations, which is exact for bounded networks.
-
-    The enumeration is the single most expensive construction of the
-    verification flow, and the same routing function's graph is requested
-    by the portfolio verdict, the cross-check, the escape analysis and the
-    theorem checkers.  With ``cache=True`` (the default) the full-universe
-    graph (``destinations=None``) is therefore memoised per routing object
-    in the process-wide :class:`~repro.core.cache.InstanceCache`; the
-    returned graph is **frozen** -- copy it (e.g. via ``subgraph``) before
-    mutating.  Pass ``cache=False`` (or explicit ``destinations``) to force
-    a fresh, mutable enumeration.
+    reachable destination ``d`` (all of them, or the given
+    ``destinations``).  They are read off the routing's
+    :func:`~repro.routing.base.route_table`, which enumerates every port
+    and destination once per routing object, and inserted port by port,
+    then in destination order, then in hop order.  Every call returns a
+    fresh, mutable graph.
     """
-    if cache and destinations is None:
-        from repro.core.cache import instance_cache
+    from repro.routing.base import route_table
 
-        return instance_cache().dependency_graph(routing)
-    topology = routing.topology
-    if destinations is None:
-        destinations = routing.destinations()
+    table = route_table(routing)
+    ports, hops, width = table.ports, table.hops, table.width
+    columns = (range(width) if destinations is None
+               else [table.columns[d] for d in destinations
+                     if d in table.columns])
     graph: DirectedGraph[Port] = DirectedGraph()
-    for port in topology.ports:
+    for port in ports:
         graph.add_vertex(port)
-    for port in topology.ports:
-        for destination in destinations:
-            if port == destination:
-                continue
-            if not routing.reachable(port, destination):
-                continue
-            for successor in routing.next_hops(port, destination):
-                graph.add_edge(port, successor)
+    for p, port in enumerate(ports):
+        successors: Dict[int, None] = {}
+        base = p * width
+        for d in columns:
+            row = hops[base + d]
+            if row:
+                successors.update(dict.fromkeys(row))
+        for q in successors:
+            graph.add_edge(port, ports[q])
     return graph
 
 

@@ -265,13 +265,8 @@ def check_c3_routing_induced(routing: RoutingFunction,
 
 def check_v1_escape_coverage(relation,
                              max_counterexamples: int = 10,
-                             cache: bool = True) -> ObligationResult:
+                             ) -> ObligationResult:
     """(V-1): every waiting channel has the escape class to fall back on.
-
-    With ``cache=True`` (the default) the report is memoised per relation
-    in the process-wide :class:`~repro.core.cache.InstanceCache` -- the
-    portfolio driver, the VC theorems and the CLI all need the same
-    coverage verdict for one relation.
 
     For a VC routing relation with a separated escape class this checks,
     over every reachable ``(channel, destination)`` pair where a header can
@@ -298,49 +293,42 @@ def check_v1_escape_coverage(relation,
 
     def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
         from repro.network.vc import port_of
+        from repro.routing.base import route_table
 
-        topology = relation.topology
-        destinations = relation.destinations()
+        table = route_table(relation)
+        channels, destinations = table.ports, table.destinations
+        escape = [relation.is_escape_resource(c) for c in channels]
+        target_nodes = [port_of(d).node for d in destinations]
         separated = relation.classes_separated
         checks = 0
         counterexamples: List[str] = []
-        for channel in topology.ports:
+        for p, channel in enumerate(channels):
             port = port_of(channel)
             if not port.is_input:
                 continue  # headers wait at in-channels only (credits)
-            escape_channel = relation.is_escape_resource(channel)
-            for destination in destinations:
-                if channel == destination:
-                    continue
-                if port.node == port_of(destination).node:
-                    continue  # ejection is always possible at the target node
-                if not relation.reachable(channel, destination):
+            row = table.hops[p * table.width:(p + 1) * table.width]
+            for d, hops in enumerate(row):
+                # Unreachable pairs and ejection at the target node (always
+                # possible) need no coverage.
+                if hops is None or port.node == target_nodes[d]:
                     continue
                 checks += 1
-                hops = relation.next_hops(channel, destination)
-                escapes = [hop for hop in hops
-                           if relation.is_escape_resource(hop)]
+                escapes = sum(escape[q] for q in hops)
                 if not escapes:
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
                             f"{channel} has no escape-class hop towards "
-                            f"{destination}")
-                elif (separated and escape_channel and not port.is_local
-                        and len(escapes) != len(hops)):
+                            f"{destinations[d]}")
+                elif (separated and escape[p] and not port.is_local
+                        and escapes != len(hops)):
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(
                             f"escape channel {channel} may leave the escape "
-                            f"class towards {destination}")
+                            f"class towards {destinations[d]}")
         return (not counterexamples, checks, counterexamples,
                 {"escape_vcs": list(relation.escape_vcs),
                  "classes_separated": separated})
 
-    if cache and max_counterexamples == 10:
-        # Only the default-shaped report is shared; a custom
-        # counterexample budget gets a private run.
-        from repro.core.cache import instance_cache
-
-        return instance_cache().escape_coverage(relation)
     return _timed(run, "V-1")
 
 

@@ -994,7 +994,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
     ``jobs`` schedules the scenario *groups* across that many worker
     processes (``0``/``None``: one per core).  Scheduling is group-affine:
     scenarios sharing a ``group_key`` stay on one worker, in submission
-    order, so the per-process construction caches (and a cross-check's
+    order, so the per-process instance cache (and a cross-check's
     group session) keep paying off exactly as in a serial run.  The
     verdicts -- ordering, verdict bits, cores, solver statistics -- are
     identical to ``jobs=1``; only wall times and cache counters differ
@@ -1466,7 +1466,7 @@ def extended_portfolio(mesh_sizes: Iterable[int] = (8, 16),
     Every routing function of the standard portfolio on 8x8 and 16x16
     meshes plus the VC escape scenarios (1/2/4 VCs) on an 8x8 mesh -- large
     enough dependency universes (thousands of ports/channels) that the
-    parallel scheduling and the construction caches have headroom to show
+    parallel scheduling and the instance cache have headroom to show
     themselves, yet each group still finishes in seconds.  This is the
     portfolio the ``repro bench`` trajectory runs serial vs. parallel.
     """

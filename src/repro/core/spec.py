@@ -282,6 +282,8 @@ class BuilderEntry:
     #: Number of topology dimensions the kind expects (2 for meshes/tori,
     #: 1 for rings).
     dim_count: int
+    #: Smallest size of every dimension the builder accepts.
+    min_size: int = 1
     #: Supported routing tokens (empty: the kind has a fixed relation and
     #: accepts no routing token).
     routings: Tuple[str, ...] = ()
@@ -330,6 +332,9 @@ class BuilderEntry:
                  f"dimension(s), got {len(spec.dims)}")
         if any(d < 1 for d in spec.dims):
             fail("dimensions must be positive")
+        if any(d < self.min_size for d in spec.dims):
+            fail(f"kind {self.kind!r} needs every dimension at least "
+                 f"{self.min_size}")
         if self.routings and spec.routing not in self.routings:
             fail(f"routing {spec.routing!r} not supported; expected one of "
                  f"{list(self.routings)}")
@@ -418,6 +423,7 @@ _BUILDERS_LOADED = False
 def register_builder(kind: str, builder: InstanceBuilder, *,
                      description: str = "",
                      dim_count: int = 2,
+                     min_size: int = 1,
                      routings: Sequence[str] = (),
                      default_routing: Optional[str] = None,
                      switchings: Sequence[str] = (),
@@ -435,7 +441,7 @@ def register_builder(kind: str, builder: InstanceBuilder, *,
     """
     return _REGISTRY.register(BuilderEntry(
         kind=kind, builder=builder, description=description,
-        dim_count=dim_count, routings=tuple(routings),
+        dim_count=dim_count, min_size=min_size, routings=tuple(routings),
         default_routing=default_routing, switchings=tuple(switchings),
         default_switching=default_switching, supports_vcs=supports_vcs,
         escape_style=escape_style, supports_faults=supports_faults,

@@ -196,6 +196,7 @@ register_builder(
     description="bidirectional ring (deadlock-free chain vs. deadlock-prone "
                 "clockwise routing)",
     dim_count=1,
+    min_size=2,
     routings=RING_ROUTING_TOKENS,
     default_routing="chain",
     switchings=("wormhole",),

@@ -12,16 +12,18 @@ like the paper's ``Rxy`` (Section V.3):
   algorithm.
 
 The helper :func:`occurring_pairs` computes which (port, destination) pairs
-can actually occur on routes that start at local in-ports; it is used as the
-``s R d`` reachability predicate for the partially adaptive routing
+can actually occur on routes that start at local in-ports; it is the
+``s R d`` reachability predicate of the partially adaptive routing
 functions, whose port-level definition is only meaningful on occurring
-pairs.
+pairs.  :func:`route_table` computes every next hop of a routing function
+once, into the flat :class:`RouteTable` that dependency enumeration, (V-1)
+coverage and that predicate share.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
@@ -125,39 +127,116 @@ def occurring_pairs(routing: RoutingFunction,
     adaptive branch of the routing function and collect the (visited port,
     ``d``) pairs.  The result is the natural ``s R d`` predicate for
     partially adaptive routing functions whose port-level definition is only
-    exercised on ports a packet can actually be at.
+    exercised on ports a packet can actually be at.  It never consults
+    ``reachable``, so it is also the reference for closed-form predicates.
     """
-    topology = routing.topology
-    pairs: Set[Tuple[Port, Port]] = set()
-    for destination in routing.destinations():
-        frontier: List[Port] = []
-        for source in topology.local_in_ports():
-            frontier.append(source)
-        seen: Set[Port] = set()
+    ports = routing.topology.ports
+    index = {port: i for i, port in enumerate(ports)}
+    destinations = routing.destinations()
+    return frozenset((ports[p], destinations[d]) for d, p, _
+                     in _walk_occurring(routing, ports, index, destinations))
+
+
+def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
+    try:
+        return tuple([index[hop] for hop in hops])
+    except KeyError as missing:
+        raise RoutingError(f"routing produced non-existent port "
+                           f"{missing.args[0]}") from None
+
+
+def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
+                    index: Dict[Port, int], destinations: Sequence[Port]
+                    ) -> Iterator[Tuple[int, int, Optional[Tuple[int, ...]]]]:
+    """The occurring-pairs search, over dense port ids.
+
+    For each destination ``d`` follows every branch of ``next_hops`` from
+    every local in-port and yields ``(d, p, hop ids)`` once per visited
+    port ``p``; the hops are ``None`` at the destination itself.
+    """
+    sources = _ids(index, routing.topology.local_in_ports())
+    for d, destination in enumerate(destinations):
+        target = index[destination]
+        seen = bytearray(len(ports))
+        frontier = list(sources)
         while frontier:
-            port = frontier.pop()
-            if port in seen:
+            p = frontier.pop()
+            if seen[p]:
                 continue
-            seen.add(port)
-            pairs.add((port, destination))
-            if port == destination:
+            seen[p] = 1
+            if p == target:
+                yield d, p, None
                 continue
-            for successor in routing.next_hops(port, destination):
-                if successor not in seen:
-                    frontier.append(successor)
-    return frozenset(pairs)
+            hops = _ids(index, routing.next_hops(ports[p], destination))
+            yield d, p, hops
+            frontier.extend(hops)
+
+
+def _enumerate_pairs(routing: RoutingFunction, ports: Sequence[Port],
+                     index: Dict[Port, int], destinations: Sequence[Port]
+                     ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """Every ``(d, p, hop ids)`` with ``p != d`` and ``p R d``, by brute force."""
+    for p, port in enumerate(ports):
+        for d, destination in enumerate(destinations):
+            if port != destination and routing.reachable(port, destination):
+                yield d, p, _ids(index, routing.next_hops(port, destination))
+
+
+class RouteTable:
+    """Every next hop of one routing function, computed once.
+
+    Ports are dense ids in ``topology.ports`` order and destinations are
+    columns in ``destinations()`` order; ``hops[p * width + d]`` is the
+    tuple of next-hop ids of port ``p`` towards destination ``d``, or
+    ``None`` where ``p R d`` fails or ``p`` is ``d``.  Equal hop tuples are
+    one shared object.  A routing whose ``s R d`` is occurring pairs fills
+    the table from that search (one ``next_hops`` call per pair); any other
+    routing asks ``reachable`` then ``next_hops`` for every pair.
+    """
+
+    def __init__(self, routing: RoutingFunction) -> None:
+        self.ports = routing.topology.ports
+        self.index = {port: i for i, port in enumerate(self.ports)}
+        self.destinations = routing.destinations()
+        self.columns = {d: i for i, d in enumerate(self.destinations)}
+        self.width = width = len(self.destinations)
+        self.hops: List[Optional[Tuple[int, ...]]] = \
+            [None] * (len(self.ports) * width)
+        fill = (_walk_occurring if isinstance(
+            getattr(routing, "_reachability", None),
+            OccurringPairsReachability) else _enumerate_pairs)
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for d, p, hops in fill(routing, self.ports, self.index,
+                               self.destinations):
+            if hops is not None:
+                self.hops[p * width + d] = shared.setdefault(hops, hops)
+
+    def lookup(self, source: Port,
+               destination: Port) -> Optional[Tuple[int, ...]]:
+        """The next-hop ids of ``source`` towards ``destination``, if any."""
+        p = self.index.get(source)
+        d = self.columns.get(destination)
+        if p is None or d is None:
+            return None
+        return self.hops[p * self.width + d]
+
+
+def route_table(routing: RoutingFunction) -> RouteTable:
+    """The route table of ``routing``, built on first use."""
+    table = getattr(routing, "_route_table", None)
+    if table is None:
+        table = routing._route_table = RouteTable(routing)
+    return table
 
 
 class OccurringPairsReachability:
-    """A ``reachable`` predicate backed by :func:`occurring_pairs` (cached)."""
+    """A ``reachable`` predicate answered from the routing's route table."""
 
     def __init__(self, routing: RoutingFunction) -> None:
         self._routing = routing
-        self._pairs: Optional[FrozenSet[Tuple[Port, Port]]] = None
 
     def __call__(self, source: Port, destination: Port) -> bool:
-        if self._pairs is None:
-            self._pairs = occurring_pairs(self._routing)
         if source == destination:
             return True
-        return (source, destination) in self._pairs
+        return route_table(self._routing).lookup(source,
+                                                 destination) is not None

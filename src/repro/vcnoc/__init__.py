@@ -264,6 +264,7 @@ register_builder(
     description="2D torus at VC granularity: dimension-order routing with a "
                 "dateline escape pair (+ adaptive class from 3 VCs)",
     dim_count=2,
+    min_size=2,
     supports_vcs=True,
     supports_faults=True,
     escape_style="dateline",
@@ -275,6 +276,7 @@ register_builder(
     description="bidirectional ring at VC granularity: shortest-path routing "
                 "with a dateline escape pair",
     dim_count=1,
+    min_size=2,
     supports_vcs=True,
     supports_faults=True,
     escape_style="dateline",

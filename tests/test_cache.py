@@ -1,5 +1,5 @@
-"""Tests for the process-wide construction caches (`repro.core.cache`),
-the frozen-graph contract and the dependency-spec memoisation."""
+"""Tests for the process-wide instance cache (`repro.core.cache`), the
+frozen-graph contract and the dependency-spec memoisation."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.checking.graphs import DirectedGraph
 from repro.core.cache import InstanceCache, instance_cache, \
     reset_instance_cache
 from repro.core.dependency import routing_dependency_graph
+from repro.core.spec import expand_matrix
 from repro.hermes.dependency import ExyDependencySpec
 from repro.network.mesh import Mesh2D
 from repro.routing.xy import XYRouting
@@ -36,75 +37,28 @@ class TestFrozenGraph:
 
 
 class TestInstanceCache:
-    def test_dependency_graph_is_memoised_per_routing(self):
-        cache = InstanceCache()
-        routing = XYRouting(Mesh2D(3, 3))
-        first = cache.dependency_graph(routing)
-        second = cache.dependency_graph(routing)
-        assert first is second
-        assert first.frozen
-        assert cache.hits == 1 and cache.misses == 1
-        # A distinct routing object (even of the same shape) is a new key.
-        other = cache.dependency_graph(XYRouting(Mesh2D(3, 3)))
-        assert other is not first
-        assert other.edges() == first.edges()
-
-    def test_routing_dependency_graph_defaults_to_the_global_cache(self):
-        reset_instance_cache()
-        routing = XYRouting(Mesh2D(3, 3))
-        first = routing_dependency_graph(routing)
-        second = routing_dependency_graph(routing)
-        assert first is second
-        assert instance_cache().hits >= 1
-
-    def test_cache_false_returns_fresh_mutable_graph(self):
-        routing = XYRouting(Mesh2D(3, 3))
-        cached = routing_dependency_graph(routing)
-        fresh = routing_dependency_graph(routing, cache=False)
-        assert fresh is not cached
-        assert not fresh.frozen
-        assert sorted(map(repr, fresh.edges())) \
-            == sorted(map(repr, cached.edges()))
-
     def test_explicit_destinations_bypass_the_cache(self):
         routing = XYRouting(Mesh2D(2, 2))
         narrowed = routing_dependency_graph(
             routing, destinations=routing.destinations()[:1])
         assert not narrowed.frozen
 
-    def test_escape_coverage_is_memoised(self):
-        from repro.routing.escape import mesh_escape_routing
-
-        cache = InstanceCache()
-        relation = mesh_escape_routing(Mesh2D(3, 3), num_vcs=2)
-        first = cache.escape_coverage(relation)
-        second = cache.escape_coverage(relation)
-        assert first is second
-        assert first.holds
-
     def test_stats_and_clear(self):
-        from repro.routing.xy import XYRouting
-
         cache = InstanceCache()
-        routing = XYRouting(Mesh2D(2, 2))
-        first = cache.dependency_graph(routing)
-        second = cache.dependency_graph(routing)
+        (spec,) = expand_matrix("mesh:2x2")
+        first = cache.instance_for(spec)
+        second = cache.instance_for(spec)
         assert first is second
         stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["graphs"] == 1
+        assert stats == {"hits": 1, "misses": 1, "instances": 1}
         cache.clear()
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["graphs"] == 0
+        assert cache.stats() == {"hits": 0, "misses": 0, "instances": 0}
 
     def test_reset_instance_cache_clears_the_global_cache(self):
-        from repro.routing.xy import XYRouting
-
         cache = instance_cache()
-        cache.dependency_graph(XYRouting(Mesh2D(2, 2)))
+        cache.instance_for(expand_matrix("mesh:2x2")[0])
         assert reset_instance_cache() is cache
-        assert cache.stats()["graphs"] == 0
+        assert cache.stats()["instances"] == 0
 
     def test_cached_graph_survives_oracle_and_session_use(self):
         """The frozen cached graph must be accepted by every consumer."""

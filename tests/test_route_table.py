@@ -1,0 +1,191 @@
+"""The route table (:func:`repro.routing.base.route_table`) against the
+plain enumeration it replaces.
+
+The reference below is the ``reachable``/``next_hops`` loop that built the
+dependency graph and discharged (V-1) before the table existed.  For every
+registered kind and routing token, healthy and fault-injected, at 1-3 VCs,
+the table must reproduce its edge list (order included) and its (V-1)
+report, and the occurring-pairs predicate must answer exactly the
+occurring pairs.
+"""
+
+import pytest
+
+from repro.checking.graphs import DirectedGraph
+from repro.core.dependency import routing_dependency_graph
+from repro.core.obligations import check_v1_escape_coverage
+from repro.core.spec import expand_matrix, spec_registry
+from repro.network.mesh import Mesh2D
+from repro.network.ring import Ring
+from repro.network.torus import Torus2D
+from repro.network.vc import VCTopology, VirtualChannel, port_of, vc_of
+from repro.routing.adaptive import FullyAdaptiveMinimalRouting
+from repro.routing.base import (
+    OccurringPairsReachability,
+    occurring_pairs,
+    route_table,
+)
+from repro.routing.escape import (
+    EscapeChannelRouting,
+    mesh_escape_routing,
+    ring_escape_routing,
+    torus_escape_routing,
+)
+from repro.routing.ring import ClockwiseRingRouting
+from repro.routing.xy import XYRouting
+
+
+def reference_graph(routing):
+    graph = DirectedGraph()
+    for port in routing.topology.ports:
+        graph.add_vertex(port)
+    for port in routing.topology.ports:
+        for destination in routing.destinations():
+            if port == destination:
+                continue
+            if not routing.reachable(port, destination):
+                continue
+            for successor in routing.next_hops(port, destination):
+                graph.add_edge(port, successor)
+    return graph
+
+
+def reference_v1(relation, max_counterexamples=10):
+    checks = 0
+    counterexamples = []
+    separated = relation.classes_separated
+    for channel in relation.topology.ports:
+        port = port_of(channel)
+        if not port.is_input:
+            continue
+        escape_channel = relation.is_escape_resource(channel)
+        for destination in relation.destinations():
+            if channel == destination:
+                continue
+            if port.node == port_of(destination).node:
+                continue
+            if not relation.reachable(channel, destination):
+                continue
+            checks += 1
+            hops = relation.next_hops(channel, destination)
+            escapes = [hop for hop in hops
+                       if relation.is_escape_resource(hop)]
+            if not escapes:
+                if len(counterexamples) < max_counterexamples:
+                    counterexamples.append(
+                        f"{channel} has no escape-class hop towards "
+                        f"{destination}")
+            elif (separated and escape_channel and not port.is_local
+                    and len(escapes) != len(hops)):
+                if len(counterexamples) < max_counterexamples:
+                    counterexamples.append(
+                        f"escape channel {channel} may leave the escape "
+                        f"class towards {destination}")
+    return checks, not counterexamples, counterexamples
+
+
+def _terms():
+    for entry in spec_registry().entries():
+        dims = "3x3" if entry.dim_count == 2 else "5"
+        # A ring cannot lose a second link without disconnecting.
+        fault_counts = (0, 1, 2) if entry.dim_count == 2 else (0, 1)
+        vc_counts = (1, 2, 3) if entry.supports_vcs else (1,)
+        for routing in entry.routings or (None,):
+            for vcs in vc_counts:
+                for faults in fault_counts:
+                    term = f"{entry.kind}:{dims}"
+                    if routing is not None:
+                        term += f", routing={routing}"
+                    if entry.supports_vcs:
+                        term += f", vcs={vcs}"
+                    term += f", faults={faults}, seed=1"
+                    yield pytest.param(
+                        term, id=f"{entry.kind}-{routing}-{vcs}vc-f{faults}")
+
+
+@pytest.mark.parametrize("term", list(_terms()))
+def test_table_reproduces_the_plain_enumeration(term):
+    (spec,) = expand_matrix(term)
+    routing = spec.build().routing
+    reference = reference_graph(spec.build().routing)
+    assert routing_dependency_graph(routing).edges() == reference.edges()
+    reachability = getattr(routing, "_reachability", None)
+    if isinstance(reachability, OccurringPairsReachability):
+        pairs = occurring_pairs(routing)
+        for port in routing.topology.ports:
+            for destination in routing.destinations():
+                assert reachability(port, destination) == (
+                    port == destination or (port, destination) in pairs)
+    if isinstance(routing, EscapeChannelRouting):
+        v1 = check_v1_escape_coverage(routing)
+        assert (v1.checks, v1.holds, v1.counterexamples) \
+            == reference_v1(spec.build().routing)
+
+
+class _NoEscapeHop(EscapeChannelRouting):
+    """Drops the escape hop wherever an adaptive hop exists (coverage)."""
+
+    def _route_from_in_channel(self, current, destination):
+        hops = super()._route_from_in_channel(current, destination)
+        adaptive = [hop for hop in hops if not self.is_escape_resource(hop)]
+        return adaptive or hops
+
+
+class _LeakyEscape(EscapeChannelRouting):
+    """Lets escape channels take adaptive hops too (closure)."""
+
+    def _route_from_in_channel(self, current, destination):
+        hops = super()._route_from_in_channel(current, destination)
+        if vc_of(current) in self.escape_vcs and not port_of(current).is_local:
+            for out in self.adaptive_routing.next_hops(port_of(current),
+                                                       port_of(destination)):
+                hops.append(VirtualChannel(out, self.adaptive_vcs[0]))
+        return hops
+
+
+def _broken(cls):
+    mesh = Mesh2D(3, 3)
+    return cls(VCTopology(mesh, 2), escape_routing=XYRouting(mesh),
+               adaptive_routing=FullyAdaptiveMinimalRouting(mesh))
+
+
+def _relations():
+    ring = Ring(4, bidirectional=True)
+    return [
+        ("mesh-1vc", lambda: mesh_escape_routing(Mesh2D(3, 3), num_vcs=1)),
+        ("torus-1vc", lambda: torus_escape_routing(Torus2D(4, 3), num_vcs=1)),
+        ("ring-1vc", lambda: ring_escape_routing(ring, num_vcs=1)),
+        ("clockwise-1vc", lambda: ring_escape_routing(
+            ring, num_vcs=1, base_routing=ClockwiseRingRouting(ring))),
+        ("no-escape-hop", lambda: _broken(_NoEscapeHop)),
+        ("leaky-escape", lambda: _broken(_LeakyEscape)),
+    ]
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name)
+                                  for name, make in _relations()])
+@pytest.mark.parametrize("budget", [3, 10, 1000])
+def test_v1_counterexamples_come_in_enumeration_order(make, budget):
+    v1 = check_v1_escape_coverage(make(), max_counterexamples=budget)
+    assert (v1.checks, v1.holds, v1.counterexamples) \
+        == reference_v1(make(), max_counterexamples=budget)
+
+
+def test_broken_relations_fail_v1():
+    assert not check_v1_escape_coverage(_broken(_NoEscapeHop)).holds
+    assert not check_v1_escape_coverage(_broken(_LeakyEscape)).holds
+
+
+def test_equal_hop_tuples_are_shared():
+    table = route_table(mesh_escape_routing(Mesh2D(3, 3), num_vcs=2))
+    rows = [row for row in table.hops if row is not None]
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
+def test_one_table_per_routing_and_a_fresh_graph_per_call():
+    routing = XYRouting(Mesh2D(3, 3))
+    assert route_table(routing) is route_table(routing)
+    first = routing_dependency_graph(routing)
+    second = routing_dependency_graph(routing)
+    assert first is not second and not first.frozen
+    assert first.edges() == second.edges()

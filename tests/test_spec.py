@@ -182,6 +182,9 @@ class TestMatrixExpansion:
         ("warp:3x3", "unknown scenario kind"),
         ("mesh:3x3, vcs=2", "vc-"),
         ("mesh:3x3x3, routing=xy", "dimension"),
+        ("ring:1", "at least 2"),
+        ("vc-ring:1, vcs=2", "at least 2"),
+        ("vc-torus:1x3, vcs=2", "at least 2"),
     ])
     def test_invalid_grids_fail_eagerly(self, bad, fragment):
         with pytest.raises(SpecificationError, match=fragment):
