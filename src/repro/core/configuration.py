@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.state import NetworkState
 from repro.core.travel import Travel, check_unique_ids
+from repro.network.flit import Flit
 from repro.network.port import Port
 
 #: Sentinel position of a flit that has not yet entered the network.
@@ -34,31 +35,34 @@ class TravelProgress:
     ``positions[i]`` is the index (into the travel's route) of the port
     currently holding flit ``i``; :data:`NOT_INJECTED` (-1) means the flit is
     still queued at the source IP core, and ``len(route)`` means the flit has
-    been ejected at the destination.
+    been ejected at the destination.  ``route``, ``ejected_position`` and
+    ``flits`` are fixed by the travel: they are set once, and a copy shares
+    them.
     """
 
     travel: Travel
     positions: List[int]
+    #: The travel's flits, header first (built from ``travel.flits()``).
+    flits: Tuple[Flit, ...] = field(default=(), compare=False, repr=False)
+    route: Tuple[Port, ...] = field(init=False, compare=False, repr=False)
+    ejected_position: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.travel.route is None:
+            raise ValueError(
+                f"travel {self.travel.travel_id} needs a route before it "
+                f"can progress")
+        self.route = self.travel.route
+        self.ejected_position = len(self.route)
+        if not self.flits:
+            self.flits = tuple(self.travel.flits())
 
     @classmethod
     def initial(cls, travel: Travel) -> "TravelProgress":
-        if travel.route is None:
-            raise ValueError(
-                f"travel {travel.travel_id} needs a route before it can progress"
-            )
         return cls(travel=travel,
                    positions=[NOT_INJECTED] * travel.num_flits)
 
     # -- derived views ----------------------------------------------------------
-    @property
-    def route(self) -> Tuple[Port, ...]:
-        assert self.travel.route is not None
-        return self.travel.route
-
-    @property
-    def ejected_position(self) -> int:
-        return len(self.route)
-
     @property
     def header_position(self) -> int:
         """Route index of the header flit (flit 0)."""
@@ -80,7 +84,8 @@ class TravelProgress:
     @property
     def is_arrived(self) -> bool:
         """All flits have been ejected at the destination."""
-        return all(pos == self.ejected_position for pos in self.positions)
+        return (self.positions.count(self.ejected_position)
+                == len(self.positions))
 
     @property
     def flits_in_network(self) -> int:
@@ -113,14 +118,13 @@ class TravelProgress:
         (entering the network, advancing one hop, or being ejected)
         decreases it by exactly one.
         """
+        ejected = self.ejected_position
         total = 0
         for pos in self.positions:
-            if pos == self.ejected_position:
-                continue
             if pos == NOT_INJECTED:
-                total += len(self.route) + 1
+                total += ejected + 1
             else:
-                total += len(self.route) - pos
+                total += ejected - pos
         return total
 
     def occupied_route_indices(self) -> List[int]:
@@ -138,7 +142,8 @@ class TravelProgress:
                 )
 
     def copy(self) -> "TravelProgress":
-        return TravelProgress(travel=self.travel, positions=list(self.positions))
+        return TravelProgress(travel=self.travel, positions=list(self.positions),
+                              flits=self.flits)
 
 
 class Configuration:
@@ -183,9 +188,6 @@ class Configuration:
             if travel.travel_id == travel_id:
                 return travel
         raise KeyError(f"no travel with id {travel_id}")
-
-    def progress_of(self, travel_id: int) -> TravelProgress:
-        return self.progress[travel_id]
 
     def all_routed(self) -> bool:
         return all(travel.has_route for travel in self.travels)

@@ -15,7 +15,7 @@ study), :mod:`repro.routing`, :mod:`repro.switching` and
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.core.configuration import Configuration, TravelProgress
 from repro.core.errors import RoutingError
@@ -90,26 +90,40 @@ class RoutingFunction(abc.ABC):
                       max_hops: Optional[int] = None) -> List[Port]:
         """Compute the full route from ``source`` to ``destination``.
 
-        The route includes both endpoints.  Raises :class:`RoutingError` if
-        the routing function does not reach the destination within the hop
-        bound (which, for a correct deterministic routing function, never
-        happens for reachable destinations).
+        The route includes both endpoints and holds the topology's own port
+        objects.  Raises :class:`RoutingError` if a hop leaves the topology
+        or if the routing function does not reach the destination within
+        the hop bound (which, for a correct deterministic routing function,
+        never happens for reachable destinations).
         """
+        return self._walk_route(
+            source, destination, max_hops,
+            lambda current: self.next_hop(current, destination))
+
+    def _walk_route(self, source, destination, max_hops: Optional[int],
+                    choose: Callable[[Port], Port]) -> List[Port]:
+        """Follow ``choose(current)`` from ``source`` to ``destination``."""
+        topology = self.topology
         if max_hops is None:
-            max_hops = self.MAX_ROUTE_FACTOR * max(self.topology.port_count, 4)
-        route = [source]
+            max_hops = self.MAX_ROUTE_FACTOR * max(topology.port_count, 4)
+        route = [topology.intern(source) or source]
         current = source
         while current != destination:
             if len(route) > max_hops:
                 raise RoutingError(
                     f"route from {source} to {destination} exceeds "
                     f"{max_hops} hops: routing does not terminate")
-            current = self.next_hop(current, destination)
-            if not self.topology.has_port(current):
+            hop = choose(current)
+            current = topology.intern(hop)
+            if current is None:
                 raise RoutingError(
-                    f"routing produced non-existent port {current}")
+                    f"routing produced non-existent port {hop}")
             route.append(current)
         return route
+
+    def _travel_route(self, travel: Travel) -> List[Port]:
+        """The route committed for one travel by :meth:`route_configuration`."""
+        return self.compute_route(travel.source, travel.destination)
 
     def route_configuration(self, config: Configuration) -> Configuration:
         """``R : Σ -> Σ`` -- pre-compute the route of every pending travel."""
@@ -122,8 +136,7 @@ class RoutingFunction(abc.ABC):
                 raise RoutingError(
                     f"destination {travel.destination} is not reachable "
                     f"from {travel.source}")
-            route = self.compute_route(travel.source, travel.destination)
-            routed.append(travel.with_route(route))
+            routed.append(travel.with_route(self._travel_route(travel)))
         progress = dict(config.progress)
         for travel in routed:
             if travel.travel_id not in progress:
@@ -138,9 +151,18 @@ class RoutingFunction(abc.ABC):
 class SwitchingPolicy(abc.ABC):
     """``S : Σ -> Σ`` -- advances every message by at most one hop."""
 
-    @abc.abstractmethod
     def step(self, config: Configuration) -> Configuration:
-        """One switching step.
+        """One switching step, as the pure function ``S : Σ -> Σ``.
+
+        Returns the successor configuration; ``config`` is not modified.
+        """
+        successor = config.copy()
+        self.advance(successor)
+        return successor
+
+    @abc.abstractmethod
+    def advance(self, config: Configuration) -> None:
+        """One switching step, applied to ``config`` in place.
 
         Every message that can make progress advances by at most one hop;
         travels whose flits have all been ejected move from ``T`` to ``A``.

@@ -69,8 +69,7 @@ class GeNoCResult:
         return sorted(t.travel_id for t in self.final.arrived)
 
     def __str__(self) -> str:
-        status = "deadlocked" if self.deadlocked else (
-            "evacuated" if self.evacuated else "truncated")
+        status = "deadlocked" if self.deadlocked else "evacuated"
         return (f"GeNoCResult({status} after {self.steps} steps, "
                 f"{len(self.final.arrived)} arrived, "
                 f"{len(self.final.travels)} pending)")
@@ -93,7 +92,11 @@ class GeNoCEngine:
     def run(self, config: Configuration,
             on_step: Optional[Callable[[int, Configuration], None]] = None,
             check_invariants: bool = False) -> GeNoCResult:
-        """Run GeNoC to completion (evacuation, deadlock or step bound).
+        """Run GeNoC to evacuation or deadlock.
+
+        The routed configuration is copied once and then advanced in place,
+        one switching step at a time; ``config`` itself is not modified.
+        A run that reaches ``max_steps`` raises :class:`GeNoCError`.
 
         Parameters
         ----------
@@ -102,13 +105,16 @@ class GeNoCEngine:
         on_step:
             Optional callback invoked after every switching step with the
             step number and the current configuration (used by the tracer).
+            The configuration is the one the next step advances in place:
+            a callback copies what it keeps.
         check_invariants:
             When true, the state/progress consistency invariants are checked
             after every step (slow; used by tests).
         """
         start = time.perf_counter()
         current = self.injection.inject(config)
-        current = self.routing.route_configuration(current)
+        # Routing shares the network state with its input: copy once here.
+        current = self.routing.route_configuration(current).copy()
         if check_invariants:
             current.check_consistency()
 
@@ -127,7 +133,7 @@ class GeNoCEngine:
                 raise GeNoCError(
                     f"GeNoC did not terminate within {self.max_steps} steps; "
                     f"this indicates a violation of obligation (C-5)")
-            current = self.switching.step(current)
+            self.switching.advance(current)
             steps += 1
             if check_invariants:
                 current.check_consistency()

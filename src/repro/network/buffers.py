@@ -15,7 +15,7 @@ wormhole switching policy.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Iterator, List, Optional
 
 from repro.network.flit import Flit
@@ -106,7 +106,6 @@ class PortState:
 
     buffer: FlitBuffer
     owner: Optional[int] = None
-    reserved: bool = field(default=False)
 
     @classmethod
     def with_capacity(cls, capacity: int) -> "PortState":
@@ -151,8 +150,7 @@ class PortState:
         return flit
 
     def copy(self) -> "PortState":
-        return PortState(buffer=self.buffer.copy(), owner=self.owner,
-                         reserved=self.reserved)
+        return PortState(buffer=self.buffer.copy(), owner=self.owner)
 
     def __str__(self) -> str:
         flits = " ".join(str(f) for f in self.buffer)

@@ -48,10 +48,6 @@ class Flit:
     def is_header(self) -> bool:
         return self.kind is FlitKind.HEADER
 
-    @property
-    def is_tail(self) -> bool:
-        return self.kind is FlitKind.TAIL
-
     def __str__(self) -> str:
         return f"{self.kind.value}{self.travel_id}.{self.index}"
 

@@ -35,7 +35,9 @@ class Topology(abc.ABC):
         self._ports: List[Port] = []
         for node in self._nodes.values():
             self._ports.extend(node.ports())
-        self._port_set: Set[Port] = set(self._ports)
+        #: Every port mapped to itself: the topology's own port objects.
+        self._port_index: Dict[Port, Port] = {port: port
+                                              for port in self._ports}
         self._links = self._build_links()
 
     # -- primitives provided by subclasses -----------------------------------
@@ -60,7 +62,7 @@ class Topology(abc.ABC):
             target = self.connect(port)
             if target is None:
                 continue
-            if target not in self._port_set:
+            if target not in self._port_index:
                 raise ValueError(
                     f"out-port {port} connects to {target}, which does not exist"
                 )
@@ -94,7 +96,11 @@ class Topology(abc.ABC):
         return len(self._ports)
 
     def has_port(self, port: Port) -> bool:
-        return port in self._port_set
+        return port in self._port_index
+
+    def intern(self, port: Port) -> Optional[Port]:
+        """The topology's own object equal to ``port``, or ``None``."""
+        return self._port_index.get(port)
 
     def local_in_ports(self) -> List[Port]:
         """All injection ports of the network."""

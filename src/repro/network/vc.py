@@ -155,7 +155,8 @@ class VCTopology:
         self._channels: List[VirtualChannel] = []
         for port in base.ports:
             self._channels.extend(channels_of(port, self.num_vcs))
-        self._channel_set = set(self._channels)
+        self._channel_index: Dict[VirtualChannel, VirtualChannel] = {
+            channel: channel for channel in self._channels}
         self._links: Dict[VirtualChannel, VirtualChannel] = {}
         for out_port, in_port in base.links.items():
             for channel in channels_of(out_port, self.num_vcs):
@@ -172,7 +173,11 @@ class VCTopology:
         return len(self._channels)
 
     def has_port(self, resource: Resource) -> bool:
-        return resource in self._channel_set
+        return resource in self._channel_index
+
+    def intern(self, resource: Resource) -> Optional[VirtualChannel]:
+        """The topology's own channel equal to ``resource``, or ``None``."""
+        return self._channel_index.get(resource)
 
     def link_target(self, channel: VirtualChannel
                     ) -> Optional[VirtualChannel]:

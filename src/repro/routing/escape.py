@@ -281,25 +281,15 @@ class EscapeChannelRouting(RoutingFunction):
         preference = preference or self.route_policy
         if preference == "spread":
             preference = "adaptive"
-        if max_hops is None:
-            max_hops = self.MAX_ROUTE_FACTOR * max(self._vct.port_count, 4)
-        route = [source]
-        current = source
-        while current != destination:
-            if len(route) > max_hops:
-                raise RoutingError(
-                    f"route from {source} to {destination} exceeds "
-                    f"{max_hops} hops: routing does not terminate")
+
+        def choose(current: VirtualChannel) -> VirtualChannel:
             hops = self.next_hops(current, destination)
             if not hops:
                 raise RoutingError(
                     f"no next hop from {current} towards {destination}")
-            current = self._select_hop(hops, preference)
-            if not self._vct.has_port(current):
-                raise RoutingError(
-                    f"routing produced non-existent channel {current}")
-            route.append(current)
-        return route
+            return self._select_hop(hops, preference)
+
+        return self._walk_route(source, destination, max_hops, choose)
 
     def _select_hop(self, hops: Sequence[VirtualChannel],
                     preference: str) -> VirtualChannel:
@@ -314,36 +304,17 @@ class EscapeChannelRouting(RoutingFunction):
             return adaptive_hops[0]
         return hops[0]
 
-    def route_configuration(self, config):
-        """``R : Σ -> Σ`` with the relation's route policy applied.
+    def _travel_route(self, travel) -> List[VirtualChannel]:
+        """The travel's route under the relation's route policy.
 
         ``"spread"`` alternates the per-travel preference by travel id so a
         simulated workload exercises both VC classes.
         """
-        from repro.core.configuration import Configuration, TravelProgress
-
-        routed = []
-        for travel in config.travels:
-            if travel.has_route:
-                routed.append(travel)
-                continue
-            if not self.reachable(travel.source, travel.destination):
-                raise RoutingError(
-                    f"destination {travel.destination} is not reachable "
-                    f"from {travel.source}")
-            if self.route_policy == "spread":
-                preference = ("adaptive" if travel.travel_id % 2 else "escape")
-            else:
-                preference = self.route_policy
-            route = self.compute_route(travel.source, travel.destination,
-                                       preference=preference)
-            routed.append(travel.with_route(route))
-        progress = dict(config.progress)
-        for travel in routed:
-            if travel.travel_id not in progress:
-                progress[travel.travel_id] = TravelProgress.initial(travel)
-        return Configuration(travels=routed, state=config.state,
-                             arrived=config.arrived, progress=progress)
+        preference = self.route_policy
+        if preference == "spread":
+            preference = "adaptive" if travel.travel_id % 2 else "escape"
+        return self.compute_route(travel.source, travel.destination,
+                                  preference=preference)
 
 
 # ---------------------------------------------------------------------------

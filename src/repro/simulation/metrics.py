@@ -17,7 +17,7 @@ class RunMetrics:
     messages: int
     #: Total number of flits across all messages.
     flits: int
-    #: Switching steps until evacuation (or until deadlock/truncation).
+    #: Switching steps until evacuation (or until deadlock).
     steps: int
     #: Did every message evacuate?
     evacuated: bool

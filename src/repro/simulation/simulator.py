@@ -25,8 +25,7 @@ class SimulationResult:
     evacuation_ok: Optional[bool] = None
 
     def summary(self) -> str:
-        status = "deadlock" if self.genoc_result.deadlocked else (
-            "evacuated" if self.genoc_result.evacuated else "truncated")
+        status = "deadlock" if self.genoc_result.deadlocked else "evacuated"
         return (f"{self.workload.name}: {self.metrics.messages} messages, "
                 f"{self.metrics.steps} steps, {status}")
 
@@ -51,8 +50,7 @@ class Simulator:
             list(workload.travels), capacity=self.capacity)
         engine = self.instance.engine(max_steps=self.max_steps)
         recorder = TraceRecorder() if self.record_trace else None
-        result = engine.run(original.copy(),
-                            on_step=recorder if recorder else None)
+        result = engine.run(original, on_step=recorder if recorder else None)
         metrics = compute_metrics(original, result)
         simulation = SimulationResult(
             workload=workload, genoc_result=result, metrics=metrics,

@@ -14,7 +14,7 @@ obligation (C-5) decreases for it as well (the paper notes C-5 is proven
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.configuration import (
     Configuration,
@@ -23,8 +23,11 @@ from repro.core.configuration import (
 )
 from repro.core.constituents import SwitchingPolicy
 from repro.core.errors import SwitchingError
-from repro.network.flit import make_flits
-from repro.switching.base import SingleTravelStepper
+from repro.switching.base import (
+    SingleTravelStepper,
+    collect_arrivals,
+    remove_flit,
+)
 
 
 class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
@@ -34,12 +37,10 @@ class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
         return "Ssaf"
 
     # -- SwitchingPolicy --------------------------------------------------------
-    def step(self, config: Configuration) -> Configuration:
-        new_config = config.copy()
-        for travel in list(new_config.travels):
-            self._advance_packet(new_config, travel.travel_id)
-        self._collect_arrivals(new_config)
-        return new_config
+    def advance(self, config: Configuration) -> None:
+        for travel in config.travels:
+            self._advance_packet(config, travel.travel_id)
+        collect_arrivals(config)
 
     def can_progress(self, config: Configuration) -> bool:
         return any(self._can_packet_advance(config, travel.travel_id)
@@ -53,7 +54,7 @@ class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
         new_config = config.copy()
         if not self._advance_packet(new_config, travel_id):
             return None
-        self._collect_arrivals(new_config)
+        collect_arrivals(new_config)
         return new_config
 
     # -- internals ---------------------------------------------------------------------
@@ -92,36 +93,26 @@ class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
         position = self._packet_position(record)
         route = record.route
         num_flits = len(record.positions)
-        flits = make_flits(travel_id, num_flits)
 
         if position == record.ejected_position:
             return False
         if position == len(route) - 1:
             # Eject the whole packet.
-            for _ in range(num_flits):
-                config.state.release_flit(route[position])
+            for index in range(num_flits):
+                remove_flit(config, route[position], travel_id, index)
             record.positions[:] = [record.ejected_position] * num_flits
             return True
         target_index = 0 if position == NOT_INJECTED else position + 1
         target = route[target_index]
-        if position != NOT_INJECTED:
-            for _ in range(num_flits):
-                config.state.release_flit(route[position])
+        if position == NOT_INJECTED:
+            flits = record.flits
+        else:
+            flits = [remove_flit(config, route[position], travel_id, index)
+                     for index in range(num_flits)]
         for flit in flits:
             config.state.accept_flit(target, flit)
         record.positions[:] = [target_index] * num_flits
         return True
-
-    @staticmethod
-    def _collect_arrivals(config: Configuration) -> None:
-        still_pending = []
-        for travel in config.travels:
-            record = config.progress.get(travel.travel_id)
-            if record is not None and record.is_arrived:
-                config.arrived.append(travel)
-            else:
-                still_pending.append(travel)
-        config.travels[:] = still_pending
 
     def required_capacity(self, config: Configuration) -> int:
         """Minimum port capacity needed to carry the largest packet."""

@@ -28,7 +28,7 @@ checked by the property-based tests in ``tests/test_wormhole_properties.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.configuration import (
     Configuration,
@@ -36,9 +36,11 @@ from repro.core.configuration import (
     TravelProgress,
 )
 from repro.core.constituents import SwitchingPolicy
-from repro.core.errors import SwitchingError
-from repro.network.flit import Flit, FlitKind, make_flits
-from repro.switching.base import SingleTravelStepper
+from repro.switching.base import (
+    SingleTravelStepper,
+    collect_arrivals,
+    remove_flit,
+)
 
 
 class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
@@ -48,13 +50,11 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         return "Swh"
 
     # -- SwitchingPolicy interface ------------------------------------------------
-    def step(self, config: Configuration) -> Configuration:
+    def advance(self, config: Configuration) -> None:
         """Advance every message by at most one hop (in travel-id order)."""
-        new_config = config.copy()
-        for travel in list(new_config.travels):
-            self._advance_worm(new_config, travel.travel_id)
-        self._collect_arrivals(new_config)
-        return new_config
+        for travel in config.travels:
+            self._advance_worm(config, travel.travel_id)
+        collect_arrivals(config)
 
     def can_progress(self, config: Configuration) -> bool:
         """``¬Ω(σ)``: at least one message can move this step."""
@@ -70,7 +70,7 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         moved = self._advance_worm(new_config, travel_id)
         if not moved:
             return None
-        self._collect_arrivals(new_config)
+        collect_arrivals(new_config)
         return new_config
 
     # -- internals ----------------------------------------------------------------------
@@ -110,14 +110,14 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         if record is None:
             return False
         route = record.route
+        ejected = record.ejected_position
         state = config.state
-        flits = make_flits(travel_id, len(record.positions))
         predecessor_moved = True  # the "predecessor" of the leader is the sink
         leader_pending = True
         any_moved = False
 
         for index, position in enumerate(record.positions):
-            if position == record.ejected_position:
+            if position == ejected:
                 predecessor_moved = True
                 continue
             is_leader, leader_pending = leader_pending, False
@@ -125,10 +125,10 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
                 # Strict pipelining: a flit only follows a moving predecessor.
                 predecessor_moved = False
                 continue
-            if position == len(route) - 1:
+            if position == ejected - 1:
                 # Ejection at the destination local out-port.
-                self._remove_flit(config, route[position], travel_id, index)
-                record.positions[index] = record.ejected_position
+                remove_flit(config, route[position], travel_id, index)
+                record.positions[index] = ejected
                 predecessor_moved = True
                 any_moved = True
                 continue
@@ -145,10 +145,9 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
                 predecessor_moved = False
                 continue
             if position == NOT_INJECTED:
-                flit = flits[index]
+                flit = record.flits[index]
             else:
-                flit = self._remove_flit(config, route[position], travel_id,
-                                         index)
+                flit = remove_flit(config, route[position], travel_id, index)
             state.accept_flit(target_port, flit)
             record.positions[index] = target_index
             predecessor_moved = True
@@ -178,29 +177,6 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         class can no longer be requested.
         """
         return True
-
-    @staticmethod
-    def _remove_flit(config: Configuration, port, travel_id: int,
-                     flit_index: int) -> Flit:
-        """Pop the head flit of ``port`` and check it is the expected one."""
-        flit = config.state.release_flit(port)
-        if flit.travel_id != travel_id or flit.index != flit_index:
-            raise SwitchingError(
-                f"expected flit {flit_index} of travel {travel_id} at {port}, "
-                f"found {flit}")
-        return flit
-
-    @staticmethod
-    def _collect_arrivals(config: Configuration) -> None:
-        """Move fully-ejected travels from ``T`` to ``A``."""
-        still_pending = []
-        for travel in config.travels:
-            record = config.progress.get(travel.travel_id)
-            if record is not None and record.is_arrived:
-                config.arrived.append(travel)
-            else:
-                still_pending.append(travel)
-        config.travels[:] = still_pending
 
 
 class VCWormholeSwitching(WormholeSwitching):
@@ -234,9 +210,9 @@ class VCWormholeSwitching(WormholeSwitching):
     def name(self) -> str:
         return "Svc-wh"
 
-    def step(self, config: Configuration) -> Configuration:
+    def advance(self, config: Configuration) -> None:
         self._links_used = set()
-        return super().step(config)
+        super().advance(config)
 
     def advance_travel(self, config: Configuration,
                        travel_id: int) -> Optional[Configuration]:

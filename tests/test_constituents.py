@@ -119,6 +119,25 @@ class TestRoutingFunctionDerivedBehaviour:
             looping.compute_route(mesh.node_at(1, 0).local_in,
                                   mesh.node_at(0, 2).local_out)
 
+    def test_compute_route_holds_the_topology_own_ports(self, rxy, mesh):
+        source = Port(0, 0, PortName.LOCAL, Direction.IN)
+        destination = Port(2, 1, PortName.LOCAL, Direction.OUT)
+        route = rxy.compute_route(source, destination)
+        assert route[0] == source and route[-1] == destination
+        assert all(mesh.intern(port) is port for port in route)
+
+    def test_compute_route_rejects_a_hop_outside_the_topology(self, mesh):
+        outside = Port(9, 9, PortName.EAST, Direction.OUT)
+
+        class EscapingRouting(XYRouting):
+            def _route_from_in_port(self, current, destination):
+                return [outside]
+
+        assert mesh.intern(outside) is None
+        with pytest.raises(RoutingError, match=f"non-existent port {outside}"):
+            EscapingRouting(mesh).compute_route(mesh.node_at(1, 0).local_in,
+                                                mesh.node_at(0, 2).local_out)
+
     def test_non_deterministic_next_hop_rejected_when_claimed(self, mesh):
         class LyingRouting(XYRouting):
             def _route_from_in_port(self, current, destination):

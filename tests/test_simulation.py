@@ -176,6 +176,24 @@ class TestSimulator:
         assert metrics.steps == genoc_result.steps
 
 
+
+@pytest.mark.parametrize("messages, steps, peak_flits, route_length", [
+    (600, 117, 722, 7454),
+    (1200, 182, 730, 15004),
+    (2400, 341, 764, 30176),
+])
+def test_evacuate_counts_are_pinned(messages, steps, peak_flits,
+                                    route_length):
+    """``repro simulate --width 8 --height 8 --flits 4 --seed 11``."""
+    mesh = build_hermes_instance(8, 8, buffer_capacity=2)
+    result = Simulator(mesh).run(uniform_random_traffic(
+        mesh, num_messages=messages, num_flits=4, seed=11))
+    metrics = result.metrics
+    assert (metrics.steps, metrics.peak_flits_in_network,
+            metrics.total_route_length, metrics.flits) == \
+        (steps, peak_flits, route_length, 4 * messages)
+    assert result.correctness_ok and result.evacuation_ok
+
 class TestWorkloadsOnNonMeshTopologies:
     def test_mesh_specific_generators_reject_rings(self):
         ring = build_chain_ring_instance(4)
