@@ -13,7 +13,6 @@ Usage (after ``pip install -e .``)::
     python -m repro batch --matrix "vc-mesh:3x3, vcs=1..4" --shard 0/2
     python -m repro batch --matrix "mesh:3x3, routing=[west_first], faults=0..2, seed=0..4"
     python -m repro fuzz --seeds 200 --max-size 3x3
-    python -m repro bench --profile extended-8 --jobs 1 4 --json bench.json
     python -m repro batch --matrix "mesh:3x3, routing=[xy]" --trace run.jsonl
     python -m repro trace summary run.jsonl --json
     python -m repro batch --matrix "mesh:4x4, routing=[xy,yx]" --store .repro-store
@@ -176,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--vcs", type=int, nargs="*", default=[],
                        help="also sweep virtual-channel escape scenarios at "
                             "these VC counts (e.g. --vcs 1 2 4)")
-    batch.add_argument("--vc-mesh-sizes", type=int, nargs="*", default=[3],
-                       help="mesh sizes for the VC escape scenarios "
-                            "(default: 3)")
-    batch.add_argument("--torus-sizes", type=int, nargs="*", default=[],
-                       help="torus sizes for the VC escape scenarios "
-                            "(default: none)")
+    batch.add_argument("--vc-mesh-sizes", type=int, nargs="*", default=None,
+                       help="mesh sizes for the VC escape scenarios; "
+                            "requires --vcs (default: 3)")
+    batch.add_argument("--torus-sizes", type=int, nargs="*", default=None,
+                       help="torus sizes for the VC escape scenarios; "
+                            "requires --vcs (default: none)")
     batch.add_argument("--cross-check", action="store_true",
                        help="re-derive every verdict and escape set on a "
                             "CDCL session per group (disagreement = 'error' "
@@ -250,45 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the machine-readable campaign report to "
                            "PATH")
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the perf trajectory (solver microbench + portfolio "
-             "serial/parallel) and export a schema-versioned report")
-    bench.add_argument("--profile", default="smoke",
-                       choices=["tiny", "smoke", "extended-8", "extended"],
-                       help="portfolio size (default: smoke; extended "
-                            "scales to 8x8/16x16 meshes)")
-    bench.add_argument("--jobs", type=int, nargs="+", default=[1],
-                       metavar="N",
-                       help="job counts to run the portfolio at "
-                            "(default: 1; e.g. --jobs 1 4)")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="microbench repetitions, best-of (default 3)")
-    bench.add_argument("--reference", type=str, default=None, metavar="PATH",
-                       help="previous BENCH_*.json to compute speedups "
-                            "against")
-    bench.add_argument("--json", type=str, default=None, metavar="PATH",
-                       help="write the BENCH report to PATH (default: "
-                            "BENCH_<date>.json in the current directory)")
-    bench.add_argument("--compare", type=str, nargs=2, default=None,
-                       metavar=("OLD.json", "NEW.json"),
-                       help="compare two committed BENCH reports instead of "
-                            "running anything: print the per-benchmark "
-                            "speedup table and exit non-zero on regressions "
-                            "beyond --threshold")
-    bench.add_argument("--threshold", type=float, default=0.95,
-                       help="minimum acceptable speedup in --compare mode "
-                            "(default 0.95: new may be at most 5%% slower)")
-    bench.add_argument("--trace-dir", type=str, default=None, metavar="DIR",
-                       help="also record a JSONL event trace per serial "
-                            "portfolio lane into DIR (created if missing); "
-                            "parallel lanes are never traced")
-    bench.add_argument("--store", type=str, default=None, metavar="DIR",
-                       help="attach a verdict store to the portfolio lanes; "
-                            "warm lanes then measure the cache-replay path "
-                            "instead of solver work, so leave this unset "
-                            "when producing reference BENCH reports")
-
     store = commands.add_parser(
         "store",
         help="inspect a persistent verdict store directory "
@@ -309,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = commands.add_parser(
         "trace",
         help="offline analysis of a recorded JSONL event trace "
-             "(see 'repro batch --trace' / 'repro bench --trace-dir')")
+             "(see 'repro batch --trace')")
     trace_commands = trace.add_subparsers(dest="trace_command",
                                           required=True)
     for name, help_text in [
@@ -680,6 +640,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--buffers does not apply to --matrix sweeps; set "
             "'buffers=N' inside the matrix term instead")
+    for flag, value in (("--vc-mesh-sizes", args.vc_mesh_sizes),
+                        ("--torus-sizes", args.torus_sizes)):
+        if value is not None and not args.vcs:
+            raise SystemExit(f"{flag} requires --vcs: the VC escape "
+                             f"sweep runs only at the given VC counts")
     try:
         if args.matrix:
             from repro.core.spec import expand_matrix
@@ -694,8 +659,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 if any(count < 1 for count in args.vcs):
                     raise SystemExit("--vcs counts must be at least 1")
                 scenarios += vc_escape_portfolio(
-                    mesh_sizes=args.vc_mesh_sizes,
-                    torus_sizes=args.torus_sizes, vc_counts=args.vcs,
+                    mesh_sizes=(3,) if args.vc_mesh_sizes is None
+                    else args.vc_mesh_sizes,
+                    torus_sizes=args.torus_sizes or (), vc_counts=args.vcs,
                     buffer_capacity=buffers)
     except SpecificationError as error:
         raise SystemExit(f"invalid scenario matrix: {error}")
@@ -843,56 +809,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.bench import (
-        bench_report_path,
-        compare_bench_reports,
-        format_bench_comparison,
-        format_bench_summary,
-        run_benchmark,
-        write_bench_report,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        with open(old_path, encoding="utf-8") as handle:
-            old_report = json.load(handle)
-        with open(new_path, encoding="utf-8") as handle:
-            new_report = json.load(handle)
-        rows, regressions = compare_bench_reports(old_report, new_report,
-                                                  threshold=args.threshold)
-        if not rows:
-            print("the two reports share no comparable benchmarks")
-            return 1
-        print(format_bench_comparison(rows, regressions,
-                                      threshold=args.threshold))
-        return 1 if regressions else 0
-
-    reference = None
-    if args.reference:
-        with open(args.reference, encoding="utf-8") as handle:
-            reference = json.load(handle)
-    report = run_benchmark(profile=args.profile, jobs_list=args.jobs,
-                           repeat=args.repeat, reference=reference,
-                           trace_dir=args.trace_dir,
-                           store_dir=args.store)
-    path = args.json or bench_report_path()
-    write_bench_report(report, path)
-    print(format_bench_summary(report))
-    print(f"bench report written to {path}")
-    if args.trace_dir:
-        print(f"serial-lane traces written to {args.trace_dir}/")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro.core import trace_analysis
     from repro.core.trace import load_trace, validate_trace
 
+    if args.trace_command == "hot" and args.top < 1:
+        raise SystemExit("--top must be at least 1")
     try:
         events = load_trace(args.trace_file)
     except (OSError, ValueError) as error:
@@ -957,7 +881,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "batch": _cmd_batch,
     "fuzz": _cmd_fuzz,
-    "bench": _cmd_bench,
     "store": _cmd_store,
     "trace": _cmd_trace,
 }

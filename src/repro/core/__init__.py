@@ -72,8 +72,6 @@ from repro.core.portfolio import (
     PortfolioReport,
     Scenario,
     ScenarioVerdict,
-    extended_matrix,
-    extended_portfolio,
     merge_shard_reports,
     run_portfolio,
     scenarios_from_specs,
@@ -166,8 +164,6 @@ __all__ = [
     "PortfolioReport",
     "Scenario",
     "ScenarioVerdict",
-    "extended_matrix",
-    "extended_portfolio",
     "merge_shard_reports",
     "run_portfolio",
     "scenarios_from_specs",

@@ -10,8 +10,8 @@ routing's :func:`~repro.routing.base.route_table`, which every routing
 object computes once.)
 
 One cache lives per process (:func:`instance_cache`).
-:func:`reset_instance_cache` restores a cold cache (used by benchmarks
-that measure construction cost honestly).
+:func:`reset_instance_cache` restores a cold cache (for measurements and
+tests that need construction to start from nothing).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class InstanceCache:
     """Spec -> instance memoisation.
 
     A hit is indistinguishable from a rebuild apart from the time saved;
-    hit and miss counters are exported into bench trajectories and the
-    portfolio JSON report.
+    hit and miss counters are exported into the portfolio JSON report.
     """
 
     def __init__(self) -> None:
@@ -59,8 +58,7 @@ class InstanceCache:
         The map holds its instances *strongly*: spec-backed scenarios
         deliberately keep no instance reference, so a weak entry would die
         before its first reuse.  Long-lived processes that sweep many large distinct
-        designs should call :func:`reset_instance_cache` between sweeps
-        (the bench runner does).
+        designs should call :func:`reset_instance_cache` between sweeps.
         """
         instance = self._instances.get(spec)
         if instance is not None:

@@ -1,7 +1,7 @@
 """Structured solver/engine telemetry: the trace lab's recording side.
 
 The engine's only runtime visibility used to be end-of-run aggregate
-counters (``SatSolver.stats``) and wall times (``BENCH_*.json``).  This
+counters (``SatSolver.stats``) and wall times (``repro batch --json``).  This
 module records what the search *did* while it did it: an opt-in, buffered
 JSONL event stream threaded through the CDCL solver, the incremental
 session/oracle layer and the portfolio driver, cheap enough to leave wired

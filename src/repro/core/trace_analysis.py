@@ -242,7 +242,6 @@ def analyze_hot(events: Sequence[Dict[str, object]],
     conflicts of the scenario's stat delta)."""
     summary = analyze_summary(events)
     scenarios = summary["scenarios"]
-    top = max(1, int(top))
     return {
         "top": top,
         "total_scenarios": len(scenarios),

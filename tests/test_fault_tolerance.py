@@ -532,6 +532,15 @@ class TestBatchCli:
                            match=f"invalid scenario matrix: .*{message}"):
             main(["batch"] + flags)
 
+    @pytest.mark.parametrize("flag", ["--vc-mesh-sizes", "--torus-sizes"])
+    def test_vc_sweep_sizes_without_vcs_are_usage_errors(self, flag):
+        """The VC escape sweep runs only at the --vcs counts, so sizing it
+        without them used to run nothing and exit 0."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=f"{flag} requires --vcs"):
+            main(["batch", flag, "4", "--mesh-sizes", "--ring-sizes"])
+
     def test_sigint_without_store_says_the_sweep_is_not_resumable(
             self, capsys):
         import argparse

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.bmc import ConfigurationSpace, explore_configuration_space
+from repro.checking.encodings import is_acyclic_by_sat
+from repro.checking.incremental import AcyclicityOracle
 from repro.core.deadlock import DeadlockQuerySession
+from repro.core.dependency import routing_dependency_graph
 from repro.core.obligations import check_c3_incremental
 from repro.core.portfolio import (
     PortfolioReport,
@@ -20,7 +23,7 @@ from repro.core.theorems import (
     check_deadlock_freedom,
     check_deadlock_freedom_incremental,
 )
-from repro.hermes import build_hermes_instance
+from repro.hermes import build_exy_graph, build_hermes_instance
 from repro.network.mesh import Mesh2D
 from repro.ringnoc import (
     build_chain_ring_instance,
@@ -57,6 +60,25 @@ class TestDeadlockQuerySession:
         assert escapes, "a single dateline edge removal must fix the ring"
         for edge in escapes:
             assert session.is_deadlock_free_without([edge])
+
+    @pytest.mark.parametrize("build, free, escapable", [
+        (lambda: build_exy_graph(Mesh2D(4, 4)), True, False),
+        (lambda: routing_dependency_graph(ZigZagRouting(Mesh2D(4, 4))),
+         False, False),
+        (lambda: routing_dependency_graph(
+            build_clockwise_ring_instance(8).routing), False, True),
+    ], ids=["xy-mesh-4x4", "zigzag-mesh-4x4", "clockwise-ring-8"])
+    def test_cdcl_deciders_agree_beyond_toy_sizes(self, build, free,
+                                                  escapable):
+        """The one-shot SAT encoding, the incremental oracle and the
+        session reach the same verdict; only the ring's cycles share an
+        edge whose removal breaks them all."""
+        graph = build()
+        assert is_acyclic_by_sat(graph) is free
+        assert AcyclicityOracle(graph).is_acyclic() is free
+        session = DeadlockQuerySession(graph, name="beyond-toy")
+        assert session.is_deadlock_free() is free
+        assert bool(session.escape_edges()) is escapable
 
     def test_subset_queries_are_monotone(self):
         instance = build_hermes_instance(2, 2)

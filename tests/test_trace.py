@@ -446,6 +446,15 @@ class TestTraceCli:
         with pytest.raises(SystemExit, match="schema"):
             main(["trace", "summary", str(bad)])
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_trace_hot_rejects_top_below_one(self, tmp_path, top):
+        from repro.cli import main
+
+        path = str(tmp_path / "run.jsonl")
+        main(["batch", "--matrix", SMALL_MATRIX, "--trace", path])
+        with pytest.raises(SystemExit, match="--top must be at least 1"):
+            main(["trace", "hot", path, "--top", top])
+
     def test_trace_subcommands_render_tables(self, tmp_path, capsys):
         from repro.cli import main
 
