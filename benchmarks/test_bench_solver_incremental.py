@@ -15,7 +15,6 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
-from repro.checking.incremental import AcyclicityOracle
 from repro.checking.sat import SatSolver, solve_cnf
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.portfolio import run_portfolio, standard_portfolio
@@ -39,12 +38,13 @@ def test_bench_incremental_vs_rebuild(benchmark):
     edges = [tuple(edge) for edge in graph.edges()]
 
     def incremental_sweep():
-        oracle = AcyclicityOracle(graph)
-        verdicts = [oracle.is_acyclic()]
+        session = DeadlockQuerySession(graph)
+        verdicts = [session.is_deadlock_free()]
         for step in (2, 3, 4):
-            verdicts.append(oracle.is_acyclic(edges[::step]))
+            verdicts.append(session.is_deadlock_free_edges(edges[::step]))
         for edge in edges[:8]:
-            verdicts.append(oracle.is_acyclic_without([edge]))
+            verdicts.append(session.is_deadlock_free_edges(
+                kept for kept in edges if kept != edge))
         return verdicts
 
     verdicts = benchmark(incremental_sweep)
@@ -75,9 +75,9 @@ def test_bench_deadlock_session_escape_analysis(benchmark):
     instance = build_clockwise_ring_instance(8)
 
     def analyse():
-        session = DeadlockQuerySession.for_instance(instance)
+        session = DeadlockQuerySession.for_routing(instance.routing)
         free = session.is_deadlock_free()
-        escapes = session.escape_edges()
+        escapes = session.escape_edges_for(session.edges)
         return free, escapes, session.queries
 
     free, escapes, queries = benchmark(analyse)

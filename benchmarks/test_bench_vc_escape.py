@@ -16,12 +16,10 @@ import pytest
 from benchmarks.conftest import report
 from repro.checking.graphs import DirectedGraph
 from repro.core.deadlock import DeadlockQuerySession
-from repro.core.dependency import channel_dependency_graph
+from repro.core.dependency import channel_dependency_graph, class_edges
+from repro.core.obligations import check_v1_escape_coverage
 from repro.core.portfolio import run_portfolio, vc_escape_portfolio
-from repro.core.theorems import (
-    check_deadlock_freedom_vc,
-    check_deadlock_freedom_vc_incremental,
-)
+from repro.core.theorems import check_deadlock_freedom_vc
 from repro.network.mesh import Mesh2D
 from repro.network.torus import Torus2D
 from repro.network.vc import VCTopology
@@ -44,6 +42,21 @@ def _session_for(base_topology) -> DeadlockQuerySession:
     return DeadlockQuerySession(universe, name=str(base_topology))
 
 
+def _shared_session_sweep(base_topology, relations, graphs):
+    """Every VC count's (V-1)/(V-2) verdict, (V-2) on one shared session."""
+    session = _session_for(base_topology)
+    verdicts = {}
+    for vcs, relation in relations.items():
+        graph = graphs[vcs]
+        for source, target in graph.edges():
+            session.add_edge(source, target)
+        verdicts[vcs] = (
+            check_v1_escape_coverage(relation).holds
+            and session.is_deadlock_free_edges(
+                class_edges(graph, relation.escape_vcs)))
+    return verdicts, session
+
+
 @pytest.fixture(scope="module")
 def mesh_relations():
     mesh = Mesh2D(3, 3)
@@ -64,22 +77,13 @@ def test_bench_vc_queries_mesh_shared_session(benchmark, mesh_relations):
     graphs = {vcs: channel_dependency_graph(relation)
               for vcs, relation in relations.items()}
 
-    def sweep():
-        session = _session_for(mesh)
-        verdicts = {}
-        for vcs, relation in relations.items():
-            for source, target in graphs[vcs].edges():
-                session.add_edge(source, target)
-            verdicts[vcs] = (
-                check_deadlock_freedom_vc_incremental(
-                    relation, session=session).holds)
-        return verdicts, session
-
-    verdicts, session = benchmark.pedantic(sweep, rounds=3, iterations=1)
+    verdicts, session = benchmark.pedantic(
+        _shared_session_sweep, args=(mesh, relations, graphs), rounds=3,
+        iterations=1)
     assert verdicts == EXPECTED
     stats = session.solver_stats
     report("VC escape queries, 3x3 mesh, one session for 1/2/4 VCs",
-           f"verdicts {verdicts}; {session.queries} incremental queries, "
+           f"verdicts {verdicts}; {session.queries} session queries, "
            f"{stats['solves']} solves, {stats['learned']} clauses learned, "
            f"{session.edge_count} edges encoded")
 
@@ -90,21 +94,12 @@ def test_bench_vc_queries_torus_shared_session(benchmark, torus_relations):
     graphs = {vcs: channel_dependency_graph(relation)
               for vcs, relation in relations.items()}
 
-    def sweep():
-        session = _session_for(torus)
-        verdicts = {}
-        for vcs, relation in relations.items():
-            for source, target in graphs[vcs].edges():
-                session.add_edge(source, target)
-            verdicts[vcs] = (
-                check_deadlock_freedom_vc_incremental(
-                    relation, session=session).holds)
-        return verdicts, session
-
-    verdicts, session = benchmark.pedantic(sweep, rounds=2, iterations=1)
+    verdicts, session = benchmark.pedantic(
+        _shared_session_sweep, args=(torus, relations, graphs), rounds=2,
+        iterations=1)
     assert verdicts == EXPECTED
     report("VC dateline queries, 4x4 torus, one session for 1/2/4 VCs",
-           f"verdicts {verdicts}; {session.queries} incremental queries, "
+           f"verdicts {verdicts}; {session.queries} session queries, "
            f"{session.edge_count} edges encoded")
 
 

@@ -15,7 +15,7 @@ This example exercises the public API end to end:
 6. repair a deadlock-prone adaptive design with **virtual channels**: the
    3x3 mesh with fully-adaptive minimal routing has dependency cycles, but
    with 2 VCs and an XY escape class it is proved deadlock-free -- by the
-   explicit (V-1)/(V-2) checker and by the incremental CDCL path -- and
+   explicit (V-1)/(V-2) checker and by one solve on a CDCL session -- and
    then simulated on the VC-aware wormhole switching.
 
 For sweeping many designs at once, see the batch driver::
@@ -74,24 +74,24 @@ def main() -> None:
 
     # 5. The Deadlock theorem, incrementally: encode the dependency-edge
     #    universe once, then re-query under assumptions.
-    session = DeadlockQuerySession.for_instance(instance)
+    session = DeadlockQuerySession(instance.dependency_spec.to_graph(),
+                                   name=instance.name)
     print(f"DeadThm (incremental session over {session.edge_count} edges)")
     print(f"  full condition      : "
           f"{'holds' if session.is_deadlock_free() else 'VIOLATED'}")
-    west_half = [port for port in instance.topology.ports
-                 if port.node[0] < instance.mesh.width // 2]
+    west_half = [(source, target) for source, target in session.edges
+                 if source.node[0] < instance.mesh.width // 2
+                 and target.node[0] < instance.mesh.width // 2]
     print(f"  restricted to P'    : "
-          f"{'holds' if session.is_deadlock_free_for(west_half) else 'VIOLATED'}"
-          f"  ({len(west_half)} ports, same solver, no re-encoding)")
+          f"{'holds' if session.is_deadlock_free_edges(west_half) else 'VIOLATED'}"
+          f"  ({len(west_half)} edges, same solver, no re-encoding)")
     print(f"  incremental queries : {session.queries}")
     print()
 
     # 6. Virtual channels: repair a deadlock-prone adaptive design with an
     #    escape VC class, prove it free both ways, then simulate it.
-    from repro.core.theorems import (
-        check_deadlock_freedom_vc,
-        check_deadlock_freedom_vc_incremental,
-    )
+    from repro.core.dependency import channel_dependency_graph, class_edges
+    from repro.core.theorems import check_deadlock_freedom_vc
     from repro.vcnoc import build_vc_mesh_instance
 
     prone = build_vc_mesh_instance(3, 3, num_vcs=1)
@@ -99,12 +99,17 @@ def main() -> None:
     print("Virtual-channel escape repair (3x3 mesh, adaptive routing)")
     print(f"  1 VC  (no escape)   : "
           f"{'free' if check_deadlock_freedom_vc(prone.relation).holds else 'DEADLOCK-PRONE'}")
-    explicit = check_deadlock_freedom_vc(fixed.relation)
-    incremental = check_deadlock_freedom_vc_incremental(fixed.relation)
+    channels = channel_dependency_graph(fixed.relation)
+    explicit = check_deadlock_freedom_vc(fixed.relation, graph=channels)
+    # (V-2) on the CDCL session: one solve over the escape-class edges
+    # ((V-1) coverage is the explicit check's enumeration).
+    vc_session = DeadlockQuerySession(channels, name=fixed.name)
+    escape_free = vc_session.is_deadlock_free_edges(
+        class_edges(channels, fixed.relation.escape_vcs))
     print(f"  2 VCs (XY escape)   : "
           f"{'free' if explicit.holds else 'DEADLOCK-PRONE'} (explicit), "
-          f"{'free' if incremental.holds else 'DEADLOCK-PRONE'} (incremental, "
-          f"{incremental.details['incremental_queries']} queries)")
+          f"escape class {'acyclic' if escape_free else 'CYCLIC'} "
+          f"(CDCL session, {vc_session.queries} solve)")
     vc_run = Simulator(fixed).run(
         uniform_random_traffic(fixed, num_messages=16, num_flits=4,
                                seed=2010))

@@ -9,13 +9,13 @@ from scratch:
   components (Tarjan), topological sorting: the classical linear-time checks
   the paper mentions for fixed-size instances (Section VII) and the related
   Taktak et al. approach (Section VIII).
-* :mod:`repro.checking.bool_expr`, :mod:`repro.checking.cnf`,
-  :mod:`repro.checking.tseitin`, :mod:`repro.checking.dimacs`,
-  :mod:`repro.checking.sat` -- a boolean-expression AST, CNF machinery and a
-  DPLL/CDCL SAT solver (the stand-in for Z3).
-* :mod:`repro.checking.encodings`, :mod:`repro.checking.incremental` --
-  SAT encodings of graph acyclicity and the incremental session/oracle
-  layer over the CDCL solver.
+* :mod:`repro.checking.cnf`, :mod:`repro.checking.sat` -- CNF formulas and
+  an incremental CDCL SAT solver (the stand-in for Z3).
+* :mod:`repro.checking.encodings` -- the SAT encoding of graph acyclicity
+  (topological numbering with comparator ladders), shared by the one-shot
+  ``sat`` discharge of (C-3) and by
+  :class:`repro.core.deadlock.DeadlockQuerySession`, the solver's
+  incremental client.
 * :mod:`repro.checking.ts`, :mod:`repro.checking.bmc` -- explicit-state
   transition systems and reachability analysis (the stand-in for NuSMV),
   used to validate Theorem 1 empirically by exhaustive exploration of small

@@ -1,25 +1,12 @@
 """CNF formulas with integer literals (DIMACS convention).
 
 A literal is a non-zero integer: ``v`` for the positive literal of variable
-``v`` and ``-v`` for its negation.  :class:`CNF` also keeps an optional
-mapping from variable numbers back to human-readable names so that models of
-the acyclicity encodings can be decoded into port orderings.
+``v`` and ``-v`` for its negation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterable, Iterator, List, Mapping, Set, Tuple
 
 Literal = int
 Clause = Tuple[Literal, ...]
@@ -31,8 +18,6 @@ class CNF:
     def __init__(self) -> None:
         self.clauses: List[Clause] = []
         self._num_vars = 0
-        self._names: Dict[int, str] = {}
-        self._by_name: Dict[str, int] = {}
 
     # -- variables ---------------------------------------------------------------
     @property
@@ -43,28 +28,10 @@ class CNF:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def new_var(self, name: Optional[str] = None) -> int:
-        """Allocate a fresh variable, optionally giving it a name."""
+    def new_var(self) -> int:
+        """Allocate a fresh variable."""
         self._num_vars += 1
-        var = self._num_vars
-        if name is not None:
-            if name in self._by_name:
-                raise ValueError(f"variable name {name!r} already used")
-            self._names[var] = name
-            self._by_name[name] = var
-        return var
-
-    def var(self, name: str) -> int:
-        """The variable with the given name, allocating it if necessary."""
-        if name in self._by_name:
-            return self._by_name[name]
-        return self.new_var(name)
-
-    def name_of(self, var: int) -> Optional[str]:
-        return self._names.get(abs(var))
-
-    def named_variables(self) -> Dict[str, int]:
-        return dict(self._by_name)
+        return self._num_vars
 
     # -- clauses --------------------------------------------------------------------
     def add_clause(self, literals: Iterable[Literal]) -> None:
@@ -85,10 +52,6 @@ class CNF:
         self._num_vars = num_vars
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses: Iterable[Iterable[Literal]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
     def add_unit(self, literal: Literal) -> None:
         self.add_clause((literal,))
 
@@ -96,12 +59,11 @@ class CNF:
         """The canonical clause-iteration path (clauses ``start`` onward).
 
         Every consumer that walks the clause set -- evaluation, variable
-        enumeration, DIMACS export, solver clause streaming -- goes
-        through this iterator.  (The *write* side has a second, raw path:
-        the encoder hot loops in ``tseitin.py``/``encodings.py`` append
-        validated tuples to ``self.clauses`` directly, bypassing
-        :meth:`add_clause` -- safe because every literal they emit is
-        already allocated.)
+        enumeration, solver clause streaming -- goes through this
+        iterator.  (The *write* side has a second, raw path: the
+        comparator ladder in ``encodings.py`` appends validated tuples to
+        ``self.clauses`` directly, bypassing :meth:`add_clause` -- safe
+        because every literal it emits is already allocated.)
         """
         clauses = self.clauses
         return iter(clauses[start:]) if start else iter(clauses)
@@ -121,9 +83,6 @@ class CNF:
         value = assignment[abs(literal)]
         return value if literal > 0 else not value
 
-    # Backwards-compatible private alias (pre-arena callers).
-    _literal_value = literal_value
-
     def variables(self) -> Set[int]:
         return {abs(literal) for clause in self.iter_clauses()
                 for literal in clause}
@@ -136,37 +95,9 @@ class CNF:
         clone = CNF()
         clone.clauses = list(self.clauses)
         clone._num_vars = self._num_vars
-        clone._names = dict(self._names)
-        clone._by_name = dict(self._by_name)
         return clone
 
     def __str__(self) -> str:
         return (f"CNF({self.num_vars} variables, "
                 f"{self.num_clauses} clauses)")
 
-
-# ---------------------------------------------------------------------------
-# Common clause patterns
-# ---------------------------------------------------------------------------
-
-def at_most_one(literals: Sequence[Literal]) -> List[Clause]:
-    """Pairwise at-most-one encoding."""
-    clauses: List[Clause] = []
-    for i in range(len(literals)):
-        for j in range(i + 1, len(literals)):
-            clauses.append((-literals[i], -literals[j]))
-    return clauses
-
-
-def at_least_one(literals: Sequence[Literal]) -> List[Clause]:
-    return [tuple(literals)]
-
-
-def exactly_one(literals: Sequence[Literal]) -> List[Clause]:
-    return at_least_one(literals) + at_most_one(literals)
-
-
-def implies_clause(antecedents: Sequence[Literal],
-                   consequent: Literal) -> Clause:
-    """``a1 & ... & an -> c`` as a single clause."""
-    return tuple(-a for a in antecedents) + (consequent,)

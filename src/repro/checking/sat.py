@@ -72,15 +72,6 @@ class SatResult:
     #: itself is unsatisfiable, or when the result is SAT).
     core: Optional[List[Literal]] = None
 
-    def named_model(self, cnf: CNF) -> Dict[str, bool]:
-        """Decode the model using the CNF's variable names."""
-        if self.model is None:
-            raise ValueError("no model: formula is unsatisfiable")
-        model = self.model
-        return {name: model[var]
-                for name, var in cnf.named_variables().items()
-                if var in model}
-
 
 class _VarHeap:
     """Max-"heap" over variables ordered by VSIDS activity.
@@ -419,7 +410,7 @@ class IncrementalSatSolver:
 
         Semantically a loop of :meth:`add_clause`, but with the per-clause
         state (assignment bytes, arena, watcher table) hoisted out of the
-        loop -- whole encodings (thousands of clauses per oracle) load
+        loop -- whole encodings (thousands of clauses per session) load
         through this path, and the hoisting is worth ~25% of load time.
 
         An **empty** stream leaves the solver untouched: the sync layers

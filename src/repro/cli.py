@@ -25,8 +25,7 @@ x switching scenarios by dependency-graph cycle search, and with
 ``--cross-check`` re-derives every verdict on one incremental CDCL session
 per topology.  For programmatic incremental use, see
 :class:`repro.core.deadlock.DeadlockQuerySession` (encode a dependency-edge
-universe once, then re-query under assumptions) and
-:class:`repro.checking.incremental.AcyclicityOracle`.
+universe once, then re-query under assumptions).
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     deadlock = commands.add_parser(
         "deadlock",
         help="demonstrate Theorem 1 on a deadlock-prone design, or its "
-             "virtual-channel repair with --vcs (incl. incremental "
+             "virtual-channel repair with --vcs (incl. CDCL "
              "escape analysis)")
     deadlock.add_argument("--design",
                           choices=["clockwise-ring", "zigzag-mesh",
@@ -117,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="virtual channels per port: with >= 2 the "
                                "deadlock-prone design is re-verified at VC "
                                "granularity with an escape class (default: "
-                               "1, or 2 for --design adaptive-mesh)")
+                               "1, or 2 for --design adaptive-mesh, which "
+                               "needs >= 2)")
     deadlock.add_argument("--escape", choices=["xy", "dateline"],
                           default=None,
                           help="escape class style: xy (mesh) or dateline "
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a structured JSONL event trace of the "
                             "run to PATH (portfolio events, plus solver/"
-                            "oracle events under --cross-check; analyse "
+                            "session events under --cross-check; analyse "
                             "with 'repro trace'); requires --jobs 1")
 
     fuzz = commands.add_parser(
@@ -432,11 +432,11 @@ def _build_vc_relation(design: str, size: int, escape: Optional[str],
 
 def _cmd_deadlock_vc(design: str, args: argparse.Namespace,
                      num_vcs: int) -> int:
-    """The VC repair demo: deadlock-prone at 1 VC, proved free with escape."""
-    from repro.core.theorems import (
-        check_deadlock_freedom_vc,
-        check_deadlock_freedom_vc_incremental,
-    )
+    """The VC repair demo: the single-VC design, then with an escape class."""
+    from repro.core.deadlock import DeadlockQuerySession
+    from repro.core.dependency import channel_dependency_graph, class_edges
+    from repro.core.obligations import check_v1_escape_coverage
+    from repro.core.theorems import check_deadlock_freedom_vc
 
     size = args.size
     if size is None:
@@ -454,33 +454,39 @@ def _cmd_deadlock_vc(design: str, args: argparse.Namespace,
           f"{list(relation.escape_vcs)}, adaptive class "
           f"{list(relation.adaptive_vcs)}")
     # Enumerate the channel graph and the (V-1) coverage once; both the
-    # explicit and the incremental check consume them.
-    from repro.core.dependency import channel_dependency_graph
-    from repro.core.obligations import check_v1_escape_coverage
-
+    # explicit check and the CDCL session consume them.
     graph = channel_dependency_graph(relation)
     coverage = check_v1_escape_coverage(relation)
     explicit = check_deadlock_freedom_vc(relation, graph=graph,
                                          coverage=coverage)
-    incremental = check_deadlock_freedom_vc_incremental(relation,
-                                                        graph=graph,
-                                                        coverage=coverage)
-    if explicit.holds != incremental.holds:
+    # The independent CDCL reference: (V-2) as one solve restricted to the
+    # escape-class edges, and on failure its single-edge repairs.
+    session = DeadlockQuerySession(graph, name=relation.name())
+    escape_class = class_edges(graph, relation.escape_vcs)
+    cdcl = coverage.holds and session.is_deadlock_free_edges(escape_class)
+    fixes = [] if cdcl else session.escape_edges_for(escape_class)
+    if explicit.holds != cdcl:
         raise AssertionError(
-            f"explicit and incremental VC verdicts disagree: "
-            f"{explicit.holds} vs {incremental.holds}")
-    for result in (explicit, incremental):
-        status = "holds" if result.holds else "VIOLATED"
-        print(f"  {result.name}: {status} ({result.checks} checks, "
-              f"{result.elapsed_seconds:.3f}s)")
-        for counterexample in result.counterexamples[:2]:
-            print(f"    {counterexample}")
-    if explicit.holds:
+            f"explicit and CDCL VC verdicts disagree: "
+            f"{explicit.holds} vs {cdcl}")
+    status = "holds" if explicit.holds else "VIOLATED"
+    print(f"  {explicit.name}: {status} ({explicit.checks} checks, "
+          f"{explicit.elapsed_seconds:.3f}s)")
+    for counterexample in explicit.counterexamples[:2]:
+        print(f"    {counterexample}")
+    solves = session.queries
+    print(f"  CDCL session: {status} ({solves} solve"
+          f"{'' if solves == 1 else 's'} over {session.edge_count} "
+          f"channel edges)")
+    for source, target in fixes[:8]:
+        print(f"    escape fix: remove {source} -> {target}")
+    if explicit.holds and base_thm.holds:
+        print(f"\n=> the single-VC baseline is already deadlock-free; "
+              f"it stays free with {num_vcs} VCs.")
+    elif explicit.holds:
         print(f"\n=> the deadlock-prone design is proved deadlock-free "
               f"with {num_vcs} VCs ({len(relation.escape_vcs)} escape), "
-              f"by both the explicit checker and the incremental CDCL "
-              f"session ({incremental.details['incremental_queries']} "
-              f"incremental queries).")
+              f"by both the explicit checker and the CDCL session.")
     return 0 if explicit.holds else 1
 
 
@@ -502,10 +508,14 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
         num_vcs = 2 if design == "adaptive-mesh" else 1
     if num_vcs < 1:
         raise SystemExit("--vcs must be at least 1")
+    if design == "adaptive-mesh" and num_vcs < 2:
+        raise SystemExit(
+            "--design adaptive-mesh is the virtual-channel repair demo: "
+            "--vcs must be at least 2")
     min_size = 2 if design == "clockwise-ring" else 1
     if args.size is not None and args.size < min_size:
         raise SystemExit(f"--size must be at least {min_size} for {design}")
-    if num_vcs > 1 or design == "adaptive-mesh":
+    if num_vcs > 1:
         return _cmd_deadlock_vc(design, args, num_vcs)
     if args.escape is not None:
         raise SystemExit(
@@ -546,12 +556,12 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
     cycle = find_cycle_dfs(routing_dependency_graph(instance.routing)).cycle
     print("dependency cycle: " + " -> ".join(str(p) for p in cycle))
 
-    # Incremental escape analysis: one solver session, one solve per
-    # candidate edge removal.
+    # Escape analysis on the CDCL session: the cycle core, then one solve
+    # per core edge removal.
     from repro.core.deadlock import DeadlockQuerySession
 
     session = DeadlockQuerySession.for_routing(instance.routing)
-    escapes = session.escape_edges()
+    escapes = session.escape_edges_for(session.edges)
     if escapes:
         print("escape fixes (single-edge removals restoring freedom):")
         for source, target in escapes:

@@ -55,13 +55,11 @@ from repro.core.obligations import (
     check_c1,
     check_c2,
     check_c3,
-    check_c3_incremental,
     check_c3_routing_induced,
     check_c4,
     check_c5,
     check_v1_escape_coverage,
     check_v2_escape_acyclicity,
-    check_v2_incremental,
 )
 from repro.core.cache import (
     InstanceCache,
@@ -98,9 +96,7 @@ from repro.core.theorems import (
     TheoremResult,
     check_correctness,
     check_deadlock_freedom,
-    check_deadlock_freedom_incremental,
     check_deadlock_freedom_vc,
-    check_deadlock_freedom_vc_incremental,
     check_evacuation,
     check_no_reachable_deadlock,
     derive_evacuation,
@@ -151,13 +147,11 @@ __all__ = [
     "check_c1",
     "check_c2",
     "check_c3",
-    "check_c3_incremental",
     "check_c3_routing_induced",
     "check_c4",
     "check_c5",
     "check_v1_escape_coverage",
     "check_v2_escape_acyclicity",
-    "check_v2_incremental",
     "InstanceCache",
     "instance_cache",
     "reset_instance_cache",
@@ -184,9 +178,7 @@ __all__ = [
     "TheoremResult",
     "check_correctness",
     "check_deadlock_freedom",
-    "check_deadlock_freedom_incremental",
     "check_deadlock_freedom_vc",
-    "check_deadlock_freedom_vc_incremental",
     "check_evacuation",
     "check_no_reachable_deadlock",
     "derive_evacuation",

@@ -195,14 +195,9 @@ def check_acyclicity(graph: DirectedGraph[Port],
                      ) -> AcyclicityReport:
     """Check acyclicity with several independent methods and cross-compare.
 
-    Supported methods: ``dfs``, ``scc``, ``toposort``, ``networkx``, ``sat``
-    and ``sat-incremental``.  The SAT methods are considerably slower and
-    are only included when asked for (they are exercised by the Fig. 3
-    benchmark); ``sat-incremental`` answers through a reusable
-    :class:`~repro.checking.incremental.AcyclicityOracle` -- equivalent for
-    a single graph, but the oracle form is what
-    :class:`~repro.core.deadlock.DeadlockQuerySession` re-queries under
-    assumptions.
+    Supported methods: ``dfs``, ``scc``, ``toposort``, ``networkx`` and
+    ``sat``.  The SAT method is considerably slower and is only included
+    when asked for (it is exercised by the Fig. 3 benchmark).
     """
     report = AcyclicityReport(graph)
     for method in methods:
@@ -219,11 +214,6 @@ def check_acyclicity(graph: DirectedGraph[Port],
             from repro.checking.encodings import is_acyclic_by_sat
 
             report.by_method["sat"] = is_acyclic_by_sat(graph)
-        elif method == "sat-incremental":
-            from repro.checking.incremental import AcyclicityOracle
-
-            report.by_method["sat-incremental"] = \
-                AcyclicityOracle(graph).is_acyclic()
         else:
             raise ValueError(f"unknown acyclicity method {method!r}")
     if not report.consistent:

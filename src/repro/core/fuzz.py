@@ -11,8 +11,11 @@ deterministic per-seed RNG) whose verdicts must agree decider by decider.
 
 Disagreement taxonomy (what the campaign reports):
 
-* ``cdcl-vs-explicit`` -- the incremental SAT verdict differs from the DFS
-  cycle search on the same graph: a solver or encoding bug.
+* ``cdcl-vs-explicit`` -- the CDCL session's verdict, or its set of
+  single-edge escape repairs
+  (:meth:`~repro.core.deadlock.DeadlockQuerySession.escape_edges_for`),
+  differs from the DFS cycle search on the same graph: a solver or
+  encoding bug.
 * ``explicit-internal`` -- DFS, SCC decomposition and Kahn toposort
   disagree among themselves: a graph-algorithm bug.
 * ``brute-vs-explicit`` -- the quadratic self-reachability sweep differs:
@@ -286,6 +289,8 @@ def _decide_instance(instance, brute_force: bool,
                                                        List[str]]:
     """All non-simulation deciders on one instance, plus disagreements."""
     from repro.checking.graphs import (
+        DirectedGraph,
+        edges_on_every_cycle,
         find_cycle_dfs,
         is_acyclic_by_scc,
         topological_sort,
@@ -302,30 +307,23 @@ def _decide_instance(instance, brute_force: bool,
     relation = instance.routing
     if isinstance(relation, EscapeChannelRouting):
         from repro.core.obligations import check_v1_escape_coverage
-        from repro.core.theorems import (
-            check_deadlock_freedom_vc,
-            check_deadlock_freedom_vc_incremental,
-        )
+        from repro.core.theorems import check_deadlock_freedom_vc
 
         condition = "vc-escape"
         graph = channel_dependency_graph(relation)
         coverage = check_v1_escape_coverage(relation)
+        covered = coverage.holds
         explicit = check_deadlock_freedom_vc(
             relation, graph=graph, coverage=coverage).holds
-        cdcl = check_deadlock_freedom_vc_incremental(
-            relation, graph=graph, coverage=coverage).holds
-        # (V-2) restricted to the escape class is what brute force re-derives;
-        # (V-1) coverage is shared (it is a plain enumeration, not a solver).
-        escape_edges = class_edges(graph, relation.escape_vcs)
-        brute_acyclic = (brute_force_acyclic(escape_edges,
-                                             max_vertices=max_brute_vertices)
-                         if brute_force else None)
-        brute = (None if brute_acyclic is None
-                 else coverage.holds and brute_acyclic)
-        edge_count = graph.edge_count
+        # (V-2) restricted to the escape class is what the session and
+        # brute force re-derive; (V-1) coverage is shared (it is a plain
+        # enumeration, not a solver).
+        query_edges = class_edges(graph, relation.escape_vcs)
+        query_graph = DirectedGraph.from_edges(query_edges)
     else:
         condition = "theorem1"
         graph = routing_dependency_graph(relation)
+        covered = True
         dfs_free = find_cycle_dfs(graph).acyclic
         scc_free = is_acyclic_by_scc(graph)
         topo_free = topological_sort(graph) is not None
@@ -334,20 +332,31 @@ def _decide_instance(instance, brute_force: bool,
                 f"explicit-internal: dfs={dfs_free} scc={scc_free} "
                 f"toposort={topo_free}")
         explicit = dfs_free
-        session = DeadlockQuerySession.for_routing(relation)
-        cdcl = session.is_deadlock_free()
-        brute = (brute_force_acyclic(graph.edges(),
-                                     max_vertices=max_brute_vertices)
-                 if brute_force else None)
-        edge_count = graph.edge_count
+        query_edges = graph.edges()
+        query_graph = graph
+    session = DeadlockQuerySession(graph, name=relation.name())
+    cdcl = covered and session.is_deadlock_free_edges(query_edges)
+    fixes = set() if cdcl else set(session.escape_edges_for(query_edges))
+    cycle = find_cycle_dfs(query_graph).cycle or []
+    escape = set(edges_on_every_cycle(
+        query_graph, list(zip(cycle, cycle[1:] + cycle[:1]))))
+    brute_acyclic = (brute_force_acyclic(query_edges,
+                                         max_vertices=max_brute_vertices)
+                     if brute_force else None)
+    brute = (None if brute_acyclic is None
+             else covered and brute_acyclic)
 
     if cdcl != explicit:
         disagreements.append(
             f"cdcl-vs-explicit: cdcl={cdcl} explicit={explicit}")
+    elif fixes != escape:
+        disagreements.append(
+            f"cdcl-vs-explicit: {len(fixes)} CDCL escape edges, "
+            f"{len(escape)} by graph search")
     if brute is not None and brute != explicit:
         disagreements.append(
             f"brute-vs-explicit: brute={brute} explicit={explicit}")
-    return condition, cdcl, explicit, brute, edge_count, disagreements
+    return condition, cdcl, explicit, brute, graph.edge_count, disagreements
 
 
 def _simulate_instance(instance, deadlock_free: bool, index: int,

@@ -199,36 +199,6 @@ def check_c3(spec: DependencyGraphSpec,
     return _timed(run, "C-3")
 
 
-def check_c3_incremental(spec: DependencyGraphSpec,
-                         session=None) -> ObligationResult:
-    """(C-3) discharged through a reusable incremental solver session.
-
-    Equivalent to ``check_c3(spec, methods=("sat-incremental",))`` for a
-    single call, but the :class:`~repro.core.deadlock.DeadlockQuerySession`
-    built here (or passed in) can afterwards answer restricted-subset and
-    escape-edge queries without re-encoding -- that is the point of the
-    incremental route.  The session is returned in ``details["session"]``.
-    """
-
-    def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
-        from repro.core.deadlock import DeadlockQuerySession
-
-        live = session if session is not None \
-            else DeadlockQuerySession(spec.to_graph())
-        queries_before = live.queries
-        acyclic = live.is_deadlock_free()
-        counterexamples: List[str] = []
-        if not acyclic:
-            core = live.cycle_core() or []
-            counterexamples.append(
-                "dependency cycle within: "
-                + " , ".join(f"{s} -> {t}" for s, t in core[:8]))
-        return (acyclic, live.queries - queries_before, counterexamples,
-                {"edges": live.edge_count, "session": live})
-
-    return _timed(run, "C-3(incremental)")
-
-
 def check_c3_routing_induced(routing: RoutingFunction,
                              methods: Sequence[str] = ("dfs",),
                              ) -> ObligationResult:
@@ -374,49 +344,6 @@ def check_v2_escape_acyclicity(relation,
                 counterexamples, details)
 
     return _timed(run, "V-2")
-
-
-def check_v2_incremental(relation, session=None,
-                         graph: Optional[DirectedGraph] = None
-                         ) -> ObligationResult:
-    """(V-2) discharged through an incremental solver session.
-
-    The channel-edge universe is encoded once into a
-    :class:`~repro.core.deadlock.DeadlockQuerySession` (or merged into a
-    shared one) and the escape-class restriction is a single solve under
-    assumptions -- the per-VC-class analogue of the restricted ``P' ⊆ P``
-    query.  The live session is returned in ``details["session"]``.
-    """
-
-    def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
-        from repro.core.deadlock import DeadlockQuerySession
-        from repro.core.dependency import (
-            channel_dependency_graph,
-            class_edges,
-        )
-
-        full = graph if graph is not None \
-            else channel_dependency_graph(relation)
-        if session is None:
-            live = DeadlockQuerySession(full, name=relation.name())
-        else:
-            live = session
-            for source, target in full.edges():
-                live.add_edge(source, target)
-        edges = class_edges(full, relation.escape_vcs)
-        queries_before = live.queries
-        acyclic = live.is_deadlock_free_edges(edges)
-        counterexamples: List[str] = []
-        if not acyclic:
-            core = live.cycle_core_for(edges) or []
-            counterexamples.append(
-                "escape-class dependency cycle within: "
-                + " , ".join(f"{s} -> {t}" for s, t in core[:8]))
-        return (acyclic, live.queries - queries_before, counterexamples,
-                {"escape_edges": len(edges), "escape_edge_list": edges,
-                 "session": live})
-
-    return _timed(run, "V-2(incremental)")
 
 
 # ---------------------------------------------------------------------------

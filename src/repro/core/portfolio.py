@@ -743,10 +743,8 @@ def _run_group(payload: Tuple,
                 for source, target in new_edges:
                     session.add_edge(source, target)
                 free = covered and session.is_deadlock_free_edges(query_edges)
-                core = [] if free else session.cycle_core_for(query_edges)
-                fixes = {edge for edge in core or []
-                         if session.is_deadlock_free_edges(
-                             e for e in query_edges if e != edge)}
+                fixes = (set() if free
+                         else set(session.escape_edges_for(query_edges)))
                 if free != deadlock_free or fixes != set(escape):
                     raise AssertionError(
                         f"cross-check disagrees on {scenario.name}: graph "
@@ -1025,7 +1023,7 @@ def run_portfolio(scenarios: Sequence[Scenario],
 
     ``trace`` (a :class:`~repro.core.trace.TraceWriter`) records the run as
     a structured event stream -- portfolio/scenario spans, wrapping the
-    oracle and solver events of a cross-checked run.  Tracing is **serial
+    session and solver events of a cross-checked run.  Tracing is **serial
     only**: a writer cannot cross the process-pool boundary, so
     ``trace`` with ``jobs != 1`` is an error rather than a silently
     partial stream.

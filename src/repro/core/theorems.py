@@ -176,82 +176,6 @@ def check_deadlock_freedom(instance: NoCInstance,
         details={"methods": list(methods)})
 
 
-def check_deadlock_freedom_incremental(
-        instance: NoCInstance,
-        session: Optional["DeadlockQuerySession"] = None,
-        spot_check_subsets: int = 3) -> TheoremResult:
-    """DeadThm via the incremental solver session (encode once, re-query).
-
-    Discharges the Theorem 1 condition through a
-    :class:`~repro.core.deadlock.DeadlockQuerySession`: the dependency-edge
-    universe is SAT-encoded once and the condition -- plus a few restricted
-    ``P' ⊆ P`` spot checks mirroring (C-3)'s quantifier, plus escape-edge
-    analysis when the condition fails -- is answered by incremental solves
-    on the same solver.  Pass a ``session`` to share the encoding across
-    many checks (the portfolio driver does).
-    """
-    from repro.core.deadlock import DeadlockQuerySession
-    from repro.core.dependency import routing_dependency_graph
-
-    start = time.perf_counter()
-    # The instance's own dependency edges: a shared session's universe may
-    # contain other routings' edges too, so every query below is restricted
-    # to this edge list (on a fresh session the two coincide).
-    if instance.dependency_spec is not None:
-        graph = instance.dependency_spec.to_graph()
-    else:
-        graph = routing_dependency_graph(instance.routing)
-    edges = [tuple(edge) for edge in graph.edges()]
-    if session is None:
-        session = DeadlockQuerySession.for_instance(instance)
-    else:
-        for source, target in edges:
-            session.add_edge(source, target)
-    queries_before = session.queries
-    holds = session.is_deadlock_free_edges(edges)
-    counterexamples: List[str] = []
-    details: Dict[str, object] = {
-        "edges": len(edges),
-        "session": session.name,
-    }
-
-    # Spot-check the subset quantifier of (C-3): by monotonicity the full
-    # query subsumes every subset, but the restricted queries exercise the
-    # assumptions machinery and are what a user asks about a region.
-    if holds and spot_check_subsets > 0:
-        ports = sorted({port for edge in edges for port in edge}, key=str)
-        stride = spot_check_subsets
-        for index in range(spot_check_subsets):
-            subset = set(ports[index::stride])
-            restricted = [edge for edge in edges
-                          if edge[0] in subset and edge[1] in subset]
-            if restricted and not session.is_deadlock_free_edges(restricted):
-                counterexamples.append(
-                    f"restricted subgraph P' (#{index}) has a cycle although "
-                    f"the full graph does not -- solver inconsistency")
-                holds = False
-
-    if not holds and not counterexamples:
-        core = session.cycle_core_for(edges) or []
-        counterexamples.append(
-            "dependency cycle within: "
-            + " , ".join(f"{s} -> {t}" for s, t in core[:8])
-            + (" ..." if len(core) > 8 else ""))
-        edge_set = set(edges)
-        escapes = [edge for edge in core
-                   if session.is_deadlock_free_edges(edge_set - {edge})]
-        details["cycle_core_edges"] = len(core)
-        details["escape_edges"] = [f"{s} -> {t}" for s, t in escapes[:8]]
-
-    elapsed = time.perf_counter() - start
-    details["incremental_queries"] = session.queries - queries_before
-    return TheoremResult(
-        name="DeadThm(incremental)", holds=holds,
-        checks=session.queries - queries_before,
-        counterexamples=counterexamples, elapsed_seconds=elapsed,
-        details=details)
-
-
 def check_deadlock_freedom_vc(relation,
                               methods: Sequence[str] = ("dfs", "scc",
                                                         "toposort"),
@@ -303,75 +227,6 @@ def check_deadlock_freedom_vc(relation,
             "edges": graph.edge_count,
             "methods": list(methods),
         })
-
-
-def check_deadlock_freedom_vc_incremental(
-        relation,
-        session: Optional["DeadlockQuerySession"] = None,
-        graph=None,
-        coverage: Optional["ObligationResult"] = None) -> TheoremResult:
-    """DeadThm at VC granularity via the incremental solver session.
-
-    The channel-edge universe is SAT-encoded once (or merged into a shared
-    ``session``) and the escape-class restriction of (V-2) is answered by a
-    solve under assumptions -- the per-VC-class analogue of the restricted
-    ``P' ⊆ P`` query.  (V-1) is discharged by cheap explicit enumeration,
-    exactly as in :func:`check_deadlock_freedom_vc`.  On failure the
-    escape-class cycle core and the single-edge removals that would restore
-    freedom are extracted from the same session.
-    """
-    from repro.core.dependency import channel_dependency_graph
-    from repro.core.obligations import (
-        check_v1_escape_coverage,
-        check_v2_incremental,
-    )
-
-    start = time.perf_counter()
-    fresh_session = session is None
-    if graph is None:
-        graph = channel_dependency_graph(relation)
-    queries_before = session.queries if session is not None else 0
-
-    v1 = coverage if coverage is not None \
-        else check_v1_escape_coverage(relation)
-    v2 = check_v2_incremental(relation, session=session, graph=graph)
-    session = v2.details["session"]
-    escape_acyclic = v2.holds
-    holds = v1.holds and escape_acyclic
-
-    counterexamples: List[str] = v1.counterexamples + v2.counterexamples
-    details: Dict[str, object] = {
-        "num_vcs": relation.num_vcs,
-        "escape_vcs": sorted(relation.escape_vcs),
-        "edges": graph.edge_count,
-        "escape_edges": v2.details["escape_edges"],
-        "session": session.name,
-    }
-    if fresh_session:
-        # On a fresh session the universe is exactly this relation's edge
-        # set, so the class-restriction query must agree with the explicit
-        # edge-list restriction -- a solver self-check for free.
-        by_class = session.is_deadlock_free_for_class(relation.escape_vcs)
-        if by_class != escape_acyclic:
-            raise AssertionError(
-                f"class-restricted query disagrees with edge-restricted "
-                f"query: {by_class} vs {escape_acyclic}")
-    if not escape_acyclic:
-        escape_edges = v2.details["escape_edge_list"]
-        core = session.cycle_core_for(escape_edges) or []
-        edge_set = set(escape_edges)
-        escapes = [edge for edge in core
-                   if session.is_deadlock_free_edges(edge_set - {edge})]
-        details["cycle_core_edges"] = len(core)
-        details["escape_edges_fixes"] = [f"{s} -> {t}" for s, t in escapes[:8]]
-
-    elapsed = time.perf_counter() - start
-    details["incremental_queries"] = session.queries - queries_before
-    return TheoremResult(
-        name="DeadThm(vc,incremental)", holds=holds, obligations=[v1, v2],
-        checks=v1.checks + session.queries - queries_before,
-        counterexamples=counterexamples, elapsed_seconds=elapsed,
-        details=details)
 
 
 def check_no_reachable_deadlock(instance: NoCInstance,

@@ -3,8 +3,8 @@
 The engine's only runtime visibility used to be end-of-run aggregate
 counters (``SatSolver.stats``) and wall times (``repro batch --json``).  This
 module records what the search *did* while it did it: an opt-in, buffered
-JSONL event stream threaded through the CDCL solver, the incremental
-session/oracle layer and the portfolio driver, cheap enough to leave wired
+JSONL event stream threaded through the CDCL solver, the deadlock query
+session and the portfolio driver, cheap enough to leave wired
 in (a ``None`` trace costs one pointer test on the cold paths and nothing
 on the propagation loop) and structured enough to analyse offline
 (:mod:`repro.core.trace_analysis`, ``repro trace``).
@@ -37,7 +37,7 @@ Event taxonomy (``ev`` field):
 ``restart``        discrete restart: cumulative ``conflicts``,
                    ``interval`` since the previous restart, the Luby
                    budget ``limit`` the interval reached
-``edge_batch``     oracle universe growth since the last query: ``edges``
+``edge_batch``     session universe growth since the last query: ``edges``
                    added, new ``total``
 ``oracle_query``   one acyclicity query: ``query`` index, ``edges``
                    assumed, ``sat``

@@ -1,6 +1,6 @@
 """Tests for the flat-array CDCL core's clause management.
 
-Covers the one-sided comparator ladder the acyclicity oracles encode
+Covers the one-sided comparator ladder the acyclicity encodings encode
 edges with and a randomized brute-force fuzz over the incremental API,
 which also audits the watcher structures after every clause batch.  The
 acceptance contract of the rewrite -- verdict/escape-edge identity with
@@ -16,13 +16,12 @@ import random
 import pytest
 
 from repro.checking.cnf import CNF
-from repro.checking.encodings import bit_name, encode_numbering_constraint
+from repro.checking.encodings import encode_numbering_constraint
 from repro.checking.sat import (
     IncrementalSatSolver,
     SatSolver,
     brute_force_satisfiable,
 )
-from repro.checking.tseitin import TseitinEncoder
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -34,13 +33,11 @@ class TestComparatorLadder:
         exactly when target < source as integers."""
         for target_value in range(2 ** width):
             for source_value in range(2 ** width):
-                encoder = TseitinEncoder()
-                root = encode_numbering_constraint(encoder, 0, 1, width)
-                cnf = encoder.cnf
-                for bit in range(width):
-                    for index, value in ((0, target_value),
-                                         (1, source_value)):
-                        literal = cnf.var(bit_name(index, bit))
+                cnf = CNF()
+                bits = {}
+                root = encode_numbering_constraint(cnf, bits, 0, 1, width)
+                for index, value in ((0, target_value), (1, source_value)):
+                    for bit, literal in enumerate(bits[index]):
                         cnf.add_unit(literal if (value >> bit) & 1
                                      else -literal)
                 cnf.add_unit(root)
@@ -52,10 +49,10 @@ class TestComparatorLadder:
         """One-sided encoding: the root can always be asserted when the
         comparison is possible (width permitting two distinct values)."""
         for width in (1, 2, 3):
-            encoder = TseitinEncoder()
-            root = encode_numbering_constraint(encoder, 0, 1, width)
-            encoder.cnf.add_unit(root)
-            assert brute_force_satisfiable(encoder.cnf)
+            cnf = CNF()
+            root = encode_numbering_constraint(cnf, {}, 0, 1, width)
+            cnf.add_unit(root)
+            assert brute_force_satisfiable(cnf)
 
 
 class TestRandomizedBruteForceFuzz:

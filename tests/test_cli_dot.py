@@ -92,10 +92,13 @@ class TestCLI:
          "--size must be at least 1"),
         (["deadlock", "--vcs", "2", "--size", "0"],
          "--size must be at least 1"),
+        (["deadlock", "--design", "adaptive-mesh", "--vcs", "1"],
+         "--vcs must be at least 2"),
     ], ids=["verify-width-zero", "verify-single-node", "verify-buffers-zero",
             "table1-width-zero", "table1-buffers-zero", "depgraph-width-zero",
             "depgraph-vcs-negative", "deadlock-ring-size-zero",
-            "deadlock-zigzag-size-zero", "deadlock-vc-size-zero"])
+            "deadlock-zigzag-size-zero", "deadlock-vc-size-zero",
+            "deadlock-adaptive-one-vc"])
     def test_rejects_invalid_sizes(self, argv, message):
         with pytest.raises(SystemExit, match=message):
             main(argv)
@@ -128,6 +131,19 @@ class TestCLI:
         output = capsys.readouterr().out
         assert code == 0
         assert "constructed configuration is a deadlock: True" in output
+
+    @pytest.mark.parametrize("argv", [
+        ["--design", "zigzag-mesh", "--size", "2", "--vcs", "2"],
+        ["--design", "adaptive-mesh", "--size", "1"],
+    ], ids=["zigzag-2x2", "adaptive-1x1"])
+    def test_deadlock_vc_demo_on_a_free_baseline_claims_no_repair(
+            self, argv, capsys):
+        code = main(["deadlock"] + argv)
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "single-VC baseline" in output and ": free" in output
+        assert "deadlock-prone design is proved" not in output
+        assert "baseline is already deadlock-free" in output
 
 
 class TestImportPath:

@@ -10,9 +10,7 @@ from repro.checking.bmc import (
     explore_configuration_space,
 )
 from repro.checking.encodings import (
-    decode_topological_numbering,
     encode_acyclicity,
-    has_cycle_through_by_sat,
     is_acyclic_by_sat,
 )
 from repro.checking.graphs import DirectedGraph, find_cycle_dfs
@@ -46,16 +44,6 @@ class TestAcyclicityEncoding:
     def test_self_loop_is_unsat(self):
         assert not is_acyclic_by_sat(graph_from_edges([(1, 1)]))
 
-    def test_numbering_witness_decreases_along_edges(self):
-        graph = graph_from_edges([("a", "b"), ("b", "c"), ("a", "c")])
-        numbering = decode_topological_numbering(graph)
-        for source, target in graph.edges():
-            assert numbering[target] < numbering[source]
-
-    def test_numbering_of_cyclic_graph_raises(self):
-        with pytest.raises(ValueError):
-            decode_topological_numbering(graph_from_edges([(1, 2), (2, 1)]))
-
     @given(random_digraph())
     @settings(max_examples=60, deadline=None)
     def test_sat_agrees_with_dfs(self, graph):
@@ -65,11 +53,6 @@ class TestAcyclicityEncoding:
         graph = graph_from_edges([(i, i + 1) for i in range(20)])
         cnf, _ = encode_acyclicity(graph)
         assert cnf.num_clauses < 5000
-
-    def test_cycle_existence_encoding(self):
-        graph = graph_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
-        assert has_cycle_through_by_sat(graph, 1, max_length=4)
-        assert not has_cycle_through_by_sat(graph, 4, max_length=4)
 
 
 class TestTransitionSystem:

@@ -1,16 +1,17 @@
 """Tests for the Duato-style escape-channel routing relation and the
 VC-granular deadlock verification (the (V-1)/(V-2) condition), explicit and
-incremental -- including the headline result: the deadlock-prone 3x3
-adaptive mesh is proved deadlock-free with 2 VCs and an XY escape class by
-BOTH the explicit dependency-graph checker and the incremental CDCL path."""
+on the CDCL session -- including the headline result: the deadlock-prone
+3x3 adaptive mesh is proved deadlock-free with 2 VCs and an XY escape class
+by BOTH the explicit dependency-graph checker and the CDCL session."""
 
 import pytest
 
-from repro.checking.graphs import find_cycle_dfs
+from repro.checking.graphs import edges_on_every_cycle, find_cycle_dfs
 from repro.cli import main as cli_main
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import (
     channel_dependency_graph,
+    class_edges,
     class_subgraph,
     routing_dependency_graph,
 )
@@ -18,12 +19,8 @@ from repro.core.obligations import (
     check_c3_routing_induced,
     check_v1_escape_coverage,
     check_v2_escape_acyclicity,
-    check_v2_incremental,
 )
-from repro.core.theorems import (
-    check_deadlock_freedom_vc,
-    check_deadlock_freedom_vc_incremental,
-)
+from repro.core.theorems import check_deadlock_freedom_vc
 from repro.network.mesh import Mesh2D
 from repro.network.ring import Ring
 from repro.network.torus import Torus2D
@@ -37,6 +34,23 @@ from repro.routing.escape import (
 from repro.routing.torus import TorusXYRouting
 
 
+def cdcl_vc_verdict(relation, session=None):
+    """The (V-1)/(V-2) verdict with (V-2) decided by a CDCL session.
+
+    (V-2) is one solve restricted to the escape-class edges of the
+    relation's channel graph, merged into ``session`` when one is given.
+    """
+    graph = channel_dependency_graph(relation)
+    if session is None:
+        session = DeadlockQuerySession(graph, name=relation.name())
+    else:
+        for source, target in graph.edges():
+            session.add_edge(source, target)
+    return (check_v1_escape_coverage(relation).holds
+            and session.is_deadlock_free_edges(
+                class_edges(graph, relation.escape_vcs)))
+
+
 class TestMeshEscapeHeadline:
     """The acceptance scenario: 3x3 mesh + fully-adaptive minimal routing."""
 
@@ -48,9 +62,8 @@ class TestMeshEscapeHeadline:
         relation = mesh_escape_routing(Mesh2D(3, 3), num_vcs=1)
         assert not relation.classes_separated
         explicit = check_deadlock_freedom_vc(relation)
-        incremental = check_deadlock_freedom_vc_incremental(relation)
         assert not explicit.holds
-        assert not incremental.holds
+        assert not cdcl_vc_verdict(relation)
         assert explicit.counterexamples
 
     def test_two_vcs_with_escape_class_are_proved_free_by_both_paths(self):
@@ -62,11 +75,10 @@ class TestMeshEscapeHeadline:
         graph = channel_dependency_graph(relation)
         assert not find_cycle_dfs(graph).acyclic
         # ... but the design is deadlock-free by the escape condition,
-        # agreed on by the explicit checker and the CDCL oracle.
+        # agreed on by the explicit checker and the CDCL session.
         explicit = check_deadlock_freedom_vc(relation)
-        incremental = check_deadlock_freedom_vc_incremental(relation)
         assert explicit.holds
-        assert incremental.holds
+        assert cdcl_vc_verdict(relation)
         assert explicit.details["classes_separated"]
 
     def test_escape_subgraph_is_acyclic_while_adaptive_class_cycles(self):
@@ -82,7 +94,7 @@ class TestMeshEscapeHeadline:
         out = capsys.readouterr().out
         assert "DEADLOCK-PRONE" in out          # the single-VC baseline
         assert "DeadThm(vc): holds" in out
-        assert "DeadThm(vc,incremental): holds" in out
+        assert "CDCL session: holds" in out
         assert "proved deadlock-free with 2 VCs" in out
 
 
@@ -157,8 +169,7 @@ class TestDatelineEscape:
         assert relation.escape_vcs == (0, 1)
         assert relation.adaptive_vcs == ()
         explicit = check_deadlock_freedom_vc(relation)
-        incremental = check_deadlock_freedom_vc_incremental(relation)
-        assert explicit.holds and incremental.holds
+        assert explicit.holds and cdcl_vc_verdict(relation)
 
     def test_torus_with_adaptive_class_on_top_is_free(self):
         relation = torus_escape_routing(Torus2D(4, 3), num_vcs=3)
@@ -175,8 +186,7 @@ class TestDatelineEscape:
         fixed = ring_escape_routing(Ring(4, bidirectional=True), num_vcs=2)
         assert not check_deadlock_freedom_vc(prone).holds
         explicit = check_deadlock_freedom_vc(fixed)
-        incremental = check_deadlock_freedom_vc_incremental(fixed)
-        assert explicit.holds and incremental.holds
+        assert explicit.holds and cdcl_vc_verdict(fixed)
 
     def test_dateline_repairs_the_clockwise_routing_itself(self):
         """The CLI's `--design clockwise-ring --vcs 2` path: the dateline
@@ -191,7 +201,7 @@ class TestDatelineEscape:
                                     base_routing=ClockwiseRingRouting(ring))
         assert not check_deadlock_freedom_vc(prone).holds
         assert check_deadlock_freedom_vc(fixed).holds
-        assert check_deadlock_freedom_vc_incremental(fixed).holds
+        assert cdcl_vc_verdict(fixed)
 
     def test_dateline_vc_switch_happens_on_wrap_hops(self):
         relation = ring_escape_routing(Ring(4, bidirectional=True),
@@ -211,32 +221,43 @@ class TestDatelineEscape:
 class TestIncrementalVcQueries:
     def test_class_restriction_query_splits_the_verdict(self):
         relation = mesh_escape_routing(Mesh2D(3, 3), num_vcs=2)
-        session = DeadlockQuerySession(channel_dependency_graph(relation),
-                                       name="vc test")
+        graph = channel_dependency_graph(relation)
+        session = DeadlockQuerySession(graph, name="vc test")
         assert not session.is_deadlock_free()  # adaptive cycles
-        assert session.is_deadlock_free_for_class(relation.escape_vcs)
-        assert not session.is_deadlock_free_for_class(relation.adaptive_vcs)
+        assert session.is_deadlock_free_edges(
+            class_edges(graph, relation.escape_vcs))
+        assert not session.is_deadlock_free_edges(
+            class_edges(graph, relation.adaptive_vcs))
 
     def test_cycle_core_for_class_yields_adaptive_witness(self):
         relation = mesh_escape_routing(Mesh2D(3, 3), num_vcs=2)
-        session = DeadlockQuerySession(channel_dependency_graph(relation))
-        core = session.cycle_core_for_class(relation.adaptive_vcs)
+        graph = channel_dependency_graph(relation)
+        session = DeadlockQuerySession(graph)
+        core = session.cycle_core_for(
+            class_edges(graph, relation.adaptive_vcs))
         assert core
         assert all(vc_of(s) in relation.adaptive_vcs
                    and vc_of(t) in relation.adaptive_vcs
                    for s, t in core)
-        assert session.cycle_core_for_class(relation.escape_vcs) is None
+        assert session.cycle_core_for(
+            class_edges(graph, relation.escape_vcs)) is None
 
     def test_v2_incremental_matches_explicit(self):
         for vcs in (1, 2):
             relation = mesh_escape_routing(Mesh2D(3, 3), num_vcs=vcs)
-            explicit = check_v2_escape_acyclicity(relation)
-            incremental = check_v2_incremental(relation)
-            assert explicit.holds == incremental.holds
-            # The returned session stays usable for follow-up queries.
-            session = incremental.details["session"]
-            assert (session.is_deadlock_free_for_class(relation.escape_vcs)
-                    == explicit.holds)
+            graph = channel_dependency_graph(relation)
+            explicit = check_v2_escape_acyclicity(relation, graph=graph)
+            escape_class = class_edges(graph, relation.escape_vcs)
+            session = DeadlockQuerySession(graph)
+            assert session.is_deadlock_free_edges(escape_class) \
+                == explicit.holds
+            # The session stays usable for follow-up queries: its
+            # single-edge repairs are the graph search's.
+            escape = class_subgraph(graph, relation.escape_vcs)
+            cycle = find_cycle_dfs(escape).cycle or []
+            assert set(session.escape_edges_for(escape_class)) == set(
+                edges_on_every_cycle(
+                    escape, list(zip(cycle, cycle[1:] + cycle[:1]))))
 
     def test_shared_session_across_vc_counts(self):
         """One solver session hosts the channel universes of several VC
@@ -249,12 +270,9 @@ class TestIncrementalVcQueries:
         for channel in VCTopology(mesh, 4).ports:
             universe.add_vertex(channel)
         session = DeadlockQuerySession(universe, name="shared vc universe")
-        verdicts = {}
-        for vcs in (1, 2, 4):
-            relation = mesh_escape_routing(mesh, num_vcs=vcs)
-            result = check_deadlock_freedom_vc_incremental(relation,
-                                                           session=session)
-            verdicts[vcs] = result.holds
+        verdicts = {vcs: cdcl_vc_verdict(
+            mesh_escape_routing(mesh, num_vcs=vcs), session=session)
+            for vcs in (1, 2, 4)}
         assert verdicts == {1: False, 2: True, 4: True}
 
 

@@ -124,6 +124,27 @@ class TestCampaign:
                     "disagreements"} <= set(entry)
         json.dumps(payload)  # must be serializable as-is
 
+    @pytest.mark.parametrize("method, lie", [
+        ("is_deadlock_free_edges", lambda answer: not answer),
+        ("escape_edges_for", lambda answer: answer + [("ghost", "edge")]),
+    ], ids=["verdict", "escape-set"])
+    def test_a_wrong_cdcl_answer_is_a_disagreement(self, method, lie,
+                                                   monkeypatch):
+        """The cross-check compares the session's verdicts and, through
+        ``escape_edges_for``, its single-edge repairs with the graph
+        search; either one lying must surface as ``cdcl-vs-explicit``."""
+        from repro.core.deadlock import DeadlockQuerySession
+
+        honest = getattr(DeadlockQuerySession, method)
+        monkeypatch.setattr(DeadlockQuerySession, method,
+                            lambda self, edges: lie(honest(self, edges)))
+        report = run_fuzz_campaign(count=12, max_size=(3, 3),
+                                   campaign_seed=2010, simulate=False)
+        assert not report.ok
+        assert any(line.startswith("cdcl-vs-explicit")
+                   for verdict in report.verdicts
+                   for line in verdict.disagreements)
+
     def test_summary_reports_agreement(self, report):
         text = report.format_summary()
         assert "12 instances" in text

@@ -9,20 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.checking.bmc import ConfigurationSpace, explore_configuration_space
 from repro.checking.encodings import is_acyclic_by_sat
-from repro.checking.incremental import AcyclicityOracle
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import routing_dependency_graph
-from repro.core.obligations import check_c3_incremental
 from repro.core.portfolio import (
     PortfolioReport,
     Scenario,
     run_portfolio,
     standard_portfolio,
 )
-from repro.core.theorems import (
-    check_deadlock_freedom,
-    check_deadlock_freedom_incremental,
-)
+from repro.core.theorems import check_deadlock_freedom
 from repro.hermes import build_exy_graph, build_hermes_instance
 from repro.network.mesh import Mesh2D
 from repro.ringnoc import (
@@ -34,32 +29,40 @@ from repro.switching.store_and_forward import StoreAndForwardSwitching
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
 
 
+def declared_session(instance):
+    """A session over the instance's declared dependency graph."""
+    return DeadlockQuerySession(instance.dependency_spec.to_graph(),
+                                name=f"{instance.name} (declared)")
+
+
 class TestDeadlockQuerySession:
     def test_declared_graph_session_agrees_with_theorem(self):
         instance = build_hermes_instance(3, 3)
-        session = DeadlockQuerySession.for_instance(instance)
+        session = declared_session(instance)
         assert session.is_deadlock_free()
         assert check_deadlock_freedom(instance).holds
 
     def test_repeated_queries_on_one_session(self):
         instance = build_clockwise_ring_instance(4)
-        session = DeadlockQuerySession.for_instance(instance)
+        session = DeadlockQuerySession.for_routing(instance.routing)
         assert not session.is_deadlock_free()
         # Re-queries on the same session keep answering consistently.
         assert not session.is_deadlock_free()
-        core = session.cycle_core()
+        core = session.cycle_core_for(session.edges)
         assert core, "a cyclic graph must yield a cycle core"
         assert not session.is_deadlock_free_edges(core)
         # Removing all wrap-edges of the core restores freedom for the rest.
-        assert session.is_deadlock_free_without(core)
+        assert session.is_deadlock_free_edges(
+            edge for edge in session.edges if edge not in core)
 
     def test_escape_edges_break_the_ring_cycle(self):
         instance = build_clockwise_ring_instance(4)
-        session = DeadlockQuerySession.for_instance(instance)
-        escapes = session.escape_edges()
+        session = DeadlockQuerySession.for_routing(instance.routing)
+        escapes = session.escape_edges_for(session.edges)
         assert escapes, "a single dateline edge removal must fix the ring"
         for edge in escapes:
-            assert session.is_deadlock_free_without([edge])
+            assert session.is_deadlock_free_edges(
+                kept for kept in session.edges if kept != edge)
 
     @pytest.mark.parametrize("build, free, escapable", [
         (lambda: build_exy_graph(Mesh2D(4, 4)), True, False),
@@ -70,82 +73,57 @@ class TestDeadlockQuerySession:
     ], ids=["xy-mesh-4x4", "zigzag-mesh-4x4", "clockwise-ring-8"])
     def test_cdcl_deciders_agree_beyond_toy_sizes(self, build, free,
                                                   escapable):
-        """The one-shot SAT encoding, the incremental oracle and the
-        session reach the same verdict; only the ring's cycles share an
-        edge whose removal breaks them all."""
+        """The one-shot SAT encoding and the session reach the same
+        verdict; only the ring's cycles share an edge whose removal breaks
+        them all."""
         graph = build()
         assert is_acyclic_by_sat(graph) is free
-        assert AcyclicityOracle(graph).is_acyclic() is free
         session = DeadlockQuerySession(graph, name="beyond-toy")
         assert session.is_deadlock_free() is free
-        assert bool(session.escape_edges()) is escapable
+        assert bool(session.escape_edges_for(session.edges)) is escapable
 
     def test_subset_queries_are_monotone(self):
         instance = build_hermes_instance(2, 2)
-        session = DeadlockQuerySession.for_instance(instance)
+        session = declared_session(instance)
         assert session.is_deadlock_free()
         ports = sorted({p for e in session.edges for p in e}, key=str)
         # Every subset of an acyclic graph is acyclic.
-        assert session.is_deadlock_free_for(ports[::2])
-        assert session.is_deadlock_free_for(ports[::3])
-
-    def test_numbering_decreases_along_edges(self):
-        instance = build_hermes_instance(2, 2)
-        session = DeadlockQuerySession.for_instance(instance)
-        numbering = session.numbering()
-        for source, target in session.edges:
-            assert numbering[target] < numbering[source]
+        for subset in (set(ports[::2]), set(ports[::3])):
+            assert session.is_deadlock_free_edges(
+                (source, target) for source, target in session.edges
+                if source in subset and target in subset)
 
 
 class TestIncrementalTheorem:
     def test_incremental_matches_classic_on_hermes(self):
         instance = build_hermes_instance(3, 3)
         classic = check_deadlock_freedom(instance)
-        incremental = check_deadlock_freedom_incremental(instance)
-        assert classic.holds and incremental.holds
+        session = declared_session(instance)
+        assert classic.holds and session.is_deadlock_free()
 
     def test_incremental_detects_ring_cycle_with_escapes(self):
-        result = check_deadlock_freedom_incremental(
-            build_clockwise_ring_instance(4))
-        assert not result.holds
-        assert result.counterexamples
-        assert result.details.get("escape_edges")
+        instance = build_clockwise_ring_instance(4)
+        session = DeadlockQuerySession.for_routing(instance.routing)
+        assert not session.is_deadlock_free()
+        assert session.cycle_core_for(session.edges)
+        assert session.escape_edges_for(session.edges)
 
     def test_shared_session_restricts_to_instance_edges(self):
         """A session grown with another routing's edges must not change the
         verdict for an instance whose own dependency graph is acyclic."""
         instance = build_hermes_instance(3, 3)
-        session = DeadlockQuerySession.for_instance(instance)
+        session = declared_session(instance)
+        own_edges = session.edges
         # Pollute the shared universe with the cyclic edges of a zigzag
         # routing on the same mesh (cyclic from 3x3 upwards).
-        from repro.core.dependency import routing_dependency_graph
-
         cyclic = routing_dependency_graph(
             ZigZagRouting(Mesh2D(3, 3)))
         for source, target in cyclic.edges():
             session.add_edge(source, target)
         assert not session.is_deadlock_free()  # the union is cyclic
-        result = check_deadlock_freedom_incremental(instance, session=session)
-        assert result.holds, \
+        assert session.is_deadlock_free_edges(own_edges), \
             "instance verdict must be restricted to its own edges"
-
-    def test_spot_check_subsets_parameter_is_honoured(self):
-        instance = build_hermes_instance(2, 2)
-        result = check_deadlock_freedom_incremental(instance,
-                                                    spot_check_subsets=5)
-        assert result.holds
-        # 1 full query + up to 5 restricted-subset queries (subsets whose
-        # induced edge set is empty are trivially acyclic and skipped) --
-        # strictly more than the old hardcoded cap of 3 allowed.
-        assert 5 <= result.details["incremental_queries"] <= 6
-
-    def test_c3_incremental_matches_check_c3(self):
-        instance = build_hermes_instance(3, 3)
-        result = check_c3_incremental(instance.dependency_spec)
-        assert result.holds
-        session = result.details["session"]
-        # The session stays usable for follow-up queries.
-        assert session.is_deadlock_free()
+        assert session.escape_edges_for(own_edges) == []
 
 
 class TestPortfolioDriver:

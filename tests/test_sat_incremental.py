@@ -3,7 +3,8 @@
 Covers the solver behaviours the old one-shot DPLL-style interface did not
 have: repeated solves on one instance, clause addition between solves,
 assumption handling with UNSAT cores, determinism under a fixed seed, and
-the incremental acyclicity oracle built on top.
+the deadlock query session built on top (against the DFS on random
+graphs).
 """
 
 import pytest
@@ -11,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.checking.cnf import CNF
 from repro.checking.graphs import DirectedGraph
-from repro.checking.incremental import AcyclicityOracle, IncrementalSession
-from repro.checking.bool_expr import And, Iff, Not, Or, Var
 from repro.checking.sat import (
     IncrementalSatSolver,
     SatSolver,
@@ -21,6 +20,7 @@ from repro.checking.sat import (
     count_models_brute_force,
     solve_cnf,
 )
+from repro.core.deadlock import DeadlockQuerySession
 
 
 @st.composite
@@ -152,27 +152,6 @@ class TestDeterminism:
         assert first.stats == second.stats
 
 
-class TestIncrementalSession:
-    def test_guarded_expressions_toggle(self):
-        session = IncrementalSession()
-        session.assert_expr(Or(Var("a"), Var("b")))
-        selector = session.guard("no-a", Not(Var("a")))
-        assert session.solve(["no-a"]).satisfiable
-        session.assert_expr(Not(Var("b")))
-        assert not session.solve(["no-a"]).satisfiable
-        assert session.last_core_names() == ["no-a"]
-        assert session.solve([-selector]).satisfiable
-
-    def test_shared_subexpressions_are_encoded_once(self):
-        session = IncrementalSession()
-        shared = And(Var("x"), Var("y"))
-        first = session.encode(shared)
-        clauses_after_first = session.cnf.num_clauses
-        second = session.encode(shared)
-        assert first == second
-        assert session.cnf.num_clauses == clauses_after_first
-
-
 @st.composite
 def random_digraph(draw, max_vertices=6):
     count = draw(st.integers(2, max_vertices))
@@ -187,68 +166,61 @@ def random_digraph(draw, max_vertices=6):
     return graph
 
 
-class TestAcyclicityOracle:
+def subgraph_is_acyclic(graph, edges):
+    from repro.checking.graphs import find_cycle_dfs
+
+    return find_cycle_dfs(DirectedGraph.from_edges(
+        edges, vertices=graph.vertices)).acyclic
+
+
+class TestDeadlockQuerySessionOnRandomGraphs:
     @given(random_digraph())
     @settings(max_examples=80, deadline=None)
     def test_full_query_matches_dfs(self, graph):
-        from repro.checking.graphs import find_cycle_dfs
-
-        oracle = AcyclicityOracle(graph)
-        assert oracle.is_acyclic() == find_cycle_dfs(graph).acyclic
+        session = DeadlockQuerySession(graph)
+        assert session.is_deadlock_free() \
+            == subgraph_is_acyclic(graph, graph.edges())
 
     @given(random_digraph())
     @settings(max_examples=50, deadline=None)
     def test_subset_queries_match_subgraph_dfs(self, graph):
-        from repro.checking.graphs import find_cycle_dfs
-
-        oracle = AcyclicityOracle(graph)
-        edges = oracle.edges
+        session = DeadlockQuerySession(graph)
+        edges = session.edges
         for step in (2, 3):
             subset = edges[::step]
-            subgraph = DirectedGraph()
-            for vertex in graph.vertices:
-                subgraph.add_vertex(vertex)
-            for source, target in subset:
-                subgraph.add_edge(source, target)
-            assert oracle.is_acyclic(subset) \
-                == find_cycle_dfs(subgraph).acyclic
+            assert session.is_deadlock_free_edges(subset) \
+                == subgraph_is_acyclic(graph, subset)
 
     @given(random_digraph())
     @settings(max_examples=50, deadline=None)
     def test_cycle_core_is_cyclic(self, graph):
-        from repro.checking.graphs import find_cycle_dfs
-
-        oracle = AcyclicityOracle(graph)
-        core = oracle.cycle_core()
+        session = DeadlockQuerySession(graph)
+        core = session.cycle_core_for(session.edges)
         if core is None:
-            assert find_cycle_dfs(graph).acyclic
+            assert subgraph_is_acyclic(graph, graph.edges())
             return
-        witness = DirectedGraph()
-        for vertex in graph.vertices:
-            witness.add_vertex(vertex)
-        for source, target in core:
-            witness.add_edge(source, target)
-        assert not find_cycle_dfs(witness).acyclic
+        assert not subgraph_is_acyclic(graph, core)
 
-    def test_numbering_witnesses_acyclicity(self):
-        graph = DirectedGraph()
-        for vertex in "abcd":
-            graph.add_vertex(vertex)
-        graph.add_edge("a", "b")
-        graph.add_edge("b", "c")
-        graph.add_edge("a", "d")
-        oracle = AcyclicityOracle(graph)
-        numbering = oracle.numbering()
-        for source, target in oracle.edges:
-            assert numbering[target] < numbering[source]
+    @given(random_digraph())
+    @settings(max_examples=50, deadline=None)
+    def test_escape_edges_match_graph_search(self, graph):
+        from repro.checking.graphs import edges_on_every_cycle, find_cycle_dfs
+
+        session = DeadlockQuerySession(graph)
+        cycle = find_cycle_dfs(graph).cycle or []
+        expected = edges_on_every_cycle(
+            graph, list(zip(cycle, cycle[1:] + cycle[:1])))
+        assert set(session.escape_edges_for(session.edges)) == set(expected)
 
     def test_self_loop_is_a_cycle(self):
         graph = DirectedGraph()
         graph.add_vertex("a")
         graph.add_edge("a", "a")
-        assert not AcyclicityOracle(graph).is_acyclic()
+        session = DeadlockQuerySession(graph)
+        assert not session.is_deadlock_free()
+        assert session.cycle_core_for(session.edges) == [("a", "a")]
 
-    def test_critical_edges_on_two_cycles(self):
+    def test_escape_edges_on_two_cycles(self):
         graph = DirectedGraph()
         for vertex in "abc":
             graph.add_vertex(vertex)
@@ -257,6 +229,6 @@ class TestAcyclicityOracle:
         graph.add_edge("b", "a")
         graph.add_edge("a", "c")
         graph.add_edge("c", "a")
-        oracle = AcyclicityOracle(graph)
-        assert oracle.critical_edges() == []
-        assert oracle.is_acyclic_without([("b", "a"), ("c", "a")])
+        session = DeadlockQuerySession(graph)
+        assert session.escape_edges_for(session.edges) == []
+        assert session.is_deadlock_free_edges([("a", "b"), ("a", "c")])
