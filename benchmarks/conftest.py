@@ -24,13 +24,13 @@ def report(title: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def hermes_3x3():
-    from repro.hermes import build_hermes_instance
+    from repro.hermes.instantiation import build_hermes_instance
 
     return build_hermes_instance(3, 3, buffer_capacity=2)
 
 
 @pytest.fixture(scope="session")
 def hermes_4x4():
-    from repro.hermes import build_hermes_instance
+    from repro.hermes.instantiation import build_hermes_instance
 
     return build_hermes_instance(4, 4, buffer_capacity=2)

@@ -16,12 +16,13 @@ Shape expectations:
 import pytest
 
 from benchmarks.conftest import report
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.reporting.tables import format_table
-from repro.simulation import Simulator, uniform_random_traffic
+from repro.simulation.simulator import Simulator
 from repro.simulation.workloads import (
     bit_complement_traffic,
     transpose_traffic,
+    uniform_random_traffic,
 )
 
 

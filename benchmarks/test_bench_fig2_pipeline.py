@@ -13,8 +13,8 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.core.pipeline import verify_instance
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_chain_ring_instance
+from repro.hermes.instantiation import build_hermes_instance
+from repro.ringnoc.instantiation import build_chain_ring_instance
 from repro.simulation.workloads import standard_suite
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
-from repro.core import check_acyclicity, graph_statistics
-from repro.hermes import build_exy_graph
+from repro.core.dependency import check_acyclicity, graph_statistics
+from repro.hermes.dependency import build_exy_graph
 from repro.network.mesh import Mesh2D
 from repro.reporting.tables import format_table
 

@@ -15,9 +15,10 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.checking.graphs import find_cycle_dfs
-from repro.hermes import analyse_flows, build_exy_graph
+from repro.hermes.dependency import build_exy_graph
 from repro.hermes.flows import (
     Flow,
+    analyse_flows,
     check_rank_case_analysis,
     check_rank_certificate_on_mesh,
     parametric_c3_holds,

@@ -18,10 +18,11 @@ from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
 from repro.checking.sat import SatSolver, solve_cnf
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.portfolio import run_portfolio, standard_portfolio
-from repro.hermes import build_exy_graph, build_hermes_instance
+from repro.hermes.dependency import build_exy_graph
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
 from repro.reporting.tables import format_table
-from repro.ringnoc import build_clockwise_ring_instance
+from repro.ringnoc.instantiation import build_clockwise_ring_instance
 
 
 @pytest.mark.parametrize("size", [2, 3])

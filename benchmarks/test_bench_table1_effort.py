@@ -22,7 +22,7 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.hermes.proofs import discharge_all
-from repro.reporting import build_effort_table
+from repro.reporting.effort import build_effort_table
 from repro.reporting.tables import format_table
 
 

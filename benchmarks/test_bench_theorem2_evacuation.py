@@ -21,9 +21,9 @@ from benchmarks.conftest import report
 from repro.core.measure import flit_hop_measure, route_length_measure
 from repro.core.obligations import check_c5
 from repro.core.theorems import check_evacuation
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.reporting.tables import format_table
-from repro.simulation import Simulator
+from repro.simulation.simulator import Simulator
 from repro.simulation.workloads import standard_suite
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching

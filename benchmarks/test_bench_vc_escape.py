@@ -24,8 +24,9 @@ from repro.network.mesh import Mesh2D
 from repro.network.torus import Torus2D
 from repro.network.vc import VCTopology
 from repro.routing.escape import mesh_escape_routing, torus_escape_routing
-from repro.simulation import Simulator, uniform_random_traffic
-from repro.vcnoc import build_vc_mesh_instance
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import uniform_random_traffic
+from repro.vcnoc.instantiation import build_vc_mesh_instance
 
 VC_COUNTS = (1, 2, 4)
 

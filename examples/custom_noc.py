@@ -19,12 +19,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import check_c3_routing_induced
+from repro.core.obligations import check_c3_routing_induced
 from repro.core.pipeline import verify_instance
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_chain_ring_instance
+from repro.hermes.instantiation import build_hermes_instance
+from repro.ringnoc.instantiation import build_chain_ring_instance
 from repro.routing.yx import YXRouting
-from repro.simulation import Simulator, uniform_random_traffic
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import uniform_random_traffic
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 
 

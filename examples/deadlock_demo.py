@@ -28,15 +28,16 @@ from __future__ import annotations
 
 from repro.checking.bmc import explore_configuration_space
 from repro.checking.graphs import find_cycle_dfs
-from repro.core import (
-    check_c3_routing_induced,
-    routing_dependency_graph,
-    verify_witness_roundtrip,
-)
-from repro.hermes import build_hermes_instance
+from repro.core.dependency import routing_dependency_graph
+from repro.core.obligations import check_c3_routing_induced
+from repro.core.witness import verify_witness_roundtrip
+from repro.hermes.instantiation import build_hermes_instance
 from repro.hermes.ports import witness_destination
 from repro.network.mesh import Mesh2D
-from repro.ringnoc import build_clockwise_ring_instance, ring_witness_destination
+from repro.ringnoc.instantiation import (
+    build_clockwise_ring_instance,
+    ring_witness_destination,
+)
 from repro.routing.adaptive import ZigZagRouting
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import check_acyclicity, graph_statistics
-from repro.hermes import analyse_flows, build_exy_graph
-from repro.hermes.flows import Flow, flow_of, hermes_rank
+from repro.core.dependency import check_acyclicity, graph_statistics
+from repro.hermes.dependency import build_exy_graph
+from repro.hermes.flows import Flow, analyse_flows, flow_of, hermes_rank
 from repro.network.mesh import Mesh2D
 
 

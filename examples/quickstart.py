@@ -33,9 +33,12 @@ from __future__ import annotations
 
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.theorems import check_correctness, check_evacuation
-from repro.hermes import build_hermes_instance
-from repro.simulation import Simulator, uniform_random_traffic
-from repro.simulation.workloads import transpose_traffic
+from repro.hermes.instantiation import build_hermes_instance
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import (
+    transpose_traffic,
+    uniform_random_traffic,
+)
 
 
 def main() -> None:
@@ -92,7 +95,7 @@ def main() -> None:
     #    escape VC class, prove it free both ways, then simulate it.
     from repro.core.dependency import channel_dependency_graph, class_edges
     from repro.core.theorems import check_deadlock_freedom_vc
-    from repro.vcnoc import build_vc_mesh_instance
+    from repro.vcnoc.instantiation import build_vc_mesh_instance
 
     prone = build_vc_mesh_instance(3, 3, num_vcs=1)
     fixed = build_vc_mesh_instance(3, 3, num_vcs=2, route_policy="spread")

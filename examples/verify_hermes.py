@@ -21,9 +21,10 @@ from __future__ import annotations
 import sys
 
 from repro.core.theorems import check_deadlock_freedom
-from repro.hermes import build_hermes_instance, discharge_all
 from repro.hermes.flows import check_rank_case_analysis, parametric_c3_holds
-from repro.reporting import build_effort_table
+from repro.hermes.instantiation import build_hermes_instance
+from repro.hermes.proofs import discharge_all
+from repro.reporting.effort import build_effort_table
 
 
 def main(max_size: int = 4) -> None:

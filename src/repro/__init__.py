@@ -20,10 +20,14 @@ The package is organised as the paper is:
 * :mod:`repro.ringnoc` -- a second (ring) instantiation.
 * :mod:`repro.reporting` -- the Table I analogue.
 
+Every name is imported from the module that defines it; the packages
+re-export nothing, so a program loads only the modules it uses.
+
 Quickstart::
 
-    from repro.hermes import build_hermes_instance
-    from repro.simulation import uniform_random_traffic, Simulator
+    from repro.hermes.instantiation import build_hermes_instance
+    from repro.simulation.simulator import Simulator
+    from repro.simulation.workloads import uniform_random_traffic
 
     instance = build_hermes_instance(4, 4, buffer_capacity=2)
     workload = uniform_random_traffic(instance, num_messages=32, seed=7)

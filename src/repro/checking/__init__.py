@@ -21,49 +21,7 @@ from scratch:
   used to validate Theorem 1 empirically by exhaustive exploration of small
   NoC state spaces.
 
-Only the graph algorithms are re-exported here: they are what every
-verdict runs.  The SAT stack is imported from its own modules (e.g.
-``from repro.checking.sat import IncrementalSatSolver``), so a default
-run never loads it.
+The package re-exports nothing: import from the module (e.g.
+``from repro.checking.graphs import find_cycle_dfs``), so a default run
+loads the graph algorithms and never the SAT stack.
 """
-
-from repro.checking.graphs import (
-    DirectedGraph,
-    find_cycle_dfs,
-    has_cycle,
-    is_acyclic,
-    strongly_connected_components,
-    topological_sort,
-    CycleSearchResult,
-)
-
-# The configuration-space explorer depends on repro.core, which in turn uses
-# the graph algorithms of this package; importing it lazily avoids a circular
-# import while keeping ``repro.checking.ConfigurationSpace`` addressable.
-_BMC_EXPORTS = {
-    "ConfigurationSpace",
-    "explore_configuration_space",
-    "count_reachable_states",
-    "DeadlockSearchResult",
-}
-
-
-def __getattr__(name):
-    if name in _BMC_EXPORTS:
-        from repro.checking import bmc
-
-        return getattr(bmc, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "DirectedGraph",
-    "find_cycle_dfs",
-    "has_cycle",
-    "is_acyclic",
-    "strongly_connected_components",
-    "topological_sort",
-    "CycleSearchResult",
-    "ConfigurationSpace",
-    "explore_configuration_space",
-    "DeadlockSearchResult",
-]

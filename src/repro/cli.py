@@ -19,7 +19,9 @@ Usage (after ``pip install -e .``)::
     python -m repro store stats .repro-store --json -
 
 Each sub-command drives one part of the library's public API; the examples in
-``examples/`` show the same flows as scripts.  The ``batch`` command is the
+``examples/`` show the same flows as scripts.  Each sub-command imports
+what it runs when it runs, so ``import repro.cli`` loads no engine code
+and a ``repro batch`` replayed from its ``--store`` builds nothing.  The ``batch`` command is the
 portfolio driver (:mod:`repro.core.portfolio`): it decides topology x routing
 x switching scenarios by dependency-graph cycle search, and with
 ``--cross-check`` re-derives every verdict on one incremental CDCL session
@@ -32,13 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
-
-from repro.core.pipeline import verify_instance
-from repro.hermes import build_hermes_instance
-from repro.reporting import build_effort_table
-from repro.simulation import Simulator, uniform_random_traffic
-from repro.simulation.workloads import standard_suite
 
 
 def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
@@ -294,7 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
 # Sub-command implementations
 # ---------------------------------------------------------------------------
 
+def build_hermes_instance(width: int, height: int, **options):
+    """The HERMES mesh the mesh sub-commands run on (see
+    :func:`repro.hermes.instantiation.build_hermes_instance`).
+
+    A module attribute, so the build of ``repro simulate`` can be timed
+    from outside (``perfbench/spans.py`` wraps it); importing inside keeps
+    the instantiation off every other sub-command's path.
+    """
+    from repro.hermes.instantiation import build_hermes_instance as build
+
+    return build(width, height, **options)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.core.pipeline import verify_instance
+    from repro.simulation.workloads import standard_suite
+
     _check_mesh_arguments(args, sends_messages=True)
     instance = build_hermes_instance(args.width, args.height,
                                      buffer_capacity=args.buffers)
@@ -306,6 +317,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulation.simulator import Simulator
+    from repro.simulation.workloads import uniform_random_traffic
+
     _check_mesh_arguments(args, sends_messages=True)
     if args.flits < 1:
         raise SystemExit("--flits must be at least 1")
@@ -325,6 +339,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.reporting.effort import build_effort_table
+
     _check_mesh_arguments(args)
     table = build_effort_table(args.width, args.height,
                                buffer_capacity=args.buffers)
@@ -333,7 +349,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_depgraph(args: argparse.Namespace) -> int:
-    from repro.core import check_acyclicity, graph_statistics
+    from repro.core.dependency import check_acyclicity, graph_statistics
     from repro.network.mesh import Mesh2D
 
     _check_mesh_arguments(args)
@@ -370,7 +386,7 @@ def _cmd_depgraph(args: argparse.Namespace) -> int:
             print(f"  DOT written to {args.dot}")
         return 0 if escape_report.acyclic else 1
 
-    from repro.hermes import build_exy_graph
+    from repro.hermes.dependency import build_exy_graph
 
     graph = build_exy_graph(mesh)
     print(f"Exy_dep of a {args.width}x{args.height} mesh:")
@@ -387,7 +403,7 @@ def _cmd_depgraph(args: argparse.Namespace) -> int:
     return 0 if report.acyclic else 1
 
 
-def _build_vc_relation(design: str, size: int, escape: Optional[str],
+def _build_vc_relation(design: str, size: int, escape: str | None,
                        num_vcs: int):
     """The escape-channel relation demonstrating a design's VC repair."""
     from repro.routing.escape import (
@@ -493,11 +509,9 @@ def _cmd_deadlock_vc(design: str, args: argparse.Namespace,
 def _cmd_deadlock(args: argparse.Namespace) -> int:
     from repro.checking.bmc import explore_configuration_space
     from repro.checking.graphs import find_cycle_dfs
-    from repro.core import (
-        check_c3_routing_induced,
-        routing_dependency_graph,
-        verify_witness_roundtrip,
-    )
+    from repro.core.dependency import routing_dependency_graph
+    from repro.core.obligations import check_c3_routing_induced
+    from repro.core.witness import verify_witness_roundtrip
 
     design = args.design or ("adaptive-mesh" if (args.vcs or 1) > 1
                              else "clockwise-ring")
@@ -524,7 +538,7 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
 
     size = args.size if args.size is not None else 4
     if design == "clockwise-ring":
-        from repro.ringnoc import (
+        from repro.ringnoc.instantiation import (
             build_clockwise_ring_instance,
             ring_witness_destination,
         )
@@ -622,7 +636,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard(text: Optional[str]):
+def _parse_shard(text: str | None):
     """``"0/2"`` -> ``(0, 2)`` (with friendly CLI errors)."""
     if text is None:
         return None
@@ -896,7 +910,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

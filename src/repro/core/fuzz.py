@@ -363,7 +363,8 @@ def _simulate_instance(instance, deadlock_free: bool, index: int,
                        max_ports: int,
                        max_steps: int) -> Tuple[Optional[str], List[str]]:
     """The simulation facet: proved-free instances must drain."""
-    from repro.simulation import Simulator, uniform_random_traffic
+    from repro.simulation.simulator import Simulator
+    from repro.simulation.workloads import uniform_random_traffic
 
     if len(instance.topology.ports) > max_ports:
         return None, []

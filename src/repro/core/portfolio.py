@@ -20,6 +20,11 @@ the batch driver for that sweep:
 incremental :class:`~repro.core.deadlock.DeadlockQuerySession` per group
 (the CDCL engine, learned clauses shared across the group's scenarios)
 and turns any disagreement into an ``error`` verdict.
+
+The engine (graphs, dependency enumeration, the CDCL session), the
+verdict store and the process pool are imported on the paths that use
+them, so a run whose groups all replay from the store loads none of them
+but the store.
 """
 
 from __future__ import annotations
@@ -28,27 +33,27 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.checking.graphs import (
-    DirectedGraph,
-    edges_on_every_cycle,
-    find_cycle_dfs,
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
 from repro.core.cache import instance_cache
-from repro.core.deadlock import DeadlockQuerySession
-from repro.core.dependency import routing_dependency_graph
 from repro.core.errors import SolverTimeout
 from repro.core.faultplan import execute_directive, resolve_fault_plan
-from repro.core.instance import NoCInstance
-from repro.core.spec import ScenarioSpec, expand_matrix
-from repro.core.store import (
-    VerdictStore,
-    engine_fingerprint,
-    make_run_key,
-    scenario_fingerprint,
-)
-from repro.network.port import Port
+from repro.core.spec import expand_matrix
+
+if TYPE_CHECKING:
+    from repro.core.deadlock import DeadlockQuerySession
+    from repro.core.instance import NoCInstance
+    from repro.core.spec import ScenarioSpec
+    from repro.core.store import VerdictStore
+    from repro.network.port import Port
 
 #: Verdict statuses a scenario can end a run with: ``"ok"`` (it was
 #: decided), ``"timeout"`` (a group/run deadline or solver budget cut
@@ -559,6 +564,33 @@ def merge_shard_reports(reports: Sequence[PortfolioReport]
         store_stats=store_stats)
 
 
+def routing_dependency_graph(routing):
+    """The dependency graph a scenario's verdict is decided on (see
+    :func:`repro.core.dependency.routing_dependency_graph`).
+
+    A module attribute, not a local import in :func:`_run_group`, so the
+    dependency layer has one entry point to time from outside
+    (``perfbench/spans.py`` wraps it); importing inside keeps the layer
+    off the store-replay path.
+    """
+    from repro.core.dependency import routing_dependency_graph as build
+
+    return build(routing)
+
+
+def engine_fingerprint() -> str:
+    """The current engine source fingerprint (see ``repro.__init__``).
+
+    Stored groups are keyed by it: a hash over every ``.py`` source in the
+    package, so any code change -- solver, routing, spec normalization --
+    yields a new fingerprint, and verdicts computed by an older engine are
+    recomputed, never replayed.
+    """
+    import repro
+
+    return repro.__engine_fingerprint__
+
+
 def _failure_verdict(index: int, scenario: Scenario, group_key: str,
                      shard: Optional[Tuple[int, int]], status: str,
                      error: str, instance: Optional[NoCInstance] = None,
@@ -641,6 +673,11 @@ def _run_group(payload: Tuple,
     session's solver statistics (empty without a cross-check) and the
     group's construction-cache counter deltas.
     """
+    from repro.checking.graphs import (
+        DirectedGraph,
+        edges_on_every_cycle,
+        find_cycle_dfs,
+    )
     from repro.routing.escape import EscapeChannelRouting
 
     group_key, indexed_scenarios, cross_check, shard = payload[:4]
@@ -690,6 +727,8 @@ def _run_group(payload: Tuple,
             resolved.append((index, scenario, instance))
             instances[index] = instance
         if cross_check:
+            from repro.core.deadlock import DeadlockQuerySession
+
             base: DirectedGraph[Port] = DirectedGraph()
             for _, _, instance in resolved:
                 for port in instance.topology.ports:
@@ -888,6 +927,8 @@ def _select_groups(scenarios: Sequence[Scenario],
 def _group_specs(indexed: List[Tuple[int, Scenario]]
                  ) -> List[Tuple[int, str]]:
     """A group's ``(index, scenario_fingerprint)`` pairs: its store identity."""
+    from repro.core.store import scenario_fingerprint
+
     return [(index, scenario_fingerprint(
                 scenario.spec if scenario.spec is not None else scenario))
             for index, scenario in indexed]
@@ -929,6 +970,8 @@ def stored_groups(scenarios: Sequence[Scenario], store: str,
     groups up exactly as a rerun would, so what it returns is what a
     rerun with the same store replays.
     """
+    from repro.core.store import VerdictStore, make_run_key
+
     groups = _select_groups(scenarios, shard, shard_balance)
     verdict_store = VerdictStore(os.fspath(store), readonly=True).open()
     return _replay_stored_groups(
@@ -1106,14 +1149,17 @@ def run_portfolio(scenarios: Sequence[Scenario],
     # -- the verdict store: replay recorded groups, record decided ones -----
     verdict_store: Optional[VerdictStore] = None
     completed: Dict[str, Tuple] = {}
-    if isinstance(store, VerdictStore):
-        verdict_store = store
-        if verdict_store.mode == "off" and \
-                verdict_store.degraded_reason is None:
-            verdict_store.open()
-    elif store is not None:
-        verdict_store = VerdictStore(os.fspath(store),
-                                     readonly=store_readonly).open()
+    if store is not None:
+        from repro.core.store import VerdictStore, make_run_key
+
+        if isinstance(store, VerdictStore):
+            verdict_store = store
+            if verdict_store.mode == "off" and \
+                    verdict_store.degraded_reason is None:
+                verdict_store.open()
+        else:
+            verdict_store = VerdictStore(os.fspath(store),
+                                         readonly=store_readonly).open()
     if verdict_store is not None:
         if trace is not None:
             verdict_store.attach_trace(trace)

@@ -15,10 +15,14 @@ module replaces that with three declarative layers:
   and resolves them lazily through the per-process
   :class:`~repro.core.cache.InstanceCache`.
 * :class:`SpecRegistry` -- named :class:`InstanceBuilder` entries, one per
-  topology kind.  The instantiation packages (:mod:`repro.hermes`,
-  :mod:`repro.ringnoc`, :mod:`repro.vcnoc`) register their builders here,
-  so ``ScenarioSpec.build()`` is the single construction path every
-  consumer (portfolio, CLI, benchmarks, future workloads) goes through.
+  topology kind.  The five shipped kinds are registered at the end of this
+  module, with their parameter spaces and scenario namers; each builder is
+  a ``"module:function"`` path into its instantiation package
+  (:mod:`repro.hermes`, :mod:`repro.ringnoc`, :mod:`repro.vcnoc`), imported
+  on the first build.  Expanding, naming and hashing specs therefore loads
+  no instantiation code, and ``ScenarioSpec.build()`` is the single
+  construction path every consumer (portfolio, CLI, benchmarks, future
+  workloads) goes through.
 * :func:`expand_matrix` -- a deterministic generator turning parameter
   grids (``"mesh:2..4x2..4, routing=[xy,yx], switching=wormhole"``) into
   ordered scenario matrices.  Same grid, same spec list -- always.
@@ -48,6 +52,7 @@ collapse onto the healthy construction path).
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -66,6 +71,17 @@ from repro.core.errors import SpecificationError
 
 #: Switching-discipline tokens accepted by port-level scenario kinds.
 SWITCHING_TOKENS = ("wormhole", "vct", "saf")
+
+#: The ``name()`` of each switching token's policy (scenario names use it).
+SWITCHING_NAMES = {"wormhole": "Swh", "vct": "Svct", "saf": "Ssaf"}
+
+#: Routing tokens of the ``mesh`` kind (see
+#: :func:`repro.hermes.instantiation.build_mesh_from_spec`).
+MESH_ROUTING_TOKENS = ("xy", "yx", "west-first", "north-last",
+                       "negative-first", "odd-even", "adaptive", "zigzag")
+
+#: Routing tokens of the ``ring`` kind.
+RING_ROUTING_TOKENS = ("chain", "clockwise")
 
 #: Route-commit policies of the VC escape relation (mirrors
 #: :data:`repro.routing.escape.ROUTE_POLICIES`).
@@ -254,7 +270,7 @@ class ScenarioSpec:
         spec may be built repeatedly in one process.
         """
         spec = self.normalized()
-        return spec_registry().entry(spec.kind).builder(spec)
+        return spec_registry().entry(spec.kind).build(spec)
 
 
 def fault_suffix(spec: ScenarioSpec) -> str:
@@ -269,6 +285,7 @@ def fault_suffix(spec: ScenarioSpec) -> str:
 
 
 #: An :class:`InstanceBuilder` turns a normalized spec into an instance.
+#: A registry entry holds one directly or as a ``"module:function"`` path.
 InstanceBuilder = Callable[[ScenarioSpec], object]
 
 
@@ -277,7 +294,7 @@ class BuilderEntry:
     """One registered scenario kind: its builder plus its parameter space."""
 
     kind: str
-    builder: InstanceBuilder
+    builder: Union[InstanceBuilder, str]
     description: str
     #: Number of topology dimensions the kind expects (2 for meshes/tori,
     #: 1 for rings).
@@ -372,6 +389,17 @@ class BuilderEntry:
         if spec.faults > 0 and not self.supports_faults:
             fail(f"kind {self.kind!r} has no fault-aware builder path")
 
+    def build(self, spec: ScenarioSpec):
+        """Construct a normalized ``spec`` with this kind's builder.
+
+        A ``"module:function"`` builder is imported here, on first use.
+        """
+        builder = self.builder
+        if isinstance(builder, str):
+            module, _, name = builder.partition(":")
+            builder = getattr(importlib.import_module(module), name)
+        return builder(spec)
+
     def name_for(self, spec: ScenarioSpec) -> str:
         if self.namer is not None:
             return self.namer(spec)
@@ -386,8 +414,8 @@ class BuilderEntry:
 class SpecRegistry:
     """The named builder entries, keyed by scenario kind.
 
-    One registry serves the process (:func:`spec_registry`); the
-    instantiation packages populate it at import time via
+    One registry serves the process (:func:`spec_registry`); the shipped
+    kinds are registered when this module loads, new kinds via
     :func:`register_builder`.
     """
 
@@ -417,10 +445,9 @@ class SpecRegistry:
 
 
 _REGISTRY = SpecRegistry()
-_BUILDERS_LOADED = False
 
 
-def register_builder(kind: str, builder: InstanceBuilder, *,
+def register_builder(kind: str, builder: Union[InstanceBuilder, str], *,
                      description: str = "",
                      dim_count: int = 2,
                      min_size: int = 1,
@@ -435,9 +462,10 @@ def register_builder(kind: str, builder: InstanceBuilder, *,
                      ) -> BuilderEntry:
     """Register an :class:`InstanceBuilder` for a scenario kind.
 
-    Called at import time by the instantiation packages; the entry
-    describes the kind's parameter space so matrix expansion can validate
-    grids eagerly and ``repro scenarios list`` can document what exists.
+    ``builder`` is the builder itself or its ``"module:function"`` path,
+    imported on the first build.  The entry describes the kind's parameter
+    space so matrix expansion can validate grids eagerly and ``repro
+    scenarios list`` can document what exists.
     """
     return _REGISTRY.register(BuilderEntry(
         kind=kind, builder=builder, description=description,
@@ -448,28 +476,88 @@ def register_builder(kind: str, builder: InstanceBuilder, *,
         namer=namer))
 
 
-def _ensure_builders() -> None:
-    """Import the instantiation packages so their kinds are registered.
-
-    The loaded flag is only latched once every import succeeded, so a
-    transient import failure surfaces again on the next call instead of
-    leaving a silently half-populated registry.  Re-running the imports
-    is safe: already-imported modules are no-ops, and registration raises
-    on duplicates only when a module body actually re-executes.
-    """
-    global _BUILDERS_LOADED
-    if _BUILDERS_LOADED:
-        return
-    import repro.hermes.instantiation  # noqa: F401  (registers "mesh")
-    import repro.ringnoc.instantiation  # noqa: F401  (registers "ring")
-    import repro.vcnoc  # noqa: F401  (registers the vc-* kinds)
-    _BUILDERS_LOADED = True
-
-
 def spec_registry() -> SpecRegistry:
     """The process-wide registry, with every shipped kind registered."""
-    _ensure_builders()
     return _REGISTRY
+
+
+def _mesh_name(spec: ScenarioSpec) -> str:
+    return (f"{spec.group_key()}/R{spec.routing}/"
+            f"{SWITCHING_NAMES[spec.switching]}{fault_suffix(spec)}")
+
+
+def _ring_name(spec: ScenarioSpec) -> str:
+    return f"{spec.group_key()}/{spec.routing}{fault_suffix(spec)}"
+
+
+def _vc_namer(relation: str) -> Callable[[ScenarioSpec], str]:
+    """The namer of a VC kind whose relation is called ``relation``."""
+    def name(spec: ScenarioSpec) -> str:
+        return (f"{spec.group_key()}/{relation}/{spec.num_vcs}vc"
+                f"{fault_suffix(spec)}")
+    return name
+
+
+register_builder(
+    "mesh", "repro.hermes.instantiation:build_mesh_from_spec",
+    description="HERMES 2D mesh (port-level model, paper Section V)",
+    dim_count=2,
+    routings=MESH_ROUTING_TOKENS,
+    default_routing="xy",
+    switchings=SWITCHING_TOKENS,
+    default_switching="wormhole",
+    supports_faults=True,
+    namer=_mesh_name,
+)
+
+register_builder(
+    "ring", "repro.ringnoc.instantiation:build_ring_from_spec",
+    description="bidirectional ring (deadlock-free chain vs. deadlock-prone "
+                "clockwise routing)",
+    dim_count=1,
+    min_size=2,
+    routings=RING_ROUTING_TOKENS,
+    default_routing="chain",
+    switchings=("wormhole",),
+    default_switching="wormhole",
+    supports_faults=True,
+    namer=_ring_name,
+)
+
+register_builder(
+    "vc-mesh", "repro.vcnoc.instantiation:build_vc_mesh_from_spec",
+    description="2D mesh at VC granularity: fully-adaptive class + one XY "
+                "escape VC",
+    dim_count=2,
+    supports_vcs=True,
+    supports_faults=True,
+    escape_style="xy",
+    namer=_vc_namer("Radaptive+esc-xy"),
+)
+
+register_builder(
+    "vc-torus", "repro.vcnoc.instantiation:build_vc_torus_from_spec",
+    description="2D torus at VC granularity: dimension-order routing with a "
+                "dateline escape pair (+ adaptive class from 3 VCs)",
+    dim_count=2,
+    min_size=2,
+    supports_vcs=True,
+    supports_faults=True,
+    escape_style="dateline",
+    namer=_vc_namer("Rxy-torus+esc-dateline"),
+)
+
+register_builder(
+    "vc-ring", "repro.vcnoc.instantiation:build_vc_ring_from_spec",
+    description="bidirectional ring at VC granularity: shortest-path routing "
+                "with a dateline escape pair",
+    dim_count=1,
+    min_size=2,
+    supports_vcs=True,
+    supports_faults=True,
+    escape_style="dateline",
+    namer=_vc_namer("Rshortest-ring+esc-dateline"),
+)
 
 
 # ---------------------------------------------------------------------------

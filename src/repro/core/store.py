@@ -80,18 +80,6 @@ STORE_COUNTERS = (
 )
 
 
-def engine_fingerprint() -> str:
-    """The current engine source fingerprint (see ``repro.__init__``).
-
-    A hash over every ``.py`` source in the package: any code change --
-    solver, routing, spec normalization -- yields a new fingerprint, so
-    verdicts computed by an older engine are recomputed, never replayed.
-    """
-    import repro
-
-    return repro.__engine_fingerprint__
-
-
 def scenario_fingerprint(scenario) -> str:
     """A content hash identifying one scenario independent of spelling.
 

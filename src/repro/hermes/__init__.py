@@ -5,7 +5,6 @@ NoC inspired by HERMES:
 
 * :mod:`repro.hermes.ports` -- the port algebra: ``next_outs`` and
   ``find_dest`` (Sections V.6 and VI-A).
-* :mod:`repro.hermes.routing` -- re-exports the XY routing function ``Rxy``.
 * :mod:`repro.hermes.injection` -- the identity injection method ``Iid``.
 * :mod:`repro.hermes.dependency` -- the declared dependency graph
   ``Exy_dep``.
@@ -14,57 +13,8 @@ NoC inspired by HERMES:
 * :mod:`repro.hermes.proofs` -- the discharge of (C-1) ... (C-5) for
   concrete mesh sizes plus the parametric certificate.
 * :mod:`repro.hermes.instantiation` -- ``GeNoC2D``: bundling everything into
-  a :class:`~repro.core.instance.NoCInstance`.
+  a :class:`~repro.core.instance.NoCInstance`, and the builder of the
+  ``mesh`` scenario kind.
+
+The XY routing function ``Rxy`` is :class:`repro.routing.xy.XYRouting`.
 """
-
-from repro.hermes.ports import next_outs, find_dest
-from repro.hermes.injection import Iid
-from repro.hermes.dependency import ExyDependencySpec, build_exy_graph
-from repro.hermes.flows import (
-    Flow,
-    FlowAnalysis,
-    analyse_flows,
-    hermes_rank,
-    check_rank_certificate_on_mesh,
-    check_rank_case_analysis,
-)
-from repro.hermes.instantiation import (
-    HermesInstance,
-    build_hermes_instance,
-    GeNoC2D,
-)
-from repro.hermes.proofs import (
-    discharge_c1_xy,
-    discharge_c2_xy,
-    discharge_c3_xy,
-    discharge_c4_iid,
-    discharge_c5_wh,
-    discharge_all,
-    HermesProofReport,
-)
-from repro.routing.xy import XYRouting as Rxy
-
-__all__ = [
-    "next_outs",
-    "find_dest",
-    "Iid",
-    "ExyDependencySpec",
-    "build_exy_graph",
-    "Flow",
-    "FlowAnalysis",
-    "analyse_flows",
-    "hermes_rank",
-    "check_rank_certificate_on_mesh",
-    "check_rank_case_analysis",
-    "HermesInstance",
-    "build_hermes_instance",
-    "GeNoC2D",
-    "discharge_c1_xy",
-    "discharge_c2_xy",
-    "discharge_c3_xy",
-    "discharge_c4_iid",
-    "discharge_c5_wh",
-    "discharge_all",
-    "HermesProofReport",
-    "Rxy",
-]

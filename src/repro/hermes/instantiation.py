@@ -12,17 +12,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.configuration import Configuration
-from repro.core.genoc import GeNoCEngine, GeNoCResult
+from repro.core.genoc import GeNoCResult
 from repro.core.instance import NoCInstance
 from repro.core.measure import flit_hop_measure
-from repro.core.spec import (
-    SWITCHING_TOKENS,
-    ScenarioSpec,
-    fault_suffix,
-    register_builder,
-    resolve_measure,
-    resolve_switching,
-)
+from repro.core.spec import ScenarioSpec, resolve_measure, resolve_switching
 from repro.core.travel import Travel
 from repro.hermes.dependency import ExyDependencySpec
 from repro.hermes.injection import Iid
@@ -104,7 +97,7 @@ def build_hermes_instance(width: int, height: int,
 
 
 # ---------------------------------------------------------------------------
-# The "mesh" scenario kind (declarative spec layer)
+# The "mesh" scenario kind (registered in repro.core.spec)
 # ---------------------------------------------------------------------------
 
 def _mesh_routing(token: str, mesh: Mesh2D):
@@ -132,10 +125,6 @@ def _mesh_routing(token: str, mesh: Mesh2D):
         "zigzag": ZigZagRouting,
     }
     return routings[token](mesh)
-
-
-MESH_ROUTING_TOKENS = ("xy", "yx", "west-first", "north-last",
-                       "negative-first", "odd-even", "adaptive", "zigzag")
 
 
 def build_mesh_from_spec(spec: ScenarioSpec) -> HermesInstance:
@@ -166,25 +155,6 @@ def build_mesh_from_spec(spec: ScenarioSpec) -> HermesInstance:
         measure=resolve_measure(spec.measure),
         mesh=mesh if spec.faults else None,
     )
-
-
-def _mesh_scenario_name(spec: ScenarioSpec) -> str:
-    switching = resolve_switching(spec.switching).name()
-    return (f"{spec.group_key()}/R{spec.routing}/{switching}"
-            f"{fault_suffix(spec)}")
-
-
-register_builder(
-    "mesh", build_mesh_from_spec,
-    description="HERMES 2D mesh (port-level model, paper Section V)",
-    dim_count=2,
-    routings=MESH_ROUTING_TOKENS,
-    default_routing="xy",
-    switchings=SWITCHING_TOKENS,
-    default_switching="wormhole",
-    supports_faults=True,
-    namer=_mesh_scenario_name,
-)
 
 
 def GeNoC2D(config: Configuration, width: int, height: int,

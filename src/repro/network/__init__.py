@@ -13,55 +13,8 @@ specifications are built from:
 * :mod:`repro.network.torus`, :mod:`repro.network.ring` -- additional
   topologies used by the extension instantiations.
 * :mod:`repro.network.vc` -- virtual channels: the ``(port, vc)`` resource
-  layer (:class:`VirtualChannel`) and the channel-granular topology view
-  (:class:`VCTopology`) behind the escape-routing subsystem.
+  layer (``VirtualChannel``) and the channel-granular topology view
+  (``VCTopology``) behind the escape-routing subsystem.
+* :mod:`repro.network.faults` -- deterministic fault injection (dead links
+  and routers) over the mesh, torus and ring.
 """
-
-from repro.network.port import (
-    Direction,
-    PortName,
-    Port,
-    trans,
-    next_in,
-    opposite,
-)
-from repro.network.flit import Flit, FlitKind
-from repro.network.buffers import FlitBuffer, FlitBufferError, PortState
-from repro.network.node import Node
-from repro.network.topology import Topology
-from repro.network.mesh import Mesh2D
-from repro.network.torus import Torus2D
-from repro.network.ring import Ring
-from repro.network.vc import (
-    VCTopology,
-    VirtualChannel,
-    channels_of,
-    is_wrap_link,
-    port_of,
-    vc_of,
-)
-
-__all__ = [
-    "Direction",
-    "PortName",
-    "Port",
-    "trans",
-    "next_in",
-    "opposite",
-    "Flit",
-    "FlitKind",
-    "FlitBuffer",
-    "FlitBufferError",
-    "PortState",
-    "Node",
-    "Topology",
-    "Mesh2D",
-    "Torus2D",
-    "Ring",
-    "VCTopology",
-    "VirtualChannel",
-    "channels_of",
-    "is_wrap_link",
-    "port_of",
-    "vc_of",
-]

@@ -1,18 +1,3 @@
-"""Reporting: the Table I analogue and table formatting."""
-
-from repro.reporting.effort import (
-    EffortRow,
-    EffortTable,
-    build_effort_table,
-    PAPER_TABLE_I,
-)
-from repro.reporting.tables import format_table, rows_to_markdown
-
-__all__ = [
-    "EffortRow",
-    "EffortTable",
-    "build_effort_table",
-    "PAPER_TABLE_I",
-    "format_table",
-    "rows_to_markdown",
-]
+"""Reporting: the Table I analogue (:mod:`repro.reporting.effort`), table
+formatting (:mod:`repro.reporting.tables`) and Graphviz export
+(:mod:`repro.reporting.dot`)."""

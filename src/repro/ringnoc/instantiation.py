@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.core.dependency import DependencyGraphSpec
 from repro.core.instance import NoCInstance
 from repro.core.measure import flit_hop_measure
-from repro.core.spec import (
-    ScenarioSpec,
-    fault_suffix,
-    register_builder,
-    resolve_measure,
-)
+from repro.core.spec import ScenarioSpec, resolve_measure
 from repro.hermes.injection import Iid
 from repro.network.port import Direction, Port, PortName, trans
 from repro.network.ring import Ring
@@ -141,11 +136,8 @@ def build_clockwise_ring_instance(size: int,
 
 
 # ---------------------------------------------------------------------------
-# The "ring" scenario kind (declarative spec layer)
+# The "ring" scenario kind (registered in repro.core.spec)
 # ---------------------------------------------------------------------------
-
-RING_ROUTING_TOKENS = ("chain", "clockwise")
-
 
 def build_ring_from_spec(spec: ScenarioSpec) -> NoCInstance:
     """:class:`InstanceBuilder` of the ``ring`` kind.
@@ -185,22 +177,3 @@ def build_ring_from_spec(spec: ScenarioSpec) -> NoCInstance:
                                          measure=measure)
     return build_clockwise_ring_instance(size, buffer_capacity=spec.buffers,
                                          measure=measure)
-
-
-def _ring_scenario_name(spec: ScenarioSpec) -> str:
-    return f"{spec.group_key()}/{spec.routing}{fault_suffix(spec)}"
-
-
-register_builder(
-    "ring", build_ring_from_spec,
-    description="bidirectional ring (deadlock-free chain vs. deadlock-prone "
-                "clockwise routing)",
-    dim_count=1,
-    min_size=2,
-    routings=RING_ROUTING_TOKENS,
-    default_routing="chain",
-    switchings=("wormhole",),
-    default_switching="wormhole",
-    supports_faults=True,
-    namer=_ring_scenario_name,
-)

@@ -4,39 +4,7 @@ The paper stresses that GeNoC instances are executable: "The same model is
 used for simulation and validation."  This package provides the simulation
 side: traffic generators (:mod:`repro.simulation.workloads`), a simulator
 that runs a :class:`~repro.core.instance.NoCInstance` on a workload and
-collects metrics (:mod:`repro.simulation.simulator`), and per-run metrics
-(:mod:`repro.simulation.metrics`).
+collects metrics (:mod:`repro.simulation.simulator`), per-run metrics
+(:mod:`repro.simulation.metrics`) and step traces
+(:mod:`repro.simulation.trace`).
 """
-
-from repro.simulation.workloads import (
-    WorkloadSpec,
-    all_to_all,
-    bit_complement_traffic,
-    hotspot_traffic,
-    neighbour_traffic,
-    permutation_traffic,
-    single_message,
-    transpose_traffic,
-    uniform_random_traffic,
-)
-from repro.simulation.metrics import RunMetrics, compute_metrics
-from repro.simulation.simulator import SimulationResult, Simulator
-from repro.simulation.trace import Trace, TraceRecorder
-
-__all__ = [
-    "WorkloadSpec",
-    "all_to_all",
-    "bit_complement_traffic",
-    "hotspot_traffic",
-    "neighbour_traffic",
-    "permutation_traffic",
-    "single_message",
-    "transpose_traffic",
-    "uniform_random_traffic",
-    "RunMetrics",
-    "compute_metrics",
-    "SimulationResult",
-    "Simulator",
-    "Trace",
-    "TraceRecorder",
-]

@@ -10,19 +10,7 @@
   header only advances when the next port can buffer the entire packet.
 
 All three implement the generic :class:`repro.core.constituents.SwitchingPolicy`
-interface plus :class:`SingleTravelStepper`, which the explicit-state model
-checker (:mod:`repro.checking.bmc`) uses to explore all interleavings.
+interface plus ``SingleTravelStepper`` (:mod:`repro.switching.base`), which
+the explicit-state model checker (:mod:`repro.checking.bmc`) uses to
+explore all interleavings.
 """
-
-from repro.switching.base import SingleTravelStepper
-from repro.switching.wormhole import VCWormholeSwitching, WormholeSwitching
-from repro.switching.store_and_forward import StoreAndForwardSwitching
-from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
-
-__all__ = [
-    "SingleTravelStepper",
-    "WormholeSwitching",
-    "VCWormholeSwitching",
-    "StoreAndForwardSwitching",
-    "VirtualCutThroughSwitching",
-]

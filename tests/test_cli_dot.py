@@ -9,11 +9,11 @@ import pytest
 from repro.checking.graphs import find_cycle_dfs
 from repro.cli import build_parser, main
 from repro.core.dependency import routing_dependency_graph
-from repro.hermes import build_exy_graph
+from repro.hermes.dependency import build_exy_graph
 from repro.network.mesh import Mesh2D
+from repro.network.ring import Ring
 from repro.reporting.dot import dependency_graph_to_dot, write_dot
 from repro.routing.ring import ClockwiseRingRouting
-from repro.network.ring import Ring
 
 
 class TestDotExport:
@@ -146,32 +146,128 @@ class TestCLI:
         assert "baseline is already deadlock-free" in output
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
 class TestImportPath:
-    #: Prints the ``repro.checking`` modules loaded after ``import
-    #: repro.cli`` and again after a default ``repro batch``.
+    """Fresh-interpreter ``sys.modules`` pins: every sub-command imports
+    what it runs, so ``import repro.cli`` loads no engine code and a
+    ``repro batch`` replayed from its store builds nothing."""
+
+    #: Runs ``repro.cli.main(ARGV)`` (none for an empty list) in a fresh
+    #: interpreter and prints the loaded modules after the import and
+    #: after the call.
     PROBE = (
-        "import sys\n"
-        "def loaded():\n"
-        "    return sorted(name for name in sys.modules\n"
-        "                  if name.startswith('repro.checking.'))\n"
+        "import contextlib, io, json, sys\n"
         "import repro.cli\n"
-        "print(loaded())\n"
-        "assert repro.cli.main(['batch']) == 0\n"
-        "print(loaded())\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert repro.cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
+
+    #: A small matrix over every shipped kind, healthy and faulty.
+    MATRIX = ["mesh:3x3, routing=[xy,adaptive], faults=0..1",
+              "ring:4, routing=[chain,clockwise]",
+              "vc-mesh:3x3, vcs=1..2", "vc-ring:4, vcs=2"]
+
+    #: Engine modules a fully replayed ``repro batch --store`` must not
+    #: load (a trailing dot matches a whole package).
+    NOT_ON_REPLAY = (
+        "repro.checking.", "repro.core.deadlock", "repro.core.dependency",
+        "repro.core.instance", "repro.core.configuration",
+        "repro.core.genoc", "repro.network.", "repro.routing.",
+        "repro.switching.", "repro.simulation", "repro.hermes.flows",
+        "repro.reporting.effort", "multiprocessing", "concurrent.futures")
+
+    @classmethod
+    def loaded(cls, tmp_path, argv):
+        """The modules loaded after ``import repro.cli`` and after the call."""
+        import json
+
+        result = subprocess.run(
+            [sys.executable, "-c", cls.PROBE, json.dumps(argv)],
+            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=120, check=True)
+        lines = result.stdout.splitlines()
+        return set(json.loads(lines[0])), set(json.loads(lines[-1]))
+
+    @staticmethod
+    def matching(modules, patterns):
+        return sorted(name for name in modules for pattern in patterns
+                      if name == pattern or (pattern.endswith(".")
+                                             and name.startswith(pattern)))
+
+    def test_cli_import_loads_no_core_module(self, tmp_path):
+        """``import repro.cli`` loads no ``repro.core`` module (the
+        errors module alone would be allowed) and no other package."""
+        after_import, _ = self.loaded(tmp_path, [])
+        repro_modules = {name for name in after_import
+                         if name.split(".")[0] == "repro"}
+        assert repro_modules - {"repro.core", "repro.core.errors"} == {
+            "repro", "repro.cli"}
 
     def test_cli_and_default_batch_load_only_the_graph_search(self,
                                                              tmp_path):
-        """The SAT stack stays off the default path: a fresh interpreter
-        importing the CLI and running a default sweep loads no
-        ``repro.checking`` module but the graph algorithms."""
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        result = subprocess.run(
-            [sys.executable, "-c", self.PROBE], cwd=str(tmp_path),
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=120, check=True)
-        lines = result.stdout.splitlines()
-        expected = "['repro.checking.graphs']"
-        assert lines[0] == expected
-        assert lines[-1] == expected
+        """The SAT stack, the store and the pool stay off the default
+        path: a default ``repro batch`` at ``--jobs 1`` without
+        ``--store`` loads the graph algorithms and no other
+        ``repro.checking`` module."""
+        after_import, after_batch = self.loaded(tmp_path, ["batch"])
+        assert self.matching(after_import, ["repro.checking."]) == []
+        assert self.matching(after_batch, ["repro.checking."]) == [
+            "repro.checking.graphs"]
+        assert self.matching(after_batch, [
+            "repro.core.store", "logging", "multiprocessing",
+            "concurrent.futures", "repro.simulation",
+            "repro.checking.sat"]) == []
+
+    def test_warm_store_replay_loads_no_engine_code(self, tmp_path):
+        """Once every group is in the store, a rerun replays them all
+        without loading graphs, deadlock, dependency, instance, network,
+        routing or switching code."""
+        import json
+
+        store = str(tmp_path / "store")
+        report = str(tmp_path / "warm.json")
+        argv = ["batch", "--store", store, "--matrix"] + self.MATRIX
+        assert main(argv) == 0
+        _, after_rerun = self.loaded(tmp_path, argv + ["--json", report])
+        with open(report, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["store"]["misses"] == 0
+        assert payload["store"]["hits"] == 4
+        assert self.matching(after_rerun, self.NOT_ON_REPLAY) == []
+        assert "repro.core.store" in after_rerun
+
+    def test_simulate_loads_no_portfolio_store_or_solver(self, tmp_path):
+        _, after = self.loaded(tmp_path, ["simulate", "--width", "3",
+                                          "--height", "3",
+                                          "--messages", "4"])
+        assert self.matching(after, [
+            "repro.core.portfolio", "repro.core.store",
+            "repro.checking.sat"]) == []
+        assert "repro.simulation.simulator" in after
+
+    def test_package_inits_import_nothing(self):
+        """Every subpackage ``__init__`` is a docstring only: a re-export
+        layer (or a lazy ``__getattr__`` one) would turn importing one
+        module into importing its whole package again."""
+        import ast
+        import glob
+
+        inits = sorted(glob.glob(os.path.join(SRC, "repro", "*",
+                                              "__init__.py")))
+        assert len(inits) >= 10
+        for path in inits:
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            imports = [node.lineno for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+            assert imports == [], f"{path} imports on lines {imports}"
+            assert ast.get_docstring(tree), f"{path} has no docstring"
+            assert len(tree.body) == 1, f"{path} holds more than a docstring"
+

@@ -11,7 +11,7 @@ from repro.core.errors import (
     SpecificationError,
     SwitchingError,
 )
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName
 from repro.routing.xy import XYRouting

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.checking.graphs import find_cycle_dfs
 from repro.core.deadlock import (
     analyse_deadlock,
     count_blocked_messages,
@@ -9,9 +10,11 @@ from repro.core.deadlock import (
 )
 from repro.core.dependency import routing_dependency_graph
 from repro.core.witness import cycle_to_deadlock_configuration
-from repro.checking.graphs import find_cycle_dfs
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_clockwise_ring_instance, ring_witness_destination
+from repro.hermes.instantiation import build_hermes_instance
+from repro.ringnoc.instantiation import (
+    build_clockwise_ring_instance,
+    ring_witness_destination,
+)
 from repro.switching.wormhole import WormholeSwitching
 
 

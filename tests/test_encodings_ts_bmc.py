@@ -9,15 +9,12 @@ from repro.checking.bmc import (
     count_reachable_states,
     explore_configuration_space,
 )
-from repro.checking.encodings import (
-    encode_acyclicity,
-    is_acyclic_by_sat,
-)
+from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
 from repro.checking.graphs import DirectedGraph, find_cycle_dfs
 from repro.checking.sat import solve_cnf
 from repro.checking.ts import TransitionSystem
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_clockwise_ring_instance
+from repro.hermes.instantiation import build_hermes_instance
+from repro.ringnoc.instantiation import build_clockwise_ring_instance
 
 
 def graph_from_edges(edges, vertices=None):

@@ -1,8 +1,10 @@
 """Smoke tests: every example script runs to completion."""
 
 import pathlib
+import re
 import runpy
 import sys
+import textwrap
 
 import pytest
 
@@ -52,3 +54,30 @@ class TestExamples:
         output = capsys.readouterr().out
         assert "acyclic (all methods agree): True" in output
         assert "statistics" in output
+
+
+class TestDocSnippets:
+    """The code shown in the README and in the package docstring runs."""
+
+    def test_readme_python_block(self):
+        readme = (EXAMPLES_DIR.parent / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        assert blocks, "README.md shows no python block"
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
+    def test_package_quickstart(self, capsys):
+        import repro
+
+        _, _, rest = repro.__doc__.partition("Quickstart::\n")
+        lines = []
+        for line in rest.splitlines():
+            if line.strip() and not line.startswith("    "):
+                break
+            lines.append(line)
+        snippet = textwrap.dedent("\n".join(lines)).strip()
+        assert snippet.startswith("from repro.")
+        exec(compile(snippet, "repro.__doc__", "exec"), {})
+        assert "messages" in capsys.readouterr().out
+

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.core import (
-    GeNoCEngine,
-    GeNoCError,
-    IdentityInjection,
+from repro.core.constituents import IdentityInjection
+from repro.core.errors import GeNoCError
+from repro.core.genoc import GeNoCEngine
+from repro.core.measure import (
     flit_hop_measure,
+    is_non_increasing,
+    is_strictly_decreasing,
     pending_travel_measure,
     route_length_measure,
 )
-from repro.core.measure import is_non_increasing, is_strictly_decreasing
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.routing.xy import XYRouting
 from repro.switching.wormhole import WormholeSwitching
 

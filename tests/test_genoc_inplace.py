@@ -15,13 +15,13 @@ from repro.core.errors import SwitchingError
 from repro.core.genoc import StepRecord
 from repro.core.measure import flit_hop_measure
 from repro.core.state import NetworkState
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.flit import Flit, FlitKind
-from repro.simulation import uniform_random_traffic
+from repro.simulation.workloads import uniform_random_traffic
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
 from repro.switching.wormhole import WormholeSwitching
-from repro.vcnoc import build_vc_mesh_instance
+from repro.vcnoc.instantiation import build_vc_mesh_instance
 
 
 def reference_run(instance, config):

@@ -4,8 +4,12 @@ import pytest
 
 from repro.core.configuration import initial_configuration
 from repro.core.state import NetworkState
-from repro.hermes import GeNoC2D, Iid, Rxy, build_hermes_instance
-from repro.hermes.instantiation import run_hermes
+from repro.hermes.injection import Iid
+from repro.hermes.instantiation import (
+    GeNoC2D,
+    build_hermes_instance,
+    run_hermes,
+)
 from repro.network.mesh import Mesh2D
 from repro.routing.xy import XYRouting
 from repro.routing.yx import YXRouting
@@ -21,9 +25,6 @@ class TestBuildHermesInstance:
         assert instance.dependency_spec is not None
         assert instance.witness_destination is not None
         assert instance.name == "HERMES-4x3"
-
-    def test_rxy_reexport_is_xy_routing(self):
-        assert Rxy is XYRouting
 
     def test_buffer_capacity_parameter(self):
         instance = build_hermes_instance(2, 2, buffer_capacity=7)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.hermes.proofs import (
     default_workloads,
     discharge_all,

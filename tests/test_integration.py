@@ -12,16 +12,14 @@ import pytest
 
 from repro.checking.bmc import explore_configuration_space
 from repro.checking.graphs import find_cycle_dfs
-from repro.core import (
-    check_c3_routing_induced,
-    routing_dependency_graph,
-    verify_witness_roundtrip,
-)
+from repro.core.dependency import routing_dependency_graph
+from repro.core.obligations import check_c3_routing_induced
 from repro.core.pipeline import verify_instance
-from repro.hermes import build_hermes_instance
+from repro.core.witness import verify_witness_roundtrip
+from repro.hermes.instantiation import build_hermes_instance
 from repro.hermes.ports import witness_destination
 from repro.network.mesh import Mesh2D
-from repro.ringnoc import (
+from repro.ringnoc.instantiation import (
     build_chain_ring_instance,
     build_clockwise_ring_instance,
     ring_witness_destination,
@@ -29,8 +27,8 @@ from repro.ringnoc import (
 from repro.routing.adaptive import ZigZagRouting
 from repro.routing.turn_model import WestFirstRouting
 from repro.routing.yx import YXRouting
-from repro.simulation import Simulator, uniform_random_traffic
-from repro.simulation.workloads import standard_suite
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import standard_suite, uniform_random_traffic
 from repro.switching.wormhole import WormholeSwitching
 
 

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.constituents import IdentityInjection, InjectionMethod
+from repro.core.dependency import ExplicitDependencySpec
+from repro.core.errors import ObligationViolation
+from repro.core.measure import flit_hop_measure, pending_travel_measure
+from repro.core.obligations import (
     check_c1,
     check_c2,
     check_c3,
@@ -10,12 +14,8 @@ from repro.core import (
     check_c4,
     check_c5,
 )
-from repro.core.constituents import IdentityInjection, InjectionMethod
-from repro.core.dependency import ExplicitDependencySpec
-from repro.core.errors import ObligationViolation
-from repro.core.measure import flit_hop_measure, pending_travel_measure
-from repro.hermes import build_hermes_instance
 from repro.hermes.dependency import ExyDependencySpec
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName
 from repro.routing.adaptive import ZigZagRouting

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.pipeline import discharge_obligations, verify_instance
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_chain_ring_instance
-from repro.routing.yx import YXRouting
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
+from repro.ringnoc.instantiation import build_chain_ring_instance
+from repro.routing.yx import YXRouting
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 
 

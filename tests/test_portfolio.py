@@ -18,9 +18,10 @@ from repro.core.portfolio import (
     standard_portfolio,
 )
 from repro.core.theorems import check_deadlock_freedom
-from repro.hermes import build_exy_graph, build_hermes_instance
+from repro.hermes.dependency import build_exy_graph
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
-from repro.ringnoc import (
+from repro.ringnoc.instantiation import (
     build_chain_ring_instance,
     build_clockwise_ring_instance,
 )

@@ -2,23 +2,27 @@
 
 import pytest
 
-from repro.core import check_c3_routing_induced
+from repro.core.obligations import check_c3_routing_induced
 from repro.core.pipeline import verify_instance
 from repro.core.theorems import check_deadlock_freedom
-from repro.reporting import (
+from repro.network.ring import Ring
+from repro.reporting.effort import (
+    COMPONENT_MODULES,
+    EffortRow,
+    EffortTable,
     PAPER_TABLE_I,
     build_effort_table,
+)
+from repro.reporting.tables import (
+    dicts_to_rows,
     format_table,
     rows_to_markdown,
 )
-from repro.reporting.effort import COMPONENT_MODULES, EffortRow, EffortTable
-from repro.reporting.tables import dicts_to_rows
-from repro.ringnoc import (
+from repro.ringnoc.instantiation import (
     ChainRingDependencySpec,
     build_chain_ring_instance,
     build_clockwise_ring_instance,
 )
-from repro.network.ring import Ring
 
 
 class TestChainRingInstance:

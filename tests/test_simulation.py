@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.hermes import build_hermes_instance
-from repro.ringnoc import build_chain_ring_instance
-from repro.simulation import (
-    Simulator,
+from repro.hermes.instantiation import build_hermes_instance
+from repro.ringnoc.instantiation import build_chain_ring_instance
+from repro.simulation.metrics import compute_metrics
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import (
     all_to_all,
     bit_complement_traffic,
-    compute_metrics,
     hotspot_traffic,
     neighbour_traffic,
     permutation_traffic,
     single_message,
+    standard_suite,
     transpose_traffic,
     uniform_random_traffic,
 )
-from repro.simulation.workloads import standard_suite
 
 
 @pytest.fixture(scope="module")

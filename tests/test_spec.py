@@ -19,8 +19,10 @@ from repro.core.portfolio import (
     vc_escape_matrix,
 )
 from repro.core.spec import (
+    SWITCHING_TOKENS,
     ScenarioSpec,
     expand_matrix,
+    resolve_switching,
     spec_registry,
 )
 
@@ -124,6 +126,73 @@ class TestSpecRegistry:
         assert cache.stats()["instances"] == 1
         reset_instance_cache()
         assert cache.stats()["instances"] == 0
+
+
+#: One term per naming path of every shipped kind: each routing token,
+#: each switching token, 1-4 VCs and a faulty variant of each kind.
+NAME_SAMPLE_MATRIX = [
+    "mesh:3x3, routing=[xy,yx,west-first,north-last,negative-first,"
+    "odd-even,adaptive,zigzag]",
+    "mesh:2x4, routing=west_first, switching=[vct,saf]",
+    "mesh:4x4, routing=odd-even, switching=[wormhole,saf], faults=2, seed=1",
+    "ring:4, routing=[chain,clockwise]",
+    "ring:6, routing=clockwise, faults=1, seed=2",
+    "vc-mesh:3x3, vcs=1..4",
+    "vc-mesh:4x3, vcs=2, faults=1, seed=3",
+    "vc-torus:4x4, vcs=1..4",
+    "vc-torus:3x5, vcs=4, faults=2, seed=1",
+    "vc-ring:5, vcs=1..4",
+    "vc-ring:6, vcs=2, faults=1, seed=2",
+]
+
+#: The scenario names of NAME_SAMPLE_MATRIX as the namers gave them when
+#: each kind's namer still lived in its instantiation package.  Names key
+#: reports, stores and traces, so they must never drift.
+EXPECTED_SAMPLE_NAMES = [
+    "mesh-3x3/Rxy/Swh",
+    "mesh-3x3/Ryx/Swh",
+    "mesh-3x3/Rwest-first/Swh",
+    "mesh-3x3/Rnorth-last/Swh",
+    "mesh-3x3/Rnegative-first/Swh",
+    "mesh-3x3/Rodd-even/Swh",
+    "mesh-3x3/Radaptive/Swh",
+    "mesh-3x3/Rzigzag/Swh",
+    "mesh-2x4/Rwest-first/Svct",
+    "mesh-2x4/Rwest-first/Ssaf",
+    "mesh-4x4/Rodd-even/Swh/f2s1",
+    "mesh-4x4/Rodd-even/Ssaf/f2s1",
+    "ring-4/chain",
+    "ring-4/clockwise",
+    "ring-6/clockwise/f1s2",
+    "vc-mesh-3x3/Radaptive+esc-xy/1vc",
+    "vc-mesh-3x3/Radaptive+esc-xy/2vc",
+    "vc-mesh-3x3/Radaptive+esc-xy/3vc",
+    "vc-mesh-3x3/Radaptive+esc-xy/4vc",
+    "vc-mesh-4x3/Radaptive+esc-xy/2vc/f1s3",
+    "vc-torus-4x4/Rxy-torus+esc-dateline/1vc",
+    "vc-torus-4x4/Rxy-torus+esc-dateline/2vc",
+    "vc-torus-4x4/Rxy-torus+esc-dateline/3vc",
+    "vc-torus-4x4/Rxy-torus+esc-dateline/4vc",
+    "vc-torus-3x5/Rxy-torus+esc-dateline/4vc/f2s1",
+    "vc-ring-5/Rshortest-ring+esc-dateline/1vc",
+    "vc-ring-5/Rshortest-ring+esc-dateline/2vc",
+    "vc-ring-5/Rshortest-ring+esc-dateline/3vc",
+    "vc-ring-5/Rshortest-ring+esc-dateline/4vc",
+    "vc-ring-6/Rshortest-ring+esc-dateline/2vc/f1s2",
+]
+
+
+class TestScenarioNames:
+    def test_sample_names_are_byte_identical_to_the_pinned_list(self):
+        names = [spec.scenario_name()
+                 for spec in expand_matrix(NAME_SAMPLE_MATRIX)]
+        assert names == EXPECTED_SAMPLE_NAMES
+
+    @pytest.mark.parametrize("token", SWITCHING_TOKENS)
+    def test_mesh_namer_uses_the_switching_policy_name(self, token):
+        spec = ScenarioSpec(kind="mesh", dims=(3, 3), switching=token)
+        name = spec.scenario_name()
+        assert name.split("/")[-1] == resolve_switching(token).name()
 
 
 class TestMatrixExpansion:
@@ -298,9 +367,9 @@ def _legacy_acceptance_scenarios():
     with explicitly pickled instances -- kept here verbatim as the
     reference the declarative layer must reproduce bit for bit.
     """
-    from repro.hermes import build_hermes_instance
+    from repro.hermes.instantiation import build_hermes_instance
     from repro.network.mesh import Mesh2D
-    from repro.ringnoc import (
+    from repro.ringnoc.instantiation import (
         build_chain_ring_instance,
         build_clockwise_ring_instance,
     )
@@ -316,7 +385,7 @@ def _legacy_acceptance_scenarios():
     from repro.routing.xy import XYRouting
     from repro.routing.yx import YXRouting
     from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
-    from repro.vcnoc import (
+    from repro.vcnoc.instantiation import (
         build_vc_mesh_instance,
         build_vc_ring_instance,
         build_vc_torus_instance,

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.core.portfolio import (
+    engine_fingerprint,
     merge_shard_reports,
     run_portfolio,
     scenarios_from_specs,
@@ -33,7 +34,6 @@ from repro.core.store import (
     STORE_SCHEMA,
     VerdictStore,
     _StoreLock,
-    engine_fingerprint,
     group_record_key,
     make_run_key,
     record_checksum,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.deadlock import is_deadlock
 from repro.core.measure import flit_hop_measure
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
 from repro.switching.wormhole import WormholeSwitching

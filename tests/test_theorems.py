@@ -9,9 +9,12 @@ from repro.core.theorems import (
     check_no_reachable_deadlock,
     derive_evacuation,
 )
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.mesh import Mesh2D
-from repro.ringnoc import build_chain_ring_instance, build_clockwise_ring_instance
+from repro.ringnoc.instantiation import (
+    build_chain_ring_instance,
+    build_clockwise_ring_instance,
+)
 from repro.routing.adaptive import ZigZagRouting
 
 

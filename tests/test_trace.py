@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.checking.sat import IncrementalSatSolver
+from repro.core import trace_analysis
 from repro.core.cache import reset_instance_cache
 from repro.core.portfolio import run_portfolio, scenarios_from_specs
 from repro.core.spec import expand_matrix
@@ -25,7 +26,6 @@ from repro.core.trace import (
     scrub_timing,
     validate_trace,
 )
-from repro.core import trace_analysis
 
 #: The pinned 24-scenario acceptance matrix (same as the engine-acceptance
 #: fixture in test_clause_management.py).

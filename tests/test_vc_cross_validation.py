@@ -25,10 +25,13 @@ from repro.core.portfolio import (
 from repro.core.theorems import check_correctness, check_evacuation
 from repro.core.travel import make_travel
 from repro.network.vc import VirtualChannel, port_of, vc_of
-from repro.simulation import Simulator, uniform_random_traffic
-from repro.simulation.workloads import transpose_traffic
+from repro.simulation.simulator import Simulator
+from repro.simulation.workloads import (
+    transpose_traffic,
+    uniform_random_traffic,
+)
 from repro.switching.wormhole import VCWormholeSwitching
-from repro.vcnoc import (
+from repro.vcnoc.instantiation import (
     build_vc_mesh_instance,
     build_vc_ring_instance,
     build_vc_torus_instance,
@@ -81,7 +84,7 @@ class TestPortfolioSimulationConsistency:
     def test_known_prone_design_actually_deadlocks(self):
         """The contrapositive direction, witnessed: the clockwise ring
         deadlocks under its adversarial workload, matching its verdict."""
-        from repro.ringnoc import build_clockwise_ring_instance
+        from repro.ringnoc.instantiation import build_clockwise_ring_instance
 
         instance = build_clockwise_ring_instance(4)
         report = run_portfolio([Scenario(name="ring", instance=instance)])
@@ -201,7 +204,7 @@ class TestVcSimulation:
         comparison isolates the resource layer.)"""
         from dataclasses import replace
 
-        from repro.hermes import build_hermes_instance
+        from repro.hermes.instantiation import build_hermes_instance
         from repro.switching.wormhole import WormholeSwitching
 
         vc_instance = replace(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.checking.graphs import find_cycle_dfs
-from repro.core.dependency import routing_dependency_graph
 from repro.core.deadlock import analyse_deadlock, is_deadlock
+from repro.core.dependency import routing_dependency_graph
 from repro.core.errors import SpecificationError
 from repro.core.witness import (
     cycle_to_deadlock_configuration,
@@ -13,7 +13,10 @@ from repro.core.witness import (
 from repro.hermes.ports import witness_destination
 from repro.network.mesh import Mesh2D
 from repro.network.ring import Ring
-from repro.ringnoc import build_clockwise_ring_instance, ring_witness_destination
+from repro.ringnoc.instantiation import (
+    build_clockwise_ring_instance,
+    ring_witness_destination,
+)
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting, ZigZagRouting
 from repro.routing.ring import ClockwiseRingRouting
 from repro.routing.xy import XYRouting

@@ -5,7 +5,7 @@ import pytest
 from repro.core.configuration import NOT_INJECTED
 from repro.core.deadlock import is_deadlock
 from repro.core.measure import flit_hop_measure, route_length_measure
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.network.port import Direction, Port, PortName
 from repro.switching.wormhole import WormholeSwitching
 

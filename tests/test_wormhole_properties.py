@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.measure import flit_hop_measure, route_length_measure
-from repro.hermes import build_hermes_instance
+from repro.hermes.instantiation import build_hermes_instance
 from repro.switching.wormhole import WormholeSwitching
 
 
