@@ -177,54 +177,74 @@ class CycleSearchResult(Generic[V]):
 def find_cycle_dfs(graph: DirectedGraph[V]) -> CycleSearchResult[V]:
     """Find a cycle by iterative depth-first search (white/grey/black).
 
-    Returns the cycle as a vertex list (without repeating the first vertex)
-    if one exists.
+    Roots are taken in ``graph.vertices`` order and successors in ``repr``
+    order, so the search -- and the cycle it returns -- depends only on
+    the graph, not on hash order.  Returns the cycle as a vertex list
+    (without repeating the first vertex) if one exists.
     """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[V, int] = {vertex: WHITE for vertex in graph.vertices}
-    parent: Dict[V, Optional[V]] = {}
-    visited = 0
+    by_rank, ids, successors = _ranked_ids(graph)
+    cycle, visited = _dfs(ids.values(), successors)
+    if cycle is None:
+        return CycleSearchResult(acyclic=True, cycle=None, visited=visited)
+    return CycleSearchResult(acyclic=False, visited=visited,
+                             cycle=[by_rank[vertex] for vertex in cycle])
 
-    for root in graph.vertices:
+
+def _ranked_ids(graph: DirectedGraph[V]
+                ) -> Tuple[List[V], Dict[V, int], List[List[int]]]:
+    """The graph over dense ids: a vertex's id is its rank by ``repr``.
+
+    Returns the vertices by id, each vertex's id in ``graph.vertices``
+    order (the DFS roots) and each id's successor ids in ascending order,
+    which is ``repr`` order.  Every vertex is ranked once per graph.
+    """
+    vertices = graph.vertices
+    texts = [repr(vertex) for vertex in vertices]
+    order = sorted(range(len(vertices)), key=texts.__getitem__)
+    ranks = [0] * len(vertices)
+    for rank, position in enumerate(order):
+        ranks[position] = rank
+    ids = dict(zip(vertices, ranks))
+    successors: List[List[int]] = [[] for _ in vertices]
+    for vertex, targets in graph._successors.items():
+        successors[ids[vertex]] = sorted([ids[target] for target in targets])
+    return [vertices[position] for position in order], ids, successors
+
+
+def _dfs(roots: Iterable[int], successors: Sequence[Sequence[int]]
+         ) -> Tuple[Optional[List[int]], int]:
+    """White/grey/black DFS over dense ids: ``(cycle or None, visited)``."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = bytearray(len(successors))
+    parent = [-1] * len(successors)
+    visited = 0
+    for root in roots:
         if colour[root] != WHITE:
             continue
-        stack: List[Tuple[V, Iterable[V]]] = [(root, iter(sorted(
-            graph.successors(root), key=repr)))]
         colour[root] = GREY
-        parent[root] = None
         visited += 1
+        stack = [(root, iter(successors[root]))]
         while stack:
-            vertex, successors = stack[-1]
-            advanced = False
-            for successor in successors:
+            vertex, pending = stack[-1]
+            for successor in pending:
                 if colour[successor] == WHITE:
                     colour[successor] = GREY
                     parent[successor] = vertex
                     visited += 1
-                    stack.append((successor, iter(sorted(
-                        graph.successors(successor), key=repr))))
-                    advanced = True
+                    stack.append((successor, iter(successors[successor])))
                     break
                 if colour[successor] == GREY:
-                    cycle = _reconstruct_cycle(parent, vertex, successor)
-                    return CycleSearchResult(acyclic=False, cycle=cycle,
-                                             visited=visited)
-            if not advanced:
+                    # Walk the parent chain back to the grey ancestor.
+                    cycle = [successor]
+                    while vertex != successor:
+                        cycle.append(vertex)
+                        vertex = parent[vertex]
+                    cycle.reverse()
+                    return cycle, visited
+            else:
                 colour[vertex] = BLACK
                 stack.pop()
-    return CycleSearchResult(acyclic=True, cycle=None, visited=visited)
-
-
-def _reconstruct_cycle(parent: Mapping[V, Optional[V]], vertex: V,
-                       ancestor: V) -> List[V]:
-    """Walk the parent chain from ``vertex`` back to ``ancestor``."""
-    cycle = [ancestor]
-    current: Optional[V] = vertex
-    while current is not None and current != ancestor:
-        cycle.append(current)
-        current = parent.get(current)
-    cycle.reverse()
-    return cycle
+    return None, visited
 
 
 def edges_on_every_cycle(graph: DirectedGraph[V],
@@ -232,13 +252,25 @@ def edges_on_every_cycle(graph: DirectedGraph[V],
     """The edges of ``cycle`` whose removal alone leaves ``graph`` acyclic.
 
     Those are exactly the edges common to all cycles of ``graph``, so the
-    result does not depend on which cycle a search returned.  Sorted by
-    their ``"source -> target"`` text.
+    result does not depend on which cycle a search returned.  The id graph
+    is built once; each edge is then one DFS with that edge skipped (an
+    edge absent from ``graph`` skips nothing).  Sorted by their
+    ``"source -> target"`` text.
     """
-    edges = graph.edges() if cycle else []
-    found = [edge for edge in cycle
-             if find_cycle_dfs(DirectedGraph.from_edges(
-                 kept for kept in edges if kept != edge)).acyclic]
+    if not cycle:
+        return []
+    _, ids, successors = _ranked_ids(graph)
+    found = []
+    for edge in cycle:
+        source, target = ids.get(edge[0]), ids.get(edge[1])
+        kept = successors[source] if source is not None else []
+        if target in kept:
+            successors[source] = [vertex for vertex in kept
+                                  if vertex != target]
+        if _dfs(ids.values(), successors)[0] is None:
+            found.append(edge)
+        if target in kept:
+            successors[source] = kept
     return sorted(found, key=lambda edge: f"{edge[0]} -> {edge[1]}")
 
 

@@ -11,7 +11,7 @@ driven from one object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.configuration import Configuration, initial_configuration
 from repro.core.constituents import (
@@ -20,13 +20,15 @@ from repro.core.constituents import (
     SwitchingPolicy,
 )
 from repro.core.dependency import DependencyGraphSpec
-from repro.core.genoc import GeNoCEngine, GeNoCResult
 from repro.core.measure import Measure, flit_hop_measure, route_length_measure
 from repro.core.state import NetworkState
 from repro.core.travel import Travel, make_travel
-from repro.core.witness import WitnessDestination
 from repro.network.port import Port
 from repro.network.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.core.genoc import GeNoCEngine, GeNoCResult
+    from repro.core.witness import WitnessDestination
 
 
 @dataclass
@@ -50,6 +52,8 @@ class NoCInstance:
 
     # -- engines and configurations ----------------------------------------------
     def engine(self, max_steps: Optional[int] = None) -> GeNoCEngine:
+        from repro.core.genoc import GeNoCEngine
+
         return GeNoCEngine(injection=self.injection, routing=self.routing,
                            switching=self.switching, measure=self.measure,
                            max_steps=max_steps)

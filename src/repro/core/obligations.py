@@ -20,7 +20,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.checking.graphs import DirectedGraph
 from repro.core.configuration import Configuration
@@ -29,7 +37,6 @@ from repro.core.constituents import (
     RoutingFunction,
     SwitchingPolicy,
 )
-from repro.core.deadlock import is_deadlock
 from repro.core.dependency import (
     DependencyGraphSpec,
     check_acyclicity,
@@ -37,8 +44,10 @@ from repro.core.dependency import (
 )
 from repro.core.errors import ObligationViolation
 from repro.core.measure import Measure
-from repro.core.witness import WitnessDestination
 from repro.network.port import Port
+
+if TYPE_CHECKING:
+    from repro.core.witness import WitnessDestination
 
 
 @dataclass
@@ -396,6 +405,7 @@ def check_c5(switching: SwitchingPolicy, measure: Measure,
     is what the paper's coarser route-length measure satisfies in the
     flit-accurate model (see :mod:`repro.core.measure`).
     """
+    from repro.core.deadlock import is_deadlock
 
     def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
         checks = 0

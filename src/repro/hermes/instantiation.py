@@ -9,10 +9,9 @@ obligation engine, theorem checkers, simulator and benchmarks all consume.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.configuration import Configuration
-from repro.core.genoc import GeNoCResult
 from repro.core.instance import NoCInstance
 from repro.core.measure import flit_hop_measure
 from repro.core.spec import ScenarioSpec, resolve_measure, resolve_switching
@@ -24,6 +23,9 @@ from repro.network.mesh import Mesh2D
 from repro.network.port import Port
 from repro.routing.xy import XYRouting
 from repro.switching.wormhole import WormholeSwitching
+
+if TYPE_CHECKING:
+    from repro.core.genoc import GeNoCResult
 
 
 class MeshWitness:

@@ -23,7 +23,17 @@ coverage and that predicate share.
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+import functools
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
@@ -146,16 +156,24 @@ def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
 
 
 def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
-                    index: Dict[Port, int], destinations: Sequence[Port]
+                    index: Dict[Port, int], destinations: Sequence[Port],
+                    column_hops: Optional[Callable[[Port], Callable]] = None
                     ) -> Iterator[Tuple[int, int, Optional[Tuple[int, ...]]]]:
     """The occurring-pairs search, over dense port ids.
 
-    For each destination ``d`` follows every branch of ``next_hops`` from
-    every local in-port and yields ``(d, p, hop ids)`` once per visited
-    port ``p``; the hops are ``None`` at the destination itself.
+    For each destination ``d`` follows every branch from every local
+    in-port and yields ``(d, p, hop ids)`` once per visited port ``p``;
+    the hops are ``None`` at the destination itself.  The hop ids of
+    ``p`` come from ``column_hops(destination)(p)``; by default that asks
+    ``routing.next_hops``.
     """
+    if column_hops is None:
+        def column_hops(destination: Port) -> Callable:
+            return lambda p: _ids(index, routing.next_hops(ports[p],
+                                                           destination))
     sources = _ids(index, routing.topology.local_in_ports())
     for d, destination in enumerate(destinations):
+        hops_of = column_hops(destination)
         target = index[destination]
         seen = bytearray(len(ports))
         frontier = list(sources)
@@ -167,7 +185,7 @@ def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
             if p == target:
                 yield d, p, None
                 continue
-            hops = _ids(index, routing.next_hops(ports[p], destination))
+            hops = hops_of(p)
             yield d, p, hops
             frontier.extend(hops)
 
@@ -189,9 +207,13 @@ class RouteTable:
     columns in ``destinations()`` order; ``hops[p * width + d]`` is the
     tuple of next-hop ids of port ``p`` towards destination ``d``, or
     ``None`` where ``p R d`` fails or ``p`` is ``d``.  Equal hop tuples are
-    one shared object.  A routing whose ``s R d`` is occurring pairs fills
-    the table from that search (one ``next_hops`` call per pair); any other
-    routing asks ``reachable`` then ``next_hops`` for every pair.
+    one shared object.  A routing that defines
+    ``_fill_route_table(ports, index, destinations)`` fills the table
+    itself, yielding ``(d, p, hop ids)`` as :func:`_walk_occurring` does
+    (the VC escape relations compose theirs from their base routings).
+    Otherwise a routing whose ``s R d`` is occurring pairs fills it from
+    that search (one ``next_hops`` call per pair), and any other routing
+    asks ``reachable`` then ``next_hops`` for every pair.
     """
 
     def __init__(self, routing: RoutingFunction) -> None:
@@ -202,12 +224,14 @@ class RouteTable:
         self.width = width = len(self.destinations)
         self.hops: List[Optional[Tuple[int, ...]]] = \
             [None] * (len(self.ports) * width)
-        fill = (_walk_occurring if isinstance(
-            getattr(routing, "_reachability", None),
-            OccurringPairsReachability) else _enumerate_pairs)
+        fill = getattr(routing, "_fill_route_table", None)
+        if fill is None:
+            walk = (_walk_occurring if isinstance(
+                getattr(routing, "_reachability", None),
+                OccurringPairsReachability) else _enumerate_pairs)
+            fill = functools.partial(walk, routing)
         shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for d, p, hops in fill(routing, self.ports, self.index,
-                               self.destinations):
+        for d, p, hops in fill(self.ports, self.index, self.destinations):
             if hops is not None:
                 self.hops[p * width + d] = shared.setdefault(hops, hops)
 

@@ -43,7 +43,7 @@ Two escape styles are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
@@ -55,7 +55,11 @@ from repro.network.vc import (
     port_of,
     vc_of,
 )
-from repro.routing.base import OccurringPairsReachability
+from repro.routing.base import (
+    OccurringPairsReachability,
+    _ids,
+    _walk_occurring,
+)
 
 #: Which dimension a cardinal port name moves along.
 _DIMENSION = {
@@ -196,32 +200,42 @@ class EscapeChannelRouting(RoutingFunction):
             if target is None:
                 raise RoutingError(f"out-channel {current} has no link")
             return [target]
-        if port.node == port_of(destination).node:
-            return [destination]
-        return self._route_from_in_channel(current, destination)
-
-    def _route_from_in_channel(self, current: VirtualChannel,
-                               destination: VirtualChannel
-                               ) -> List[VirtualChannel]:
-        port = port_of(current)
         base_dest = port_of(destination)
-        hops: List[VirtualChannel] = []
-        adaptive_allowed = (self._adaptive is not None
-                            and (port.is_local
-                                 or vc_of(current) in self.adaptive_vcs))
-        if adaptive_allowed:
-            for out in self._adaptive.next_hops(port, base_dest):
-                for vc in self.adaptive_vcs:
-                    hops.append(VirtualChannel(out, vc))
+        if port.node == base_dest.node:
+            return [destination]
+        adaptive_outs = (self._adaptive.next_hops(port, base_dest)
+                         if self._adaptive is not None else [])
         escape_out = self._escape.next_hop(port, base_dest)
-        escape_hop = VirtualChannel(escape_out,
-                                    self._escape_vc_for(current, escape_out))
+        return [VirtualChannel(out, vc) for out, vc in self._in_channel_hops(
+            port, vc_of(current), adaptive_outs, escape_out)]
+
+    def _in_channel_hops(self, port: Port, vc: int,
+                         adaptive_outs: Sequence[Port],
+                         escape_out: Port) -> List[Tuple[Port, int]]:
+        """The in-channel rule: the ``(out port, vc)`` hops, in relation order.
+
+        ``adaptive_outs`` and ``escape_out`` are the base routings' answers
+        for the in-port ``port`` of a node that is not the destination's.
+        A local in-port or an adaptive-class channel offers every adaptive
+        out-port on every adaptive VC; every channel then offers the escape
+        out-port on the VC :meth:`_escape_vc_for` selects, unless an
+        adaptive hop is already that channel.  :meth:`next_hops` and the
+        route-table fill both call this hook, so the rule has one
+        definition.  An override must depend on its arguments only: the
+        fill reuses a channel's answer for every destination with the same
+        base answers.
+        """
+        hops: List[Tuple[Port, int]] = []
+        if self._adaptive is not None and (port.is_local
+                                           or vc in self.adaptive_vcs):
+            hops = [(out, adaptive_vc) for out in adaptive_outs
+                    for adaptive_vc in self.adaptive_vcs]
+        escape_hop = (escape_out, self._escape_vc_for(port, vc, escape_out))
         if escape_hop not in hops:
             hops.append(escape_hop)
         return hops
 
-    def _escape_vc_for(self, current: VirtualChannel,
-                       escape_out: Port) -> int:
+    def _escape_vc_for(self, port: Port, vc: int, escape_out: Port) -> int:
         """The escape-class VC selected for the hop onto ``escape_out``.
 
         Single escape VC: always 0.  Dateline pair: a hop whose physical
@@ -233,13 +247,92 @@ class EscapeChannelRouting(RoutingFunction):
             return 0
         if is_wrap_link(self._vct.base, escape_out):
             return 1
-        port = port_of(current)
         if (not port.is_local
-                and vc_of(current) in self.escape_vcs
+                and vc in self.escape_vcs
                 and _DIMENSION.get(port.name) == _DIMENSION.get(
                     escape_out.name)):
-            return vc_of(current)
+            return vc
         return 0
+
+    # -- the route table, composed from the base routings --------------------
+    def _fill_route_table(self, ports: Sequence[VirtualChannel],
+                          index: Dict[VirtualChannel, int],
+                          destinations: Sequence[VirtualChannel]
+                          ) -> Iterator[Tuple[int, int,
+                                              Optional[Tuple[int, ...]]]]:
+        """The occurring-pairs walk of the route table, over channel ids.
+
+        Runs :func:`~repro.routing.base.occurring_pairs`' walk with its own
+        hops, which equal what :meth:`next_hops` would give: an
+        out-channel follows its precomputed link id, and an in-channel
+        reads the base routings' answers for its physical port, asked once
+        per (base port, base destination).  :meth:`_in_channel_hops` turns
+        those answers into channel ids once per (channel, answers), and
+        every column with the same answers reuses them.  A local
+        out-channel or an unlinked one falls back to :meth:`next_hops`,
+        which raises as the plain walk does.
+        """
+        base_ports = self._vct.base.ports
+        base_index = {port: i for i, port in enumerate(base_ports)}
+        channel_ids = {(channel.port, channel.vc): c
+                       for c, channel in enumerate(ports)}
+        nodes: Dict[Tuple[int, int], int] = {}
+        base_of, vc_at, node_at = [], [], []
+        links: List[Optional[Tuple[int, ...]]] = []
+        inputs = bytearray(len(ports))
+        for c, channel in enumerate(ports):
+            port = channel.port
+            base_of.append(base_index[port])
+            vc_at.append(channel.vc)
+            node_at.append(nodes.setdefault(port.node, len(nodes)))
+            link = None
+            if port.is_input:
+                inputs[c] = 1
+            elif not port.is_local:
+                target = index.get(self._vct.link_target(channel))
+                link = (target,) if target is not None else None
+            links.append(link)
+
+        # (adaptive out ids, escape out id) -> [outs, escape out, hop rows]
+        answers: Dict[Tuple, list] = {}
+
+        def column_hops(destination: VirtualChannel) -> Callable:
+            target = index[destination]
+            base_dest = destination.port
+            dest_node = nodes[base_dest.node]
+            columns: Dict[int, list] = {}
+
+            def hops_of(p: int) -> Tuple[int, ...]:
+                if links[p] is not None:
+                    return links[p]
+                if not inputs[p]:
+                    return _ids(index, self.next_hops(ports[p], destination))
+                if node_at[p] == dest_node:
+                    return (target,)
+                base = base_of[p]
+                answer = columns.get(base)
+                if answer is None:
+                    port = base_ports[base]
+                    outs = (self._adaptive.next_hops(port, base_dest)
+                            if self._adaptive is not None else [])
+                    escape_out = self._escape.next_hop(port, base_dest)
+                    key = (_ids(base_index, outs),
+                           _ids(base_index, [escape_out]))
+                    answer = answers.get(key)
+                    if answer is None:
+                        answer = answers[key] = [outs, escape_out, {}]
+                    columns[base] = answer
+                outs, escape_out, rows = answer
+                hops = rows.get(p)
+                if hops is None:
+                    pairs = self._in_channel_hops(
+                        base_ports[base], vc_at[p], outs, escape_out)
+                    hops = rows[p] = _ids(channel_ids, pairs)
+                return hops
+
+            return hops_of
+
+        return _walk_occurring(self, ports, index, destinations, column_hops)
 
     # -- reachability ----------------------------------------------------------
     def reachable(self, source: VirtualChannel,

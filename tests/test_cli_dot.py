@@ -225,6 +225,19 @@ class TestImportPath:
             "concurrent.futures", "repro.simulation",
             "repro.checking.sat"]) == []
 
+    def test_default_batch_loads_no_genoc_witness_or_deadlock(self,
+                                                               tmp_path):
+        """A default batch over a mesh and a ``vc-mesh`` scenario runs no
+        GeNoC step, no witness construction and no deadlock predicate,
+        so it loads none of their modules."""
+        _, after_batch = self.loaded(tmp_path, [
+            "batch", "--matrix", "mesh:3x3, routing=[xy,adaptive]",
+            "vc-mesh:3x3, vcs=1..2"])
+        assert "repro.core.instance" in after_batch
+        assert self.matching(after_batch, [
+            "repro.core.genoc", "repro.core.witness",
+            "repro.core.deadlock"]) == []
+
     def test_warm_store_replay_loads_no_engine_code(self, tmp_path):
         """Once every group is in the store, a rerun replays them all
         without loading graphs, deadlock, dependency, instance, network,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.graphs import (
+    CycleSearchResult,
     DirectedGraph,
     check_rank_certificate,
+    edges_on_every_cycle,
     find_cycle_dfs,
     has_cycle,
     is_acyclic,
@@ -16,6 +18,8 @@ from repro.checking.graphs import (
     strongly_connected_components,
     topological_sort,
 )
+from repro.network.port import Direction, Port, PortName
+from repro.network.vc import VirtualChannel
 
 
 def graph_from_edges(edges, vertices=None):
@@ -119,6 +123,146 @@ class TestCycleSearch:
             cycle = result.cycle
             for index, vertex in enumerate(cycle):
                 assert graph.has_edge(vertex, cycle[(index + 1) % len(cycle)])
+
+
+def reference_find_cycle_dfs(graph):
+    """The object-level search: every successor list sorted by ``repr``."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {vertex: WHITE for vertex in graph.vertices}
+    parent = {}
+    visited = 0
+    for root in graph.vertices:
+        if colour[root] != WHITE:
+            continue
+        stack = [(root, iter(sorted(graph.successors(root), key=repr)))]
+        colour[root] = GREY
+        parent[root] = None
+        visited += 1
+        while stack:
+            vertex, successors = stack[-1]
+            advanced = False
+            for successor in successors:
+                if colour[successor] == WHITE:
+                    colour[successor] = GREY
+                    parent[successor] = vertex
+                    visited += 1
+                    stack.append((successor, iter(sorted(
+                        graph.successors(successor), key=repr))))
+                    advanced = True
+                    break
+                if colour[successor] == GREY:
+                    cycle = [successor]
+                    current = vertex
+                    while current is not None and current != successor:
+                        cycle.append(current)
+                        current = parent.get(current)
+                    cycle.reverse()
+                    return CycleSearchResult(acyclic=False, cycle=cycle,
+                                             visited=visited)
+            if not advanced:
+                colour[vertex] = BLACK
+                stack.pop()
+    return CycleSearchResult(acyclic=True, cycle=None, visited=visited)
+
+
+def reference_edges_on_every_cycle(graph, cycle):
+    """One rebuilt graph per core edge, searched by the reference DFS."""
+    edges = graph.edges() if cycle else []
+    found = [edge for edge in cycle
+             if reference_find_cycle_dfs(DirectedGraph.from_edges(
+                 kept for kept in edges if kept != edge)).acyclic]
+    return sorted(found, key=lambda edge: f"{edge[0]} -> {edge[1]}")
+
+
+def _port_vertex(index):
+    node, rest = divmod(index, 10)
+    names = list(PortName)
+    name = names[rest % len(names)]
+    direction = Direction.IN if rest < len(names) else Direction.OUT
+    return Port(node % 3, node // 3, name, direction)
+
+
+#: Vertex families: plain ints, ports, and channels over the same ports.
+_FAMILIES = {
+    "int": lambda index: index,
+    "port": _port_vertex,
+    "channel": lambda index: VirtualChannel(_port_vertex(index // 3),
+                                            index % 3),
+}
+
+
+@st.composite
+def mixed_digraph(draw):
+    """Several components, self-loops and isolated vertices, in any order.
+
+    Vertex ids are drawn distinct and inserted in a random order, so
+    ``graph.vertices`` order and ``repr`` order disagree.
+    """
+    make = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    ids = draw(st.lists(st.integers(0, 89), min_size=1, max_size=14,
+                        unique=True))
+    vertices = [make(index) for index in ids]
+    components = draw(st.integers(1, 3))
+    edges = []
+    for source_at in range(len(vertices)):
+        for target_at in draw(st.lists(st.integers(0, len(vertices) - 1),
+                                       max_size=3)):
+            # Edges stay inside a component: vertex position mod count.
+            if source_at % components == target_at % components:
+                edges.append((vertices[source_at], vertices[target_at]))
+    if draw(st.booleans()):
+        loop = vertices[draw(st.integers(0, len(vertices) - 1))]
+        edges.append((loop, loop))
+    isolated = draw(st.lists(st.integers(90, 99), max_size=2, unique=True))
+    graph = DirectedGraph()
+    for index in draw(st.permutations(range(len(vertices)))):
+        graph.add_vertex(vertices[index])
+    for edge in edges:
+        graph.add_edge(*edge)
+    for index in isolated:
+        graph.add_vertex(make(index))
+    return graph
+
+
+class TestIdSearchMatchesReference:
+    """The dense-id search against the object-level search it replaced."""
+
+    @given(mixed_digraph())
+    @settings(max_examples=300, deadline=None)
+    def test_same_cycle_and_visited(self, graph):
+        result = find_cycle_dfs(graph)
+        expected = reference_find_cycle_dfs(graph)
+        assert (result.acyclic, result.cycle, result.visited) \
+            == (expected.acyclic, expected.cycle, expected.visited)
+
+    @given(mixed_digraph(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_escape_edges(self, graph, data):
+        cycle = find_cycle_dfs(graph).cycle or []
+        core = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if core and data.draw(st.booleans()):
+            # A core drawn from the graph's edges, not only from a cycle.
+            core = data.draw(st.lists(st.sampled_from(graph.edges()),
+                                      min_size=1, max_size=4))
+        assert edges_on_every_cycle(graph, core) \
+            == reference_edges_on_every_cycle(graph, core)
+
+    def test_core_edge_absent_from_the_graph_is_never_an_escape(self):
+        graph = graph_from_edges([(1, 2), (2, 1), (3, 3)], vertices=[4])
+        core = [(1, 2), (2, 1), (1, 3), (5, 6)]
+        assert edges_on_every_cycle(graph, core) \
+            == reference_edges_on_every_cycle(graph, core) == []
+        graph = graph_from_edges([(1, 2), (2, 1)])
+        core = [(2, 1), (9, 1), (1, 2), (1, 9)]
+        assert edges_on_every_cycle(graph, core) \
+            == reference_edges_on_every_cycle(graph, core) \
+            == [(1, 2), (2, 1)]
+
+    def test_successors_follow_repr_order_not_insertion_order(self):
+        graph = graph_from_edges([(0, 30), (0, 4), (30, 0), (4, 4)])
+        # "30" sorts before "4": the self-loop at 4 is never reached.
+        assert find_cycle_dfs(graph).cycle == [30, 0]
+        assert reference_find_cycle_dfs(graph).cycle == [30, 0]
 
 
 class TestSCC:

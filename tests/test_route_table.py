@@ -3,11 +3,14 @@ plain enumeration it replaces.
 
 The reference below is the ``reachable``/``next_hops`` loop that built the
 dependency graph and discharged (V-1) before the table existed.  For every
-registered kind and routing token, healthy and fault-injected, at 1-3 VCs,
-the table must reproduce its edge list (order included) and its (V-1)
-report, and the occurring-pairs predicate must answer exactly the
-occurring pairs.
+registered kind and routing token, healthy and fault-injected, at 1-4 VCs,
+the table must reproduce its hops, its edge list (order included) and
+its (V-1) report, and the occurring-pairs predicate must answer exactly
+the occurring pairs.  The VC relations compose their tables from their
+base routings, so they also run at the sizes the benchmark uses.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.core.spec import expand_matrix, spec_registry
 from repro.network.mesh import Mesh2D
 from repro.network.ring import Ring
 from repro.network.torus import Torus2D
-from repro.network.vc import VCTopology, VirtualChannel, port_of, vc_of
+from repro.network.vc import VCTopology, port_of
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting
 from repro.routing.base import (
     OccurringPairsReachability,
@@ -48,6 +51,30 @@ def reference_graph(routing):
             for successor in routing.next_hops(port, destination):
                 graph.add_edge(port, successor)
     return graph
+
+
+def reference_hops(routing):
+    """The table's ``hops`` list, by the plain loop over every pair.
+
+    Occurring-pairs routings take ``s R d`` from :func:`occurring_pairs`,
+    whose walk asks ``next_hops`` only, so no table answers for itself.
+    """
+    ports = routing.topology.ports
+    index = {port: i for i, port in enumerate(ports)}
+    pairs = (occurring_pairs(routing) if isinstance(
+        getattr(routing, "_reachability", None), OccurringPairsReachability)
+        else None)
+    hops = []
+    for port in ports:
+        for destination in routing.destinations():
+            if port != destination and (
+                    (port, destination) in pairs if pairs is not None
+                    else routing.reachable(port, destination)):
+                hops.append(tuple(index[hop] for hop in routing.next_hops(
+                    port, destination)))
+            else:
+                hops.append(None)
+    return hops
 
 
 def reference_v1(relation, max_counterexamples=10):
@@ -89,7 +116,7 @@ def _terms():
         dims = "3x3" if entry.dim_count == 2 else "5"
         # A ring cannot lose a second link without disconnecting.
         fault_counts = (0, 1, 2) if entry.dim_count == 2 else (0, 1)
-        vc_counts = (1, 2, 3) if entry.supports_vcs else (1,)
+        vc_counts = (1, 2, 3, 4) if entry.supports_vcs else (1,)
         for routing in entry.routings or (None,):
             for vcs in vc_counts:
                 for faults in fault_counts:
@@ -101,6 +128,10 @@ def _terms():
                     term += f", faults={faults}, seed=1"
                     yield pytest.param(
                         term, id=f"{entry.kind}-{routing}-{vcs}vc-f{faults}")
+    # The benchmark's VC meshes, and a dateline pair plus an adaptive class.
+    for term in ("vc-mesh:5x5, vcs=2", "vc-mesh:5x5, vcs=4",
+                 "vc-torus:4x4, vcs=3"):
+        yield pytest.param(term, id=term.replace(", ", "-"))
 
 
 @pytest.mark.parametrize("term", list(_terms()))
@@ -109,6 +140,7 @@ def test_table_reproduces_the_plain_enumeration(term):
     routing = spec.build().routing
     reference = reference_graph(spec.build().routing)
     assert routing_dependency_graph(routing).edges() == reference.edges()
+    assert route_table(routing).hops == reference_hops(spec.build().routing)
     reachability = getattr(routing, "_reachability", None)
     if isinstance(reachability, OccurringPairsReachability):
         pairs = occurring_pairs(routing)
@@ -125,21 +157,19 @@ def test_table_reproduces_the_plain_enumeration(term):
 class _NoEscapeHop(EscapeChannelRouting):
     """Drops the escape hop wherever an adaptive hop exists (coverage)."""
 
-    def _route_from_in_channel(self, current, destination):
-        hops = super()._route_from_in_channel(current, destination)
-        adaptive = [hop for hop in hops if not self.is_escape_resource(hop)]
+    def _in_channel_hops(self, port, vc, adaptive_outs, escape_out):
+        hops = super()._in_channel_hops(port, vc, adaptive_outs, escape_out)
+        adaptive = [hop for hop in hops if hop[1] not in self.escape_vcs]
         return adaptive or hops
 
 
 class _LeakyEscape(EscapeChannelRouting):
     """Lets escape channels take adaptive hops too (closure)."""
 
-    def _route_from_in_channel(self, current, destination):
-        hops = super()._route_from_in_channel(current, destination)
-        if vc_of(current) in self.escape_vcs and not port_of(current).is_local:
-            for out in self.adaptive_routing.next_hops(port_of(current),
-                                                       port_of(destination)):
-                hops.append(VirtualChannel(out, self.adaptive_vcs[0]))
+    def _in_channel_hops(self, port, vc, adaptive_outs, escape_out):
+        hops = super()._in_channel_hops(port, vc, adaptive_outs, escape_out)
+        if vc in self.escape_vcs and not port.is_local:
+            hops += [(out, self.adaptive_vcs[0]) for out in adaptive_outs]
         return hops
 
 
@@ -174,6 +204,38 @@ def test_v1_counterexamples_come_in_enumeration_order(make, budget):
 def test_broken_relations_fail_v1():
     assert not check_v1_escape_coverage(_broken(_NoEscapeHop)).holds
     assert not check_v1_escape_coverage(_broken(_LeakyEscape)).holds
+
+
+def _count_calls(routing, counts):
+    """Count ``next_hops`` and ``next_hop`` calls per (port, destination)."""
+    for method in ("next_hops", "next_hop"):
+        original = getattr(routing, method)
+
+        def counted(current, destination, original=original, method=method):
+            counts[id(routing), method, current, destination] += 1
+            return original(current, destination)
+
+        setattr(routing, method, counted)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: mesh_escape_routing(Mesh2D(3, 3), num_vcs=4),
+                 id="mesh-4vc"),
+    pytest.param(lambda: torus_escape_routing(Torus2D(4, 4), num_vcs=3),
+                 id="torus-3vc"),
+    pytest.param(lambda: ring_escape_routing(Ring(4, bidirectional=True),
+                                             num_vcs=2), id="ring-2vc"),
+])
+def test_table_fill_asks_each_base_routing_once_per_base_pair(make):
+    relation = make()
+    counts = Counter()
+    _count_calls(relation.escape_routing, counts)
+    if relation.adaptive_routing is not None:
+        _count_calls(relation.adaptive_routing, counts)
+    route_table(relation)
+    assert counts and max(counts.values()) == 1
+    assert routing_dependency_graph(relation).edges() \
+        == reference_graph(make()).edges()
 
 
 def test_equal_hop_tuples_are_shared():
