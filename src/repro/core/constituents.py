@@ -38,9 +38,15 @@ class InjectionMethod(abc.ABC):
 class RoutingFunction(abc.ABC):
     """``R : P x P -> P`` -- the port-level routing function.
 
-    The primitive is :meth:`next_hops`, mapping a current port and a
-    destination port to the set of possible next hops (a singleton for
-    deterministic routing functions such as XY).  The generalisation to
+    :meth:`next_hops` maps a current port and a destination port to the
+    set of possible next hops (a singleton for deterministic routing
+    functions such as XY).  It is the paper's three-case definition
+    (Section V.3, ``Rxy``) once for every algorithm: an out-port goes to
+    the in-port it is linked to, an in-port of the destination's node
+    delivers, and only the remaining case -- an in-port of any other
+    node -- is the algorithm, :meth:`_route_from_in_port`.  Likewise
+    :meth:`reachable` settles the structural cases of ``s R d`` and asks
+    the algorithm's :meth:`_reaches` for the rest.  The generalisation to
     configurations (``R : Σ -> Σ``) is provided by
     :meth:`route_configuration`, which pre-computes one route per travel.
     """
@@ -48,18 +54,77 @@ class RoutingFunction(abc.ABC):
     #: Safety bound on route length, as a multiple of the port count.
     MAX_ROUTE_FACTOR = 4
 
-    @abc.abstractmethod
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        """All ports the routing function may route to next."""
-
-    @abc.abstractmethod
-    def reachable(self, source: Port, destination: Port) -> bool:
-        """The ``s R d`` predicate: is ``destination`` reachable from ``source``?"""
+    #: ``s R d`` is the set of pairs occurring on routes from local
+    #: in-ports (:func:`repro.routing.base.occurring_pairs`): the route
+    #: table is filled by that walk and :meth:`_reaches` reads it back.
+    #: Partially adaptive algorithms are only meaningful on those pairs.
+    occurring_pairs_reachability = False
 
     @property
     @abc.abstractmethod
     def topology(self) -> Topology:
         """The topology this routing function is defined over."""
+
+    @abc.abstractmethod
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
+        """The algorithm: the next hops from an in-port of a node that is
+        not the destination's (``destination`` is valid)."""
+
+    def _reaches(self, source: Port, destination: Port) -> bool:
+        """The algorithm's ``s R d`` for distinct ports of the topology,
+        ``destination`` valid and ``source`` not a local out-port.
+
+        Default: the occurring pairs when
+        :attr:`occurring_pairs_reachability` is set, otherwise every such
+        pair (a minimal routing reaches each destination from anywhere).
+        """
+        if not self.occurring_pairs_reachability:
+            return True
+        from repro.routing.base import route_table
+
+        return route_table(self).lookup(source, destination) is not None
+
+    # -- the port-level skeleton ----------------------------------------------
+    def is_destination(self, port: Port) -> bool:
+        """Is ``port`` a destination: a local out-port of the topology?"""
+        return port.is_local and port.is_output and self.topology.has_port(
+            port)
+
+    def _require_destination(self, destination: Port) -> None:
+        if not self.is_destination(destination):
+            raise RoutingError(
+                f"{destination} is not a valid destination (destinations "
+                f"are local out-ports of {self.topology})")
+
+    def next_hops(self, current: Port, destination: Port) -> List[Port]:
+        """All ports the routing function may route to next."""
+        self._require_destination(destination)
+        if current == destination:
+            return []
+        if current.is_output:
+            if current.is_local:
+                raise RoutingError(
+                    f"cannot route from local out-port {current}: it is a "
+                    f"network sink")
+            target = self.topology.link_target(current)
+            if target is None:
+                raise RoutingError(f"out-port {current} has no link")
+            return [target]
+        if current.node == destination.node:
+            return [destination]
+        return self._route_from_in_port(current, destination)
+
+    def reachable(self, source: Port, destination: Port) -> bool:
+        """The ``s R d`` predicate: is ``destination`` reachable from ``source``?"""
+        if not self.is_destination(destination) \
+                or not self.topology.has_port(source):
+            return False
+        if source == destination:
+            return True
+        if source.is_local and source.is_output:
+            return False
+        return self._reaches(source, destination)
 
     # -- derived behaviour ----------------------------------------------------
     @property
@@ -73,7 +138,12 @@ class RoutingFunction(abc.ABC):
 
     def next_hop(self, current: Port, destination: Port) -> Port:
         """The unique next hop of a deterministic routing function."""
-        hops = self.next_hops(current, destination)
+        return self._single_hop(self.next_hops(current, destination),
+                                current, destination)
+
+    def _single_hop(self, hops: List[Port], current: Port,
+                    destination: Port) -> Port:
+        """The one hop of ``hops``: a deterministic routing gives one."""
         if not hops:
             raise RoutingError(
                 f"no next hop from {current} towards {destination}")

@@ -19,6 +19,6 @@ the classical alternatives used by the benchmarks and ablations:
 * :mod:`repro.routing.escape` -- Duato-style escape-channel relations over
   virtual channels; :mod:`repro.routing.fault_aware` -- reroutes around
   injected faults.
-* :mod:`repro.routing.base` -- the mesh routing base class and the route
-  table every dependency enumeration reads.
+* :mod:`repro.routing.base` -- the routing contract, the mesh routing base
+  class and the route table every dependency enumeration reads.
 """

@@ -13,19 +13,16 @@ around a single mesh square), so the routing function fails obligation
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.network.mesh import Mesh2D
-from repro.network.port import Port
-from repro.routing.base import MeshRoutingFunction, OccurringPairsReachability
+from repro.network.port import Port, PortName
+from repro.routing.base import MeshRoutingFunction
 
 
 class FullyAdaptiveMinimalRouting(MeshRoutingFunction):
     """All minimal directions allowed at every hop (no turn restriction)."""
 
-    def __init__(self, mesh: Mesh2D) -> None:
-        super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+    occurring_pairs_reachability = True
 
     def name(self) -> str:
         return "Radaptive"
@@ -33,11 +30,6 @@ class FullyAdaptiveMinimalRouting(MeshRoutingFunction):
     @property
     def is_deterministic(self) -> bool:
         return False
-
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not super().reachable(source, destination):
-            return False
-        return self._reachability(source, destination)
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
@@ -58,22 +50,13 @@ class ZigZagRouting(MeshRoutingFunction):
     ``R`` to be deterministic.
     """
 
-    def __init__(self, mesh: Mesh2D) -> None:
-        super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+    occurring_pairs_reachability = True
 
     def name(self) -> str:
         return "Rzigzag"
 
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not super().reachable(source, destination):
-            return False
-        return self._reachability(source, destination)
-
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
-        from repro.network.port import PortName
-
         if destination.x % 2 == 0:
             order = ("x", "y")
         else:

@@ -1,29 +1,38 @@
-"""Shared machinery of the mesh routing functions.
+"""The routing contract, the mesh routing base class and the route table.
 
-All mesh routing functions in this library are defined at the *port* level,
-like the paper's ``Rxy`` (Section V.3):
+Every routing function in this library is defined at the *port* level,
+like the paper's ``Rxy`` (Section V.3), and
+:class:`~repro.core.constituents.RoutingFunction` holds that definition
+once:
 
-* applied to an **out-port**, the next hop is the in-port it is physically
-  connected to (``next_in``);
+* applied to an **out-port**, the next hop is the in-port it is linked to
+  (``topology.link_target``; a local out-port is a network sink);
 * applied to an **in-port** of the destination node, the next hop is the
-  local out-port (delivery);
+  destination itself (delivery);
 * applied to any other in-port, the next hop is one (or, for adaptive
   functions, several) of the node's out-ports chosen by the concrete
   algorithm.
 
-The helper :func:`occurring_pairs` computes which (port, destination) pairs
-can actually occur on routes that start at local in-ports; it is the
-``s R d`` reachability predicate of the partially adaptive routing
-functions, whose port-level definition is only meaningful on occurring
-pairs.  :func:`route_table` computes every next hop of a routing function
-once, into the flat :class:`RouteTable` that dependency enumeration, (V-1)
-coverage and that predicate share.
+A routing therefore implements only the third case,
+``_route_from_in_port(current, destination)``, and, optionally, its
+``s R d`` predicate as ``_reaches(source, destination)``, which is asked
+only for distinct ports of the topology, a valid destination and a source
+that is not a local out-port.  Without an override every such pair is
+reachable; a partially adaptive routing sets
+``occurring_pairs_reachability`` instead, and ``s R d`` becomes
+:func:`occurring_pairs`: the (port, destination) pairs that occur on
+routes starting at local in-ports.
+
+:func:`route_table` computes every next hop of a routing function once,
+into the flat :class:`RouteTable` that dependency enumeration, (V-1)
+coverage and the occurring-pairs predicate share.  The table runs the
+skeleton itself over dense port ids, one destination column at a time,
+so per pair it asks the routing only for ``_route_from_in_port`` (the
+algorithm case) and ``_reaches`` (a closed-form predicate).
 """
 
 from __future__ import annotations
 
-import abc
-import functools
 from typing import (
     Callable,
     Dict,
@@ -38,8 +47,7 @@ from typing import (
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
 from repro.network.mesh import Mesh2D
-from repro.network.port import Direction, Port, PortName, next_in, trans
-from repro.network.topology import Topology
+from repro.network.port import Direction, Port, PortName, trans
 
 
 class MeshRoutingFunction(RoutingFunction):
@@ -55,55 +63,6 @@ class MeshRoutingFunction(RoutingFunction):
     @property
     def mesh(self) -> Mesh2D:
         return self._mesh
-
-    # -- the out-port and delivery cases shared by every algorithm -----------------
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        self._check_destination(destination)
-        if current == destination:
-            return []
-        if current.direction is Direction.OUT:
-            if current.name is PortName.LOCAL:
-                raise RoutingError(
-                    f"cannot route from local out-port {current}: it is a "
-                    f"network sink")
-            return [next_in(current)]
-        if current.node == destination.node:
-            return [trans(current, PortName.LOCAL, Direction.OUT)]
-        return self._route_from_in_port(current, destination)
-
-    @abc.abstractmethod
-    def _route_from_in_port(self, current: Port,
-                            destination: Port) -> List[Port]:
-        """The algorithm-specific case: an in-port of a non-destination node."""
-
-    # -- reachability ------------------------------------------------------------------
-    def reachable(self, source: Port, destination: Port) -> bool:
-        """Default ``s R d``: any port except foreign local out-ports.
-
-        Deterministic minimal routing reaches any local out-port from any
-        port of the mesh, so the only exclusions are destinations that are
-        not local out-ports and sources that are themselves network sinks.
-        """
-        if not self._is_valid_destination(destination):
-            return False
-        if not self._mesh.has_port(source):
-            return False
-        if source == destination:
-            return True
-        if source.name is PortName.LOCAL and source.direction is Direction.OUT:
-            return False
-        return True
-
-    def _is_valid_destination(self, destination: Port) -> bool:
-        return (destination.name is PortName.LOCAL
-                and destination.direction is Direction.OUT
-                and self._mesh.has_port(destination))
-
-    def _check_destination(self, destination: Port) -> None:
-        if not self._is_valid_destination(destination):
-            raise RoutingError(
-                f"{destination} is not a valid destination (destinations are "
-                f"local out-ports of the mesh)")
 
     # -- helpers for the concrete algorithms ----------------------------------------------
     def _minimal_directions(self, current: Port,
@@ -143,8 +102,9 @@ def occurring_pairs(routing: RoutingFunction,
     ports = routing.topology.ports
     index = {port: i for i, port in enumerate(ports)}
     destinations = routing.destinations()
-    return frozenset((ports[p], destinations[d]) for d, p, _
-                     in _walk_occurring(routing, ports, index, destinations))
+    walk = _walk_occurring(routing, ports, index, destinations,
+                           skeleton_columns(routing, ports, index))
+    return frozenset((ports[p], destinations[d]) for d, p, _ in walk)
 
 
 def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
@@ -155,22 +115,78 @@ def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
                            f"{missing.args[0]}") from None
 
 
+#: ``column_hops(destination)`` is the next-hop function ``p -> hop ids``
+#: of one destination column.
+ColumnHops = Callable[[Port], Callable[[int], Tuple[int, ...]]]
+
+
+def skeleton_columns(routing: RoutingFunction, ports: Sequence[Port],
+                     index: Dict[Port, int],
+                     in_port_hops: Optional[ColumnHops] = None
+                     ) -> ColumnHops:
+    """:meth:`RoutingFunction.next_hops` over dense ids, one column at a time.
+
+    Each out-port's link-target id tuple, the out-ports without a link
+    (sinks) and each port's node are computed once.  The destination is
+    checked once per column; then an out-port reads its link tuple, an
+    in-port of the destination's node the column's one ``(d,)`` tuple, and
+    every other in-port asks ``in_port_hops(destination)(p)`` -- by
+    default ``routing._route_from_in_port`` mapped to ids.  A sink falls
+    back to ``next_hops``, which raises as the skeleton does.
+    """
+    links: List[Optional[Tuple[int, ...]]] = []
+    sinks = bytearray(len(ports))
+    node_of: List[int] = []
+    nodes: Dict[Tuple[int, int], int] = {}
+    for p, port in enumerate(ports):
+        node_of.append(nodes.setdefault(port.node, len(nodes)))
+        link = None
+        if port.is_output:
+            target = routing.topology.link_target(port)
+            if target is None:
+                sinks[p] = 1
+            else:
+                link = (index[target],)
+        links.append(link)
+    if in_port_hops is None:
+        route = routing._route_from_in_port
+
+        def in_port_hops(destination: Port) -> Callable:
+            return lambda p: _ids(index, route(ports[p], destination))
+
+    def column_hops(destination: Port) -> Callable:
+        routing._require_destination(destination)
+        target = index[destination]
+        dest_node = node_of[target]
+        delivery = (target,)
+        algorithm = in_port_hops(destination)
+
+        def hops_of(p: int) -> Tuple[int, ...]:
+            link = links[p]
+            if link is not None:
+                return link
+            if sinks[p]:
+                return _ids(index, routing.next_hops(ports[p], destination))
+            if node_of[p] == dest_node:
+                return delivery
+            return algorithm(p)
+
+        return hops_of
+
+    return column_hops
+
+
 def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
                     index: Dict[Port, int], destinations: Sequence[Port],
-                    column_hops: Optional[Callable[[Port], Callable]] = None
+                    column_hops: ColumnHops
                     ) -> Iterator[Tuple[int, int, Optional[Tuple[int, ...]]]]:
     """The occurring-pairs search, over dense port ids.
 
     For each destination ``d`` follows every branch from every local
     in-port and yields ``(d, p, hop ids)`` once per visited port ``p``;
     the hops are ``None`` at the destination itself.  The hop ids of
-    ``p`` come from ``column_hops(destination)(p)``; by default that asks
-    ``routing.next_hops``.
+    ``p`` come from ``column_hops(destination)(p)``.
     """
-    if column_hops is None:
-        def column_hops(destination: Port) -> Callable:
-            return lambda p: _ids(index, routing.next_hops(ports[p],
-                                                           destination))
     sources = _ids(index, routing.topology.local_in_ports())
     for d, destination in enumerate(destinations):
         hops_of = column_hops(destination)
@@ -191,13 +207,22 @@ def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
 
 
 def _enumerate_pairs(routing: RoutingFunction, ports: Sequence[Port],
-                     index: Dict[Port, int], destinations: Sequence[Port]
+                     index: Dict[Port, int], destinations: Sequence[Port],
+                     column_hops: ColumnHops
                      ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-    """Every ``(d, p, hop ids)`` with ``p != d`` and ``p R d``, by brute force."""
-    for p, port in enumerate(ports):
-        for d, destination in enumerate(destinations):
-            if port != destination and routing.reachable(port, destination):
-                yield d, p, _ids(index, routing.next_hops(port, destination))
+    """Every ``(d, p, hop ids)`` with ``p != d`` and ``p R d``, by brute force.
+
+    Local out-ports are sinks and reach nothing; every other pair asks
+    the closed-form ``_reaches`` once.
+    """
+    sinks = bytes(port.is_local and port.is_output for port in ports)
+    reaches = routing._reaches
+    for d, destination in enumerate(destinations):
+        hops_of = column_hops(destination)
+        target = index[destination]
+        for p, port in enumerate(ports):
+            if p != target and not sinks[p] and reaches(port, destination):
+                yield d, p, hops_of(p)
 
 
 class RouteTable:
@@ -211,9 +236,9 @@ class RouteTable:
     ``_fill_route_table(ports, index, destinations)`` fills the table
     itself, yielding ``(d, p, hop ids)`` as :func:`_walk_occurring` does
     (the VC escape relations compose theirs from their base routings).
-    Otherwise a routing whose ``s R d`` is occurring pairs fills it from
-    that search (one ``next_hops`` call per pair), and any other routing
-    asks ``reachable`` then ``next_hops`` for every pair.
+    Otherwise the table runs :func:`skeleton_columns`: over the
+    occurring-pairs walk when ``s R d`` is occurring pairs, else over
+    every pair the closed-form ``_reaches`` admits.
     """
 
     def __init__(self, routing: RoutingFunction) -> None:
@@ -225,13 +250,15 @@ class RouteTable:
         self.hops: List[Optional[Tuple[int, ...]]] = \
             [None] * (len(self.ports) * width)
         fill = getattr(routing, "_fill_route_table", None)
-        if fill is None:
-            walk = (_walk_occurring if isinstance(
-                getattr(routing, "_reachability", None),
-                OccurringPairsReachability) else _enumerate_pairs)
-            fill = functools.partial(walk, routing)
+        if fill is not None:
+            filled = fill(self.ports, self.index, self.destinations)
+        else:
+            walk = (_walk_occurring if routing.occurring_pairs_reachability
+                    else _enumerate_pairs)
+            filled = walk(routing, self.ports, self.index, self.destinations,
+                          skeleton_columns(routing, self.ports, self.index))
         shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for d, p, hops in fill(self.ports, self.index, self.destinations):
+        for d, p, hops in filled:
             if hops is not None:
                 self.hops[p * width + d] = shared.setdefault(hops, hops)
 
@@ -251,16 +278,3 @@ def route_table(routing: RoutingFunction) -> RouteTable:
     if table is None:
         table = routing._route_table = RouteTable(routing)
     return table
-
-
-class OccurringPairsReachability:
-    """A ``reachable`` predicate answered from the routing's route table."""
-
-    def __init__(self, routing: RoutingFunction) -> None:
-        self._routing = routing
-
-    def __call__(self, source: Port, destination: Port) -> bool:
-        if source == destination:
-            return True
-        return route_table(self._routing).lookup(source,
-                                                 destination) is not None

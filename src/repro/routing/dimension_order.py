@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.errors import RoutingError
 from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName
 from repro.routing.base import MeshRoutingFunction
@@ -39,17 +38,10 @@ class DimensionOrderRouting(MeshRoutingFunction):
         return f"R{self.order}"
 
     # -- the s R d predicate -----------------------------------------------------
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self.mesh.has_port(source):
-            return False
-        if source == destination:
-            return True
+    def _reaches(self, source: Port, destination: Port) -> bool:
         if source.name is PortName.LOCAL:
-            # Local in-ports can start a route to any destination; local
-            # out-ports are sinks and reach nothing but themselves.
-            return source.direction is Direction.IN
+            # Local in-ports can start a route to any destination.
+            return True
         if self.order == "xy":
             return self._reachable_xy(source, destination)
         return self._reachable_yx(source, destination)

@@ -55,11 +55,7 @@ from repro.network.vc import (
     port_of,
     vc_of,
 )
-from repro.routing.base import (
-    OccurringPairsReachability,
-    _ids,
-    _walk_occurring,
-)
+from repro.routing.base import _ids, _walk_occurring, skeleton_columns
 
 #: Which dimension a cardinal port name moves along.
 _DIMENSION = {
@@ -104,6 +100,9 @@ class EscapeChannelRouting(RoutingFunction):
         escape class, which a pre-committed route cannot do.
     """
 
+    #: ``s R d`` is the (channel, destination) pairs occurring on routes.
+    occurring_pairs_reachability = True
+
     def __init__(self, topology: VCTopology,
                  escape_routing: RoutingFunction,
                  adaptive_routing: Optional[RoutingFunction] = None,
@@ -124,7 +123,6 @@ class EscapeChannelRouting(RoutingFunction):
         self._escape_vc_count = int(escape_vc_count)
         self.route_policy = route_policy
         self._style = style or ("dateline" if escape_vc_count > 1 else "xy")
-        self._reachability = OccurringPairsReachability(self)
 
     # -- class structure ------------------------------------------------------
     @property
@@ -185,29 +183,24 @@ class EscapeChannelRouting(RoutingFunction):
         return self._adaptive is None
 
     # -- the routing relation over channels -----------------------------------
-    def next_hops(self, current: VirtualChannel,
-                  destination: VirtualChannel) -> List[VirtualChannel]:
-        self._check_destination(destination)
-        if current == destination:
-            return []
+    def _route_from_in_port(self, current: VirtualChannel,
+                            destination: VirtualChannel
+                            ) -> List[VirtualChannel]:
         port = port_of(current)
-        if port.is_output:
-            if port.is_local:
-                raise RoutingError(
-                    f"cannot route from local out-channel {current}: it is a "
-                    f"network sink")
-            target = self._vct.link_target(current)
-            if target is None:
-                raise RoutingError(f"out-channel {current} has no link")
-            return [target]
-        base_dest = port_of(destination)
-        if port.node == base_dest.node:
-            return [destination]
-        adaptive_outs = (self._adaptive.next_hops(port, base_dest)
-                         if self._adaptive is not None else [])
-        escape_out = self._escape.next_hop(port, base_dest)
+        adaptive_outs, escape_out = self._base_answers(port, destination.port)
         return [VirtualChannel(out, vc) for out, vc in self._in_channel_hops(
             port, vc_of(current), adaptive_outs, escape_out)]
+
+    def _base_answers(self, port: Port, base_dest: Port
+                      ) -> Tuple[List[Port], Port]:
+        """The base routings' hops from the in-port ``port`` of a node that
+        is not ``base_dest``'s: the adaptive out-ports and the escape one."""
+        adaptive_outs = (self._adaptive._route_from_in_port(port, base_dest)
+                         if self._adaptive is not None else [])
+        escape = self._escape
+        escape_out = escape._single_hop(
+            escape._route_from_in_port(port, base_dest), port, base_dest)
+        return adaptive_outs, escape_out
 
     def _in_channel_hops(self, port: Port, vc: int,
                          adaptive_outs: Sequence[Port],
@@ -219,8 +212,8 @@ class EscapeChannelRouting(RoutingFunction):
         A local in-port or an adaptive-class channel offers every adaptive
         out-port on every adaptive VC; every channel then offers the escape
         out-port on the VC :meth:`_escape_vc_for` selects, unless an
-        adaptive hop is already that channel.  :meth:`next_hops` and the
-        route-table fill both call this hook, so the rule has one
+        adaptive hop is already that channel.  :meth:`_route_from_in_port`
+        and the route-table fill both call this hook, so the rule has one
         definition.  An override must depend on its arguments only: the
         fill reuses a channel's answer for every destination with the same
         base answers.
@@ -262,60 +255,33 @@ class EscapeChannelRouting(RoutingFunction):
                                               Optional[Tuple[int, ...]]]]:
         """The occurring-pairs walk of the route table, over channel ids.
 
-        Runs :func:`~repro.routing.base.occurring_pairs`' walk with its own
-        hops, which equal what :meth:`next_hops` would give: an
-        out-channel follows its precomputed link id, and an in-channel
-        reads the base routings' answers for its physical port, asked once
-        per (base port, base destination).  :meth:`_in_channel_hops` turns
-        those answers into channel ids once per (channel, answers), and
-        every column with the same answers reuses them.  A local
-        out-channel or an unlinked one falls back to :meth:`next_hops`,
-        which raises as the plain walk does.
+        Runs the table's skeleton,
+        :func:`~repro.routing.base.skeleton_columns`, with its own
+        algorithm case, which equals :meth:`_route_from_in_port`: an
+        in-channel of a node that is not the destination's reads the base
+        routings' answers for its physical port, asked once per (base
+        port, base destination).  :meth:`_in_channel_hops` turns those
+        answers into channel ids once per (channel, answers), and every
+        column with the same answers reuses them.
         """
         base_ports = self._vct.base.ports
         base_index = {port: i for i, port in enumerate(base_ports)}
         channel_ids = {(channel.port, channel.vc): c
                        for c, channel in enumerate(ports)}
-        nodes: Dict[Tuple[int, int], int] = {}
-        base_of, vc_at, node_at = [], [], []
-        links: List[Optional[Tuple[int, ...]]] = []
-        inputs = bytearray(len(ports))
-        for c, channel in enumerate(ports):
-            port = channel.port
-            base_of.append(base_index[port])
-            vc_at.append(channel.vc)
-            node_at.append(nodes.setdefault(port.node, len(nodes)))
-            link = None
-            if port.is_input:
-                inputs[c] = 1
-            elif not port.is_local:
-                target = index.get(self._vct.link_target(channel))
-                link = (target,) if target is not None else None
-            links.append(link)
-
+        base_of = [base_index[channel.port] for channel in ports]
         # (adaptive out ids, escape out id) -> [outs, escape out, hop rows]
         answers: Dict[Tuple, list] = {}
 
-        def column_hops(destination: VirtualChannel) -> Callable:
-            target = index[destination]
+        def in_port_hops(destination: VirtualChannel) -> Callable:
             base_dest = destination.port
-            dest_node = nodes[base_dest.node]
             columns: Dict[int, list] = {}
 
             def hops_of(p: int) -> Tuple[int, ...]:
-                if links[p] is not None:
-                    return links[p]
-                if not inputs[p]:
-                    return _ids(index, self.next_hops(ports[p], destination))
-                if node_at[p] == dest_node:
-                    return (target,)
                 base = base_of[p]
                 answer = columns.get(base)
                 if answer is None:
-                    port = base_ports[base]
-                    outs = (self._adaptive.next_hops(port, base_dest)
-                            if self._adaptive is not None else [])
-                    escape_out = self._escape.next_hop(port, base_dest)
+                    outs, escape_out = self._base_answers(base_ports[base],
+                                                          base_dest)
                     key = (_ids(base_index, outs),
                            _ids(base_index, [escape_out]))
                     answer = answers.get(key)
@@ -326,39 +292,15 @@ class EscapeChannelRouting(RoutingFunction):
                 hops = rows.get(p)
                 if hops is None:
                     pairs = self._in_channel_hops(
-                        base_ports[base], vc_at[p], outs, escape_out)
+                        base_ports[base], ports[p].vc, outs, escape_out)
                     hops = rows[p] = _ids(channel_ids, pairs)
                 return hops
 
             return hops_of
 
-        return _walk_occurring(self, ports, index, destinations, column_hops)
-
-    # -- reachability ----------------------------------------------------------
-    def reachable(self, source: VirtualChannel,
-                  destination: VirtualChannel) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self._vct.has_port(source):
-            return False
-        if source == destination:
-            return True
-        source_port = port_of(source)
-        if source_port.is_local and source_port.is_output:
-            return False
-        return self._reachability(source, destination)
-
-    def _is_valid_destination(self, destination) -> bool:
-        return (isinstance(destination, VirtualChannel)
-                and port_of(destination).is_local
-                and port_of(destination).is_output
-                and self._vct.has_port(destination))
-
-    def _check_destination(self, destination) -> None:
-        if not self._is_valid_destination(destination):
-            raise RoutingError(
-                f"{destination} is not a valid destination (destinations are "
-                f"local out-channels of the VC topology)")
+        return _walk_occurring(self, ports, index, destinations,
+                               skeleton_columns(self, ports, index,
+                                                in_port_hops))
 
     # -- committing concrete routes (simulation) -------------------------------
     def compute_route(self, source: VirtualChannel,

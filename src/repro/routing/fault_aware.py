@@ -29,9 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
-from repro.network.port import Direction, Port, PortName
+from repro.network.port import Port, PortName
 from repro.network.topology import Topology
-from repro.routing.base import OccurringPairsReachability
 
 Coordinate = Tuple[int, int]
 #: Direction filter: ordered preferred directions for (current, destination),
@@ -63,8 +62,7 @@ class FaultAwareRouting(RoutingFunction):
                 continue
             self._adjacency[out_port.node].append((out_port, in_port.node))
         self._distances: Dict[Coordinate, Dict[Coordinate, int]] = {}
-        self._reachability = (OccurringPairsReachability(self)
-                              if self._adaptive else None)
+        self.occurring_pairs_reachability = self._adaptive
 
     @property
     def topology(self) -> Topology:
@@ -78,24 +76,6 @@ class FaultAwareRouting(RoutingFunction):
         return f"Rfa-{self._token}[{self._topology}]"
 
     # -- the routing relation -------------------------------------------------
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        self._check_destination(destination)
-        if current == destination:
-            return []
-        if current.direction is Direction.OUT:
-            if current.name is PortName.LOCAL:
-                raise RoutingError(
-                    f"cannot route from local out-port {current}: it is a "
-                    f"network sink")
-            target = self._topology.link_target(current)
-            if target is None:
-                raise RoutingError(f"out-port {current} has no link "
-                                   f"(dead link not rerouted?)")
-            return [target]
-        if current.node == destination.node:
-            return [Port(current.x, current.y, PortName.LOCAL, Direction.OUT)]
-        return self._route_from_in_port(current, destination)
-
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
         distances = self._distances_to(destination.node)
@@ -144,30 +124,10 @@ class FaultAwareRouting(RoutingFunction):
         self._distances[destination] = distances
         return distances
 
-    # -- reachability ---------------------------------------------------------
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self._topology.has_port(source):
-            return False
-        if source == destination:
-            return True
-        if source.name is PortName.LOCAL and source.direction is Direction.OUT:
-            return False
-        if self._reachability is not None:
-            return self._reachability(source, destination)
+    def _reaches(self, source: Port, destination: Port) -> bool:
+        if self.occurring_pairs_reachability:
+            return super()._reaches(source, destination)
         return source.node in self._distances_to(destination.node)
-
-    def _is_valid_destination(self, destination: Port) -> bool:
-        return (destination.name is PortName.LOCAL
-                and destination.direction is Direction.OUT
-                and self._topology.has_port(destination))
-
-    def _check_destination(self, destination: Port) -> None:
-        if not self._is_valid_destination(destination):
-            raise RoutingError(
-                f"{destination} is not a valid destination (destinations "
-                f"are local out-ports of the topology)")
 
 
 # ---------------------------------------------------------------------------

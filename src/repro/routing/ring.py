@@ -19,14 +19,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.constituents import RoutingFunction
-from repro.core.errors import RoutingError
-from repro.network.port import Direction, Port, PortName, next_in, trans
+from repro.network.port import Direction, Port, PortName, trans
 from repro.network.ring import Ring
-from repro.network.topology import Topology
 
 
 class _RingRoutingBase(RoutingFunction):
-    """Shared port-level scaffolding of the ring routing functions."""
+    """Shared scaffolding of the ring routing functions."""
 
     def __init__(self, ring: Ring) -> None:
         self._ring = ring
@@ -39,42 +37,6 @@ class _RingRoutingBase(RoutingFunction):
     def ring(self) -> Ring:
         return self._ring
 
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self._ring.has_port(source):
-            return False
-        if source == destination:
-            return True
-        if source.name is PortName.LOCAL and source.direction is Direction.OUT:
-            return False
-        return True
-
-    def _is_valid_destination(self, destination: Port) -> bool:
-        return (destination.name is PortName.LOCAL
-                and destination.direction is Direction.OUT
-                and self._ring.has_port(destination))
-
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        if not self._is_valid_destination(destination):
-            raise RoutingError(f"{destination} is not a ring destination")
-        if current == destination:
-            return []
-        if current.direction is Direction.OUT:
-            if current.name is PortName.LOCAL:
-                raise RoutingError(
-                    f"cannot route from local out-port {current}")
-            target = self._ring.link_target(current)
-            if target is None:
-                raise RoutingError(f"out-port {current} has no link")
-            return [target]
-        if current.x == destination.x:
-            return [trans(current, PortName.LOCAL, Direction.OUT)]
-        return [self._choose_out_port(current, destination)]
-
-    def _choose_out_port(self, current: Port, destination: Port) -> Port:
-        raise NotImplementedError
-
 
 class ClockwiseRingRouting(_RingRoutingBase):
     """Always route East (clockwise); uses the wrap-around link."""
@@ -82,8 +44,9 @@ class ClockwiseRingRouting(_RingRoutingBase):
     def name(self) -> str:
         return "Rclockwise"
 
-    def _choose_out_port(self, current: Port, destination: Port) -> Port:
-        return trans(current, PortName.EAST, Direction.OUT)
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
+        return [trans(current, PortName.EAST, Direction.OUT)]
 
 
 class ShortestPathRingRouting(_RingRoutingBase):
@@ -92,12 +55,13 @@ class ShortestPathRingRouting(_RingRoutingBase):
     def name(self) -> str:
         return "Rshortest-ring"
 
-    def _choose_out_port(self, current: Port, destination: Port) -> Port:
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
         clockwise = self._ring.clockwise_distance(current.x, destination.x)
         counter = self._ring.size - clockwise
         if clockwise <= counter or not self._ring.bidirectional:
-            return trans(current, PortName.EAST, Direction.OUT)
-        return trans(current, PortName.WEST, Direction.OUT)
+            return [trans(current, PortName.EAST, Direction.OUT)]
+        return [trans(current, PortName.WEST, Direction.OUT)]
 
 
 class ChainRingRouting(_RingRoutingBase):
@@ -116,7 +80,7 @@ class ChainRingRouting(_RingRoutingBase):
     def name(self) -> str:
         return "Rchain"
 
-    def reachable(self, source: Port, destination: Port) -> bool:
+    def _reaches(self, source: Port, destination: Port) -> bool:
         """The ``s R d`` predicate of chain routing.
 
         A packet travelling East (at a West in-port or East out-port) can
@@ -124,9 +88,7 @@ class ChainRingRouting(_RingRoutingBase):
         westbound traffic; local in-ports can start a route to any
         destination.
         """
-        if not super().reachable(source, destination):
-            return False
-        if source == destination or source.name is PortName.LOCAL:
+        if source.name is PortName.LOCAL:
             return True
         if source.name is PortName.WEST and source.direction is Direction.IN:
             return destination.x >= source.x
@@ -138,7 +100,8 @@ class ChainRingRouting(_RingRoutingBase):
             return destination.x < source.x
         return True
 
-    def _choose_out_port(self, current: Port, destination: Port) -> Port:
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
         if destination.x > current.x:
-            return trans(current, PortName.EAST, Direction.OUT)
-        return trans(current, PortName.WEST, Direction.OUT)
+            return [trans(current, PortName.EAST, Direction.OUT)]
+        return [trans(current, PortName.WEST, Direction.OUT)]

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.errors import RoutingError
+from repro.core.constituents import RoutingFunction
 from repro.network.port import Direction, Port, PortName, trans
 from repro.network.torus import Torus2D
-from repro.routing.base import OccurringPairsReachability
-from repro.core.constituents import RoutingFunction
 
 
 class TorusXYRouting(RoutingFunction):
     """Deterministic minimal dimension-order (XY) routing on a torus."""
 
+    occurring_pairs_reachability = True
+
     def __init__(self, torus: Torus2D) -> None:
         self._torus = torus
-        self._reachability = OccurringPairsReachability(self)
 
     @property
     def topology(self) -> Torus2D:
@@ -37,56 +36,18 @@ class TorusXYRouting(RoutingFunction):
     def name(self) -> str:
         return "Rxy-torus"
 
-    # -- the routing relation ------------------------------------------------
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        self._check_destination(destination)
-        if current == destination:
-            return []
-        if current.direction is Direction.OUT:
-            if current.name is PortName.LOCAL:
-                raise RoutingError(
-                    f"cannot route from local out-port {current}: it is a "
-                    f"network sink")
-            target = self._torus.link_target(current)
-            assert target is not None  # every cardinal torus port is linked
-            return [target]
-        if current.node == destination.node:
-            return [trans(current, PortName.LOCAL, Direction.OUT)]
-        return [trans(current, self.direction_towards(current, destination),
-                      Direction.OUT)]
-
-    def direction_towards(self, current: Port, destination: Port) -> PortName:
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
         """The dimension-order direction choice (shorter arc, ties E/S)."""
         if destination.x != current.x:
             east = (destination.x - current.x) % self._torus.width
             west = (current.x - destination.x) % self._torus.width
-            return PortName.EAST if east <= west else PortName.WEST
-        south = (destination.y - current.y) % self._torus.height
-        north = (current.y - destination.y) % self._torus.height
-        return PortName.SOUTH if south <= north else PortName.NORTH
-
-    # -- reachability --------------------------------------------------------
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self._torus.has_port(source):
-            return False
-        if source == destination:
-            return True
-        if source.name is PortName.LOCAL and source.direction is Direction.OUT:
-            return False
-        return self._reachability(source, destination)
-
-    def _is_valid_destination(self, destination: Port) -> bool:
-        return (destination.name is PortName.LOCAL
-                and destination.direction is Direction.OUT
-                and self._torus.has_port(destination))
-
-    def _check_destination(self, destination: Port) -> None:
-        if not self._is_valid_destination(destination):
-            raise RoutingError(
-                f"{destination} is not a valid destination (destinations are "
-                f"local out-ports of the torus)")
+            name = PortName.EAST if east <= west else PortName.WEST
+        else:
+            south = (destination.y - current.y) % self._torus.height
+            north = (current.y - destination.y) % self._torus.height
+            name = PortName.SOUTH if south <= north else PortName.NORTH
+        return [trans(current, name, Direction.OUT)]
 
 
 class TorusAdaptiveMinimalRouting(TorusXYRouting):
@@ -106,19 +67,8 @@ class TorusAdaptiveMinimalRouting(TorusXYRouting):
     def is_deterministic(self) -> bool:
         return False
 
-    def next_hops(self, current: Port, destination: Port) -> List[Port]:
-        self._check_destination(destination)
-        if current == destination:
-            return []
-        if current.direction is Direction.OUT:
-            return super().next_hops(current, destination)
-        if current.node == destination.node:
-            return [trans(current, PortName.LOCAL, Direction.OUT)]
-        return [trans(current, name, Direction.OUT)
-                for name in self.minimal_directions(current, destination)]
-
-    def minimal_directions(self, current: Port,
-                           destination: Port) -> List[PortName]:
+    def _route_from_in_port(self, current: Port,
+                            destination: Port) -> List[Port]:
         """Directions along a shortest (or tied-shortest) arc per dimension."""
         names: List[PortName] = []
         if destination.x != current.x:
@@ -135,4 +85,4 @@ class TorusAdaptiveMinimalRouting(TorusXYRouting):
                 names.append(PortName.SOUTH)
             if north <= south:
                 names.append(PortName.NORTH)
-        return names
+        return [trans(current, name, Direction.OUT) for name in names]

@@ -35,28 +35,18 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.network.mesh import Mesh2D
 from repro.network.port import Port, PortName
-from repro.routing.base import MeshRoutingFunction, OccurringPairsReachability
+from repro.routing.base import MeshRoutingFunction
 
 
 class _TurnModelRouting(MeshRoutingFunction):
     """Common scaffolding of the three turn models."""
 
-    def __init__(self, mesh: Mesh2D) -> None:
-        super().__init__(mesh)
-        self._reachability = OccurringPairsReachability(self)
+    occurring_pairs_reachability = True
 
     @property
     def is_deterministic(self) -> bool:
         return False
-
-    def reachable(self, source: Port, destination: Port) -> bool:
-        if not self._is_valid_destination(destination):
-            return False
-        if not self.mesh.has_port(source):
-            return False
-        return self._reachability(source, destination)
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:

@@ -10,7 +10,10 @@ the occurring pairs.  The VC relations compose their tables from their
 base routings, so they also run at the sizes the benchmark uses.
 """
 
+import json
 from collections import Counter
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +26,7 @@ from repro.network.ring import Ring
 from repro.network.torus import Torus2D
 from repro.network.vc import VCTopology, port_of
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting
-from repro.routing.base import (
-    OccurringPairsReachability,
-    occurring_pairs,
-    route_table,
-)
+from repro.routing.base import occurring_pairs, route_table
 from repro.routing.escape import (
     EscapeChannelRouting,
     mesh_escape_routing,
@@ -57,13 +56,14 @@ def reference_hops(routing):
     """The table's ``hops`` list, by the plain loop over every pair.
 
     Occurring-pairs routings take ``s R d`` from :func:`occurring_pairs`,
-    whose walk asks ``next_hops`` only, so no table answers for itself.
+    whose walk never asks ``reachable``, so no table answers for itself.
+    The hops come from ``next_hops``, the skeleton over ``Port`` objects
+    that the table runs over ids.
     """
     ports = routing.topology.ports
     index = {port: i for i, port in enumerate(ports)}
-    pairs = (occurring_pairs(routing) if isinstance(
-        getattr(routing, "_reachability", None), OccurringPairsReachability)
-        else None)
+    pairs = (occurring_pairs(routing)
+             if routing.occurring_pairs_reachability else None)
     hops = []
     for port in ports:
         for destination in routing.destinations():
@@ -141,17 +141,37 @@ def test_table_reproduces_the_plain_enumeration(term):
     reference = reference_graph(spec.build().routing)
     assert routing_dependency_graph(routing).edges() == reference.edges()
     assert route_table(routing).hops == reference_hops(spec.build().routing)
-    reachability = getattr(routing, "_reachability", None)
-    if isinstance(reachability, OccurringPairsReachability):
+    if routing.occurring_pairs_reachability:
         pairs = occurring_pairs(routing)
         for port in routing.topology.ports:
             for destination in routing.destinations():
-                assert reachability(port, destination) == (
+                assert routing.reachable(port, destination) == (
                     port == destination or (port, destination) in pairs)
     if isinstance(routing, EscapeChannelRouting):
         v1 = check_v1_escape_coverage(routing)
         assert (v1.checks, v1.holds, v1.counterexamples) \
             == reference_v1(spec.build().routing)
+
+
+#: sha256 digests of every ``_terms()`` table, frozen from the loop-based
+#: fill; regenerate with ``PYTHONPATH=src python tests/test_route_table.py``.
+DIGESTS = Path(__file__).parent / "data" / "route_table_digests.json"
+
+
+def table_digests(routing):
+    """sha256 of the table's ``hops`` and of the graph's ordered edge list."""
+    hops = repr(route_table(routing).hops)
+    edges = "\n".join(f"{source} {target}" for source, target
+                      in routing_dependency_graph(routing).edges())
+    return {"hops": sha256(hops.encode()).hexdigest(),
+            "edges": sha256(edges.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("term", list(_terms()))
+def test_table_matches_the_frozen_digests(term):
+    (spec,) = expand_matrix(term)
+    frozen = json.loads(DIGESTS.read_text())
+    assert table_digests(spec.build().routing) == frozen[term]
 
 
 class _NoEscapeHop(EscapeChannelRouting):
@@ -207,15 +227,14 @@ def test_broken_relations_fail_v1():
 
 
 def _count_calls(routing, counts):
-    """Count ``next_hops`` and ``next_hop`` calls per (port, destination)."""
-    for method in ("next_hops", "next_hop"):
-        original = getattr(routing, method)
+    """Count ``_route_from_in_port`` calls per (port, destination)."""
+    original = routing._route_from_in_port
 
-        def counted(current, destination, original=original, method=method):
-            counts[id(routing), method, current, destination] += 1
-            return original(current, destination)
+    def counted(current, destination):
+        counts[id(routing), current, destination] += 1
+        return original(current, destination)
 
-        setattr(routing, method, counted)
+    routing._route_from_in_port = counted
 
 
 @pytest.mark.parametrize("make", [
@@ -225,6 +244,12 @@ def _count_calls(routing, counts):
                  id="torus-3vc"),
     pytest.param(lambda: ring_escape_routing(Ring(4, bidirectional=True),
                                              num_vcs=2), id="ring-2vc"),
+    pytest.param(lambda: expand_matrix(
+        "vc-mesh:3x3, vcs=4, faults=2")[0].build().routing,
+        id="faulty-mesh-4vc"),
+    pytest.param(lambda: expand_matrix(
+        "vc-ring:6, vcs=2, faults=1")[0].build().routing,
+        id="faulty-ring-2vc"),
 ])
 def test_table_fill_asks_each_base_routing_once_per_base_pair(make):
     relation = make()
@@ -251,3 +276,12 @@ def test_one_table_per_routing_and_a_fresh_graph_per_call():
     second = routing_dependency_graph(routing)
     assert first is not second and not first.frozen
     assert first.edges() == second.edges()
+
+
+if __name__ == "__main__":
+    digests = {}
+    for param in _terms():
+        (term,) = param.values
+        (spec,) = expand_matrix(term)
+        digests[term] = table_digests(spec.build().routing)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
