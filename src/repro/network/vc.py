@@ -11,9 +11,11 @@ classic repair for deadlock-prone adaptive routing (Duato's methodology)
 
 This module provides the resource layer of that story:
 
-* :class:`VirtualChannel` -- the ``(port, vc)`` pair, immutable and hashable,
-  usable everywhere a :class:`~repro.network.port.Port` is used as a state
-  key, route element or dependency-graph vertex;
+* :class:`VirtualChannel` -- the ``(port, vc)`` pair, a named tuple with the
+  value contract of :class:`~repro.network.port.Port` (it equals its field
+  tuple, never a port, and raises ``TypeError`` ordered against one),
+  usable everywhere a port is used as a state key, route element or
+  dependency-graph vertex;
 * :class:`VCTopology` -- a view of a base topology whose resource set is the
   channels instead of the ports: every cardinal port contributes ``num_vcs``
   channels, local (IP interface) ports contribute one.  Because
@@ -29,16 +31,14 @@ machinery coincides with the paper's single-VC model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.network.node import Node
 from repro.network.port import Port, neighbour_node, parse_port
 from repro.network.topology import Topology
 
 
-@dataclass(frozen=True, order=True)
-class VirtualChannel:
+class VirtualChannel(NamedTuple):
     """A virtual channel ``(port, vc)``: one lane of a physical port.
 
     Channels are immutable and hashable so they can serve as network-state

@@ -1,8 +1,11 @@
 """Tests for the port algebra (repro.network.port)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.network.mesh import Mesh2D
 from repro.network.port import (
     CARDINALS,
     Direction,
@@ -79,6 +82,46 @@ class TestPortBasics:
         assert y_of(port) == 7
         assert port_name(port) is PortName.SOUTH
         assert dir_of(port) is Direction.OUT
+
+
+class TestValueContract:
+    """What every layer keying on ports relies on.
+
+    ``checking/graphs.py`` ranks DFS successors by ``repr``, and set and
+    dict orders follow the hash, so both are pinned to their exact values.
+    """
+
+    PORT = Port(1, 2, PortName.EAST, Direction.OUT)
+
+    def test_repr_and_str_are_pinned(self):
+        assert repr(self.PORT) == \
+            "Port(x=1, y=2, name=PortName.EAST, direction=Direction.OUT)"
+        assert str(self.PORT) == "<1,2,E,OUT>"
+        assert f"{self.PORT}" == "<1,2,E,OUT>"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(self.PORT) == \
+            hash((1, 2, PortName.EAST, Direction.OUT))
+
+    def test_sorted_ports_follow_the_field_tuple(self):
+        ports = Mesh2D(3, 3).ports
+        assert sorted(ports) == sorted(
+            ports, key=lambda p: (p.x, p.y, p.name, p.direction))
+
+    def test_ports_are_immutable_and_slotted(self):
+        with pytest.raises(AttributeError):
+            self.PORT.x = 5
+        assert not hasattr(self.PORT, "__dict__")
+
+    def test_pickle_round_trip(self):
+        # Pool workers ship cycle cores (lists of ports) back by pickle.
+        clone = pickle.loads(pickle.dumps([self.PORT]))[0]
+        assert clone == self.PORT and type(clone) is Port
+        assert hash(clone) == hash(self.PORT)
+
+    def test_a_port_equals_its_field_tuple(self):
+        # Accepted delta of the tuple representation.
+        assert self.PORT == (1, 2, PortName.EAST, Direction.OUT)
 
 
 class TestTrans:

@@ -2,6 +2,8 @@
 VCTopology, per-VC buffer/ownership state, the FlitBufferError rename and
 the single-VC degenerate case."""
 
+import pickle
+
 import pytest
 
 from repro.core.state import NetworkState
@@ -60,6 +62,41 @@ class TestVirtualChannel:
         # Plain ports are their own resource at VC 0.
         assert port_of(EAST_OUT) == EAST_OUT
         assert vc_of(EAST_OUT) == 0
+
+    def test_repr_and_str_are_pinned(self):
+        channel = VirtualChannel(EAST_OUT, 1)
+        assert repr(channel) == (
+            "VirtualChannel(port=Port(x=0, y=0, name=PortName.EAST, "
+            "direction=Direction.OUT), vc=1)")
+        assert str(channel) == "<0,0,E,OUT>#1"
+        assert f"{channel}" == "<0,0,E,OUT>#1"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(VirtualChannel(EAST_OUT, 1)) == hash((EAST_OUT, 1))
+
+    def test_a_port_never_equals_a_channel(self):
+        channel = VirtualChannel(EAST_OUT, 0)
+        assert channel != EAST_OUT and EAST_OUT != channel
+        with pytest.raises(TypeError):
+            channel < EAST_OUT
+        with pytest.raises(TypeError):
+            EAST_OUT < channel
+
+    def test_channels_are_immutable_and_slotted(self):
+        channel = VirtualChannel(EAST_OUT, 1)
+        with pytest.raises(AttributeError):
+            channel.vc = 2
+        assert not hasattr(channel, "__dict__")
+
+    def test_pickle_round_trip(self):
+        channel = VirtualChannel(WEST_IN, 2)
+        clone = pickle.loads(pickle.dumps([channel]))[0]
+        assert clone == channel and type(clone) is VirtualChannel
+        assert type(clone.port) is Port
+
+    def test_a_channel_equals_its_field_tuple(self):
+        # Accepted delta of the tuple representation.
+        assert VirtualChannel(EAST_OUT, 1) == (EAST_OUT, 1)
 
     def test_channels_of_multiplexes_cardinals_only(self):
         assert len(channels_of(EAST_OUT, 4)) == 4
