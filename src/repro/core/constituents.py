@@ -45,20 +45,15 @@ class RoutingFunction(abc.ABC):
     the in-port it is linked to, an in-port of the destination's node
     delivers, and only the remaining case -- an in-port of any other
     node -- is the algorithm, :meth:`_route_from_in_port`.  Likewise
-    :meth:`reachable` settles the structural cases of ``s R d`` and asks
-    the algorithm's :meth:`_reaches` for the rest.  The generalisation to
+    :meth:`reachable` is one ``s R d`` for every algorithm: the pairs
+    that occur on routes from local in-ports, read from the route table
+    (:func:`repro.routing.base.route_table`).  The generalisation to
     configurations (``R : Σ -> Σ``) is provided by
     :meth:`route_configuration`, which pre-computes one route per travel.
     """
 
     #: Safety bound on route length, as a multiple of the port count.
     MAX_ROUTE_FACTOR = 4
-
-    #: ``s R d`` is the set of pairs occurring on routes from local
-    #: in-ports (:func:`repro.routing.base.occurring_pairs`): the route
-    #: table is filled by that walk and :meth:`_reaches` reads it back.
-    #: Partially adaptive algorithms are only meaningful on those pairs.
-    occurring_pairs_reachability = False
 
     @property
     @abc.abstractmethod
@@ -70,20 +65,6 @@ class RoutingFunction(abc.ABC):
                             destination: Port) -> List[Port]:
         """The algorithm: the next hops from an in-port of a node that is
         not the destination's (``destination`` is valid)."""
-
-    def _reaches(self, source: Port, destination: Port) -> bool:
-        """The algorithm's ``s R d`` for distinct ports of the topology,
-        ``destination`` valid and ``source`` not a local out-port.
-
-        Default: the occurring pairs when
-        :attr:`occurring_pairs_reachability` is set, otherwise every such
-        pair (a minimal routing reaches each destination from anywhere).
-        """
-        if not self.occurring_pairs_reachability:
-            return True
-        from repro.routing.base import route_table
-
-        return route_table(self).lookup(source, destination) is not None
 
     # -- the port-level skeleton ----------------------------------------------
     def is_destination(self, port: Port) -> bool:
@@ -116,15 +97,23 @@ class RoutingFunction(abc.ABC):
         return self._route_from_in_port(current, destination)
 
     def reachable(self, source: Port, destination: Port) -> bool:
-        """The ``s R d`` predicate: is ``destination`` reachable from ``source``?"""
+        """The ``s R d`` predicate: does ``(source, destination)`` occur on
+        a route from a local in-port?
+
+        A local in-port starts a route to every destination and a local
+        out-port is a sink, so neither needs the route table: routing a
+        travel from its source builds none.
+        """
         if not self.is_destination(destination) \
                 or not self.topology.has_port(source):
             return False
         if source == destination:
             return True
-        if source.is_local and source.is_output:
-            return False
-        return self._reaches(source, destination)
+        if source.is_local:
+            return source.is_input
+        from repro.routing.base import route_table
+
+        return route_table(self).lookup(source, destination) is not None
 
     # -- derived behaviour ----------------------------------------------------
     @property

@@ -28,6 +28,9 @@ class ChainRingDependencySpec(DependencyGraphSpec):
       wrap-around links (East out-port of the last node, West out-port of
       node 0), which chain routing never uses and which are therefore not
       dependencies;
+    * the two in-ports only those wrap-around links feed (West in-port of
+      node 0, East in-port of the last node) hold no packet, so they have
+      no dependencies either;
     * local out-ports are sinks.
     """
 
@@ -42,6 +45,9 @@ class ChainRingDependencySpec(DependencyGraphSpec):
         ring = self._ring
         local_out = trans(port, PortName.LOCAL, Direction.OUT)
         if port.direction is Direction.IN:
+            if (port.name is PortName.WEST and port.x == 0) or (
+                    port.name is PortName.EAST and port.x == ring.size - 1):
+                return set()
             result: Set[Port] = {local_out}
             if port.name in (PortName.LOCAL, PortName.WEST):
                 east_out = trans(port, PortName.EAST, Direction.OUT)

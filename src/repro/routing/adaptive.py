@@ -22,8 +22,6 @@ from repro.routing.base import MeshRoutingFunction
 class FullyAdaptiveMinimalRouting(MeshRoutingFunction):
     """All minimal directions allowed at every hop (no turn restriction)."""
 
-    occurring_pairs_reachability = True
-
     def name(self) -> str:
         return "Radaptive"
 
@@ -49,8 +47,6 @@ class ZigZagRouting(MeshRoutingFunction):
     eligible for the sufficiency construction of Theorem 1, which needs
     ``R`` to be deterministic.
     """
-
-    occurring_pairs_reachability = True
 
     def name(self) -> str:
         return "Rzigzag"

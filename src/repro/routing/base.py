@@ -14,21 +14,16 @@ once:
   algorithm.
 
 A routing therefore implements only the third case,
-``_route_from_in_port(current, destination)``, and, optionally, its
-``s R d`` predicate as ``_reaches(source, destination)``, which is asked
-only for distinct ports of the topology, a valid destination and a source
-that is not a local out-port.  Without an override every such pair is
-reachable; a partially adaptive routing sets
-``occurring_pairs_reachability`` instead, and ``s R d`` becomes
-:func:`occurring_pairs`: the (port, destination) pairs that occur on
-routes starting at local in-ports.
+``_route_from_in_port(current, destination)``.  Its ``s R d`` predicate
+is the same for every routing: the (port, destination) pairs that occur
+on routes starting at local in-ports, following every adaptive branch.
 
 :func:`route_table` computes every next hop of a routing function once,
 into the flat :class:`RouteTable` that dependency enumeration, (V-1)
-coverage and the occurring-pairs predicate share.  The table runs the
-skeleton itself over dense port ids, one destination column at a time,
-so per pair it asks the routing only for ``_route_from_in_port`` (the
-algorithm case) and ``_reaches`` (a closed-form predicate).
+coverage and ``s R d`` share.  The table runs the skeleton itself over
+dense port ids, one destination column at a time, in one walk from the
+local in-ports, so per occurring pair it asks the routing only for
+``_route_from_in_port`` (the algorithm case).
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -86,25 +80,6 @@ class MeshRoutingFunction(RoutingFunction):
                 f"routing wants out-port {port}, which does not exist "
                 f"(node at the mesh boundary)")
         return port
-
-
-def occurring_pairs(routing: RoutingFunction,
-                    ) -> FrozenSet[Tuple[Port, Port]]:
-    """All (port, destination) pairs that occur on routes from local in-ports.
-
-    For every local in-port ``s`` and every destination ``d``, follow every
-    adaptive branch of the routing function and collect the (visited port,
-    ``d``) pairs.  The result is the natural ``s R d`` predicate for
-    partially adaptive routing functions whose port-level definition is only
-    exercised on ports a packet can actually be at.  It never consults
-    ``reachable``, so it is also the reference for closed-form predicates.
-    """
-    ports = routing.topology.ports
-    index = {port: i for i, port in enumerate(ports)}
-    destinations = routing.destinations()
-    walk = _walk_occurring(routing, ports, index, destinations,
-                           skeleton_columns(routing, ports, index))
-    return frozenset((ports[p], destinations[d]) for d, p, _ in walk)
 
 
 def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
@@ -180,7 +155,7 @@ def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
                     index: Dict[Port, int], destinations: Sequence[Port],
                     column_hops: ColumnHops
                     ) -> Iterator[Tuple[int, int, Optional[Tuple[int, ...]]]]:
-    """The occurring-pairs search, over dense port ids.
+    """The occurring-pairs walk, over dense port ids: ``s R d``.
 
     For each destination ``d`` follows every branch from every local
     in-port and yields ``(d, p, hop ids)`` once per visited port ``p``;
@@ -206,25 +181,6 @@ def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
             frontier.extend(hops)
 
 
-def _enumerate_pairs(routing: RoutingFunction, ports: Sequence[Port],
-                     index: Dict[Port, int], destinations: Sequence[Port],
-                     column_hops: ColumnHops
-                     ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-    """Every ``(d, p, hop ids)`` with ``p != d`` and ``p R d``, by brute force.
-
-    Local out-ports are sinks and reach nothing; every other pair asks
-    the closed-form ``_reaches`` once.
-    """
-    sinks = bytes(port.is_local and port.is_output for port in ports)
-    reaches = routing._reaches
-    for d, destination in enumerate(destinations):
-        hops_of = column_hops(destination)
-        target = index[destination]
-        for p, port in enumerate(ports):
-            if p != target and not sinks[p] and reaches(port, destination):
-                yield d, p, hops_of(p)
-
-
 class RouteTable:
     """Every next hop of one routing function, computed once.
 
@@ -232,13 +188,11 @@ class RouteTable:
     columns in ``destinations()`` order; ``hops[p * width + d]`` is the
     tuple of next-hop ids of port ``p`` towards destination ``d``, or
     ``None`` where ``p R d`` fails or ``p`` is ``d``.  Equal hop tuples are
-    one shared object.  A routing that defines
+    one shared object.  The table is filled by :func:`_walk_occurring`
+    over :func:`skeleton_columns`.  A routing that defines
     ``_fill_route_table(ports, index, destinations)`` fills the table
-    itself, yielding ``(d, p, hop ids)`` as :func:`_walk_occurring` does
-    (the VC escape relations compose theirs from their base routings).
-    Otherwise the table runs :func:`skeleton_columns`: over the
-    occurring-pairs walk when ``s R d`` is occurring pairs, else over
-    every pair the closed-form ``_reaches`` admits.
+    itself, yielding ``(d, p, hop ids)`` as that walk does (the VC escape
+    relations run it with their hops composed from their base routings).
     """
 
     def __init__(self, routing: RoutingFunction) -> None:
@@ -253,10 +207,9 @@ class RouteTable:
         if fill is not None:
             filled = fill(self.ports, self.index, self.destinations)
         else:
-            walk = (_walk_occurring if routing.occurring_pairs_reachability
-                    else _enumerate_pairs)
-            filled = walk(routing, self.ports, self.index, self.destinations,
-                          skeleton_columns(routing, self.ports, self.index))
+            filled = _walk_occurring(
+                routing, self.ports, self.index, self.destinations,
+                skeleton_columns(routing, self.ports, self.index))
         shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for d, p, hops in filled:
             if hops is not None:

@@ -6,14 +6,12 @@ minimal, and both have acyclic port dependency graphs (the flows argument of
 the paper works symmetrically for YX with the roles of the axes swapped).
 
 The ``s R d`` reachability predicate (the paper calls it "quite technical",
-Section III-B) is given in closed form: a pair (port, destination) is
+Section III-B) is the one every routing has: a pair (port, destination) is
 reachable iff a packet destined to ``d`` can actually find itself at that
-port during a dimension-order route.  For XY routing, for example, a packet
-can only occupy a West in-port (i.e. be travelling East) if its destination
-column is not to the West, and it can only occupy a vertical port if it has
-already reached its destination column.  The property-based tests confirm
-that this closed form coincides with the occurring-pairs semantics computed
-by :func:`repro.routing.base.occurring_pairs`.
+port during a route, as the route table's walk finds
+(:mod:`repro.routing.base`).  For XY routing, for example, a packet can only occupy a West in-port (i.e. be travelling East)
+if its destination column is not to the West, and it can only occupy a
+vertical port if it has already reached its destination column.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.network.mesh import Mesh2D
-from repro.network.port import Direction, Port, PortName
+from repro.network.port import Port, PortName
 from repro.routing.base import MeshRoutingFunction
 
 
@@ -36,59 +34,6 @@ class DimensionOrderRouting(MeshRoutingFunction):
 
     def name(self) -> str:
         return f"R{self.order}"
-
-    # -- the s R d predicate -----------------------------------------------------
-    def _reaches(self, source: Port, destination: Port) -> bool:
-        if source.name is PortName.LOCAL:
-            # Local in-ports can start a route to any destination.
-            return True
-        if self.order == "xy":
-            return self._reachable_xy(source, destination)
-        return self._reachable_yx(source, destination)
-
-    def _reachable_xy(self, source: Port, destination: Port) -> bool:
-        """Which (port, destination) pairs occur under XY routing."""
-        if source.direction is Direction.IN:
-            if source.name is PortName.WEST:
-                return destination.x >= source.x
-            if source.name is PortName.EAST:
-                return destination.x <= source.x
-            if source.name is PortName.NORTH:
-                return destination.x == source.x and destination.y >= source.y
-            if source.name is PortName.SOUTH:
-                return destination.x == source.x and destination.y <= source.y
-        else:
-            if source.name is PortName.EAST:
-                return destination.x > source.x
-            if source.name is PortName.WEST:
-                return destination.x < source.x
-            if source.name is PortName.SOUTH:
-                return destination.x == source.x and destination.y > source.y
-            if source.name is PortName.NORTH:
-                return destination.x == source.x and destination.y < source.y
-        return False
-
-    def _reachable_yx(self, source: Port, destination: Port) -> bool:
-        """Which (port, destination) pairs occur under YX routing."""
-        if source.direction is Direction.IN:
-            if source.name is PortName.NORTH:
-                return destination.y >= source.y
-            if source.name is PortName.SOUTH:
-                return destination.y <= source.y
-            if source.name is PortName.WEST:
-                return destination.y == source.y and destination.x >= source.x
-            if source.name is PortName.EAST:
-                return destination.y == source.y and destination.x <= source.x
-        else:
-            if source.name is PortName.SOUTH:
-                return destination.y > source.y
-            if source.name is PortName.NORTH:
-                return destination.y < source.y
-            if source.name is PortName.EAST:
-                return destination.y == source.y and destination.x > source.x
-            if source.name is PortName.WEST:
-                return destination.y == source.y and destination.x < source.x
-        return False
 
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:

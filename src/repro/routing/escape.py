@@ -100,9 +100,6 @@ class EscapeChannelRouting(RoutingFunction):
         escape class, which a pre-committed route cannot do.
     """
 
-    #: ``s R d`` is the (channel, destination) pairs occurring on routes.
-    occurring_pairs_reachability = True
-
     def __init__(self, topology: VCTopology,
                  escape_routing: RoutingFunction,
                  adaptive_routing: Optional[RoutingFunction] = None,

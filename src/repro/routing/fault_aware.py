@@ -62,7 +62,6 @@ class FaultAwareRouting(RoutingFunction):
                 continue
             self._adjacency[out_port.node].append((out_port, in_port.node))
         self._distances: Dict[Coordinate, Dict[Coordinate, int]] = {}
-        self.occurring_pairs_reachability = self._adaptive
 
     @property
     def topology(self) -> Topology:
@@ -123,11 +122,6 @@ class FaultAwareRouting(RoutingFunction):
         # BFS distance doubles as the distance *to* the destination.
         self._distances[destination] = distances
         return distances
-
-    def _reaches(self, source: Port, destination: Port) -> bool:
-        if self.occurring_pairs_reachability:
-            return super()._reaches(source, destination)
-        return source.node in self._distances_to(destination.node)
 
 
 # ---------------------------------------------------------------------------

@@ -80,26 +80,6 @@ class ChainRingRouting(_RingRoutingBase):
     def name(self) -> str:
         return "Rchain"
 
-    def _reaches(self, source: Port, destination: Port) -> bool:
-        """The ``s R d`` predicate of chain routing.
-
-        A packet travelling East (at a West in-port or East out-port) can
-        only be destined to nodes further East, and symmetrically for
-        westbound traffic; local in-ports can start a route to any
-        destination.
-        """
-        if source.name is PortName.LOCAL:
-            return True
-        if source.name is PortName.WEST and source.direction is Direction.IN:
-            return destination.x >= source.x
-        if source.name is PortName.EAST and source.direction is Direction.OUT:
-            return destination.x > source.x
-        if source.name is PortName.EAST and source.direction is Direction.IN:
-            return destination.x <= source.x
-        if source.name is PortName.WEST and source.direction is Direction.OUT:
-            return destination.x < source.x
-        return True
-
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
         if destination.x > current.x:

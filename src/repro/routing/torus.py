@@ -20,8 +20,6 @@ from repro.network.torus import Torus2D
 class TorusXYRouting(RoutingFunction):
     """Deterministic minimal dimension-order (XY) routing on a torus."""
 
-    occurring_pairs_reachability = True
-
     def __init__(self, torus: Torus2D) -> None:
         self._torus = torus
 

@@ -25,10 +25,10 @@ forbidden:
   rightmost column, which the parity split makes impossible, so the graph
   stays acyclic while no single turn is forbidden everywhere.
 
-Because a turn-model function is only meaningful on ports a packet can
-actually occupy, the ``s R d`` reachability predicate is the set of
+A turn-model function is only meaningful on ports a packet can actually
+occupy, which is what ``s R d`` holds for every routing: the
 (port, destination) pairs occurring on routes from local in-ports
-(:func:`repro.routing.base.occurring_pairs`).
+(:mod:`repro.routing.base`).
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from repro.routing.base import MeshRoutingFunction
 
 class _TurnModelRouting(MeshRoutingFunction):
     """Common scaffolding of the three turn models."""
-
-    occurring_pairs_reachability = True
 
     @property
     def is_deterministic(self) -> bool:

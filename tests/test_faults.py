@@ -348,3 +348,67 @@ class TestFaultAcceptanceFixture:
             for source, target in verdict.cycle_core:
                 witness.add_edge(source, target)
             assert not find_cycle_dfs(witness).acyclic, verdict.scenario
+
+
+def _rotations(nodes, shifts):
+    """Per shift, one message from each node to the node ``shift`` on."""
+    return [[(node, nodes[(i + shift) % len(nodes)])
+             for i, node in enumerate(nodes)] for shift in shifts]
+
+
+_RING_4 = [(i, 0) for i in range(4)]
+_CORNERS = [(0, 0), (2, 0), (2, 2), (0, 2)]
+_MIDPOINTS = [(1, 0), (2, 1), (1, 2), (0, 1)]
+
+
+class TestOccurringPairsVerdicts:
+    """Fault-aware scenarios that are cyclic only through (port,
+    destination) pairs no route occupies are deadlock-free, and no
+    workload deadlocks them.
+
+    Each workload sends one 2-flit message from every node of a cycle of
+    nodes, and every interleaving of it is explored to the end (buffer
+    capacity 1).  The healthy clockwise ring, which stays deadlock-prone,
+    is the positive control: workloads of the same size deadlock it.
+    """
+
+    @staticmethod
+    def _explore(term, pairs):
+        from repro.checking.bmc import explore_configuration_space
+
+        (spec,) = expand_matrix(term)
+        instance = spec.build()
+        travels = [instance.make_travel(source, target, num_flits=2)
+                   for source, target in pairs]
+        return explore_configuration_space(instance, travels, capacity=1)
+
+    @staticmethod
+    def _acyclic(term):
+        from repro.checking.graphs import find_cycle_dfs
+        from repro.core.dependency import routing_dependency_graph
+
+        (spec,) = expand_matrix(term)
+        graph = routing_dependency_graph(spec.build().routing)
+        return find_cycle_dfs(graph).acyclic
+
+    @pytest.mark.parametrize("term, workloads", [
+        ("ring:4, routing=chain, faults=1, seed=0",
+         _rotations(_RING_4, (1, 2, 3))),
+        ("ring:4, routing=clockwise, faults=1, seed=0",
+         _rotations(_RING_4, (1, 2, 3))),
+        ("mesh:3x3, routing=xy, faults=1, seed=0",
+         _rotations(_CORNERS, (1, 2, 3)) + _rotations(_MIDPOINTS, (1, 2))),
+    ])
+    def test_free_scenarios_deadlock_on_no_workload(self, term, workloads):
+        assert self._acyclic(term)
+        for pairs in workloads:
+            result = self._explore(term, pairs)
+            assert result.complete and not result.deadlock_found, pairs
+
+    def test_healthy_clockwise_ring_deadlocks(self):
+        term = "ring:4, routing=clockwise"
+        assert not self._acyclic(term)
+        results = [self._explore(term, pairs)
+                   for pairs in _rotations(_RING_4, (1, 2, 3))]
+        assert all(result.complete for result in results)
+        assert any(result.deadlock_found for result in results)

@@ -5,9 +5,10 @@ The reference below is the ``reachable``/``next_hops`` loop that built the
 dependency graph and discharged (V-1) before the table existed.  For every
 registered kind and routing token, healthy and fault-injected, at 1-4 VCs,
 the table must reproduce its hops, its edge list (order included) and
-its (V-1) report, and the occurring-pairs predicate must answer exactly
-the occurring pairs.  The VC relations compose their tables from their
-base routings, so they also run at the sizes the benchmark uses.
+its (V-1) report, and ``reachable`` must answer exactly the pairs that
+the independent search of :mod:`tests.routing_reference` finds.  The VC
+relations compose their tables from their base routings, so they also
+run at the sizes the benchmark uses.
 """
 
 import json
@@ -26,7 +27,7 @@ from repro.network.ring import Ring
 from repro.network.torus import Torus2D
 from repro.network.vc import VCTopology, port_of
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting
-from repro.routing.base import occurring_pairs, route_table
+from repro.routing.base import route_table
 from repro.routing.escape import (
     EscapeChannelRouting,
     mesh_escape_routing,
@@ -35,6 +36,7 @@ from repro.routing.escape import (
 )
 from repro.routing.ring import ClockwiseRingRouting
 from repro.routing.xy import XYRouting
+from tests.routing_reference import occurring_pairs, reachable_pairs
 
 
 def reference_graph(routing):
@@ -55,21 +57,18 @@ def reference_graph(routing):
 def reference_hops(routing):
     """The table's ``hops`` list, by the plain loop over every pair.
 
-    Occurring-pairs routings take ``s R d`` from :func:`occurring_pairs`,
-    whose walk never asks ``reachable``, so no table answers for itself.
-    The hops come from ``next_hops``, the skeleton over ``Port`` objects
-    that the table runs over ids.
+    ``s R d`` comes from :func:`occurring_pairs`, a search that never
+    asks ``reachable``, so no table answers for itself.  The hops come
+    from ``next_hops``, the skeleton over ``Port`` objects that the table
+    runs over ids.
     """
     ports = routing.topology.ports
     index = {port: i for i, port in enumerate(ports)}
-    pairs = (occurring_pairs(routing)
-             if routing.occurring_pairs_reachability else None)
+    pairs = occurring_pairs(routing)
     hops = []
     for port in ports:
         for destination in routing.destinations():
-            if port != destination and (
-                    (port, destination) in pairs if pairs is not None
-                    else routing.reachable(port, destination)):
+            if port != destination and (port, destination) in pairs:
                 hops.append(tuple(index[hop] for hop in routing.next_hops(
                     port, destination)))
             else:
@@ -141,12 +140,7 @@ def test_table_reproduces_the_plain_enumeration(term):
     reference = reference_graph(spec.build().routing)
     assert routing_dependency_graph(routing).edges() == reference.edges()
     assert route_table(routing).hops == reference_hops(spec.build().routing)
-    if routing.occurring_pairs_reachability:
-        pairs = occurring_pairs(routing)
-        for port in routing.topology.ports:
-            for destination in routing.destinations():
-                assert routing.reachable(port, destination) == (
-                    port == destination or (port, destination) in pairs)
+    assert reachable_pairs(routing) == occurring_pairs(routing)
     if isinstance(routing, EscapeChannelRouting):
         v1 = check_v1_escape_coverage(routing)
         assert (v1.checks, v1.holds, v1.counterexamples) \
@@ -154,7 +148,7 @@ def test_table_reproduces_the_plain_enumeration(term):
 
 
 #: sha256 digests of every ``_terms()`` table, frozen from the loop-based
-#: fill; regenerate with ``PYTHONPATH=src python tests/test_route_table.py``.
+#: fill; regenerate with ``PYTHONPATH=src python -m tests.test_route_table``.
 DIGESTS = Path(__file__).parent / "data" / "route_table_digests.json"
 
 

@@ -9,7 +9,6 @@ from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName
 from repro.network.ring import Ring
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting, ZigZagRouting
-from repro.routing.base import occurring_pairs
 from repro.routing.ring import (
     ChainRingRouting,
     ClockwiseRingRouting,
@@ -20,6 +19,7 @@ from repro.routing.turn_model import (
     NorthLastRouting,
     WestFirstRouting,
 )
+from tests.routing_reference import occurring_pairs
 
 
 @pytest.fixture

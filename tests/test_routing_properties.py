@@ -1,10 +1,10 @@
 """Property-based tests of the routing functions (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName
-from repro.routing.base import occurring_pairs
 from repro.routing.turn_model import (
     NegativeFirstRouting,
     NorthLastRouting,
@@ -12,6 +12,11 @@ from repro.routing.turn_model import (
 )
 from repro.routing.xy import XYRouting
 from repro.routing.yx import YXRouting
+from tests.routing_reference import (
+    dimension_order_reaches,
+    occurring_pairs,
+    reachable_pairs,
+)
 
 mesh_sizes = st.tuples(st.integers(1, 4), st.integers(1, 4))
 coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -91,8 +96,9 @@ class TestDimensionOrderProperties:
         for port in mesh.ports:
             for destination in routing.destinations():
                 occurs = (port, destination) in pairs
-                closed_form = routing.reachable(port, destination)
+                closed_form = dimension_order_reaches("xy", port, destination)
                 assert occurs == closed_form, (str(port), str(destination))
+                assert routing.reachable(port, destination) == occurs
 
     @given(st.integers(2, 3), st.integers(2, 4))
     @settings(max_examples=10, deadline=None)
@@ -102,8 +108,21 @@ class TestDimensionOrderProperties:
         pairs = occurring_pairs(routing)
         for port in mesh.ports:
             for destination in routing.destinations():
-                assert ((port, destination) in pairs) == \
-                    routing.reachable(port, destination)
+                occurs = (port, destination) in pairs
+                assert occurs == dimension_order_reaches("yx", port,
+                                                         destination)
+                assert routing.reachable(port, destination) == occurs
+
+    @pytest.mark.parametrize("size", range(3, 9))
+    @pytest.mark.parametrize("routing_cls", [XYRouting, YXRouting])
+    def test_closed_form_equals_reachable_on_healthy_meshes(self, size,
+                                                            routing_cls):
+        routing = routing_cls(Mesh2D(size, size))
+        closed_form = frozenset(
+            (port, destination) for port in routing.topology.ports
+            for destination in routing.destinations()
+            if dimension_order_reaches(routing.order, port, destination))
+        assert reachable_pairs(routing) == closed_form
 
 
 class TestTurnModelProperties:

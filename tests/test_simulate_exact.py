@@ -60,6 +60,22 @@ def test_simulate_output_is_pinned(argv):
     assert (code, lines) == (case["exit_code"], case["output"])
 
 
+def test_simulate_builds_no_route_table(monkeypatch):
+    """Routing each travel asks ``reachable`` only from its source, a
+    local in-port, which needs no route table: ``repro simulate`` never
+    builds one, and prints the pinned block all the same."""
+    from repro.routing.base import RouteTable
+
+    def refuse(self, routing):
+        raise AssertionError("repro simulate built a route table")
+
+    monkeypatch.setattr(RouteTable, "__init__", refuse)
+    argv = ["simulate", "--width", "4", "--height", "4", "--messages", "100",
+            "--flits", "4", "--seed", "11"]
+    case = _expected()[" ".join(argv)]
+    assert run_simulate(argv) == (case["exit_code"], case["output"])
+
+
 if __name__ == "__main__":
     cases = []
     for argv in _argvs():

@@ -22,6 +22,7 @@ from repro.routing.turn_model import (
     WestFirstRouting,
     odd_even_directions,
 )
+from tests.routing_reference import occurring_pairs
 
 TURN_MODELS = [WestFirstRouting, NorthLastRouting, NegativeFirstRouting,
                OddEvenRouting]
@@ -127,8 +128,6 @@ class TestReachabilityAndTotality:
     def test_relation_is_total_on_occurring_pairs(self, dims, routing_cls):
         """Every (port, destination) pair a packet can reach offers at
         least one hop -- no turn model strands a worm mid-route."""
-        from repro.routing.base import occurring_pairs
-
         mesh = Mesh2D(*dims)
         routing = routing_cls(mesh)
         pairs = occurring_pairs(routing)
