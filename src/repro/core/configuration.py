@@ -118,14 +118,11 @@ class TravelProgress:
         (entering the network, advancing one hop, or being ejected)
         decreases it by exactly one.
         """
-        ejected = self.ejected_position
-        total = 0
-        for pos in self.positions:
-            if pos == NOT_INJECTED:
-                total += ejected + 1
-            else:
-                total += ejected - pos
-        return total
+        # A flit at route index ``pos`` has ``ejected - pos`` movements
+        # left; one still in the IP core (``pos == NOT_INJECTED == -1``)
+        # has its injection on top, ``ejected + 1``: the same formula.
+        positions = self.positions
+        return len(positions) * self.ejected_position - sum(positions)
 
     def occupied_route_indices(self) -> List[int]:
         """Route indices currently holding at least one flit of this travel."""
@@ -146,6 +143,45 @@ class TravelProgress:
                               flits=self.flits)
 
 
+class WormQueues:
+    """The pending worms of a configuration, as a switching step visits them.
+
+    Built from flit positions by :meth:`Configuration.worm_queues`, then
+    kept by the step that moves the flits (a copy rebuilds its own).  A
+    travel's *rank* is its index in ``config.travels`` at build time
+    (``travels[rank]``, progress record ``records[rank]``); ``ranks`` runs
+    parallel to ``config.travels``.
+
+    * ``moving``: ascending ranks of the routed pending travels with a
+      flit out of the IP core (or all ejected, not yet collected);
+    * ``waiting``: source port -> ascending ranks of the routed pending
+      travels with every flit still in the IP core.
+    """
+
+    __slots__ = ("travels", "records", "ranks", "moving", "waiting", "_list")
+
+    def __init__(self, config: "Configuration") -> None:
+        self.travels: Tuple[Travel, ...] = tuple(config.travels)
+        self.records: List[Optional[TravelProgress]] = [
+            config.progress.get(travel.travel_id) for travel in self.travels]
+        self.ranks: List[int] = list(range(len(self.travels)))
+        self.moving: List[int] = []
+        self.waiting: Dict[Port, List[int]] = {}
+        self._list = config.travels
+        for rank, record in enumerate(self.records):
+            if record is None:
+                continue
+            if record.positions[0] == NOT_INJECTED:
+                self.waiting.setdefault(record.route[0], []).append(rank)
+            else:
+                self.moving.append(rank)
+
+    def describes(self, config: "Configuration") -> bool:
+        """Were these queues kept for ``config``'s own list of travels?"""
+        return (self._list is config.travels
+                and len(self.ranks) == len(config.travels))
+
+
 class Configuration:
     """A GeNoC configuration ``σ = <T, ST, A>``."""
 
@@ -157,6 +193,7 @@ class Configuration:
         self.state = state
         self.arrived: List[Travel] = list(arrived or [])
         self.progress: Dict[int, TravelProgress] = dict(progress or {})
+        self._queues: Optional[WormQueues] = None
 
     # -- the paper's field names -------------------------------------------------
     @property
@@ -196,6 +233,15 @@ class Configuration:
         """True when there is nothing left to send (``σ.T = ∅``)."""
         return not self.travels
 
+    def worm_queues(self) -> WormQueues:
+        """The :class:`WormQueues` of this configuration, built from the
+        flit positions when missing or when ``T`` was replaced or resized
+        by anything but the step that keeps them."""
+        queues = self._queues
+        if queues is None or not queues.describes(self):
+            queues = self._queues = WormQueues(self)
+        return queues
+
     # -- consistency ---------------------------------------------------------------
     def check_consistency(self) -> None:
         """Check the invariants linking ``T``, ``ST`` and the progress records.
@@ -203,7 +249,8 @@ class Configuration:
         * every pending, routed travel has a progress record;
         * flit positions respect the worm order (no overtaking);
         * the flits recorded at position ``i`` of a travel are indeed buffered
-          at ``route[i]`` in the network state, and vice versa.
+          at ``route[i]`` in the network state, and vice versa;
+        * the state's ``flit_count`` equals the flits its buffers hold.
         """
         expected: Dict[Port, Dict[int, int]] = {}
         for travel in self.travels:
@@ -234,6 +281,10 @@ class Configuration:
                 raise AssertionError(
                     f"port {port} holds flits of more than one packet: {actual}"
                 )
+        if self.state.flit_count != self.state.total_flits():
+            raise AssertionError(
+                f"flit count {self.state.flit_count} but "
+                f"{self.state.total_flits()} flits buffered")
 
     def copy(self) -> "Configuration":
         return Configuration(

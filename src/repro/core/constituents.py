@@ -81,6 +81,11 @@ class RoutingFunction(abc.ABC):
     def next_hops(self, current: Port, destination: Port) -> List[Port]:
         """All ports the routing function may route to next."""
         self._require_destination(destination)
+        return self._hops(current, destination)
+
+    def _hops(self, current: Port, destination: Port) -> List[Port]:
+        """:meth:`next_hops` towards a destination already checked valid:
+        a route walk checks its destination once, not on every hop."""
         if current == destination:
             return []
         if current.is_output:
@@ -155,13 +160,16 @@ class RoutingFunction(abc.ABC):
         the hop bound (which, for a correct deterministic routing function,
         never happens for reachable destinations).
         """
+        self._require_destination(destination)
         return self._walk_route(
             source, destination, max_hops,
-            lambda current: self.next_hop(current, destination))
+            lambda current: self._single_hop(
+                self._hops(current, destination), current, destination))
 
     def _walk_route(self, source, destination, max_hops: Optional[int],
                     choose: Callable[[Port], Port]) -> List[Port]:
-        """Follow ``choose(current)`` from ``source`` to ``destination``."""
+        """Follow ``choose(current)`` from ``source`` to ``destination``
+        (checked a valid destination by the caller)."""
         topology = self.topology
         if max_hops is None:
             max_hops = self.MAX_ROUTE_FACTOR * max(topology.port_count, 4)
@@ -243,6 +251,18 @@ class SwitchingPolicy(abc.ABC):
 
     def name(self) -> str:
         return type(self).__name__
+
+
+def is_deadlock(config: Configuration, switching: SwitchingPolicy) -> bool:
+    """``Ω(σ)``: there are pending messages and none of them can progress.
+
+    Defined beside :meth:`SwitchingPolicy.can_progress` so the GeNoC
+    interpreter asks it without loading the deadlock analysis of
+    :mod:`repro.core.deadlock` (which re-exports it).
+    """
+    if config.is_finished():
+        return False
+    return not switching.can_progress(config)
 
 
 class IdentityInjection(InjectionMethod):

@@ -26,15 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.configuration import Configuration, NOT_INJECTED
-from repro.core.constituents import SwitchingPolicy
+from repro.core.constituents import SwitchingPolicy, is_deadlock
 from repro.network.port import Port
-
-
-def is_deadlock(config: Configuration, switching: SwitchingPolicy) -> bool:
-    """``Ω(σ)``: there are pending messages and none of them can progress."""
-    if config.is_finished():
-        return False
-    return not switching.can_progress(config)
 
 
 @dataclass

@@ -23,20 +23,26 @@ obligation (C-3) says the declared graph is acyclic.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from repro.checking.graphs import (
-    CycleSearchResult,
-    DirectedGraph,
-    find_cycle_dfs,
-    is_acyclic_by_networkx,
-    is_acyclic_by_scc,
-    is_acyclic_by_toposort,
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
+
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import SpecificationError
 from repro.network.port import Port
 from repro.network.topology import Topology
+
+if TYPE_CHECKING:
+    # Imported where a graph is built or searched: declaring a spec (the
+    # HERMES instance of ``repro simulate`` does) loads no graph code.
+    from repro.checking.graphs import CycleSearchResult, DirectedGraph
 
 
 class DependencyGraphSpec(abc.ABC):
@@ -87,6 +93,8 @@ class DependencyGraphSpec(abc.ABC):
         """Materialise the spec as a (frozen, memoised) :class:`DirectedGraph`."""
         cached = getattr(self, "_cached_graph", None)
         if cached is None:
+            from repro.checking.graphs import DirectedGraph
+
             graph: DirectedGraph[Port] = DirectedGraph()
             for port in self.ports():
                 graph.add_vertex(port)
@@ -141,6 +149,7 @@ def routing_dependency_graph(routing: RoutingFunction,
     then in destination order, then in hop order.  Every call returns a
     fresh, mutable graph.
     """
+    from repro.checking.graphs import DirectedGraph
     from repro.routing.base import route_table
 
     table = route_table(routing)
@@ -199,6 +208,13 @@ def check_acyclicity(graph: DirectedGraph[Port],
     ``sat``.  The SAT method is considerably slower and is only included
     when asked for (it is exercised by the Fig. 3 benchmark).
     """
+    from repro.checking.graphs import (
+        find_cycle_dfs,
+        is_acyclic_by_networkx,
+        is_acyclic_by_scc,
+        is_acyclic_by_toposort,
+    )
+
     report = AcyclicityReport(graph)
     for method in methods:
         if method == "dfs":

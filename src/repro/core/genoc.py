@@ -31,8 +31,8 @@ from repro.core.constituents import (
     InjectionMethod,
     RoutingFunction,
     SwitchingPolicy,
+    is_deadlock,
 )
-from repro.core.deadlock import is_deadlock
 from repro.core.errors import GeNoCError
 from repro.core.measure import Measure, flit_hop_measure
 
@@ -143,7 +143,7 @@ class GeNoCEngine:
                 measure=measures[-1],
                 pending=len(current.travels),
                 arrived=len(current.arrived),
-                flits_in_network=current.state.total_flits(),
+                flits_in_network=current.state.flit_count,
             ))
             if on_step is not None:
                 on_step(steps, current)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.network.buffers import PortState
+from repro.core.errors import SwitchingError
+from repro.network.buffers import PortState, refusal
 from repro.network.flit import Flit
 from repro.network.port import Port
 from repro.network.topology import Topology
@@ -23,6 +24,10 @@ class NetworkState:
 
     def __init__(self, port_states: Mapping[Port, PortState]) -> None:
         self._states: Dict[Port, PortState] = dict(port_states)
+        #: Flits buffered anywhere, kept by the mutators of this class
+        #: (:meth:`total_flits` recounts them from the buffers).
+        self.flit_count = sum(len(state.buffer)
+                              for state in self._states.values())
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -110,10 +115,54 @@ class NetworkState:
 
     # -- mutation -----------------------------------------------------------------------
     def accept_flit(self, port: Port, flit: Flit) -> None:
-        self._states[port].accept(flit)
+        self.move_flit(None, port, flit)
 
     def release_flit(self, port: Port) -> Flit:
-        return self._states[port].release()
+        flit = self._states[port].release()
+        self.flit_count -= 1
+        return flit
+
+    def move_flit(self, source: Optional[Port], target: Optional[Port],
+                  flit: Flit) -> bool:
+        """Move ``flit`` one step along its route, in one call.
+
+        ``source`` is the port whose head flit it must be (``None``: the
+        IP core), else :class:`SwitchingError`; ``target`` the port it
+        enters (``None``: ejected), which raises
+        :class:`~repro.network.buffers.FlitBufferError` when full or owned
+        by another travel.  A refused move changes nothing.  Returns
+        whether ``source`` drained (and so lost its owner).
+        """
+        if target is not None:
+            target_state = self._states[target]
+            owner = target_state.owner
+            buffer = target_state.buffer
+            if ((owner is not None and owner != flit.travel_id)
+                    or len(buffer.slots) >= buffer.capacity):
+                raise refusal(owner, flit)
+        drained = False
+        if source is None:
+            self.flit_count += 1
+        else:
+            source_state = self._states[source]
+            slots = source_state.buffer.slots
+            head = slots[0] if slots else None
+            if head is not flit and (head is None
+                                     or head.travel_id != flit.travel_id
+                                     or head.index != flit.index):
+                raise SwitchingError(
+                    f"expected flit {flit.index} of travel {flit.travel_id} "
+                    f"at {source}, found {head}")
+            flit = slots.popleft()
+            if not slots:
+                source_state.owner = None
+                drained = True
+        if target is None:
+            self.flit_count -= 1
+        else:
+            buffer.slots.append(flit)
+            target_state.owner = flit.travel_id
+        return drained
 
     def __str__(self) -> str:
         occupied = [f"{port}: {state}" for port, state in self._states.items()

@@ -23,22 +23,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.configuration import Configuration
 from repro.core.genoc import GeNoCResult
 from repro.core.instance import NoCInstance
-from repro.core.measure import is_non_increasing, is_strictly_decreasing
-from repro.core.obligations import (
-    ObligationResult,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-)
+from repro.core.measure import is_strictly_decreasing
 from repro.core.travel import Travel
-from repro.network.port import Port
+
+if TYPE_CHECKING:
+    # The derivation facets import the obligation checkers when they run:
+    # the runtime checks of ``repro simulate`` need none of them.
+    from repro.core.obligations import ObligationResult
 
 
 @dataclass
@@ -112,23 +108,34 @@ def check_correctness(instance: NoCInstance, original: Configuration,
 
 
 def _validate_route(instance: NoCInstance, travel: Travel) -> List[str]:
-    """Check that a travel's route is a valid path of the instantiation."""
+    """Check that a travel's route is a valid path of the instantiation.
+
+    Every port's membership of the topology is checked once, and the
+    destination once, before the first hop the routing function is asked
+    about (an invalid one raises, as
+    :meth:`~repro.core.constituents.RoutingFunction.next_hops` does); each
+    hop is checked for physical adjacency and for being allowed by the
+    routing function.
+    """
     errors: List[str] = []
     route = travel.route or ()
     topology = instance.topology
     routing = instance.routing
+    destination = travel.destination
     if not route:
         return [f"travel {travel.travel_id} has an empty route"]
     if route[0] != travel.source:
         errors.append(
             f"travel {travel.travel_id}: route starts at {route[0]}, "
             f"not at its source {travel.source}")
-    if route[-1] != travel.destination:
+    if route[-1] != destination:
         errors.append(
             f"travel {travel.travel_id}: route ends at {route[-1]}, "
-            f"not at its destination {travel.destination}")
-    for current, following in zip(route, route[1:]):
-        if not topology.has_port(current) or not topology.has_port(following):
+            f"not at its destination {destination}")
+    inside = [topology.has_port(port) for port in route]
+    checked = False
+    for hop, (current, following) in enumerate(zip(route, route[1:])):
+        if not (inside[hop] and inside[hop + 1]):
             errors.append(
                 f"travel {travel.travel_id}: route port outside the topology")
             continue
@@ -140,12 +147,14 @@ def _validate_route(instance: NoCInstance, travel: Travel) -> List[str]:
                 f"travel {travel.travel_id}: {current} -> {following} is not "
                 f"a physical adjacency")
         # Allowed by the routing function.
-        allowed = routing.next_hops(current, travel.destination)
-        if following not in allowed:
+        if not checked:
+            routing._require_destination(destination)
+            checked = True
+        if following not in routing._hops(current, destination):
             errors.append(
                 f"travel {travel.travel_id}: hop {current} -> {following} is "
                 f"not allowed by {routing.name()} for destination "
-                f"{travel.destination}")
+                f"{destination}")
     return errors
 
 
@@ -157,6 +166,8 @@ def check_deadlock_freedom(instance: NoCInstance,
                            methods: Sequence[str] = ("dfs", "scc", "toposort"),
                            ) -> TheoremResult:
     """DeadThm: derive deadlock freedom from obligations (C-1)-(C-3)."""
+    from repro.core.obligations import check_c1, check_c2, check_c3
+
     start = time.perf_counter()
     if instance.dependency_spec is None:
         raise ValueError(
@@ -304,6 +315,8 @@ def check_evacuation(instance: NoCInstance, original: Configuration,
 def derive_evacuation(instance: NoCInstance,
                       configurations: Sequence[Configuration]) -> TheoremResult:
     """EvacThm, derivation facet: conclude evacuation from (C-4) and (C-5)."""
+    from repro.core.obligations import check_c4, check_c5
+
     start = time.perf_counter()
     routed = [instance.routing.route_configuration(config)
               for config in configurations]

@@ -14,13 +14,15 @@ regenerates its statistics for a range of mesh sizes.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import TYPE_CHECKING, Set
 
-from repro.checking.graphs import DirectedGraph
 from repro.core.dependency import DependencyGraphSpec
 from repro.hermes.ports import next_outs
 from repro.network.mesh import Mesh2D
 from repro.network.port import Direction, Port, PortName, next_in
+
+if TYPE_CHECKING:
+    from repro.checking.graphs import DirectedGraph
 
 
 class ExyDependencySpec(DependencyGraphSpec):

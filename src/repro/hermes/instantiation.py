@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.configuration import Configuration
 from repro.core.instance import NoCInstance
 from repro.core.measure import flit_hop_measure
-from repro.core.spec import ScenarioSpec, resolve_measure, resolve_switching
 from repro.core.travel import Travel
 from repro.hermes.dependency import ExyDependencySpec
 from repro.hermes.injection import Iid
@@ -26,6 +25,7 @@ from repro.switching.wormhole import WormholeSwitching
 
 if TYPE_CHECKING:
     from repro.core.genoc import GeNoCResult
+    from repro.core.spec import ScenarioSpec
 
 
 class MeshWitness:
@@ -137,6 +137,8 @@ def build_mesh_from_spec(spec: ScenarioSpec) -> HermesInstance:
     faulty mesh and reroutes via the fault-aware variant of the routing
     token (:mod:`repro.routing.fault_aware`).
     """
+    from repro.core.spec import resolve_measure, resolve_switching
+
     width, height = spec.dims
     if spec.faults:
         from repro.network.faults import FaultyMesh2D, sample_fault_spec

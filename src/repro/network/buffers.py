@@ -29,73 +29,73 @@ class FlitBuffer:
     """A bounded FIFO of 1-flit buffers attached to a port.
 
     The capacity is the number of 1-flit buffers of the port (paper: "Each
-    port has an arbitrary number of 1-flit buffers").
+    port has an arbitrary number of 1-flit buffers"), and fixed.  ``slots``
+    is the FIFO, head first; only
+    :meth:`~repro.core.state.NetworkState.move_flit` writes it directly.
     """
+
+    __slots__ = ("capacity", "slots")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("a port has at least one buffer")
-        self._capacity = int(capacity)
-        self._slots: Deque[Flit] = deque()
+        self.capacity = int(capacity)
+        self.slots: Deque[Flit] = deque()
 
     # -- inspection ---------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def occupancy(self) -> int:
-        return len(self._slots)
+        return len(self.slots)
 
     @property
     def free_slots(self) -> int:
-        return self._capacity - len(self._slots)
+        return self.capacity - len(self.slots)
 
     @property
     def is_empty(self) -> bool:
-        return not self._slots
+        return not self.slots
 
     @property
     def is_full(self) -> bool:
-        return len(self._slots) >= self._capacity
+        return len(self.slots) >= self.capacity
 
     def peek(self) -> Optional[Flit]:
         """The flit at the head of the FIFO (next to leave), or ``None``."""
-        return self._slots[0] if self._slots else None
+        return self.slots[0] if self.slots else None
 
     def flits(self) -> List[Flit]:
         """Snapshot of the buffered flits, head of the FIFO first."""
-        return list(self._slots)
+        return list(self.slots)
 
     def __iter__(self) -> Iterator[Flit]:
-        return iter(self._slots)
+        return iter(self.slots)
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self.slots)
 
     # -- mutation ------------------------------------------------------------
     def push(self, flit: Flit) -> None:
         """Append ``flit`` at the tail of the FIFO."""
-        if self.is_full:
-            raise FlitBufferError(f"buffer overflow (capacity {self._capacity})")
-        self._slots.append(flit)
+        if len(self.slots) >= self.capacity:
+            raise FlitBufferError(f"buffer overflow (capacity {self.capacity})")
+        self.slots.append(flit)
 
     def pop(self) -> Flit:
         """Remove and return the flit at the head of the FIFO."""
-        if not self._slots:
+        if not self.slots:
             raise FlitBufferError("buffer underflow")
-        return self._slots.popleft()
+        return self.slots.popleft()
 
     def clear(self) -> None:
-        self._slots.clear()
+        self.slots.clear()
 
     def copy(self) -> "FlitBuffer":
-        clone = FlitBuffer(self._capacity)
-        clone._slots = deque(self._slots)
+        clone = FlitBuffer(self.capacity)
+        clone.slots = deque(self.slots)
         return clone
 
 
-@dataclass
+@dataclass(slots=True)
 class PortState:
     """State attached to one port: its buffers and its current owner.
 
@@ -118,9 +118,9 @@ class PortState:
         A port accepts a flit if it has at least one available buffer
         (paper Section V.4) and it is not owned by a different packet.
         """
-        if self.buffer.is_full:
-            return False
-        return self.owner is None or self.owner == travel_id
+        owner = self.owner
+        return ((owner is None or owner == travel_id)
+                and len(self.buffer.slots) < self.buffer.capacity)
 
     @property
     def is_available(self) -> bool:
@@ -135,11 +135,8 @@ class PortState:
     def accept(self, flit: Flit) -> None:
         """Accept one flit, acquiring ownership of the port for its travel."""
         if not self.accepts(flit.travel_id):
-            raise FlitBufferError(
-                f"port owned by travel {self.owner} or full; "
-                f"cannot accept flit of travel {flit.travel_id}"
-            )
-        self.buffer.push(flit)
+            raise refusal(self.owner, flit)
+        self.buffer.slots.append(flit)
         self.owner = flit.travel_id
 
     def release(self) -> Flit:
@@ -155,4 +152,10 @@ class PortState:
     def __str__(self) -> str:
         flits = " ".join(str(f) for f in self.buffer)
         owner = f" owner={self.owner}" if self.owner is not None else ""
-        return f"[{flits}]{owner} ({self.buffer.occupancy}/{self.buffer.capacity})"
+        return f"[{flits}]{owner} ({len(self.buffer)}/{self.buffer.capacity})"
+
+
+def refusal(owner: Optional[int], flit: Flit) -> FlitBufferError:
+    """The error of a port (owned by ``owner``) refusing ``flit``."""
+    return FlitBufferError(f"port owned by travel {owner} or full; "
+                           f"cannot accept flit of travel {flit.travel_id}")

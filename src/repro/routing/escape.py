@@ -313,9 +313,10 @@ class EscapeChannelRouting(RoutingFunction):
         preference = preference or self.route_policy
         if preference == "spread":
             preference = "adaptive"
+        self._require_destination(destination)
 
         def choose(current: VirtualChannel) -> VirtualChannel:
-            hops = self.next_hops(current, destination)
+            hops = self._hops(current, destination)
             if not hops:
                 raise RoutingError(
                     f"no next hop from {current} towards {destination}")

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.genoc import GeNoCResult
 from repro.core.instance import NoCInstance
 from repro.core.theorems import check_correctness, check_evacuation
 from repro.simulation.metrics import RunMetrics, compute_metrics
-from repro.simulation.trace import Trace, TraceRecorder
 from repro.simulation.workloads import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.simulation.trace import Trace
 
 
 @dataclass
@@ -49,7 +51,11 @@ class Simulator:
         original = self.instance.initial_configuration(
             list(workload.travels), capacity=self.capacity)
         engine = self.instance.engine(max_steps=self.max_steps)
-        recorder = TraceRecorder() if self.record_trace else None
+        recorder = None
+        if self.record_trace:
+            from repro.simulation.trace import TraceRecorder
+
+            recorder = TraceRecorder()
         result = engine.run(original, on_step=recorder if recorder else None)
         metrics = compute_metrics(original, result)
         simulation = SimulationResult(

@@ -6,19 +6,6 @@ import abc
 from typing import List, Optional
 
 from repro.core.configuration import Configuration
-from repro.core.errors import SwitchingError
-from repro.network.flit import Flit
-
-
-def remove_flit(config: Configuration, port, travel_id: int,
-                flit_index: int) -> Flit:
-    """Pop the head flit of ``port`` and check it is the expected one."""
-    flit = config.state.release_flit(port)
-    if flit.travel_id != travel_id or flit.index != flit_index:
-        raise SwitchingError(
-            f"expected flit {flit_index} of travel {travel_id} at {port}, "
-            f"found {flit}")
-    return flit
 
 
 def collect_arrivals(config: Configuration) -> None:

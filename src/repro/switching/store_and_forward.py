@@ -23,11 +23,7 @@ from repro.core.configuration import (
 )
 from repro.core.constituents import SwitchingPolicy
 from repro.core.errors import SwitchingError
-from repro.switching.base import (
-    SingleTravelStepper,
-    collect_arrivals,
-    remove_flit,
-)
+from repro.switching.base import SingleTravelStepper, collect_arrivals
 
 
 class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
@@ -96,21 +92,15 @@ class StoreAndForwardSwitching(SwitchingPolicy, SingleTravelStepper):
 
         if position == record.ejected_position:
             return False
+        source = None if position == NOT_INJECTED else route[position]
         if position == len(route) - 1:
             # Eject the whole packet.
-            for index in range(num_flits):
-                remove_flit(config, route[position], travel_id, index)
-            record.positions[:] = [record.ejected_position] * num_flits
-            return True
-        target_index = 0 if position == NOT_INJECTED else position + 1
-        target = route[target_index]
-        if position == NOT_INJECTED:
-            flits = record.flits
+            target_index, target = record.ejected_position, None
         else:
-            flits = [remove_flit(config, route[position], travel_id, index)
-                     for index in range(num_flits)]
-        for flit in flits:
-            config.state.accept_flit(target, flit)
+            target_index = position + 1  # 0 from NOT_INJECTED (-1)
+            target = route[target_index]
+        for flit in record.flits:
+            config.state.move_flit(source, target, flit)
         record.positions[:] = [target_index] * num_flits
         return True
 

@@ -13,8 +13,6 @@ header-admission test.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.configuration import Configuration, NOT_INJECTED
 from repro.switching.wormhole import WormholeSwitching
 
@@ -25,36 +23,16 @@ class VirtualCutThroughSwitching(WormholeSwitching):
     def name(self) -> str:
         return "Svct"
 
-    def _can_worm_advance(self, config: Configuration, travel_id: int) -> bool:
-        record = config.progress.get(travel_id)
-        if record is None:
-            return False
-        leader = self._leader_index(record)
-        if leader is None:
-            return True
-        position = record.positions[leader]
-        route = record.route
-        if position == len(route) - 1:
-            return True
-        target_index = 0 if position == NOT_INJECTED else position + 1
-        target = route[target_index]
-        state = config.state[target]
-        if not state.accepts(travel_id):
-            return False
-        if leader == 0 and record.positions[0] != NOT_INJECTED:
-            # Header admission: the next port must be able to buffer the whole
-            # remaining packet (flits not yet ejected).
-            remaining = sum(1 for pos in record.positions
-                            if pos != record.ejected_position)
-            if state.owner not in (None, travel_id):
-                return False
-            return state.buffer.free_slots >= min(remaining,
-                                                  state.buffer.capacity)
-        return True
-
-    def _advance_worm(self, config: Configuration, travel_id: int) -> bool:
-        # The header-admission rule is enforced by refusing to advance the
-        # worm at all when the rule fails; body-follow behaviour is unchanged.
-        if not self._can_worm_advance(config, travel_id):
-            return False
-        return super()._advance_worm(config, travel_id)
+    def _leader_hop_allowed(self, config: Configuration, route,
+                            position: int, target_index: int,
+                            travel_id: int) -> bool:
+        """A header already in the network enters the next port only when
+        that port can buffer the whole remaining packet (the flits not yet
+        ejected).  Injection is admitted as in ``Swh``."""
+        record = config.progress[travel_id]
+        positions, ejected = record.positions, record.ejected_position
+        if position == NOT_INJECTED or positions[0] == ejected:
+            return True  # injecting, or the leader is not the header
+        buffer = config.state[route[target_index]].buffer
+        remaining = len(positions) - positions.count(ejected)
+        return buffer.free_slots >= min(remaining, buffer.capacity)

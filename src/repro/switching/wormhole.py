@@ -28,33 +28,104 @@ checked by the property-based tests in ``tests/test_wormhole_properties.py``.
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush
+from typing import List, Optional
 
 from repro.core.configuration import (
     Configuration,
     NOT_INJECTED,
     TravelProgress,
+    WormQueues,
 )
 from repro.core.constituents import SwitchingPolicy
-from repro.switching.base import (
-    SingleTravelStepper,
-    collect_arrivals,
-    remove_flit,
-)
+from repro.switching.base import SingleTravelStepper, collect_arrivals
 
 
 class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
     """The wormhole switching policy ``Swh``."""
+
+    #: Arbitration hook ``(route, position, target) -> bool``: may this
+    #: flit hop happen in the current step?  ``None``: every hop the buffer
+    #: state accepts (each port is its own resource);
+    #: :class:`VCWormholeSwitching` arbitrates its shared physical links.
+    _claim_hop = None
+    #: Allocation hook ``(config, route, position, target_index,
+    #: travel_id) -> bool``: may the worm's leading flit take this hop?
+    #: ``None``: whenever the next port accepts it;
+    #: :class:`VCWormholeSwitching` adds downstream credits and
+    #: :class:`~repro.switching.virtual_cut_through.VirtualCutThroughSwitching`
+    #: room for the whole packet.
+    _leader_hop_allowed = None
 
     def name(self) -> str:
         return "Swh"
 
     # -- SwitchingPolicy interface ------------------------------------------------
     def advance(self, config: Configuration) -> None:
-        """Advance every message by at most one hop (in travel-id order)."""
-        for travel in config.travels:
-            self._advance_worm(config, travel.travel_id)
-        collect_arrivals(config)
+        """Advance every message by at most one hop (in travel order).
+
+        Visits, in travel order, every worm with a flit out of its IP
+        core, and of the worms queued at their source only those whose
+        source is free at their turn: a queued worm moves iff its header
+        enters the source, which takes a free slot and no other owner --
+        the same test whichever queued worm asks -- so the skipped worms
+        are the ones it would refuse.  A source is free at step start or
+        once the worm holding it drains it, and then the next queued worm
+        whose turn is still to come is visited.  Arrivals and the queues
+        are updated from the worms that moved.
+        """
+        queues = config.worm_queues()
+        records = queues.records
+        waiting = queues.waiting
+        state = config.state
+        candidates = [ranks[0] for source, ranks in waiting.items()
+                      if state.is_available(source)]
+        heapify(candidates)
+        moving: List[int] = []
+        arrived: List[int] = []
+        drained: list = []
+        for rank in queues.moving:
+            while candidates and candidates[0] < rank:
+                self._admit(config, queues, heappop(candidates), moving)
+            record = records[rank]
+            self._advance_worm(config, record, drained)
+            if record.positions[-1] == record.ejected_position:
+                arrived.append(rank)
+            else:
+                moving.append(rank)
+            if drained:
+                for port in drained:
+                    ranks = waiting.get(port)
+                    # A worm may refill the port it drained (its next
+                    # flit enters from the IP core in the same turn).
+                    if ranks and state.is_available(port):
+                        later = bisect_right(ranks, rank)
+                        if later < len(ranks):
+                            heappush(candidates, ranks[later])
+                drained.clear()
+        while candidates:
+            self._admit(config, queues, heappop(candidates), moving)
+        queues.moving = moving
+        for rank in arrived:
+            index = bisect_left(queues.ranks, rank)
+            del queues.ranks[index]
+            del config.travels[index]
+            config.arrived.append(queues.travels[rank])
+
+    def _admit(self, config: Configuration, queues: WormQueues, rank: int,
+               moving: List[int]) -> None:
+        """The turn of a queued worm: inject its header if its source
+        accepts it, and move it from its source queue to ``moving``."""
+        record = queues.records[rank]
+        if record.positions[0] != NOT_INJECTED:
+            return  # already admitted this step
+        if self._advance_worm(config, record, []):
+            ranks = queues.waiting[record.route[0]]
+            del ranks[bisect_left(ranks, rank)]
+            if not ranks:
+                del queues.waiting[record.route[0]]
+            moving.append(rank)
 
     def can_progress(self, config: Configuration) -> bool:
         """``¬Ω(σ)``: at least one message can move this step."""
@@ -67,116 +138,79 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         if not self._can_worm_advance(config, travel_id):
             return None
         new_config = config.copy()
-        moved = self._advance_worm(new_config, travel_id)
+        moved = self._advance_worm(new_config,
+                                   new_config.progress[travel_id], [])
         if not moved:
             return None
         collect_arrivals(new_config)
         return new_config
 
     # -- internals ----------------------------------------------------------------------
-    def _leader_index(self, record: TravelProgress) -> Optional[int]:
-        """Index of the first flit that has not been ejected yet."""
-        for index, position in enumerate(record.positions):
-            if position != record.ejected_position:
-                return index
-        return None
-
     def _can_worm_advance(self, config: Configuration, travel_id: int) -> bool:
         record = config.progress.get(travel_id)
         if record is None:
             return False
-        leader = self._leader_index(record)
-        if leader is None:
+        ejected = record.ejected_position
+        position = next((position for position in record.positions
+                         if position != ejected), None)
+        if position is None:
             # Fully ejected but not yet collected: collecting counts as
             # progress (it empties T), though it normally happens in the same
             # step as the last ejection.
             return True
-        position = record.positions[leader]
         route = record.route
         if position == len(route) - 1:
             # At the destination local out-port: ejection is always possible.
             return True
-        target_index = 0 if position == NOT_INJECTED else position + 1
+        target_index = position + 1  # 0 from NOT_INJECTED (-1)
+        allowed = self._leader_hop_allowed
         return (config.state.accepts(route[target_index], travel_id)
-                and self._leader_hop_allowed(config, route, position,
-                                             target_index, travel_id))
+                and (allowed is None or allowed(config, route, position,
+                                                target_index, travel_id)))
 
-    def _advance_worm(self, config: Configuration, travel_id: int) -> bool:
+    def _advance_worm(self, config: Configuration, record: TravelProgress,
+                      drained: list) -> bool:
         """Advance the worm of one travel by one pipelined shift.
 
-        Returns True when at least one flit moved.
+        Returns True when at least one flit moved, and appends to
+        ``drained`` the ports its flits left empty.  Each flit moves with
+        one :meth:`~repro.core.state.NetworkState.move_flit` call.
         """
-        record = config.progress.get(travel_id)
-        if record is None:
-            return False
+        travel_id = record.travel.travel_id
         route = record.route
         ejected = record.ejected_position
+        positions = record.positions
+        flits = record.flits
         state = config.state
-        predecessor_moved = True  # the "predecessor" of the leader is the sink
-        leader_pending = True
-        any_moved = False
+        leader_allowed = self._leader_hop_allowed
+        claim = self._claim_hop
+        moved = False  # until a flit moves, the one at hand is the leader
 
-        for index, position in enumerate(record.positions):
+        for index, position in enumerate(positions):
             if position == ejected:
-                predecessor_moved = True
-                continue
-            is_leader, leader_pending = leader_pending, False
-            if not predecessor_moved:
-                # Strict pipelining: a flit only follows a moving predecessor.
-                predecessor_moved = False
                 continue
             if position == ejected - 1:
                 # Ejection at the destination local out-port.
-                remove_flit(config, route[position], travel_id, index)
-                record.positions[index] = ejected
-                predecessor_moved = True
-                any_moved = True
-                continue
-            target_index = 0 if position == NOT_INJECTED else position + 1
-            target_port = route[target_index]
-            if not state.accepts(target_port, travel_id):
-                predecessor_moved = False
-                continue
-            if is_leader and not self._leader_hop_allowed(
-                    config, route, position, target_index, travel_id):
-                predecessor_moved = False
-                continue
-            if not self._claim_hop(route, position, target_port):
-                predecessor_moved = False
-                continue
-            if position == NOT_INJECTED:
-                flit = record.flits[index]
+                target_index, target = ejected, None
             else:
-                flit = remove_flit(config, route[position], travel_id, index)
-            state.accept_flit(target_port, flit)
-            record.positions[index] = target_index
-            predecessor_moved = True
-            any_moved = True
-        return any_moved
-
-    def _claim_hop(self, route, position: int, target) -> bool:
-        """Arbitration hook: may this flit hop happen in the current step?
-
-        The base policy has no shared-medium contention (each port is its
-        own resource), so every hop that the buffer state accepts is
-        granted.  :class:`VCWormholeSwitching` overrides this to arbitrate
-        the physical links that its virtual channels multiplex.
-        """
-        return True
-
-    def _leader_hop_allowed(self, config: Configuration, route,
-                            position: int, target_index: int,
-                            travel_id: int) -> bool:
-        """Allocation hook: may the *header* take this hop right now?
-
-        The base policy lets the header advance whenever the next port
-        accepts it.  :class:`VCWormholeSwitching` overrides this with
-        credit-based allocation: the header only enters a cardinal
-        out-channel when the downstream in-channel also accepts it, so a
-        header never ends up waiting inside an out-channel where the escape
-        class can no longer be requested.
-        """
-        return True
+                target_index = position + 1  # 0 from NOT_INJECTED (-1)
+                target = route[target_index]
+                if (not state.accepts(target, travel_id)
+                        or (not moved and leader_allowed is not None
+                            and not leader_allowed(config, route, position,
+                                                   target_index, travel_id))
+                        or (claim is not None
+                            and not claim(route, position, target))):
+                    # Strict pipelining: a flit only follows a moving
+                    # predecessor, so the flits behind this one stay too
+                    # (by worm order none of them is ejected).
+                    break
+            source = None if position == NOT_INJECTED else route[position]
+            if state.move_flit(source, target, flits[index]):
+                drained.append(source)
+            positions[index] = target_index
+            moved = True
+        return moved
 
 
 class VCWormholeSwitching(WormholeSwitching):

@@ -265,6 +265,70 @@ class TestImportPath:
             "repro.checking.sat"]) == []
         assert "repro.simulation.simulator" in after
 
+    def test_simulate_loads_no_proof_obligation_spec_or_session(self,
+                                                                 tmp_path):
+        """``repro simulate`` checks CorrThm and EvacThm at run time: it
+        loads no obligation checker, no graph search, no scenario spec
+        and not the module of the CDCL deadlock session (``Ω`` is asked
+        through :func:`repro.core.constituents.is_deadlock`)."""
+        from repro.core.deadlock import DeadlockQuerySession
+
+        _, after = self.loaded(tmp_path, ["simulate", "--width", "4",
+                                          "--height", "4",
+                                          "--messages", "40"])
+        assert self.matching(after, [
+            "repro.core.obligations", "repro.checking.", "repro.core.spec",
+            DeadlockQuerySession.__module__]) == []
+        assert "repro.core.genoc" in after
+
+    #: The ``repro`` modules a default ``repro batch`` loads: the graph
+    #: search and the five scenario kinds' build code, no solver, store,
+    #: GeNoC engine or theorem checker.
+    DEFAULT_BATCH = {
+        "repro", "repro.checking", "repro.checking.graphs", "repro.cli",
+        "repro.core", "repro.core.cache", "repro.core.configuration",
+        "repro.core.constituents", "repro.core.dependency",
+        "repro.core.errors", "repro.core.faultplan", "repro.core.instance",
+        "repro.core.measure", "repro.core.portfolio", "repro.core.spec",
+        "repro.core.state", "repro.core.travel", "repro.hermes",
+        "repro.hermes.dependency", "repro.hermes.injection",
+        "repro.hermes.instantiation", "repro.hermes.ports", "repro.network",
+        "repro.network.buffers", "repro.network.flit", "repro.network.mesh",
+        "repro.network.node", "repro.network.port", "repro.network.ring",
+        "repro.network.topology", "repro.network.vc", "repro.reporting",
+        "repro.reporting.tables", "repro.ringnoc",
+        "repro.ringnoc.instantiation", "repro.routing",
+        "repro.routing.adaptive", "repro.routing.base",
+        "repro.routing.dimension_order", "repro.routing.escape",
+        "repro.routing.ring", "repro.routing.turn_model", "repro.routing.xy",
+        "repro.routing.yx", "repro.switching", "repro.switching.base",
+        "repro.switching.store_and_forward",
+        "repro.switching.virtual_cut_through", "repro.switching.wormhole"}
+
+    #: The ``repro`` modules a fully replayed ``repro batch --store``
+    #: loads.
+    WARM_REPLAY = {
+        "repro", "repro.cli", "repro.core", "repro.core.cache",
+        "repro.core.errors", "repro.core.faultplan", "repro.core.portfolio",
+        "repro.core.spec", "repro.core.store", "repro.reporting",
+        "repro.reporting.tables"}
+
+    @staticmethod
+    def repro_modules(modules):
+        return {name for name in modules if name.split(".")[0] == "repro"}
+
+    def test_default_batch_and_warm_replay_module_sets(self, tmp_path):
+        """The two batch paths load exactly the pinned module sets, so
+        what ``repro simulate`` stopped loading did not move onto them."""
+        _, after_batch = self.loaded(tmp_path, ["batch"])
+        assert self.repro_modules(after_batch) == self.DEFAULT_BATCH
+        store = str(tmp_path / "store")
+        argv = ["batch", "--store", store, "--matrix",
+                "mesh:3x3, routing=[xy,adaptive], faults=0..1"]
+        assert main(argv) == 0
+        _, after_rerun = self.loaded(tmp_path, argv)
+        assert self.repro_modules(after_rerun) == self.WARM_REPLAY
+
     def test_package_inits_import_nothing(self):
         """Every subpackage ``__init__`` is a docstring only: a re-export
         layer (or a lazy ``__getattr__`` one) would turn importing one

@@ -128,11 +128,14 @@ def test_step_is_advance_on_a_copy():
 
 
 class TestStoreAndForwardChecksFlits:
-    """Store-and-forward pops flits through the checked ``remove_flit``."""
+    """Store-and-forward pops flits through the checked
+    ``NetworkState.move_flit``."""
+
+    switching = StoreAndForwardSwitching
 
     def _planted(self, flits):
         instance = build_hermes_instance(
-            3, 3, buffer_capacity=4, switching=StoreAndForwardSwitching())
+            3, 3, buffer_capacity=4, switching=self.switching())
         travel = instance.make_travel((0, 0), (2, 0), num_flits=2)
         config = instance.routing.route_configuration(
             instance.initial_configuration([travel]))
@@ -167,3 +170,10 @@ class TestStoreAndForwardChecksFlits:
         stepped = instance.switching.step(config)
         (record,) = stepped.progress.values()
         assert record.positions == [1, 1]
+
+
+class TestWormholeChecksFlits(TestStoreAndForwardChecksFlits):
+    """The wormhole step moves each flit with the same checked call: a
+    foreign or out-of-order head flit raises, its own flits move."""
+
+    switching = WormholeSwitching

@@ -2,9 +2,12 @@
 
 ``tests/data/simulate_exact.json`` holds the printed key/value block of
 ``repro simulate`` (minus the wall-clock ``elapsed_seconds`` line) for a
-4x4 and an 8x8 HERMES mesh on two seeds.  Any change to routing, switching,
-the GeNoC step or the workload generator that moves a single flit shows up
-here as a changed step count, peak, route length or throughput.
+4x4 and an 8x8 HERMES mesh on two seeds, plus two cases with long source
+queues (4x4 with 400 messages and one-flit buffers, 8x8 with 2,400
+messages), where most worms wait un-injected for many steps.  Any change to
+routing, switching, the GeNoC step or the workload generator that moves a
+single flit shows up here as a changed step count, peak, route length or
+throughput.
 
 Regenerate (only when a change is meant to move these numbers) with::
 
@@ -26,12 +29,18 @@ FIXTURE = pathlib.Path(__file__).parent / "data" / "simulate_exact.json"
 
 MESHES = (("4", "4", "100"), ("8", "8", "600"))
 SEEDS = ("11", "7919")
+HEAVY_QUEUES = (
+    ["--width", "4", "--height", "4", "--messages", "400", "--buffers", "1"],
+    ["--width", "8", "--height", "8", "--messages", "2400"],
+)
 
 
 def _argvs():
-    return [["simulate", "--width", width, "--height", height,
-             "--messages", messages, "--flits", "4", "--seed", seed]
-            for width, height, messages in MESHES for seed in SEEDS]
+    return ([["simulate", "--width", width, "--height", height,
+              "--messages", messages, "--flits", "4", "--seed", seed]
+             for width, height, messages in MESHES for seed in SEEDS]
+            + [["simulate", *args, "--flits", "4", "--seed", "11"]
+               for args in HEAVY_QUEUES])
 
 
 def run_simulate(argv):

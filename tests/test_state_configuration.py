@@ -57,6 +57,29 @@ class TestNetworkState:
         assert state.release_flit(port) == flit
         assert state.is_empty()
 
+    def test_move_flit_is_one_checked_move(self, state):
+        """``move_flit`` injects, hops and ejects a flit, keeps
+        ``flit_count`` and reports the source draining; a full or foreign
+        target raises ``FlitBufferError`` like ``PortState.accept`` and
+        changes nothing."""
+        from repro.network.buffers import FlitBufferError
+
+        local_in = Port(0, 0, PortName.LOCAL, Direction.IN)
+        east_out = Port(0, 0, PortName.EAST, Direction.OUT)
+        header, tail = Flit(7, 0, FlitKind.HEADER), Flit(7, 1, FlitKind.TAIL)
+        assert state.move_flit(None, local_in, header) is False
+        assert state.move_flit(None, local_in, tail) is False
+        assert state.flit_count == 2 and state[local_in].owner == 7
+        with pytest.raises(FlitBufferError, match="owned by travel 7"):
+            state.move_flit(None, local_in, Flit(8, 0, FlitKind.HEADER))
+        assert state.move_flit(local_in, east_out, header) is False
+        assert state.move_flit(local_in, east_out, tail) is True
+        assert state[local_in].owner is None
+        with pytest.raises(FlitBufferError, match="or full"):
+            state.move_flit(None, east_out, Flit(7, 2, FlitKind.TAIL))
+        assert state.move_flit(east_out, None, header) is False
+        assert state.flit_count == 1 == state.total_flits()
+
     def test_unavailable_ports(self, state):
         port = Port(0, 0, PortName.EAST, Direction.OUT)
         state.accept_flit(port, Flit(7, 0, FlitKind.HEADER))
