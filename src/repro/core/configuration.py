@@ -147,10 +147,13 @@ class WormQueues:
     """The pending worms of a configuration, as a switching step visits them.
 
     Built from flit positions by :meth:`Configuration.worm_queues`, then
-    kept by the step that moves the flits (a copy rebuilds its own).  A
+    kept by the step that moves the flits, so that a step does not
+    re-classify every pending worm (``docs/performance.md`` § 3 measures
+    a rebuild at every step against them).  A copy rebuilds its own.  A
     travel's *rank* is its index in ``config.travels`` at build time
-    (``travels[rank]``, progress record ``records[rank]``); ``ranks`` runs
-    parallel to ``config.travels``.
+    (progress record ``records[rank]``); ``pending`` mirrors
+    ``config.travels`` and ``ranks`` holds the rank of each of its
+    travels.
 
     * ``moving``: ascending ranks of the routed pending travels with a
       flit out of the IP core (or all ejected, not yet collected);
@@ -158,16 +161,17 @@ class WormQueues:
       travels with every flit still in the IP core.
     """
 
-    __slots__ = ("travels", "records", "ranks", "moving", "waiting", "_list")
+    __slots__ = ("records", "pending", "ranks", "moving", "waiting",
+                 "_progress")
 
     def __init__(self, config: "Configuration") -> None:
-        self.travels: Tuple[Travel, ...] = tuple(config.travels)
+        self.pending: List[Travel] = list(config.travels)
         self.records: List[Optional[TravelProgress]] = [
-            config.progress.get(travel.travel_id) for travel in self.travels]
-        self.ranks: List[int] = list(range(len(self.travels)))
+            config.progress.get(travel.travel_id) for travel in self.pending]
+        self.ranks: List[int] = list(range(len(self.pending)))
         self.moving: List[int] = []
         self.waiting: Dict[Port, List[int]] = {}
-        self._list = config.travels
+        self._progress = config.progress
         for rank, record in enumerate(self.records):
             if record is None:
                 continue
@@ -177,9 +181,18 @@ class WormQueues:
                 self.moving.append(rank)
 
     def describes(self, config: "Configuration") -> bool:
-        """Were these queues kept for ``config``'s own list of travels?"""
-        return (self._list is config.travels
-                and len(self.ranks) == len(config.travels))
+        """Do these queues still mirror ``config``: the same progress
+        mapping and, travel by travel, the same ``T``?  (The list
+        comparison runs in C, by identity first.)"""
+        return (self._progress is config.progress
+                and self.pending == config.travels)
+
+    def travel_ids(self) -> Tuple[List[int], Dict[Port, List[int]]]:
+        """``moving`` and ``waiting`` by travel id, to compare queues."""
+        def ids(ranks: List[int]) -> List[int]:
+            return [self.records[rank].travel.travel_id for rank in ranks]
+        return (ids(self.moving),
+                {port: ids(ranks) for port, ranks in self.waiting.items()})
 
 
 class Configuration:
@@ -235,8 +248,10 @@ class Configuration:
 
     def worm_queues(self) -> WormQueues:
         """The :class:`WormQueues` of this configuration, built from the
-        flit positions when missing or when ``T`` was replaced or resized
-        by anything but the step that keeps them."""
+        flit positions when missing or when ``T`` or the progress mapping
+        was changed by anything but the step that keeps them.  (A progress
+        record edited in place is not seen here; :meth:`check_consistency`
+        compares the kept queues with a rebuild.)"""
         queues = self._queues
         if queues is None or not queues.describes(self):
             queues = self._queues = WormQueues(self)
@@ -250,7 +265,8 @@ class Configuration:
         * flit positions respect the worm order (no overtaking);
         * the flits recorded at position ``i`` of a travel are indeed buffered
           at ``route[i]`` in the network state, and vice versa;
-        * the state's ``flit_count`` equals the flits its buffers hold.
+        * the state's ``flit_count`` equals the flits its buffers hold;
+        * kept :class:`WormQueues` equal the ones the positions give.
         """
         expected: Dict[Port, Dict[int, int]] = {}
         for travel in self.travels:
@@ -285,6 +301,13 @@ class Configuration:
             raise AssertionError(
                 f"flit count {self.state.flit_count} but "
                 f"{self.state.total_flits()} flits buffered")
+        queues = self._queues
+        if queues is not None and queues.describes(self):
+            kept, rebuilt = queues.travel_ids(), WormQueues(self).travel_ids()
+            if kept != rebuilt:
+                raise AssertionError(
+                    f"kept worm queues {kept} but the flit positions "
+                    f"give {rebuilt}")
 
     def copy(self) -> "Configuration":
         return Configuration(

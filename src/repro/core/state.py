@@ -117,11 +117,6 @@ class NetworkState:
     def accept_flit(self, port: Port, flit: Flit) -> None:
         self.move_flit(None, port, flit)
 
-    def release_flit(self, port: Port) -> Flit:
-        flit = self._states[port].release()
-        self.flit_count -= 1
-        return flit
-
     def move_flit(self, source: Optional[Port], target: Optional[Port],
                   flit: Flit) -> bool:
         """Move ``flit`` one step along its route, in one call.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, Optional
 
 from repro.network.flit import Flit
 
@@ -30,8 +30,10 @@ class FlitBuffer:
 
     The capacity is the number of 1-flit buffers of the port (paper: "Each
     port has an arbitrary number of 1-flit buffers"), and fixed.  ``slots``
-    is the FIFO, head first; only
-    :meth:`~repro.core.state.NetworkState.move_flit` writes it directly.
+    is the FIFO, head first.  The engine moves flits with
+    :meth:`~repro.core.state.NetworkState.move_flit`, which writes
+    ``slots`` directly; :meth:`push` and :meth:`pop` are the checked FIFO
+    operations behind :meth:`PortState.accept` and :meth:`PortState.release`.
     """
 
     __slots__ = ("capacity", "slots")
@@ -59,14 +61,6 @@ class FlitBuffer:
     def is_full(self) -> bool:
         return len(self.slots) >= self.capacity
 
-    def peek(self) -> Optional[Flit]:
-        """The flit at the head of the FIFO (next to leave), or ``None``."""
-        return self.slots[0] if self.slots else None
-
-    def flits(self) -> List[Flit]:
-        """Snapshot of the buffered flits, head of the FIFO first."""
-        return list(self.slots)
-
     def __iter__(self) -> Iterator[Flit]:
         return iter(self.slots)
 
@@ -86,16 +80,13 @@ class FlitBuffer:
             raise FlitBufferError("buffer underflow")
         return self.slots.popleft()
 
-    def clear(self) -> None:
-        self.slots.clear()
-
     def copy(self) -> "FlitBuffer":
         clone = FlitBuffer(self.capacity)
         clone.slots = deque(self.slots)
         return clone
 
 
-@dataclass(slots=True)
+@dataclass
 class PortState:
     """State attached to one port: its buffers and its current owner.
 
@@ -132,11 +123,15 @@ class PortState:
         return self.buffer.is_empty and self.owner is None
 
     # -- mutation -------------------------------------------------------------
+    # :meth:`accept` and :meth:`release` drive one port on its own: the
+    # tests and their reference step use them.  They bypass
+    # ``NetworkState.flit_count``; the engine moves every flit with
+    # :meth:`~repro.core.state.NetworkState.move_flit`.
     def accept(self, flit: Flit) -> None:
         """Accept one flit, acquiring ownership of the port for its travel."""
         if not self.accepts(flit.travel_id):
             raise refusal(self.owner, flit)
-        self.buffer.slots.append(flit)
+        self.buffer.push(flit)
         self.owner = flit.travel_id
 
     def release(self) -> Flit:

@@ -42,6 +42,13 @@ from repro.core.constituents import SwitchingPolicy
 from repro.switching.base import SingleTravelStepper, collect_arrivals
 
 
+def _queue_next(ranks: List[int], rank: int, candidates: List[int]) -> None:
+    """Make the first of the queued ``ranks`` after ``rank`` a candidate."""
+    later = bisect_right(ranks, rank)
+    if later < len(ranks):
+        heappush(candidates, ranks[later])
+
+
 class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
     """The wormhole switching policy ``Swh``."""
 
@@ -67,13 +74,16 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
 
         Visits, in travel order, every worm with a flit out of its IP
         core, and of the worms queued at their source only those whose
-        source is free at their turn: a queued worm moves iff its header
-        enters the source, which takes a free slot and no other owner --
-        the same test whichever queued worm asks -- so the skipped worms
-        are the ones it would refuse.  A source is free at step start or
-        once the worm holding it drains it, and then the next queued worm
-        whose turn is still to come is visited.  Arrivals and the queues
-        are updated from the worms that moved.
+        source is free at their turn: a queued worm's header enters its
+        source iff the source has a free slot and no other owner -- the
+        same test whichever queued worm asks -- so the skipped worms are
+        the ones it would refuse.  A source is free at step start or once
+        the worm holding it drains it; then the next queued worm whose
+        turn is still to come is visited.  A hook may refuse a header its
+        free source would take (``Svc-wh``'s credit, when a travel starts
+        at a cardinal out-channel), so the queued worm after a refused one
+        is visited too while the source stays free.  Arrivals and the
+        queues are updated from the worms that moved.
         """
         queues = config.worm_queues()
         records = queues.records
@@ -87,7 +97,8 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
         drained: list = []
         for rank in queues.moving:
             while candidates and candidates[0] < rank:
-                self._admit(config, queues, heappop(candidates), moving)
+                self._admit(config, queues, heappop(candidates), moving,
+                            candidates)
             record = records[rank]
             self._advance_worm(config, record, drained)
             if record.positions[-1] == record.ejected_position:
@@ -96,36 +107,39 @@ class WormholeSwitching(SwitchingPolicy, SingleTravelStepper):
                 moving.append(rank)
             if drained:
                 for port in drained:
-                    ranks = waiting.get(port)
                     # A worm may refill the port it drained (its next
                     # flit enters from the IP core in the same turn).
-                    if ranks and state.is_available(port):
-                        later = bisect_right(ranks, rank)
-                        if later < len(ranks):
-                            heappush(candidates, ranks[later])
+                    if port in waiting and state.is_available(port):
+                        _queue_next(waiting[port], rank, candidates)
                 drained.clear()
         while candidates:
-            self._admit(config, queues, heappop(candidates), moving)
+            self._admit(config, queues, heappop(candidates), moving,
+                        candidates)
         queues.moving = moving
         for rank in arrived:
             index = bisect_left(queues.ranks, rank)
             del queues.ranks[index]
             del config.travels[index]
-            config.arrived.append(queues.travels[rank])
+            config.arrived.append(queues.pending.pop(index))
 
     def _admit(self, config: Configuration, queues: WormQueues, rank: int,
-               moving: List[int]) -> None:
+               moving: List[int], candidates: List[int]) -> None:
         """The turn of a queued worm: inject its header if its source
-        accepts it, and move it from its source queue to ``moving``."""
+        accepts it, and move it from its source queue to ``moving``; if
+        refused with its source still free, the next queued worm there
+        gets its turn too."""
         record = queues.records[rank]
         if record.positions[0] != NOT_INJECTED:
             return  # already admitted this step
+        source = record.route[0]
+        ranks = queues.waiting[source]
         if self._advance_worm(config, record, []):
-            ranks = queues.waiting[record.route[0]]
             del ranks[bisect_left(ranks, rank)]
             if not ranks:
-                del queues.waiting[record.route[0]]
+                del queues.waiting[source]
             moving.append(rank)
+        elif config.state.is_available(source):
+            _queue_next(ranks, rank, candidates)
 
     def can_progress(self, config: Configuration) -> bool:
         """``¬Ω(σ)``: at least one message can move this step."""

@@ -78,16 +78,6 @@ class TestFlitBuffer:
         assert buffer.free_slots == 3
         assert not buffer.is_empty and not buffer.is_full
 
-    def test_peek_does_not_remove(self):
-        buffer = FlitBuffer(2)
-        flit = make_flits(1, 1)[0]
-        buffer.push(flit)
-        assert buffer.peek() == flit
-        assert buffer.occupancy == 1
-
-    def test_peek_empty_returns_none(self):
-        assert FlitBuffer(1).peek() is None
-
     def test_copy_is_independent(self):
         buffer = FlitBuffer(2)
         buffer.push(make_flits(1, 1)[0])
@@ -95,12 +85,6 @@ class TestFlitBuffer:
         clone.pop()
         assert buffer.occupancy == 1
         assert clone.occupancy == 0
-
-    def test_clear(self):
-        buffer = FlitBuffer(2)
-        buffer.push(make_flits(1, 1)[0])
-        buffer.clear()
-        assert buffer.is_empty
 
     @given(st.integers(1, 8), st.integers(0, 8))
     def test_push_pop_sequence_respects_capacity(self, capacity, pushes):

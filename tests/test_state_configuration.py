@@ -54,7 +54,7 @@ class TestNetworkState:
         assert not state.is_available(port)  # owned
         assert state.accepts(port, 7)
         assert not state.accepts(port, 8)
-        assert state.release_flit(port) == flit
+        assert state.move_flit(port, None, flit) is True  # ejected, drained
         assert state.is_empty()
 
     def test_move_flit_is_one_checked_move(self, state):
@@ -106,7 +106,7 @@ class TestNetworkState:
         port = Port(0, 0, PortName.EAST, Direction.OUT)
         state.accept_flit(port, Flit(7, 0, FlitKind.HEADER))
         clone = state.copy()
-        clone.release_flit(port)
+        clone.move_flit(port, None, Flit(7, 0, FlitKind.HEADER))
         assert state.total_flits() == 1
         assert clone.total_flits() == 0
 
@@ -193,3 +193,49 @@ class TestConfiguration:
         travel = _travel(mesh, (0, 0), (1, 1))
         config = initial_configuration([travel], state)
         assert "T=1" in str(config)
+
+
+class TestWormQueues:
+    """The worm queues a switching step keeps on its configuration."""
+
+    @staticmethod
+    def _stepped():
+        from repro.hermes.instantiation import build_hermes_instance
+
+        instance = build_hermes_instance(2, 2, buffer_capacity=1)
+        travels = [instance.make_travel((0, 0), target, num_flits=2)
+                   for target in ((1, 0), (1, 1), (0, 1))]
+        config = instance.routing.route_configuration(
+            instance.initial_configuration(travels)).copy()
+        instance.switching.advance(config)
+        return config
+
+    def test_kept_across_steps(self):
+        config = self._stepped()
+        queues = config.worm_queues()
+        assert queues.describes(config)
+        assert config.worm_queues() is queues
+        first, *queued = [travel.travel_id for travel in config.travels]
+        moving, waiting = queues.travel_ids()
+        assert moving == [first]
+        assert list(waiting.values()) == [queued]
+
+    def test_rebuilt_after_an_in_place_edit_of_T(self):
+        config = self._stepped()
+        queues = config.worm_queues()
+        config.travels.reverse()  # same length, other order
+        assert not queues.describes(config)
+        assert config.worm_queues() is not queues
+
+    def test_rebuilt_after_the_progress_mapping_is_replaced(self):
+        config = self._stepped()
+        queues = config.worm_queues()
+        config.progress = dict(config.progress)
+        assert config.worm_queues() is not queues
+
+    def test_consistency_check_compares_them_with_a_rebuild(self):
+        config = self._stepped()
+        config.check_consistency()
+        config.worm_queues().moving.clear()  # stale: travel 0 has moved
+        with pytest.raises(AssertionError, match="kept worm queues"):
+            config.check_consistency()

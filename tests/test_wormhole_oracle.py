@@ -15,12 +15,18 @@ import random
 
 import pytest
 
-from repro.core.configuration import NOT_INJECTED
+from repro.core.configuration import (
+    Configuration,
+    NOT_INJECTED,
+    TravelProgress,
+)
 from repro.core.deadlock import is_deadlock
 from repro.core.genoc import GeNoCEngine
 from repro.core.measure import flit_hop_measure
 from repro.core.travel import Travel
 from repro.hermes.instantiation import build_hermes_instance
+from repro.network.port import Direction, Port, PortName
+from repro.network.vc import VirtualChannel
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
 from repro.vcnoc.instantiation import build_vc_mesh_instance
 
@@ -112,6 +118,37 @@ def test_sources_inside_other_routes(seed):
                               route=tuple(route)))
     assert any(not travel.source.is_local for travel in travels)
     run_beside_reference(instance, "Swh", travels)
+
+
+def test_credit_refusal_does_not_end_a_source_queue():
+    """Under ``Svc-wh`` a header entering a cardinal out-channel also
+    needs a downstream credit, so a worm queued at such a source can be
+    refused while the source is free.  The credit can free later in the
+    same step, and then the next worm queued there enters, as in the
+    reference.  Travel 0 waits on the credit that travel 1 (in the
+    downstream in-channel) frees at its turn; travel 2 then enters."""
+    instance = build("Svc-wh", 2, 2, 1)
+    topology = instance.topology
+    source = VirtualChannel(Port(0, 0, PortName.EAST, Direction.OUT), 0)
+    downstream = topology.link_target(source)
+    exit_channel = VirtualChannel(
+        Port(1, 0, PortName.LOCAL, Direction.OUT), 0)
+    route = (source, downstream, exit_channel)
+    travels = [Travel(travel_id=tid, source=source, destination=exit_channel,
+                      num_flits=1, route=route) for tid in range(3)]
+    progress = {travel.travel_id: TravelProgress(travel, [NOT_INJECTED])
+                for travel in travels}
+    progress[1].positions[0] = 1
+    state = instance.empty_state()
+    state.accept_flit(downstream, progress[1].flits[0])
+    config = Configuration(travels, state, progress=progress)
+    config.check_consistency()
+
+    expected = ReferenceWormhole("Svc-wh").step(config)
+    assert [expected.progress[tid].positions for tid in range(3)] == [
+        [NOT_INJECTED], [2], [0]]
+    instance.switching.advance(config)
+    assert snapshot(config) == snapshot(expected)
 
 
 def run_beside_reference(instance, kind, travels):
