@@ -102,10 +102,6 @@ class DirectedGraph(Generic[V]):
     def successors(self, vertex: V) -> Set[V]:
         return set(self._successors.get(vertex, ()))
 
-    def successors_ordered(self, vertex: V) -> List[V]:
-        """Successors in deterministic (insertion) order."""
-        return list(self._successors.get(vertex, ()))
-
     def has_edge(self, source: V, target: V) -> bool:
         return target in self._successors.get(source, ())
 
@@ -155,6 +151,79 @@ class DirectedGraph(Generic[V]):
         graph.add_nodes_from(self._successors)
         graph.add_edges_from(self.edges())
         return graph
+
+
+class IdGraph(Generic[V]):
+    """A directed graph over dense ids: ``vertices[i]`` is vertex ``i``,
+    ``successors[i]`` its successor ids in insertion order and ``roots``
+    the order a cycle search takes its roots in (every id by default)."""
+
+    def __init__(self, vertices: Sequence[V],
+                 successors: Sequence[Sequence[int]],
+                 roots: Optional[Sequence[int]] = None) -> None:
+        self.vertices = vertices
+        self.successors = successors
+        self.roots = range(len(vertices)) if roots is None else roots
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.successors))
+
+    def edges(self) -> List[Tuple[V, V]]:
+        """The edges as vertex pairs, source by source in id order."""
+        vertices = self.vertices
+        return [(vertices[p], vertices[q])
+                for p, row in enumerate(self.successors) for q in row]
+
+    def to_graph(self) -> DirectedGraph[V]:
+        """A fresh :class:`DirectedGraph`: every vertex, then every edge."""
+        return DirectedGraph.from_edges(self.edges(), self.vertices)
+
+    def restrict(self, keep: Sequence[bool]) -> "IdGraph[V]":
+        """The edges whose two ends are kept.
+
+        Roots come in the order the kept edges first name their ends, as
+        ``DirectedGraph.from_edges`` of those edges orders its vertices.
+        """
+        successors: List[List[int]] = []
+        roots: List[int] = []
+        placed = bytearray(len(self.vertices))
+        for p, row in enumerate(self.successors):
+            kept = [q for q in row if keep[q]] if keep[p] else []
+            for q in kept:
+                if not placed[p]:
+                    placed[p] = 1
+                    roots.append(p)
+                if not placed[q]:
+                    placed[q] = 1
+                    roots.append(q)
+            successors.append(kept)
+        return IdGraph(self.vertices, successors, roots)
+
+
+class ReprRanks:
+    """Vertex values numbered in ``repr`` order, each ``repr`` taken once.
+
+    :meth:`ranks` gives each vertex a number that compares as its
+    ``repr`` does (:func:`find_cycle_dfs`'s successor order), so graphs
+    over the same values share the work.  Numbers cover every value seen
+    so far; a call with new values renumbers.
+    """
+
+    def __init__(self) -> None:
+        self._texts: Dict[Hashable, str] = {}
+        self._ranks: Dict[Hashable, int] = {}
+
+    def ranks(self, vertices: Sequence[V]) -> List[int]:
+        try:
+            return [self._ranks[vertex] for vertex in vertices]
+        except KeyError:
+            texts = self._texts
+            texts.update((vertex, repr(vertex)) for vertex in vertices
+                         if vertex not in texts)
+            self._ranks = dict(zip(sorted(texts, key=texts.__getitem__),
+                                   range(len(texts))))
+            return [self._ranks[vertex] for vertex in vertices]
 
 
 @dataclass
@@ -247,6 +316,29 @@ def _dfs(roots: Iterable[int], successors: Sequence[Sequence[int]]
     return None, visited
 
 
+def cycle_and_escape_edges(graph: IdGraph[V], ranks: Sequence[int]
+                           ) -> Tuple[List[Tuple[V, V]], List[Tuple[V, V]]]:
+    """:func:`find_cycle_dfs`'s cycle, as its edges, and
+    :func:`edges_on_every_cycle` on ids (both empty when acyclic).
+
+    ``ranks[i]`` orders vertex ``i`` as its ``repr`` does
+    (:class:`ReprRanks`), so the results equal those of the two functions
+    on the ``DirectedGraph`` whose vertices come in ``graph.roots`` order.
+    """
+    key = ranks.__getitem__
+    successors = [sorted(row, key=key) if len(row) > 1 else row
+                  for row in graph.successors]
+    cycle, _ = _dfs(graph.roots, successors)
+    if cycle is None:
+        return [], []
+    vertices = graph.vertices
+    core = list(zip(cycle, cycle[1:] + cycle[:1]))
+    escape = [(vertices[core[position][0]], vertices[core[position][1]])
+              for position in _breaking_edges(graph.roots, successors, core)]
+    return ([(vertices[source], vertices[target]) for source, target in core],
+            sorted(escape, key=_edge_text))
+
+
 def edges_on_every_cycle(graph: DirectedGraph[V],
                          cycle: Sequence[Tuple[V, V]]) -> List[Tuple[V, V]]:
     """The edges of ``cycle`` whose removal alone leaves ``graph`` acyclic.
@@ -260,18 +352,33 @@ def edges_on_every_cycle(graph: DirectedGraph[V],
     if not cycle:
         return []
     _, ids, successors = _ranked_ids(graph)
+    found = _breaking_edges(
+        ids.values(), successors,
+        [(ids.get(source), ids.get(target)) for source, target in cycle])
+    return sorted([cycle[position] for position in found], key=_edge_text)
+
+
+def _breaking_edges(roots: Iterable[int], successors: List[Sequence[int]],
+                    edges: Sequence[Tuple[Optional[int], Optional[int]]]
+                    ) -> List[int]:
+    """The positions of the id ``edges`` whose removal alone leaves the
+    graph acyclic: one DFS per edge, with that edge skipped (an edge with
+    no source id skips nothing)."""
     found = []
-    for edge in cycle:
-        source, target = ids.get(edge[0]), ids.get(edge[1])
-        kept = successors[source] if source is not None else []
+    for position, (source, target) in enumerate(edges):
+        kept = successors[source] if source is not None else ()
         if target in kept:
             successors[source] = [vertex for vertex in kept
                                   if vertex != target]
-        if _dfs(ids.values(), successors)[0] is None:
-            found.append(edge)
+        if _dfs(roots, successors)[0] is None:
+            found.append(position)
         if target in kept:
             successors[source] = kept
-    return sorted(found, key=lambda edge: f"{edge[0]} -> {edge[1]}")
+    return found
+
+
+def _edge_text(edge: Tuple) -> str:
+    return f"{edge[0]} -> {edge[1]}"
 
 
 def has_cycle(graph: DirectedGraph[V]) -> bool:

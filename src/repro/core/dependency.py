@@ -42,7 +42,11 @@ from repro.network.topology import Topology
 if TYPE_CHECKING:
     # Imported where a graph is built or searched: declaring a spec (the
     # HERMES instance of ``repro simulate`` does) loads no graph code.
-    from repro.checking.graphs import CycleSearchResult, DirectedGraph
+    from repro.checking.graphs import (
+        CycleSearchResult,
+        DirectedGraph,
+        IdGraph,
+    )
 
 
 class DependencyGraphSpec(abc.ABC):
@@ -136,40 +140,36 @@ class ExplicitDependencySpec(DependencyGraphSpec):
         return set(self._edges.get(port, set()))
 
 
-def routing_dependency_graph(routing: RoutingFunction,
-                             destinations: Optional[Sequence[Port]] = None,
-                             ) -> DirectedGraph[Port]:
-    """The dependency graph *induced* by a routing function.
+def dependency_id_graph(routing: RoutingFunction,
+                        destinations: Optional[Sequence[Port]] = None,
+                        ) -> IdGraph[Port]:
+    """The dependency graph *induced* by a routing function, over port ids.
 
     Edges are the pairs ``(p, q)`` such that ``q ∈ R(p, d)`` for some
     reachable destination ``d`` (all of them, or the given
     ``destinations``).  They are read off the routing's
     :func:`~repro.routing.base.route_table`, which enumerates every port
-    and destination once per routing object, and inserted port by port,
-    then in destination order, then in hop order.  Every call returns a
-    fresh, mutable graph.
+    and destination once per routing object and records each port's
+    successors as it fills: the vertices are ``table.ports``, and each
+    port's successors come in destination order, then in hop order.
     """
-    from repro.checking.graphs import DirectedGraph
+    from repro.checking.graphs import IdGraph
     from repro.routing.base import route_table
 
     table = route_table(routing)
-    ports, hops, width = table.ports, table.hops, table.width
-    columns = (range(width) if destinations is None
+    columns = (None if destinations is None
                else [table.columns[d] for d in destinations
                      if d in table.columns])
-    graph: DirectedGraph[Port] = DirectedGraph()
-    for port in ports:
-        graph.add_vertex(port)
-    for p, port in enumerate(ports):
-        successors: Dict[int, None] = {}
-        base = p * width
-        for d in columns:
-            row = hops[base + d]
-            if row:
-                successors.update(dict.fromkeys(row))
-        for q in successors:
-            graph.add_edge(port, ports[q])
-    return graph
+    return IdGraph(table.ports, table.take_successors(columns))
+
+
+def routing_dependency_graph(routing: RoutingFunction,
+                             destinations: Optional[Sequence[Port]] = None,
+                             ) -> DirectedGraph[Port]:
+    """:func:`dependency_id_graph` keyed by port: every port, then the
+    edges port by port, then in destination order, then in hop order.
+    Every call returns a fresh, mutable graph."""
+    return dependency_id_graph(routing, destinations).to_graph()
 
 
 class AcyclicityReport:

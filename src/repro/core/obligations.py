@@ -281,18 +281,24 @@ def check_v1_escape_coverage(relation,
         separated = relation.classes_separated
         checks = 0
         counterexamples: List[str] = []
+        #: Escape-class hops per hop tuple (the table shares equal tuples).
+        escape_counts: Dict[Tuple[int, ...], int] = {}
         for p, channel in enumerate(channels):
             port = port_of(channel)
             if not port.is_input:
                 continue  # headers wait at in-channels only (credits)
             row = table.hops[p * table.width:(p + 1) * table.width]
+            node = port.node
             for d, hops in enumerate(row):
                 # Unreachable pairs and ejection at the target node (always
                 # possible) need no coverage.
-                if hops is None or port.node == target_nodes[d]:
+                if hops is None or node == target_nodes[d]:
                     continue
                 checks += 1
-                escapes = sum(escape[q] for q in hops)
+                escapes = escape_counts.get(hops)
+                if escapes is None:
+                    escapes = escape_counts[hops] = sum(
+                        [escape[q] for q in hops])
                 if not escapes:
                     if len(counterexamples) < max_counterexamples:
                         counterexamples.append(

@@ -565,17 +565,18 @@ def merge_shard_reports(reports: Sequence[PortfolioReport]
 
 
 def routing_dependency_graph(routing):
-    """The dependency graph a scenario's verdict is decided on (see
-    :func:`repro.core.dependency.routing_dependency_graph`).
+    """The dependency graph a scenario's verdict is decided on: the
+    routing's :func:`~repro.core.dependency.dependency_id_graph`, over
+    the route table's port ids.
 
     A module attribute, not a local import in :func:`_run_group`, so the
     dependency layer has one entry point to time from outside
     (``perfbench/spans.py`` wraps it); importing inside keeps the layer
     off the store-replay path.
     """
-    from repro.core.dependency import routing_dependency_graph as build
+    from repro.core.dependency import dependency_id_graph
 
-    return build(routing)
+    return dependency_id_graph(routing)
 
 
 def engine_fingerprint() -> str:
@@ -675,8 +676,8 @@ def _run_group(payload: Tuple,
     """
     from repro.checking.graphs import (
         DirectedGraph,
-        edges_on_every_cycle,
-        find_cycle_dfs,
+        ReprRanks,
+        cycle_and_escape_edges,
     )
     from repro.routing.escape import EscapeChannelRouting
 
@@ -736,7 +737,10 @@ def _run_group(payload: Tuple,
             session = DeadlockQuerySession(base, name=group_key, trace=trace)
             if budget_s is not None:
                 session.set_interrupt(interrupt)
+        #: Edges already met in the group, as pairs of group-wide port ids.
+        port_ids: Dict[Port, int] = {}
         known_edges: set = set()
+        repr_ranks = ReprRanks().ranks
 
         for index, scenario, instance in resolved:
             checkpoint_interrupt()
@@ -749,9 +753,11 @@ def _run_group(payload: Tuple,
             current = (index, scenario, instance, solver_before,
                        scenario_start)
             graph = routing_dependency_graph(instance.routing)
-            edges = graph.edges()
-            new_edges = [edge for edge in edges if edge not in known_edges]
-            known_edges.update(new_edges)
+            ports = graph.vertices
+            ids = [port_ids.setdefault(port, len(port_ids)) for port in ports]
+            new_edges = [(p, q) for p, row in enumerate(graph.successors)
+                         for q in row if (ids[p], ids[q]) not in known_edges]
+            known_edges.update((ids[p], ids[q]) for p, q in new_edges)
 
             relation = (instance.routing
                         if isinstance(instance.routing, EscapeChannelRouting)
@@ -759,28 +765,28 @@ def _run_group(payload: Tuple,
             if relation is None:
                 condition = "theorem1"
                 num_vcs = 1
-                query_edges = edges
-                query_graph = graph
+                query = graph
                 covered = True
             else:
                 # The VC-granular Duato condition: explicit (V-1) coverage
                 # plus the escape-class restriction of (V-2).
-                from repro.core.dependency import class_edges
                 from repro.core.obligations import check_v1_escape_coverage
+                from repro.network.vc import vc_of
 
                 condition = "vc-escape"
                 num_vcs = relation.num_vcs
-                query_edges = class_edges(graph, relation.escape_vcs)
-                query_graph = DirectedGraph.from_edges(query_edges)
+                escape_vcs = relation.escape_vcs
+                query = graph.restrict([vc_of(port) in escape_vcs
+                                        for port in ports])
                 covered = check_v1_escape_coverage(relation).holds
-            cycle = find_cycle_dfs(query_graph).cycle or []
-            deadlock_free = covered and not cycle
-            cycle_core = list(zip(cycle, cycle[1:] + cycle[:1]))
-            escape = edges_on_every_cycle(query_graph, cycle_core)
+            cycle_core, escape = cycle_and_escape_edges(query,
+                                                        repr_ranks(ports))
+            deadlock_free = covered and not cycle_core
 
             if session is not None:
-                for source, target in new_edges:
-                    session.add_edge(source, target)
+                for p, q in new_edges:
+                    session.add_edge(ports[p], ports[q])
+                query_edges = query.edges()
                 free = covered and session.is_deadlock_free_edges(query_edges)
                 fixes = (set() if free
                          else set(session.escape_edges_for(query_edges)))
@@ -798,7 +804,7 @@ def _run_group(payload: Tuple,
             if trace is not None:
                 trace.emit("scenario_end", scenario=scenario.name,
                            group=group_key, deadlock_free=deadlock_free,
-                           condition=condition, edges=len(edges),
+                           condition=condition, edges=graph.edge_count,
                            new_edges=len(new_edges), solver=solver_delta,
                            cache=cache_deltas[index],
                            wall_time_s=round(elapsed, 6), status="ok")
@@ -808,7 +814,7 @@ def _run_group(payload: Tuple,
                 routing=instance.routing.name(),
                 switching=instance.switching.name(),
                 deadlock_free=deadlock_free,
-                edges=len(edges),
+                edges=graph.edge_count,
                 new_edges=len(new_edges),
                 elapsed_seconds=elapsed,
                 cycle_core=cycle_core,

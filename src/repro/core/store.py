@@ -294,7 +294,9 @@ class VerdictStore:
             "w", encoding="utf-8", dir=directory,
             prefix=".tmp-", suffix=".json", delete=False)
         try:
-            json.dump(payload, handle, sort_keys=True)
+            # ``dumps`` runs the C encoder; ``dump`` streams through the
+            # pure-Python one.  Both write the same text.
+            handle.write(json.dumps(payload, sort_keys=True))
             handle.flush()
             os.fsync(handle.fileno())
             handle.close()

@@ -141,11 +141,15 @@ def build_mesh_from_spec(spec: ScenarioSpec) -> HermesInstance:
 
     width, height = spec.dims
     if spec.faults:
-        from repro.network.faults import FaultyMesh2D, sample_fault_spec
+        from repro.network.faults import (
+            FaultyMesh2D,
+            healthy_topology,
+            sample_fault_spec,
+        )
         from repro.routing.fault_aware import fault_aware_mesh_routing
 
-        fault_spec = sample_fault_spec(Mesh2D(width, height), spec.faults,
-                                       spec.fault_seed)
+        healthy = healthy_topology(Mesh2D, width, height)
+        fault_spec = sample_fault_spec(healthy, spec.faults, spec.fault_seed)
         mesh = FaultyMesh2D(width, height, fault_spec)
         routing = fault_aware_mesh_routing(spec.routing, mesh)
     else:

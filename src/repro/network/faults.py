@@ -30,6 +30,7 @@ graph, so validated fault sets remain routable either way.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -127,6 +128,13 @@ def fault_rng(topology: Topology, faults: int, seed: int) -> random.Random:
     """The deterministic RNG of a fault draw (crc32-seeded, never hash())."""
     key = f"faults:{topology}:{faults}:{seed}"
     return random.Random(zlib.crc32(key.encode("utf-8")))
+
+
+@functools.lru_cache(maxsize=None)
+def healthy_topology(topology_class, *args) -> Topology:
+    """One healthy ``topology_class(*args)`` per class and arguments, for
+    the builders' fault draws, which only read it."""
+    return topology_class(*args)
 
 
 def sample_fault_spec(topology: Topology, faults: int, seed: int,

@@ -49,6 +49,10 @@ class PortName(str, enum.Enum):
         return f"PortName.{self.name}"
 
 
+# Module-level aliases: reading an enum member off its class costs a
+# Python-level attribute lookup, and the port predicates below are hot.
+_IN, _OUT, _LOCAL = Direction.IN, Direction.OUT, PortName.LOCAL
+
 #: Cardinal port names (every name except LOCAL).
 CARDINALS: Tuple[PortName, ...] = (
     PortName.EAST,
@@ -95,19 +99,19 @@ class Port(NamedTuple):
 
     @property
     def is_input(self) -> bool:
-        return self.direction is Direction.IN
+        return self.direction is _IN
 
     @property
     def is_output(self) -> bool:
-        return self.direction is Direction.OUT
+        return self.direction is _OUT
 
     @property
     def is_local(self) -> bool:
-        return self.name is PortName.LOCAL
+        return self.name is _LOCAL
 
     @property
     def is_cardinal(self) -> bool:
-        return self.name is not PortName.LOCAL
+        return self.name is not _LOCAL
 
     def with_name(self, name: PortName, direction: Direction) -> "Port":
         """Return the port with the given name/direction on the same node."""

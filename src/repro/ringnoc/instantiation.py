@@ -159,10 +159,14 @@ def build_ring_from_spec(spec: ScenarioSpec) -> NoCInstance:
     size = spec.dims[0]
     measure = resolve_measure(spec.measure)
     if spec.faults:
-        from repro.network.faults import FaultyRing, sample_fault_spec
+        from repro.network.faults import (
+            FaultyRing,
+            healthy_topology,
+            sample_fault_spec,
+        )
         from repro.routing.fault_aware import fault_aware_ring_routing
 
-        fault_spec = sample_fault_spec(Ring(size, bidirectional=True),
+        fault_spec = sample_fault_spec(healthy_topology(Ring, size),
                                        spec.faults, spec.fault_seed,
                                        allow_routers=False)
         ring = FaultyRing(size, fault_spec)

@@ -23,7 +23,8 @@ into the flat :class:`RouteTable` that dependency enumeration, (V-1)
 coverage and ``s R d`` share.  The table runs the skeleton itself over
 dense port ids, one destination column at a time, in one walk from the
 local in-ports, so per occurring pair it asks the routing only for
-``_route_from_in_port`` (the algorithm case).
+``_route_from_in_port`` (the algorithm case), and records the dependency
+successors as it goes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -90,31 +90,30 @@ def _ids(index: Dict[Port, int], hops: Sequence[Port]) -> Tuple[int, ...]:
                            f"{missing.args[0]}") from None
 
 
-#: ``column_hops(destination)`` is the next-hop function ``p -> hop ids``
-#: of one destination column.
+#: ``in_port_hops(destination)`` is the algorithm case of one destination
+#: column: ``p -> hop ids`` for an in-port ``p`` of any node but the
+#: destination's.
 ColumnHops = Callable[[Port], Callable[[int], Tuple[int, ...]]]
 
 
 def skeleton_columns(routing: RoutingFunction, ports: Sequence[Port],
                      index: Dict[Port, int],
                      in_port_hops: Optional[ColumnHops] = None
-                     ) -> ColumnHops:
+                     ) -> Callable[[Port], Tuple[List, Callable]]:
     """:meth:`RoutingFunction.next_hops` over dense ids, one column at a time.
 
-    Each out-port's link-target id tuple, the out-ports without a link
-    (sinks) and each port's node are computed once.  The destination is
-    checked once per column; then an out-port reads its link tuple, an
-    in-port of the destination's node the column's one ``(d,)`` tuple, and
-    every other in-port asks ``in_port_hops(destination)(p)`` -- by
-    default ``routing._route_from_in_port`` mapped to ids.  A sink falls
-    back to ``next_hops``, which raises as the skeleton does.
+    ``column_hops(destination)`` checks the destination and returns the
+    column's fixed rows -- each out-port's link tuple and, at the in-ports
+    of the destination's node, its one ``(d,)`` tuple; ``None`` elsewhere
+    -- and the next-hop function of the other in-ports:
+    ``in_port_hops(destination)``, by default ``_route_from_in_port``
+    mapped to ids.  A sink (an out-port without a link) falls back to
+    ``next_hops``, which raises as the skeleton does.
     """
     links: List[Optional[Tuple[int, ...]]] = []
     sinks = bytearray(len(ports))
-    node_of: List[int] = []
-    nodes: Dict[Tuple[int, int], int] = {}
+    in_ports: Dict[Tuple[int, int], List[int]] = {}
     for p, port in enumerate(ports):
-        node_of.append(nodes.setdefault(port.node, len(nodes)))
         link = None
         if port.is_output:
             target = routing.topology.link_target(port)
@@ -122,63 +121,34 @@ def skeleton_columns(routing: RoutingFunction, ports: Sequence[Port],
                 sinks[p] = 1
             else:
                 link = (index[target],)
+        else:
+            in_ports.setdefault(port.node, []).append(p)
         links.append(link)
+    has_sinks = any(sinks)
     if in_port_hops is None:
         route = routing._route_from_in_port
 
         def in_port_hops(destination: Port) -> Callable:
             return lambda p: _ids(index, route(ports[p], destination))
 
-    def column_hops(destination: Port) -> Callable:
+    def column_hops(destination: Port) -> Tuple[List, Callable]:
         routing._require_destination(destination)
-        target = index[destination]
-        dest_node = node_of[target]
-        delivery = (target,)
+        fixed = links[:]
+        delivery = (index[destination],)
+        for p in in_ports.get(destination.node, ()):
+            fixed[p] = delivery
         algorithm = in_port_hops(destination)
+        if not has_sinks:
+            return fixed, algorithm
 
         def hops_of(p: int) -> Tuple[int, ...]:
-            link = links[p]
-            if link is not None:
-                return link
             if sinks[p]:
                 return _ids(index, routing.next_hops(ports[p], destination))
-            if node_of[p] == dest_node:
-                return delivery
             return algorithm(p)
 
-        return hops_of
+        return fixed, hops_of
 
     return column_hops
-
-
-def _walk_occurring(routing: RoutingFunction, ports: Sequence[Port],
-                    index: Dict[Port, int], destinations: Sequence[Port],
-                    column_hops: ColumnHops
-                    ) -> Iterator[Tuple[int, int, Optional[Tuple[int, ...]]]]:
-    """The occurring-pairs walk, over dense port ids: ``s R d``.
-
-    For each destination ``d`` follows every branch from every local
-    in-port and yields ``(d, p, hop ids)`` once per visited port ``p``;
-    the hops are ``None`` at the destination itself.  The hop ids of
-    ``p`` come from ``column_hops(destination)(p)``.
-    """
-    sources = _ids(index, routing.topology.local_in_ports())
-    for d, destination in enumerate(destinations):
-        hops_of = column_hops(destination)
-        target = index[destination]
-        seen = bytearray(len(ports))
-        frontier = list(sources)
-        while frontier:
-            p = frontier.pop()
-            if seen[p]:
-                continue
-            seen[p] = 1
-            if p == target:
-                yield d, p, None
-                continue
-            hops = hops_of(p)
-            yield d, p, hops
-            frontier.extend(hops)
 
 
 class RouteTable:
@@ -188,32 +158,80 @@ class RouteTable:
     columns in ``destinations()`` order; ``hops[p * width + d]`` is the
     tuple of next-hop ids of port ``p`` towards destination ``d``, or
     ``None`` where ``p R d`` fails or ``p`` is ``d``.  Equal hop tuples are
-    one shared object.  The table is filled by :func:`_walk_occurring`
-    over :func:`skeleton_columns`.  A routing that defines
-    ``_fill_route_table(ports, index, destinations)`` fills the table
-    itself, yielding ``(d, p, hop ids)`` as that walk does (the VC escape
-    relations run it with their hops composed from their base routings).
+    one shared object.  The occurring-pairs walk (``s R d``) fills it
+    over :func:`skeleton_columns`, following every branch from every local
+    in-port; a routing with its own column answers passes them as
+    ``_in_port_columns(ports, index)``.  The walk also records each
+    port's dependency successors in edge order (destination, then hop).
     """
 
     def __init__(self, routing: RoutingFunction) -> None:
-        self.ports = routing.topology.ports
-        self.index = {port: i for i, port in enumerate(self.ports)}
+        self.ports = ports = routing.topology.ports
+        self.index = index = {port: i for i, port in enumerate(ports)}
         self.destinations = routing.destinations()
         self.columns = {d: i for i, d in enumerate(self.destinations)}
         self.width = width = len(self.destinations)
-        self.hops: List[Optional[Tuple[int, ...]]] = \
-            [None] * (len(self.ports) * width)
-        fill = getattr(routing, "_fill_route_table", None)
-        if fill is not None:
-            filled = fill(self.ports, self.index, self.destinations)
-        else:
-            filled = _walk_occurring(
-                routing, self.ports, self.index, self.destinations,
-                skeleton_columns(routing, self.ports, self.index))
-        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for d, p, hops in filled:
-            if hops is not None:
-                self.hops[p * width + d] = shared.setdefault(hops, hops)
+        hops: List[Optional[Tuple[int, ...]]] = [None] * (len(ports) * width)
+        self.hops = hops
+        own = getattr(routing, "_in_port_columns", None)
+        column_hops = skeleton_columns(
+            routing, ports, index,
+            own(ports, index) if own is not None else None)
+        sources = _ids(index, routing.topology.local_in_ports())
+        successors: List[Tuple[int, ...]] = [()] * len(ports)
+        share = {}.setdefault
+        for d, destination in enumerate(self.destinations):
+            fixed, hops_of = column_hops(destination)
+            seen = bytearray(len(ports))
+            seen[index[destination]] = 1
+            frontier = list(sources)
+            pop, extend = frontier.pop, frontier.extend
+            while frontier:
+                p = pop()
+                if seen[p]:
+                    continue
+                seen[p] = 1
+                row = fixed[p]
+                if row is None:
+                    row = hops_of(p)
+                    row = share(row, row)
+                hops[p * width + d] = row
+                known = successors[p]
+                if known is not row:
+                    if not known:
+                        successors[p] = (row if len(set(row)) == len(row)
+                                         else tuple(dict.fromkeys(row)))
+                    else:
+                        extra = [q for q in row if q not in known]
+                        if extra:
+                            successors[p] = known + tuple(
+                                dict.fromkeys(extra))
+                extend(row)
+        self._successors: Optional[List[Tuple[int, ...]]] = successors
+
+    def take_successors(self, columns: Optional[Sequence[int]] = None
+                        ) -> List[Tuple[int, ...]]:
+        """Each port's dependency successor ids, in edge order.
+
+        The fill's record is handed out once, not kept (the table lives as
+        long as its routing); later calls, or a subset of destination
+        ``columns``, read the successors off :attr:`hops`.
+        """
+        if columns is None:
+            successors, self._successors = self._successors, None
+            if successors is not None:
+                return successors
+            columns = range(self.width)
+        width, hops = self.width, self.hops
+        successors = []
+        for p in range(len(self.ports)):
+            seen: Dict[int, None] = {}
+            for d in columns:
+                row = hops[p * width + d]
+                if row:
+                    seen.update(dict.fromkeys(row))
+            successors.append(tuple(seen))
+        return successors
 
     def lookup(self, source: Port,
                destination: Port) -> Optional[Tuple[int, ...]]:

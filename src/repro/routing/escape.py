@@ -43,7 +43,7 @@ Two escape styles are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
@@ -55,7 +55,7 @@ from repro.network.vc import (
     port_of,
     vc_of,
 )
-from repro.routing.base import _ids, _walk_occurring, skeleton_columns
+from repro.routing.base import ColumnHops, _ids
 
 #: Which dimension a cardinal port name moves along.
 _DIMENSION = {
@@ -120,6 +120,10 @@ class EscapeChannelRouting(RoutingFunction):
         self._escape_vc_count = int(escape_vc_count)
         self.route_policy = route_policy
         self._style = style or ("dateline" if escape_vc_count > 1 else "xy")
+        self._escape_vcs = tuple(range(self._escape_vc_count))
+        self._adaptive_vcs = () if adaptive_routing is None else (
+            tuple(range(self._escape_vc_count, topology.num_vcs))
+            or self._escape_vcs)
 
     # -- class structure ------------------------------------------------------
     @property
@@ -133,7 +137,7 @@ class EscapeChannelRouting(RoutingFunction):
     @property
     def escape_vcs(self) -> Tuple[int, ...]:
         """The VC indices of the escape class."""
-        return tuple(range(self._escape_vc_count))
+        return self._escape_vcs
 
     @property
     def adaptive_vcs(self) -> Tuple[int, ...]:
@@ -143,11 +147,7 @@ class EscapeChannelRouting(RoutingFunction):
         degenerate shared case (``num_vcs == escape_vc_count`` with an
         adaptive relation present).
         """
-        if self._adaptive is None:
-            return ()
-        if self.num_vcs > self._escape_vc_count:
-            return tuple(range(self._escape_vc_count, self.num_vcs))
-        return self.escape_vcs
+        return self._adaptive_vcs
 
     @property
     def classes_separated(self) -> bool:
@@ -244,27 +244,20 @@ class EscapeChannelRouting(RoutingFunction):
             return vc
         return 0
 
-    # -- the route table, composed from the base routings --------------------
-    def _fill_route_table(self, ports: Sequence[VirtualChannel],
-                          index: Dict[VirtualChannel, int],
-                          destinations: Sequence[VirtualChannel]
-                          ) -> Iterator[Tuple[int, int,
-                                              Optional[Tuple[int, ...]]]]:
-        """The occurring-pairs walk of the route table, over channel ids.
+    # -- the route table's column answers, composed from the base routings --
+    def _in_port_columns(self, ports: Sequence[VirtualChannel],
+                         index: Dict[VirtualChannel, int]) -> ColumnHops:
+        """The algorithm case of the route table's skeleton, over channel ids.
 
-        Runs the table's skeleton,
-        :func:`~repro.routing.base.skeleton_columns`, with its own
-        algorithm case, which equals :meth:`_route_from_in_port`: an
-        in-channel of a node that is not the destination's reads the base
-        routings' answers for its physical port, asked once per (base
-        port, base destination).  :meth:`_in_channel_hops` turns those
-        answers into channel ids once per (channel, answers), and every
-        column with the same answers reuses them.
+        Equals :meth:`_route_from_in_port`: an in-channel of a node that is
+        not the destination's reads the base routings' answers for its
+        physical port, asked once per (base port, base destination).
+        :meth:`_in_channel_hops` turns those answers into channel ids once
+        per (channel, answers), and every column with the same answers
+        reuses them.
         """
         base_ports = self._vct.base.ports
         base_index = {port: i for i, port in enumerate(base_ports)}
-        channel_ids = {(channel.port, channel.vc): c
-                       for c, channel in enumerate(ports)}
         base_of = [base_index[channel.port] for channel in ports]
         # (adaptive out ids, escape out id) -> [outs, escape out, hop rows]
         answers: Dict[Tuple, list] = {}
@@ -290,14 +283,12 @@ class EscapeChannelRouting(RoutingFunction):
                 if hops is None:
                     pairs = self._in_channel_hops(
                         base_ports[base], ports[p].vc, outs, escape_out)
-                    hops = rows[p] = _ids(channel_ids, pairs)
+                    hops = rows[p] = _ids(index, pairs)
                 return hops
 
             return hops_of
 
-        return _walk_occurring(self, ports, index, destinations,
-                               skeleton_columns(self, ports, index,
-                                                in_port_hops))
+        return in_port_hops
 
     # -- committing concrete routes (simulation) -------------------------------
     def compute_route(self, source: VirtualChannel,

@@ -31,6 +31,7 @@ from repro.core.constituents import RoutingFunction
 from repro.core.errors import RoutingError
 from repro.network.port import Port, PortName
 from repro.network.topology import Topology
+from repro.routing.base import ColumnHops, _ids
 
 Coordinate = Tuple[int, int]
 #: Direction filter: ordered preferred directions for (current, destination),
@@ -61,7 +62,10 @@ class FaultAwareRouting(RoutingFunction):
             if out_port.is_local:
                 continue
             self._adjacency[out_port.node].append((out_port, in_port.node))
-        self._distances: Dict[Coordinate, Dict[Coordinate, int]] = {}
+        # destination node -> {node: shortest-path out-ports, or the pick},
+        # each distinct tuple of out-ports one shared object
+        self._shortest: Dict[Coordinate, Dict[Coordinate, Tuple]] = {}
+        self._tuples: Dict[Tuple[Port, ...], Tuple[Port, ...]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -77,90 +81,147 @@ class FaultAwareRouting(RoutingFunction):
     # -- the routing relation -------------------------------------------------
     def _route_from_in_port(self, current: Port,
                             destination: Port) -> List[Port]:
-        distances = self._distances_to(destination.node)
-        here = distances.get(current.node)
-        if here is None:
+        candidates = self._shortest_to(destination.node).get(current.node)
+        if candidates is None:
             raise RoutingError(
                 f"{destination} is unreachable from {current}: the fault "
                 f"set disconnects them")
-        candidates = [out for out, target in self._adjacency[current.node]
-                      if distances.get(target) == here - 1]
         if not candidates:
             raise RoutingError(
                 f"no shortest-path hop from {current} to {destination}")
-        preferred = self._filter(current, destination) if self._filter \
-            else None
+        if self._filter is None:
+            return list(candidates)
+        preferred = self._filter(current, destination)
         if self._adaptive:
             if preferred is not None:
                 filtered = [out for out in candidates
                             if out.name in preferred]
                 if filtered:
                     return filtered
-            return candidates
+            return list(candidates)
         order = tuple(preferred) if preferred else self._preference
-        ranked = sorted(
-            candidates,
-            key=lambda out: (order.index(out.name)
-                             if out.name in order else len(order), out))
-        return [ranked[0]]
+        return [self._pick(candidates, order)]
 
-    def _distances_to(self, destination: Coordinate) -> Dict[Coordinate, int]:
-        cached = self._distances.get(destination)
-        if cached is not None:
-            return cached
+    @staticmethod
+    def _pick(candidates: Sequence[Port], order: Sequence[PortName]) -> Port:
+        """The deterministic hop: the candidate first in ``order``."""
+        if len(candidates) == 1:
+            return candidates[0]
+        return min(candidates, key=lambda out: (
+            order.index(out.name) if out.name in order else len(order), out))
+
+    def _shortest_to(self, destination: Coordinate
+                     ) -> Dict[Coordinate, Tuple[Port, ...]]:
+        """Each node's shortest-path out-ports towards ``destination``.
+
+        One BFS from the destination gives every node its distance and,
+        in adjacency order, the out-ports whose link target is one hop
+        closer.  A deterministic routing without a direction filter keeps
+        only its pick among them, by the preference order.  Links are
+        bidirectional at node level (validated), so the forward BFS
+        distance doubles as the distance *to* the destination.
+        """
+        shortest = self._shortest.get(destination)
+        if shortest is not None:
+            return shortest
+        adjacency, share = self._adjacency, self._tuples.setdefault
+        preference = (self._preference if not self._adaptive
+                      and self._filter is None else None)
         distances = {destination: 0}
+        shortest = {}
         frontier = [destination]
+        layer = 0
         while frontier:
             next_frontier: List[Coordinate] = []
             for node in frontier:
-                for _, neighbour in self._adjacency[node]:
-                    if neighbour not in distances:
-                        distances[neighbour] = distances[node] + 1
+                candidates = []
+                for out, neighbour in adjacency[node]:
+                    distance = distances.get(neighbour)
+                    if distance is None:
+                        distances[neighbour] = layer + 1
                         next_frontier.append(neighbour)
+                    elif distance < layer:
+                        candidates.append(out)
+                if preference and candidates:
+                    candidates = [self._pick(candidates, preference)]
+                entry = tuple(candidates)
+                shortest[node] = share(entry, entry)
             frontier = next_frontier
-        # Links are bidirectional at node level (validated), so the forward
-        # BFS distance doubles as the distance *to* the destination.
-        self._distances[destination] = distances
-        return distances
+            layer += 1
+        self._shortest[destination] = shortest
+        return shortest
+
+    def _in_port_columns(self, ports: Sequence[Port],
+                         index: Dict[Port, int]) -> ColumnHops:
+        """The algorithm case of the route table's skeleton, over port ids.
+
+        Without a direction filter the hops depend only on the node, so
+        each column maps them to ids once per node; a filtered routing
+        does so once per (node, filter answer).
+        """
+        node_of = [port.node for port in ports]
+        route, direction_filter = self._route_from_in_port, self._filter
+
+        def in_port_hops(destination: Port) -> Callable:
+            rows: Dict[object, Tuple[int, ...]] = {}
+
+            def hops_of(p: int) -> Tuple[int, ...]:
+                key = node_of[p]
+                if direction_filter is not None:
+                    answer = direction_filter(ports[p], destination)
+                    key = (key, tuple(answer) if answer else None)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = _ids(index, route(ports[p],
+                                                        destination))
+                return row
+
+            return hops_of
+
+        return in_port_hops
 
 
 # ---------------------------------------------------------------------------
 # Direction filters: the base algorithms' character as a preference
 # ---------------------------------------------------------------------------
 
+# The filters run once per in-port and destination of a route table, so
+# they read the cardinal names from module-level aliases, not the enum.
+_EAST, _WEST, _SOUTH, _NORTH = XY_ORDER
+
+
 def _minimal_names(current: Port, destination: Port) -> List[PortName]:
     names: List[PortName] = []
     if destination.x < current.x:
-        names.append(PortName.WEST)
+        names.append(_WEST)
     elif destination.x > current.x:
-        names.append(PortName.EAST)
+        names.append(_EAST)
     if destination.y < current.y:
-        names.append(PortName.NORTH)
+        names.append(_NORTH)
     elif destination.y > current.y:
-        names.append(PortName.SOUTH)
+        names.append(_SOUTH)
     return names
 
 
 def _west_first_filter(current: Port, destination: Port
                        ) -> Optional[Sequence[PortName]]:
     minimal = _minimal_names(current, destination)
-    if PortName.WEST in minimal:
-        return [PortName.WEST]
+    if _WEST in minimal:
+        return [_WEST]
     return minimal or None
 
 
 def _north_last_filter(current: Port, destination: Port
                        ) -> Optional[Sequence[PortName]]:
     minimal = _minimal_names(current, destination)
-    without_north = [name for name in minimal if name is not PortName.NORTH]
+    without_north = [name for name in minimal if name is not _NORTH]
     return (without_north or minimal) or None
 
 
 def _negative_first_filter(current: Port, destination: Port
                            ) -> Optional[Sequence[PortName]]:
     minimal = _minimal_names(current, destination)
-    negative = [name for name in minimal
-                if name in (PortName.WEST, PortName.NORTH)]
+    negative = [name for name in minimal if name in (_WEST, _NORTH)]
     return (negative or minimal) or None
 
 

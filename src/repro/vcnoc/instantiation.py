@@ -150,11 +150,15 @@ def _build_vc_faulty(spec: ScenarioSpec, label: str, topology,
 def build_vc_mesh_from_spec(spec: ScenarioSpec) -> VCNoCInstance:
     """:class:`InstanceBuilder` of the ``vc-mesh`` kind."""
     if spec.faults:
-        from repro.network.faults import FaultyMesh2D, sample_fault_spec
+        from repro.network.faults import (
+            FaultyMesh2D,
+            healthy_topology,
+            sample_fault_spec,
+        )
 
         width, height = spec.dims
-        fault_spec = sample_fault_spec(Mesh2D(width, height), spec.faults,
-                                       spec.fault_seed)
+        healthy = healthy_topology(Mesh2D, width, height)
+        fault_spec = sample_fault_spec(healthy, spec.faults, spec.fault_seed)
         mesh = FaultyMesh2D(width, height, fault_spec)
         return _build_vc_faulty(spec, "mesh", mesh, style="xy",
                                 with_adaptive=True)
@@ -167,11 +171,15 @@ def build_vc_mesh_from_spec(spec: ScenarioSpec) -> VCNoCInstance:
 def build_vc_torus_from_spec(spec: ScenarioSpec) -> VCNoCInstance:
     """:class:`InstanceBuilder` of the ``vc-torus`` kind."""
     if spec.faults:
-        from repro.network.faults import FaultyTorus2D, sample_fault_spec
+        from repro.network.faults import (
+            FaultyTorus2D,
+            healthy_topology,
+            sample_fault_spec,
+        )
 
         width, height = spec.dims
-        fault_spec = sample_fault_spec(Torus2D(width, height), spec.faults,
-                                       spec.fault_seed)
+        healthy = healthy_topology(Torus2D, width, height)
+        fault_spec = sample_fault_spec(healthy, spec.faults, spec.fault_seed)
         torus = FaultyTorus2D(width, height, fault_spec)
         # Like the healthy builder: an adaptive class exists from 3 VCs up.
         return _build_vc_faulty(spec, "torus", torus, style="dateline",
@@ -185,10 +193,14 @@ def build_vc_torus_from_spec(spec: ScenarioSpec) -> VCNoCInstance:
 def build_vc_ring_from_spec(spec: ScenarioSpec) -> VCNoCInstance:
     """:class:`InstanceBuilder` of the ``vc-ring`` kind."""
     if spec.faults:
-        from repro.network.faults import FaultyRing, sample_fault_spec
+        from repro.network.faults import (
+            FaultyRing,
+            healthy_topology,
+            sample_fault_spec,
+        )
 
         size = spec.dims[0]
-        fault_spec = sample_fault_spec(Ring(size, bidirectional=True),
+        fault_spec = sample_fault_spec(healthy_topology(Ring, size),
                                        spec.faults, spec.fault_seed,
                                        allow_routers=False)
         ring = FaultyRing(size, fault_spec)

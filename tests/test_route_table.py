@@ -8,7 +8,9 @@ the table must reproduce its hops, its edge list (order included) and
 its (V-1) report, and ``reachable`` must answer exactly the pairs that
 the independent search of :mod:`tests.routing_reference` finds.  The VC
 relations compose their tables from their base routings, so they also
-run at the sizes the benchmark uses.
+run at the sizes the benchmark uses.  The batch verdict, decided on the
+table's port ids, must match the ``DirectedGraph`` cycle and escape-edge
+search over the plain enumeration.
 """
 
 import json
@@ -18,14 +20,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.checking.graphs import DirectedGraph
-from repro.core.dependency import routing_dependency_graph
+from repro.checking.graphs import (
+    DirectedGraph,
+    ReprRanks,
+    cycle_and_escape_edges,
+    edges_on_every_cycle,
+    find_cycle_dfs,
+)
+from repro.core.dependency import (
+    class_edges,
+    dependency_id_graph,
+    routing_dependency_graph,
+)
 from repro.core.obligations import check_v1_escape_coverage
 from repro.core.spec import expand_matrix, spec_registry
 from repro.network.mesh import Mesh2D
 from repro.network.ring import Ring
 from repro.network.torus import Torus2D
-from repro.network.vc import VCTopology, port_of
+from repro.network.vc import VCTopology, port_of, vc_of
 from repro.routing.adaptive import FullyAdaptiveMinimalRouting
 from repro.routing.base import route_table
 from repro.routing.escape import (
@@ -166,6 +178,58 @@ def test_table_matches_the_frozen_digests(term):
     (spec,) = expand_matrix(term)
     frozen = json.loads(DIGESTS.read_text())
     assert table_digests(spec.build().routing) == frozen[term]
+
+
+@pytest.mark.parametrize("term", list(_terms()))
+def test_id_decision_matches_the_port_graph_search(term):
+    """The batch verdict on ids against the DirectedGraph search it
+    replaces: the same query edges in the same order, the same cycle and
+    the same escape edges, over the plain enumeration's graph."""
+    (spec,) = expand_matrix(term)
+    routing = spec.build().routing
+    graph = dependency_id_graph(routing)
+    reference = reference_graph(spec.build().routing)
+    query, query_edges = graph, reference.edges()
+    if isinstance(routing, EscapeChannelRouting):
+        query = graph.restrict([vc_of(port) in routing.escape_vcs
+                                for port in graph.vertices])
+        query_edges = class_edges(reference, routing.escape_vcs)
+        reference = DirectedGraph.from_edges(query_edges)
+    assert query.edges() == query_edges
+    cycle = find_cycle_dfs(reference).cycle or []
+    core = list(zip(cycle, cycle[1:] + cycle[:1]))
+    assert cycle_and_escape_edges(query, ReprRanks().ranks(graph.vertices)) \
+        == (core, edges_on_every_cycle(reference, core))
+
+
+def test_prone_terms_are_among_the_differential_cases():
+    """The differential above meets cycles, with and without VCs."""
+    prone = set()
+    for param in _terms():
+        (term,) = param.values
+        (spec,) = expand_matrix(term)
+        routing = spec.build().routing
+        graph = dependency_id_graph(routing)
+        if isinstance(routing, EscapeChannelRouting):
+            graph = graph.restrict([vc_of(port) in routing.escape_vcs
+                                    for port in graph.vertices])
+        if cycle_and_escape_edges(graph, ReprRanks().ranks(graph.vertices))[0]:
+            prone.add(isinstance(routing, EscapeChannelRouting))
+    assert prone == {False, True}
+
+
+def test_cached_ranks_sort_like_repr():
+    """Ranks order like ``repr``, also after later calls bring values
+    the earlier ones did not have."""
+    ranker = ReprRanks()
+    groups = [Mesh2D(2, 2).ports, VCTopology(Torus2D(3, 3), 2).ports,
+              Ring(5, bidirectional=True).ports, Mesh2D(3, 3).ports]
+    for vertices in groups + groups[::-1]:
+        vertices = vertices[::3] + vertices[1::3] + vertices[2::3]
+        ranks = ranker.ranks(vertices)
+        assert sorted(range(len(vertices)), key=ranks.__getitem__) \
+            == sorted(range(len(vertices)),
+                      key=lambda i: repr(vertices[i]))
 
 
 class _NoEscapeHop(EscapeChannelRouting):

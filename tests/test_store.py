@@ -12,6 +12,7 @@ writer processes racing on one store, a randomized corruption fuzz, the
 trace lane for cached runs, and the shard-merge of store counters.
 """
 
+import io
 import json
 import os
 import random
@@ -142,6 +143,21 @@ class TestAtomicWrite:
         assert events == [("fsync", "file"),
                           ("replace", os.path.dirname(record)),
                           ("fsync", "dir")]
+
+
+    def test_object_file_holds_the_streamed_json_text(self, tmp_path):
+        """Records are encoded in one ``json.dumps`` call; the bytes are
+        those ``json.dump`` streams out for the same record."""
+        store_dir = str(tmp_path / "store")
+        run_portfolio(small_scenarios(), store=store_dir)
+        paths = object_paths(store_dir)
+        assert paths
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            streamed = io.StringIO()
+            json.dump(json.loads(text), streamed, sort_keys=True)
+            assert text == streamed.getvalue()
 
 
 class TestStoreLock:
