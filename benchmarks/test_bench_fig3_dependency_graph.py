@@ -3,17 +3,15 @@
 Fig. 3 of the paper draws ``Exy_dep`` for a 2x2 mesh.  This benchmark
 regenerates the graph's structure (24 ports for 2x2, with the local in-ports
 as sources and the local out-ports as sinks), checks its acyclicity with four
-independent graph-algorithmic methods plus the SAT encoding, and reports how
-the graph and the check cost scale with the mesh size -- the paper notes that
-for a fixed-size instance "a simple search for a cycle suffices.  This search
-can be performed in linear time"; the SAT route is the heavyweight
-alternative included for the ablation.
+independent graph-algorithmic methods, and reports how the graph and the
+check cost scale with the mesh size -- the paper notes that for a fixed-size
+instance "a simple search for a cycle suffices.  This search can be performed
+in linear time".
 """
 
 import pytest
 
 from benchmarks.conftest import report
-from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
 from repro.core.dependency import check_acyclicity, graph_statistics
 from repro.hermes.dependency import build_exy_graph
 from repro.network.mesh import Mesh2D
@@ -42,33 +40,6 @@ def test_bench_acyclicity_methods(benchmark, method, size):
     graph = build_exy_graph(Mesh2D(size, size))
     result = benchmark(check_acyclicity, graph, (method,))
     assert result.acyclic
-
-
-@pytest.mark.parametrize("size", [2, 3])
-def test_bench_acyclicity_by_sat(benchmark, size):
-    """Ablation: the SAT-encoding route (orders of magnitude slower)."""
-    graph = build_exy_graph(Mesh2D(size, size))
-    acyclic = benchmark(is_acyclic_by_sat, graph)
-    assert acyclic
-
-
-def test_bench_sat_encoding_size(benchmark):
-    """Size of the acyclicity CNF for the Fig. 3 instance and larger."""
-
-    def encode_all():
-        rows = []
-        for size in (2, 3, 4):
-            graph = build_exy_graph(Mesh2D(size, size))
-            cnf, _ = encode_acyclicity(graph)
-            rows.append([f"{size}x{size}", graph.vertex_count,
-                         graph.edge_count, cnf.num_vars, cnf.num_clauses])
-        return rows
-
-    rows = benchmark.pedantic(encode_all, rounds=2, iterations=1)
-    report("Acyclicity SAT encodings",
-           format_table(["mesh", "ports", "edges", "variables", "clauses"],
-                        rows))
-    assert rows[0][1] == 24
 
 
 def test_bench_scaling_summary(benchmark):

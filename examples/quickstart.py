@@ -8,14 +8,14 @@ This example exercises the public API end to end:
 2. generate a workload of messages;
 3. run the GeNoC interpreter until every message has left the network;
 4. check the Correctness and Evacuation theorems on the run;
-5. discharge the Deadlock theorem *incrementally*: the dependency graph is
-   SAT-encoded once in a :class:`~repro.core.deadlock.DeadlockQuerySession`
-   and every further question (full condition, restricted port subsets) is
-   a solve under assumptions on the same solver;
+5. discharge the Deadlock theorem on a
+   :class:`~repro.core.deadlock.DeadlockQuerySession`: the dependency graph
+   is its edge universe, and every question (full condition, restricted
+   port subsets) is one Kahn peel of an edge subset;
 6. repair a deadlock-prone adaptive design with **virtual channels**: the
    3x3 mesh with fully-adaptive minimal routing has dependency cycles, but
    with 2 VCs and an XY escape class it is proved deadlock-free -- by the
-   explicit (V-1)/(V-2) checker and by one solve on a CDCL session -- and
+   explicit (V-1)/(V-2) checker and by one peel on a Kahn session -- and
    then simulated on the VC-aware wormhole switching.
 
 For sweeping many designs at once, see the batch driver::
@@ -75,11 +75,11 @@ def main() -> None:
         print(f"  EvacThm   : {'holds' if evacuation.holds else 'VIOLATED'}")
         print()
 
-    # 5. The Deadlock theorem, incrementally: encode the dependency-edge
-    #    universe once, then re-query under assumptions.
+    # 5. The Deadlock theorem on a session: the dependency edges form its
+    #    universe, and each query peels an edge subset of it.
     session = DeadlockQuerySession(instance.dependency_spec.to_graph(),
                                    name=instance.name)
-    print(f"DeadThm (incremental session over {session.edge_count} edges)")
+    print(f"DeadThm (Kahn session over {session.edge_count} edges)")
     print(f"  full condition      : "
           f"{'holds' if session.is_deadlock_free() else 'VIOLATED'}")
     west_half = [(source, target) for source, target in session.edges
@@ -87,8 +87,8 @@ def main() -> None:
                  and target.node[0] < instance.mesh.width // 2]
     print(f"  restricted to P'    : "
           f"{'holds' if session.is_deadlock_free_edges(west_half) else 'VIOLATED'}"
-          f"  ({len(west_half)} edges, same solver, no re-encoding)")
-    print(f"  incremental queries : {session.queries}")
+          f"  ({len(west_half)} edges, same session)")
+    print(f"  queries (peels)     : {session.queries}")
     print()
 
     # 6. Virtual channels: repair a deadlock-prone adaptive design with an
@@ -104,7 +104,7 @@ def main() -> None:
           f"{'free' if check_deadlock_freedom_vc(prone.relation).holds else 'DEADLOCK-PRONE'}")
     channels = channel_dependency_graph(fixed.relation)
     explicit = check_deadlock_freedom_vc(fixed.relation, graph=channels)
-    # (V-2) on the CDCL session: one solve over the escape-class edges
+    # (V-2) on the Kahn session: one peel of the escape-class edges
     # ((V-1) coverage is the explicit check's enumeration).
     vc_session = DeadlockQuerySession(channels, name=fixed.name)
     escape_free = vc_session.is_deadlock_free_edges(
@@ -112,7 +112,7 @@ def main() -> None:
     print(f"  2 VCs (XY escape)   : "
           f"{'free' if explicit.holds else 'DEADLOCK-PRONE'} (explicit), "
           f"escape class {'acyclic' if escape_free else 'CYCLIC'} "
-          f"(CDCL session, {vc_session.queries} solve)")
+          f"(Kahn session, {vc_session.queries} peel)")
     vc_run = Simulator(fixed).run(
         uniform_random_traffic(fixed, num_messages=16, num_flits=4,
                                seed=2010))

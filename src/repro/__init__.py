@@ -15,7 +15,7 @@ The package is organised as the paper is:
 * :mod:`repro.routing`, :mod:`repro.switching` -- libraries of routing
   functions and switching policies (baselines and extensions).
 * :mod:`repro.checking` -- the formal-checking substrate (graph algorithms,
-  a CDCL SAT solver, explicit-state model checking).
+  explicit-state model checking).
 * :mod:`repro.simulation` -- workload generators, simulator and metrics.
 * :mod:`repro.ringnoc` -- a second (ring) instantiation.
 * :mod:`repro.reporting` -- the Table I analogue.

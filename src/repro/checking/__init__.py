@@ -6,16 +6,10 @@ available offline, so this package implements the needed checking machinery
 from scratch:
 
 * :mod:`repro.checking.graphs` -- cycle detection (DFS), strongly connected
-  components (Tarjan), topological sorting: the classical linear-time checks
-  the paper mentions for fixed-size instances (Section VII) and the related
-  Taktak et al. approach (Section VIII).
-* :mod:`repro.checking.cnf`, :mod:`repro.checking.sat` -- CNF formulas and
-  an incremental CDCL SAT solver (the stand-in for Z3).
-* :mod:`repro.checking.encodings` -- the SAT encoding of graph acyclicity
-  (topological numbering with comparator ladders), shared by the one-shot
-  ``sat`` discharge of (C-3) and by
-  :class:`repro.core.deadlock.DeadlockQuerySession`, the solver's
-  incremental client.
+  components (Tarjan), topological sorting and the Kahn peel behind
+  :class:`repro.core.deadlock.DeadlockQuerySession`: the classical
+  linear-time checks the paper mentions for fixed-size instances (Section
+  VII) and the related Taktak et al. approach (Section VIII).
 * :mod:`repro.checking.ts`, :mod:`repro.checking.bmc` -- explicit-state
   transition systems and reachability analysis (the stand-in for NuSMV),
   used to validate Theorem 1 empirically by exhaustive exploration of small
@@ -23,5 +17,5 @@ from scratch:
 
 The package re-exports nothing: import from the module (e.g.
 ``from repro.checking.graphs import find_cycle_dfs``), so a default run
-loads the graph algorithms and never the SAT stack.
+loads the graph algorithms and nothing else of this package.
 """

@@ -4,7 +4,9 @@ The paper notes (Section VII) that for a fixed-size network "a simple search
 for a cycle suffices.  This search can be performed in linear time".  This
 module provides that search in three independent flavours -- iterative DFS
 with an explicit stack, Tarjan's strongly-connected-components algorithm and
-Kahn's topological sort -- plus a cross-check against :mod:`networkx`.
+Kahn's topological sort (whose peel, :func:`kahn_peel`, also decides the
+queries of :class:`repro.core.deadlock.DeadlockQuerySession`) -- plus a
+cross-check against :mod:`networkx`.
 Having several independent implementations of the same decision procedure is
 the library's substitute for the redundancy a theorem prover gives for free.
 """
@@ -35,9 +37,10 @@ class DirectedGraph(Generic[V]):
     Successor collections are insertion-ordered dicts rather than sets:
     iteration order (``edges()``, degrees, exports) then follows the
     deterministic construction order instead of the process's randomized
-    hash order.  This is what makes solver statistics -- and therefore the
-    portfolio determinism contract -- reproducible across *processes*, not
-    just within one (worker pools included, whatever the start method).
+    hash order.  This is what makes cycles, cores and peel counts -- and
+    therefore the portfolio determinism contract -- reproducible across
+    *processes*, not just within one (worker pools included, whatever the
+    start method).
     """
 
     def __init__(self) -> None:
@@ -468,19 +471,30 @@ def is_acyclic_by_scc(graph: DirectedGraph[V]) -> bool:
 
 def topological_sort(graph: DirectedGraph[V]) -> Optional[List[V]]:
     """Kahn's algorithm.  Returns ``None`` when the graph has a cycle."""
-    in_degree = graph.in_degrees()
+    order, residue = kahn_peel(graph.in_degrees(), graph._successors)
+    return None if residue else order
+
+
+def kahn_peel(in_degree: Dict[V, int],
+              successors: Mapping[V, Iterable[V]]
+              ) -> Tuple[List[V], List[V]]:
+    """Kahn's loop: peel in-degree-0 vertices until none is left.
+
+    ``in_degree`` counts every vertex's predecessors and is consumed.
+    Returns the peel order and the residue, the vertices never peeled.
+    The graph is acyclic iff the residue is empty; otherwise every
+    residue vertex keeps a predecessor inside the residue.
+    """
     ready = [vertex for vertex, degree in in_degree.items() if degree == 0]
     order: List[V] = []
     while ready:
         vertex = ready.pop()
         order.append(vertex)
-        for successor in graph.successors(vertex):
+        for successor in successors[vertex]:
             in_degree[successor] -= 1
             if in_degree[successor] == 0:
                 ready.append(successor)
-    if len(order) != graph.vertex_count:
-        return None
-    return order
+    return order, [vertex for vertex, degree in in_degree.items() if degree]
 
 
 def is_acyclic_by_toposort(graph: DirectedGraph[V]) -> bool:

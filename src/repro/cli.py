@@ -24,10 +24,10 @@ what it runs when it runs, so ``import repro.cli`` loads no engine code
 and a ``repro batch`` replayed from its ``--store`` builds nothing.  The ``batch`` command is the
 portfolio driver (:mod:`repro.core.portfolio`): it decides topology x routing
 x switching scenarios by dependency-graph cycle search, and with
-``--cross-check`` re-derives every verdict on one incremental CDCL session
-per topology.  For programmatic incremental use, see
-:class:`repro.core.deadlock.DeadlockQuerySession` (encode a dependency-edge
-universe once, then re-query under assumptions).
+``--cross-check`` re-derives every verdict on one Kahn-peeling session per
+topology.  For programmatic use, see
+:class:`repro.core.deadlock.DeadlockQuerySession` (grow a dependency-edge
+universe, then query edge subsets of it).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     deadlock = commands.add_parser(
         "deadlock",
         help="demonstrate Theorem 1 on a deadlock-prone design, or its "
-             "virtual-channel repair with --vcs (incl. CDCL "
+             "virtual-channel repair with --vcs (incl. Kahn-session "
              "escape analysis)")
     deadlock.add_argument("--design",
                           choices=["clockwise-ring", "zigzag-mesh",
@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "requires --vcs (default: none)")
     batch.add_argument("--cross-check", action="store_true",
                        help="re-derive every verdict and escape set on a "
-                            "CDCL session per group (disagreement = 'error' "
-                            "verdict); adds solver stats and trace events")
+                            "Kahn-peeling session per group (disagreement = "
+                            "'error' verdict); adds peel counts and trace "
+                            "events")
     batch.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes; scenario groups are "
                             "scheduled group-affine across them and the "
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = one per core; default 1)")
     batch.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="per-group solve budget; a group exceeding it "
+                       help="per-group time budget; a group exceeding it "
                             "yields deterministic 'timeout' verdicts for "
                             "its unfinished scenarios instead of hanging "
                             "the sweep")
@@ -217,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(scenarios, verdicts, solver stats) to PATH")
     batch.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="record a structured JSONL event trace of the "
-                            "run to PATH (portfolio events, plus solver/"
-                            "session events under --cross-check; analyse "
+                            "run to PATH (portfolio events, plus session "
+                            "events under --cross-check; analyse "
                             "with 'repro trace'); requires --jobs 1")
 
     fuzz = commands.add_parser(
         "fuzz",
         help="fuzz randomized topologies (faults, turn models, VC escapes) "
-             "and cross-validate the CDCL, explicit, brute-force and "
-             "simulation verdicts against each other")
+             "and cross-validate the Kahn session, explicit, brute-force "
+             "and simulation verdicts against each other")
     fuzz.add_argument("--seeds", type=int, default=200, metavar="N",
                       help="number of seeded random instances (default 200)")
     fuzz.add_argument("--max-size", type=str, default="3x3", metavar="WxH",
@@ -267,20 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(see 'repro batch --trace')")
     trace_commands = trace.add_subparsers(dest="trace_command",
                                           required=True)
-    for name, help_text in [
-            ("summary", "whole-run breakdown: event counts, solver work "
-                        "shares, per-group reconciliation"),
-            ("restarts", "restart cadence table"),
-            ("hot", "top-K scenarios by solver work")]:
-        sub = trace_commands.add_parser(name, help=help_text)
-        sub.add_argument("trace_file", metavar="TRACE",
+    summary = trace_commands.add_parser(
+        "summary", help="whole-run breakdown: event counts, per-scenario "
+                        "share of solves, per-group reconciliation")
+    summary.add_argument("trace_file", metavar="TRACE",
                          help="JSONL trace file to analyse")
-        sub.add_argument("--json", action="store_true",
+    summary.add_argument("--json", action="store_true",
                          help="print the analysis as JSON instead of a "
                               "table")
-        if name == "hot":
-            sub.add_argument("--top", type=int, default=10,
-                             help="number of scenarios to list (default 10)")
 
     return parser
 
@@ -470,29 +465,29 @@ def _cmd_deadlock_vc(design: str, args: argparse.Namespace,
           f"{list(relation.escape_vcs)}, adaptive class "
           f"{list(relation.adaptive_vcs)}")
     # Enumerate the channel graph and the (V-1) coverage once; both the
-    # explicit check and the CDCL session consume them.
+    # explicit check and the Kahn session consume them.
     graph = channel_dependency_graph(relation)
     coverage = check_v1_escape_coverage(relation)
     explicit = check_deadlock_freedom_vc(relation, graph=graph,
                                          coverage=coverage)
-    # The independent CDCL reference: (V-2) as one solve restricted to the
+    # The independent Kahn reference: (V-2) as one peel of the
     # escape-class edges, and on failure its single-edge repairs.
     session = DeadlockQuerySession(graph, name=relation.name())
     escape_class = class_edges(graph, relation.escape_vcs)
-    cdcl = coverage.holds and session.is_deadlock_free_edges(escape_class)
-    fixes = [] if cdcl else session.escape_edges_for(escape_class)
-    if explicit.holds != cdcl:
+    peeled = coverage.holds and session.is_deadlock_free_edges(escape_class)
+    fixes = [] if peeled else session.escape_edges_for(escape_class)
+    if explicit.holds != peeled:
         raise AssertionError(
-            f"explicit and CDCL VC verdicts disagree: "
-            f"{explicit.holds} vs {cdcl}")
+            f"explicit and Kahn VC verdicts disagree: "
+            f"{explicit.holds} vs {peeled}")
     status = "holds" if explicit.holds else "VIOLATED"
     print(f"  {explicit.name}: {status} ({explicit.checks} checks, "
           f"{explicit.elapsed_seconds:.3f}s)")
     for counterexample in explicit.counterexamples[:2]:
         print(f"    {counterexample}")
-    solves = session.queries
-    print(f"  CDCL session: {status} ({solves} solve"
-          f"{'' if solves == 1 else 's'} over {session.edge_count} "
+    peels = session.queries
+    print(f"  Kahn session: {status} ({peels} peel"
+          f"{'' if peels == 1 else 's'} over {session.edge_count} "
           f"channel edges)")
     for source, target in fixes[:8]:
         print(f"    escape fix: remove {source} -> {target}")
@@ -502,7 +497,7 @@ def _cmd_deadlock_vc(design: str, args: argparse.Namespace,
     elif explicit.holds:
         print(f"\n=> the deadlock-prone design is proved deadlock-free "
               f"with {num_vcs} VCs ({len(relation.escape_vcs)} escape), "
-              f"by both the explicit checker and the CDCL session.")
+              f"by both the explicit checker and the Kahn session.")
     return 0 if explicit.holds else 1
 
 
@@ -570,8 +565,8 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
     cycle = find_cycle_dfs(routing_dependency_graph(instance.routing)).cycle
     print("dependency cycle: " + " -> ".join(str(p) for p in cycle))
 
-    # Escape analysis on the CDCL session: the cycle core, then one solve
-    # per core edge removal.
+    # Escape analysis on the Kahn session: a cycle, then one peel per
+    # cycle edge removal.
     from repro.core.deadlock import DeadlockQuerySession
 
     session = DeadlockQuerySession.for_routing(instance.routing)
@@ -734,9 +729,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"  scheduled across {report.jobs} workers (group-affine); "
               f"verdicts identical to --jobs 1")
     for group, stats in report.session_stats.items():
-        print(f"  session {group}: {stats['solves']} incremental solves, "
-              f"{stats['learned']} clauses learned, "
-              f"{stats['conflicts']} conflicts")
+        print(f"  session {group}: {stats['solves']} Kahn peels")
     cache = report.cache_stats
     print(f"  construction cache: {cache.get('hits', 0)} hits, "
           f"{cache.get('misses', 0)} misses")
@@ -839,8 +832,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import trace_analysis
     from repro.core.trace import load_trace, validate_trace
 
-    if args.trace_command == "hot" and args.top < 1:
-        raise SystemExit("--top must be at least 1")
     try:
         events = load_trace(args.trace_file)
     except (OSError, ValueError) as error:
@@ -852,23 +843,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise SystemExit(f"trace {args.trace_file!r} failed schema "
                          f"validation ({len(errors)} violation(s))")
 
-    if args.trace_command == "summary":
-        analysis = trace_analysis.analyze_summary(events)
-        formatted = trace_analysis.format_summary(analysis)
-    elif args.trace_command == "restarts":
-        analysis = trace_analysis.analyze_restarts(events)
-        formatted = trace_analysis.format_restarts(analysis)
-    else:
-        analysis = trace_analysis.analyze_hot(events, top=args.top)
-        formatted = trace_analysis.format_hot(analysis)
-
+    analysis = trace_analysis.analyze_summary(events)
     if args.json:
         print(json.dumps(analysis, indent=2, sort_keys=False))
     else:
-        print(formatted)
-    if args.trace_command == "summary" and not analysis["reconciled"]:
-        return 1
-    return 0
+        print(trace_analysis.format_summary(analysis))
+    return 0 if analysis["reconciled"] else 1
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

@@ -8,20 +8,18 @@ Theorem 1: from a deadlock configuration, extract the set ``P`` of
 unavailable ports, show that the next hop of every blocked message lies in
 ``P`` and derive a cycle among the ports of ``P``.
 
-:class:`DeadlockQuerySession` is the incremental CDCL counterpart: the
-dependency-edge universe is SAT-encoded **once** (one selector variable
-per edge) and every deadlock question -- the Theorem 1 condition on the
-universe or on one routing's (or one VC class's) edge subset, its cycle
-core, the single-edge removals that would restore freedom -- is a solve
-under assumptions on the same solver, reusing everything learned by
-earlier queries.  It is the independent reference behind ``repro batch
---cross-check``, ``repro fuzz`` and ``repro deadlock``; every portfolio
-verdict itself comes from the DFS of :mod:`repro.checking.graphs`.
+:class:`DeadlockQuerySession` is the Theorem 1 counterpart over a
+dependency-edge universe: every deadlock question -- the condition on the
+universe or on one routing's (or one VC class's) edge subset, a cycle of
+it, the single-edge removals that would restore freedom -- is one Kahn
+peel of the queried edges.  It is the independent reference behind
+``repro batch --cross-check``, ``repro fuzz`` and ``repro deadlock``;
+every portfolio verdict itself comes from the DFS of
+:mod:`repro.checking.graphs`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -153,63 +151,40 @@ def _find_cycle_in_functional_graph(successor: Dict[Port, Port]
 
 
 class DeadlockQuerySession:
-    """Incremental Theorem 1 queries over one dependency-edge universe.
+    """Theorem 1 queries over one dependency-edge universe, by Kahn peeling.
 
-    The session is the one client of the CDCL solver
-    (:class:`~repro.checking.sat.IncrementalSatSolver`).  Every port gets a
-    binary counter; every edge ``u -> v`` of the universe is encoded once,
-    behind its own selector variable, as the comparator ladder
-    ``number(v) < number(u)``
-    (:func:`~repro.checking.encodings.encode_numbering_constraint`).  An
-    edge subset is acyclic iff its selectors are satisfiable together, so
-    each question is one ``solve`` with those selectors as assumptions:
+    The universe is the set of edges added so far over a fixed vertex set.
+    Every question names an edge subset of it and costs one peel of that
+    subgraph (:func:`~repro.checking.graphs.kahn_peel`): in-degree-0
+    vertices are removed until none is left, and the subgraph is acyclic
+    iff nothing remains.
 
     * :meth:`is_deadlock_free` / :meth:`is_deadlock_free_edges` -- the
       Theorem 1 condition on the universe or on an edge subset (a routing's
       own edges in a shared universe, or the escape class of (V-2));
-    * :meth:`cycle_core_for` -- an UNSAT-core edge subset that already
-      contains a cycle;
+    * :meth:`cycle_core_for` -- one cycle of an edge subset;
     * :meth:`escape_edges_for` -- the single-edge removals that break
       every cycle of an edge subset.
 
-    Learned clauses are shared, so related queries get cheaper as the
-    session ages.
+    The peel shares no code with the DFS of
+    :func:`~repro.checking.graphs.find_cycle_dfs`, which decides every
+    portfolio verdict; that makes the session the independent reference
+    behind ``repro batch --cross-check``, ``repro fuzz`` and ``repro
+    deadlock``.
     """
 
     def __init__(self, graph, name: str = "dependency graph",
                  trace=None) -> None:
-        # Imported here: the portfolio imports this module on every run,
-        # and a default (DFS-decided) run must not load the SAT stack.
-        from repro.checking.cnf import CNF
-        from repro.checking.sat import IncrementalSatSolver
-
         self.name = name
-        #: Optional :class:`repro.core.trace.TraceWriter`, shared with the
-        #: solver so session events and solver events interleave.
+        #: Optional :class:`repro.core.trace.TraceWriter`; every query
+        #: emits one ``oracle_query`` event.
         self.trace = trace
-        #: Number of acyclicity queries answered so far.
+        #: Number of peels run so far (one per query).
         self.queries = 0
-        self._cnf = CNF()
-        self._solver = IncrementalSatSolver(trace=trace)
-        self._loaded_clauses = 0
-        vertices = sorted(graph.vertices, key=repr)
-        self._vertex_index = {vertex: index
-                              for index, vertex in enumerate(vertices)}
-        self._width = max(1, math.ceil(math.log2(max(len(vertices), 2))))
-        #: Per-vertex counter-bit variables, created by the vertex's first
-        #: incident edge.
-        self._bits: Dict[int, List[int]] = {}
-        self._selector: Dict[Tuple[Port, Port], int] = {}
-        self._edge_of: Dict[int, Tuple[Port, Port]] = {}
-        self._edges: List[Tuple[Port, Port]] = []
-        # Edges encoded since the last ``edge_batch`` event; the batch is
-        # emitted lazily before the next traced query.
-        self._pending_edges = 0
-        added = False
+        self._vertices = set(graph.vertices)
+        self._edges: Dict[Tuple[Port, Port], None] = {}
         for source, target in graph.edges():
-            added = self._encode_edge(source, target) or added
-        if added:
-            self._sync()
+            self.add_edge(source, target)
 
     @classmethod
     def for_routing(cls, routing,
@@ -232,65 +207,49 @@ class DeadlockQuerySession:
 
     @property
     def solver_stats(self) -> Dict[str, int]:
-        return self._solver.stats
-
-    def set_interrupt(self, callback) -> None:
-        """Install (or clear with ``None``) a cooperative solve budget.
-
-        The portfolio driver uses this to enforce per-group deadlines on
-        the serial path: ``callback`` returning a truthy reason makes the
-        next (or the running) query raise
-        :class:`~repro.core.errors.SolverTimeout`, with the session left
-        reusable.
-        """
-        self._solver.set_interrupt(callback)
+        return {"solves": self.queries}
 
     # -- growing the universe -------------------------------------------------
     def add_edge(self, source: Port, target: Port) -> None:
         """Add a dependency edge to the universe (idempotent).
 
         Used by the portfolio driver to merge several routing functions'
-        dependency graphs into one shared encoding.
+        dependency graphs into one shared universe.
         """
-        if self._encode_edge(source, target):
-            self._sync()
-
-    def _encode_edge(self, source: Port, target: Port) -> bool:
-        """Encode one edge into the CNF (no solver sync); True if new."""
-        from repro.checking.encodings import encode_numbering_constraint
-
-        edge = (source, target)
-        if edge in self._selector:
-            return False
-        index = self._vertex_index
-        if source not in index or target not in index:
+        if source not in self._vertices or target not in self._vertices:
             raise ValueError(
                 f"edge {source!r} -> {target!r} leaves the session's "
                 f"vertex set")
-        cnf = self._cnf
-        selector = cnf.new_var()
-        if source == target:
-            # A self-loop is a cycle on its own: selecting it is
-            # unsatisfiable.
-            cnf.add_unit(-selector)
-        else:
-            cnf.add_clause((-selector, encode_numbering_constraint(
-                cnf, self._bits, index[target], index[source],
-                self._width)))
-        self._selector[edge] = selector
-        self._edge_of[selector] = edge
-        self._edges.append(edge)
-        self._pending_edges += 1
-        return True
-
-    def _sync(self) -> None:
-        """Stream the clauses encoded since the last sync into the solver."""
-        self._solver.ensure_vars(self._cnf.num_vars)
-        loaded = self._loaded_clauses
-        self._loaded_clauses = self._cnf.num_clauses
-        self._solver.add_clauses(self._cnf.iter_clauses(start=loaded))
+        self._edges[(source, target)] = None
 
     # -- queries --------------------------------------------------------------
+    def _peel(self, edges: Iterable[Tuple[Port, Port]]
+              ) -> Tuple[List[Tuple[Port, Port]], List[Port]]:
+        """One query: the edges of the subset and the residue its peel
+        leaves (empty iff the subset is acyclic)."""
+        from repro.checking.graphs import kahn_peel
+
+        self.queries += 1
+        universe = self._edges
+        query: List[Tuple[Port, Port]] = []
+        successors: Dict[Port, List[Port]] = {}
+        in_degree: Dict[Port, int] = {}
+        for edge in edges:
+            if edge not in universe:
+                raise KeyError(
+                    f"edge {edge!r} is not in the session's universe")
+            source, target = edge
+            query.append(edge)
+            successors.setdefault(source, []).append(target)
+            successors.setdefault(target, [])
+            in_degree.setdefault(source, 0)
+            in_degree[target] = in_degree.get(target, 0) + 1
+        _, residue = kahn_peel(in_degree, successors)
+        if self.trace is not None:
+            self.trace.emit("oracle_query", query=self.queries,
+                            edges=len(query), free=not residue)
+        return query, residue
+
     def is_deadlock_free(self) -> bool:
         """Theorem 1 condition: the dependency graph has no cycle."""
         return self.is_deadlock_free_edges(self._edges)
@@ -298,41 +257,32 @@ class DeadlockQuerySession:
     def is_deadlock_free_edges(
             self, edges: Iterable[Tuple[Port, Port]]) -> bool:
         """The condition on an explicit edge subset of the universe."""
-        self.queries += 1
-        assumptions = []
-        for edge in edges:
-            selector = self._selector.get(tuple(edge))
-            if selector is None:
-                raise KeyError(
-                    f"edge {edge!r} is not in the session's universe")
-            assumptions.append(selector)
-        trace = self.trace
-        if trace is not None and self._pending_edges:
-            trace.emit("edge_batch", edges=self._pending_edges,
-                       total=len(self._edges))
-        self._pending_edges = 0
-        self._sync()
-        result = self._solver.solve(assumptions)
-        if trace is not None:
-            trace.emit("oracle_query", query=self.queries,
-                       edges=len(assumptions), sat=result.satisfiable)
-        return result.satisfiable
+        return not self._peel(edges)[1]
 
     def cycle_core_for(self, edges: Iterable[Tuple[Port, Port]]
                        ) -> Optional[List[Tuple[Port, Port]]]:
-        """A subset of ``edges`` that already contains a cycle, or ``None``.
+        """One cycle of ``edges``, as its edges, or ``None`` if acyclic.
 
-        When the queried subgraph is cyclic, the solver's UNSAT core over
-        the edge selectors is exactly such a subset (typically close to one
-        concrete cycle).
+        Every vertex the peel leaves keeps a predecessor it also leaves,
+        so walking predecessors from any of them repeats a vertex; the
+        walk from that vertex on is the cycle.
         """
-        if self.is_deadlock_free_edges(edges):
+        query, residue = self._peel(edges)
+        if not residue:
             return None
-        core = self._solver.last_core()
-        if core is None:
-            return None
-        return [self._edge_of[literal] for literal in core
-                if literal in self._edge_of]
+        left = set(residue)
+        predecessor: Dict[Port, Port] = {}
+        for source, target in query:
+            if source in left and target in left:
+                predecessor.setdefault(target, source)
+        walk: Dict[Port, None] = {}
+        vertex = residue[0]
+        while vertex not in walk:
+            walk[vertex] = None
+            vertex = predecessor[vertex]
+        cycle = list(walk)
+        cycle = cycle[cycle.index(vertex):]
+        return [(predecessor[target], target) for target in reversed(cycle)]
 
     def escape_edges_for(self, edges: Iterable[Tuple[Port, Port]]
                          ) -> List[Tuple[Port, Port]]:
@@ -340,9 +290,8 @@ class DeadlockQuerySession:
 
         The escape-channel question: the cycle core is the candidate pool
         (an edge outside it cannot break the cycle it witnesses), and each
-        candidate costs one solve on the same learned-clause database.
-        Returns ``[]`` when ``edges`` is acyclic or when no single removal
-        suffices.
+        candidate costs one peel.  Returns ``[]`` when ``edges`` is
+        acyclic or when no single removal suffices.
         """
         edges = list(edges)
         return [edge for edge in self.cycle_core_for(edges) or []

@@ -204,9 +204,7 @@ def check_acyclicity(graph: DirectedGraph[Port],
                      ) -> AcyclicityReport:
     """Check acyclicity with several independent methods and cross-compare.
 
-    Supported methods: ``dfs``, ``scc``, ``toposort``, ``networkx`` and
-    ``sat``.  The SAT method is considerably slower and is only included
-    when asked for (it is exercised by the Fig. 3 benchmark).
+    Supported methods: ``dfs``, ``scc``, ``toposort`` and ``networkx``.
     """
     from repro.checking.graphs import (
         find_cycle_dfs,
@@ -226,10 +224,6 @@ def check_acyclicity(graph: DirectedGraph[Port],
             report.by_method["toposort"] = is_acyclic_by_toposort(graph)
         elif method == "networkx":
             report.by_method["networkx"] = is_acyclic_by_networkx(graph)
-        elif method == "sat":
-            from repro.checking.encodings import is_acyclic_by_sat
-
-            report.by_method["sat"] = is_acyclic_by_sat(graph)
         else:
             raise ValueError(f"unknown acyclicity method {method!r}")
     if not report.consistent:

@@ -43,17 +43,15 @@ class ObligationViolation(GeNoCError):
 
 
 class SolverTimeout(Exception):
-    """A cooperative solve budget expired mid-search.
+    """A group's time budget expired.
 
-    Raised out of :meth:`repro.checking.sat.IncrementalSatSolver.solve`
-    when the interrupt callback installed via ``set_interrupt`` reports an
-    expired budget, and by the portfolio driver when a group's deadline
-    passes between scenarios.  The solver unwinds to decision level 0
-    first, so the instance -- formula, learned clauses, statistics --
-    remains fully usable for later queries; only the interrupted query is
-    lost (no model, no core).
+    Raised by the portfolio driver when a group's deadline has passed at
+    one of its checkpoints, before each build and before each scenario
+    (and by an injected ``timeout`` fault).  A running scenario is never
+    cut mid-decision: the graph search and the Kahn peel of the
+    cross-check are linear, so the checkpoints bound the overrun.
     """
 
-    def __init__(self, reason: str = "solver budget exhausted") -> None:
+    def __init__(self, reason: str = "group budget exhausted") -> None:
         super().__init__(reason)
         self.reason = reason

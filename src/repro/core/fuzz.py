@@ -1,6 +1,6 @@
 """Randomized-topology fuzz campaign over the deadlock deciders.
 
-The repo decides deadlock freedom three independent ways -- the CDCL
+The repo decides deadlock freedom three independent ways -- the Kahn
 session (:mod:`repro.core.deadlock`), the explicit graph algorithms
 (:mod:`repro.checking.graphs`) and, at small sizes, a brute-force
 self-reachability sweep defined right here -- and can additionally run any
@@ -11,11 +11,11 @@ deterministic per-seed RNG) whose verdicts must agree decider by decider.
 
 Disagreement taxonomy (what the campaign reports):
 
-* ``cdcl-vs-explicit`` -- the CDCL session's verdict, or its set of
+* ``session-vs-explicit`` -- the Kahn session's verdict, or its set of
   single-edge escape repairs
   (:meth:`~repro.core.deadlock.DeadlockQuerySession.escape_edges_for`),
-  differs from the DFS cycle search on the same graph: a solver or
-  encoding bug.
+  differs from the DFS cycle search on the same graph: a peel or
+  cycle-walk bug.
 * ``explicit-internal`` -- DFS, SCC decomposition and Kahn toposort
   disagree among themselves: a graph-algorithm bug.
 * ``brute-vs-explicit`` -- the quadratic self-reachability sweep differs:
@@ -180,8 +180,8 @@ class FuzzVerdict:
     scenario: str
     instance: str
     condition: str                      #: "theorem1" | "vc-escape"
-    deadlock_free: bool                 #: the agreed CDCL verdict
-    cdcl_free: bool
+    deadlock_free: bool                 #: the Kahn session's verdict
+    session_free: bool
     explicit_free: bool
     brute_free: Optional[bool]          #: None when the graph was too big
     edges: int
@@ -200,7 +200,7 @@ class FuzzVerdict:
             "instance": self.instance,
             "condition": self.condition,
             "deadlock_free": self.deadlock_free,
-            "cdcl_free": self.cdcl_free,
+            "session_free": self.session_free,
             "explicit_free": self.explicit_free,
             "brute_free": self.brute_free,
             "edges": self.edges,
@@ -335,8 +335,8 @@ def _decide_instance(instance, brute_force: bool,
         query_edges = graph.edges()
         query_graph = graph
     session = DeadlockQuerySession(graph, name=relation.name())
-    cdcl = covered and session.is_deadlock_free_edges(query_edges)
-    fixes = set() if cdcl else set(session.escape_edges_for(query_edges))
+    peeled = covered and session.is_deadlock_free_edges(query_edges)
+    fixes = set() if peeled else set(session.escape_edges_for(query_edges))
     cycle = find_cycle_dfs(query_graph).cycle or []
     escape = set(edges_on_every_cycle(
         query_graph, list(zip(cycle, cycle[1:] + cycle[:1]))))
@@ -346,17 +346,17 @@ def _decide_instance(instance, brute_force: bool,
     brute = (None if brute_acyclic is None
              else covered and brute_acyclic)
 
-    if cdcl != explicit:
+    if peeled != explicit:
         disagreements.append(
-            f"cdcl-vs-explicit: cdcl={cdcl} explicit={explicit}")
+            f"session-vs-explicit: session={peeled} explicit={explicit}")
     elif fixes != escape:
         disagreements.append(
-            f"cdcl-vs-explicit: {len(fixes)} CDCL escape edges, "
+            f"session-vs-explicit: {len(fixes)} session escape edges, "
             f"{len(escape)} by graph search")
     if brute is not None and brute != explicit:
         disagreements.append(
             f"brute-vs-explicit: brute={brute} explicit={explicit}")
-    return condition, cdcl, explicit, brute, graph.edge_count, disagreements
+    return condition, peeled, explicit, brute, graph.edge_count, disagreements
 
 
 def _simulate_instance(instance, deadlock_free: bool, index: int,
@@ -395,7 +395,7 @@ def run_fuzz_campaign(count: int = 200,
     """Fuzz ``count`` randomized instances and cross-validate every verdict.
 
     Builds each seeded spec from :func:`generate_fuzz_specs`, decides it
-    with the CDCL session, the explicit graph algorithms and (while the
+    with the Kahn session, the explicit graph algorithms and (while the
     graph is small enough) the brute-force sweep, then -- for simulable
     sizes -- runs a seeded random workload through the GeNoC engine.  Any
     disagreement is collected into the report (:attr:`FuzzReport.ok`);
@@ -409,20 +409,20 @@ def run_fuzz_campaign(count: int = 200,
     for index, spec in enumerate(specs):
         instance_start = time.perf_counter()
         instance = spec.build()
-        condition, cdcl, explicit, brute, edge_count, disagreements = \
+        condition, peeled, explicit, brute, edge_count, disagreements = \
             _decide_instance(instance, brute_force, max_brute_vertices)
         sim_outcome: Optional[str] = None
         if simulate:
             sim_outcome, sim_disagreements = _simulate_instance(
-                instance, deadlock_free=cdcl and explicit, index=index,
+                instance, deadlock_free=peeled and explicit, index=index,
                 max_ports=sim_max_ports, max_steps=sim_max_steps)
             disagreements.extend(sim_disagreements)
         verdict = FuzzVerdict(
             scenario=spec.scenario_name(),
             instance=instance.name,
             condition=condition,
-            deadlock_free=cdcl,
-            cdcl_free=cdcl,
+            deadlock_free=peeled,
+            session_free=peeled,
             explicit_free=explicit,
             brute_free=brute,
             edges=edge_count,

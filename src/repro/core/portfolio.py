@@ -17,11 +17,11 @@ the batch driver for that sweep:
   edges (the edges lying on every cycle) of a deadlock-prone design.
 
 ``cross_check=True`` re-derives every verdict and escape set on one
-incremental :class:`~repro.core.deadlock.DeadlockQuerySession` per group
-(the CDCL engine, learned clauses shared across the group's scenarios)
-and turns any disagreement into an ``error`` verdict.
+:class:`~repro.core.deadlock.DeadlockQuerySession` per group (a Kahn
+peel per query, over the union of the group's edges) and turns any
+disagreement into an ``error`` verdict.
 
-The engine (graphs, dependency enumeration, the CDCL session), the
+The engine (graphs, dependency enumeration, the cross-check session), the
 verdict store and the process pool are imported on the paths that use
 them, so a run whose groups all replay from the store loads none of them
 but the store.
@@ -56,9 +56,9 @@ if TYPE_CHECKING:
     from repro.network.port import Port
 
 #: Verdict statuses a scenario can end a run with: ``"ok"`` (it was
-#: decided), ``"timeout"`` (a group/run deadline or solver budget cut
-#: it off) or ``"error"`` (its group's worker crashed or raised and every
-#: retry was exhausted).
+#: decided), ``"timeout"`` (a group or run deadline cut it off) or
+#: ``"error"`` (its group's worker crashed or raised and every retry was
+#: exhausted).
 VERDICT_STATUSES = ("ok", "timeout", "error")
 
 #: Default bound on pool rebuilds after worker crashes before the run
@@ -154,12 +154,11 @@ def scenario_cost(scenario: Scenario) -> float:
     """Deterministic relative cost estimate of one scenario.
 
     Estimated from the spec's dimensions and channel counts: the number
-    of network ports drives both the encoding size (ports x counter
-    bits) and the dependency-edge count, and observed solver work grows
-    super-linearly in the port count on the shipped topologies -- so the
-    model is ``ports ** 1.5``.  Instance-backed scenarios read their real
-    port count; spec-backed scenarios *estimate* it from dims/VCs alone,
-    so cost assignment never needs to build an instance.
+    of network ports drives the dependency-edge count, and observed work
+    grows super-linearly in the port count on the shipped topologies --
+    so the model is ``ports ** 1.5``.  Instance-backed scenarios read
+    their real port count; spec-backed scenarios *estimate* it from
+    dims/VCs alone, so cost assignment never needs to build an instance.
     """
     spec = scenario.spec
     if spec is None:
@@ -229,9 +228,9 @@ class ScenarioVerdict:
     condition: str = "theorem1"
     #: Virtual channels of the scenario (1 for the single-VC model).
     num_vcs: int = 1
-    #: Solver work this scenario's cross-check queries cost on the shared
-    #: session (stats-counter deltas: decisions, propagations, conflicts,
-    #: ...); empty when no cross-check ran.
+    #: Work this scenario's cross-check queries cost on the shared
+    #: session (``{"solves": n}``: its Kahn peels); empty when no
+    #: cross-check ran.
     solver: Dict[str, int] = field(default_factory=dict)
     #: The originating :meth:`~repro.core.spec.ScenarioSpec.to_dict` image
     #: for spec-backed scenarios (``None`` for hand-built instances).
@@ -655,13 +654,13 @@ def _run_group(payload: Tuple,
     cyclic query reports the DFS cycle as ``cycle_core`` and the edges on
     every cycle as ``escape_edges``.  ``cross_check`` replays the same
     questions on one :class:`~repro.core.deadlock.DeadlockQuerySession`
-    per group (new edges join its encoding; a verdict is one solve under
-    assumptions; a prone answer adds a core and one solve per core edge)
-    and raises on any difference; only then are solver stats recorded.
+    per group (new edges join its universe; a verdict is one peel of the
+    query edges; a prone answer adds a cycle and one peel per cycle edge)
+    and raises on any difference; only then are solver stats (the peel
+    count) recorded.
 
     ``budget_s`` arms a cooperative deadline, checked before every build
-    and scenario and, through the session's interrupt, inside a running
-    solve; ``fault_directive`` is a test-only injected failure
+    and scenario; ``fault_directive`` is a test-only injected failure
     (:mod:`repro.core.faultplan`); ``parent_pid`` tells a sacrificial
     worker from the orchestrating process.  A group never aborts the run:
     a :class:`SolverTimeout` or any other exception turns the unfinished
@@ -694,15 +693,9 @@ def _run_group(payload: Tuple,
     deadline = (time.monotonic() + budget_s
                 if budget_s is not None else None)
 
-    def interrupt() -> Optional[str]:
+    def checkpoint() -> None:
         if deadline is not None and time.monotonic() >= deadline:
-            return f"group timeout after {budget_s:g}s"
-        return None
-
-    def checkpoint_interrupt() -> None:
-        reason = interrupt()
-        if reason:
-            raise SolverTimeout(reason)
+            raise SolverTimeout(f"group timeout after {budget_s:g}s")
 
     def solver_stats() -> Dict[str, int]:
         return session.solver_stats if session is not None else {}
@@ -720,7 +713,7 @@ def _run_group(payload: Tuple,
     try:
         execute_directive(directive, in_worker)
         for index, scenario in indexed_scenarios:
-            checkpoint_interrupt()
+            checkpoint()
             hits_before, misses_before = cache.hits, cache.misses
             instance = scenario.resolve()
             cache_deltas[index] = {"hits": cache.hits - hits_before,
@@ -735,15 +728,13 @@ def _run_group(payload: Tuple,
                 for port in instance.topology.ports:
                     base.add_vertex(port)
             session = DeadlockQuerySession(base, name=group_key, trace=trace)
-            if budget_s is not None:
-                session.set_interrupt(interrupt)
         #: Edges already met in the group, as pairs of group-wide port ids.
         port_ids: Dict[Port, int] = {}
         known_edges: set = set()
         repr_ranks = ReprRanks().ranks
 
         for index, scenario, instance in resolved:
-            checkpoint_interrupt()
+            checkpoint()
             if trace is not None:
                 trace.emit("scenario_begin", scenario=scenario.name,
                            group=group_key, index=index,
@@ -794,7 +785,7 @@ def _run_group(payload: Tuple,
                     raise AssertionError(
                         f"cross-check disagrees on {scenario.name}: graph "
                         f"search free={deadlock_free} with {len(escape)} "
-                        f"escape edges, CDCL session free={free} with "
+                        f"escape edges, Kahn session free={free} with "
                         f"{len(fixes)} escape edges")
 
             solver_after = solver_stats()
@@ -910,7 +901,7 @@ def _select_groups(scenarios: Sequence[Scenario],
     Groups and the scenarios within them keep submission order.  A
     cross-checked group seeds its session with the union of the group's
     vertex universes, so scenarios over growing channel sets (1, 2, 4 VCs
-    of one topology) can share one encoding.
+    of one topology) can share one edge universe.
     """
     groups: Dict[str, List[Tuple[int, Scenario]]] = {}
     for index, scenario in enumerate(scenarios):
@@ -1035,9 +1026,9 @@ def run_portfolio(scenarios: Sequence[Scenario],
     Each verdict comes from a DFS over the scenario's dependency graph
     (see :func:`_run_group`); deadlock-prone scenarios also get a cycle
     witness and their escape edges.  ``cross_check`` re-derives every
-    verdict and escape set on a shared incremental CDCL session per group
+    verdict and escape set on a shared Kahn-peeling session per group
     and turns any disagreement into an ``error`` verdict; only then does
-    the report carry solver statistics.
+    the report carry solver statistics (``{"solves": n}``, the peels).
 
     ``jobs`` schedules the scenario *groups* across that many worker
     processes (``0``/``None``: one per core).  Scheduling is group-affine:
@@ -1072,15 +1063,14 @@ def run_portfolio(scenarios: Sequence[Scenario],
 
     ``trace`` (a :class:`~repro.core.trace.TraceWriter`) records the run as
     a structured event stream -- portfolio/scenario spans, wrapping the
-    session and solver events of a cross-checked run.  Tracing is **serial
-    only**: a writer cannot cross the process-pool boundary, so
+    session's ``oracle_query`` events of a cross-checked run.  Tracing is
+    **serial only**: a writer cannot cross the process-pool boundary, so
     ``trace`` with ``jobs != 1`` is an error rather than a silently
     partial stream.
 
     **Fault tolerance.**  ``group_timeout`` bounds every scenario group's
-    wall time (seconds): the group stops at its next scenario (a
-    cross-check session also aborts its running solve,
-    :class:`~repro.core.errors.SolverTimeout`) and the group's
+    wall time (seconds): the group stops at its next build or scenario
+    (:class:`~repro.core.errors.SolverTimeout`) and the group's
     unfinished scenarios become ``status="timeout"`` verdicts; a
     truly wedged worker is additionally reaped by the parent's watch
     loop.  ``run_deadline`` bounds the whole run the same way.  A crashed
@@ -1485,7 +1475,7 @@ def vc_escape_portfolio(mesh_sizes: Iterable[int] = (3,),
     VC at each VC count; for every torus size, dimension-order routing with
     a dateline escape pair (plus an adaptive class from 3 VCs up).  All VC
     counts of one topology share a group (their channel universes nest), so
-    a cross-check exercises the incremental encoding across growing VC
+    a cross-check exercises one session universe across growing VC
     counts: the 1-VC verdict is deadlock-prone, the multi-VC verdicts are
     proved free by the escape condition.
     """

@@ -238,7 +238,7 @@ class ScenarioSpec:
     def group_key(self) -> str:
         """The portfolio session group this scenario belongs to.
 
-        Scenarios of one group share one incremental solver session, so
+        Scenarios of one group share one cross-check session, so
         the default groups by topology kind and dimensions -- every VC
         count of one topology lands in one group (their channel universes
         nest) and shard assignment can stay group-stable.

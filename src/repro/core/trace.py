@@ -1,12 +1,11 @@
-"""Structured solver/engine telemetry: the trace lab's recording side.
+"""Structured engine telemetry: the trace lab's recording side.
 
-The engine's only runtime visibility used to be end-of-run aggregate
-counters (``SatSolver.stats``) and wall times (``repro batch --json``).  This
-module records what the search *did* while it did it: an opt-in, buffered
-JSONL event stream threaded through the CDCL solver, the deadlock query
-session and the portfolio driver, cheap enough to leave wired
-in (a ``None`` trace costs one pointer test on the cold paths and nothing
-on the propagation loop) and structured enough to analyse offline
+Besides end-of-run aggregates and wall times (``repro batch --json``),
+this module records what a run *did* while it did it: an opt-in,
+buffered JSONL event stream threaded through the portfolio driver, the
+verdict store and the cross-check's deadlock query session, cheap enough
+to leave wired in (a ``None`` trace costs one pointer test per event
+site) and structured enough to analyse offline
 (:mod:`repro.core.trace_analysis`, ``repro trace``).
 
 Design rules:
@@ -28,24 +27,13 @@ Event taxonomy (``ev`` field):
 
 =================  ==========================================================
 ``trace_begin``    stream header: ``schema``, free-form ``label``
-``solve_begin``    one CDCL query: ``solve`` number, ``assumptions`` count,
-                   ``prefix_reuse`` (assumption-prefix trail levels kept)
-``solve_end``      query outcome: ``sat`` plus ``delta`` (stat counters
-                   spent by this solve)
-``solver_phase``   sampled every ``phase_interval`` conflicts: cumulative
-                   ``conflicts``, per-window ``delta``, ``trail`` depth
-``restart``        discrete restart: cumulative ``conflicts``,
-                   ``interval`` since the previous restart, the Luby
-                   budget ``limit`` the interval reached
-``edge_batch``     session universe growth since the last query: ``edges``
-                   added, new ``total``
-``oracle_query``   one acyclicity query: ``query`` index, ``edges``
-                   assumed, ``sat``
+``oracle_query``   one cross-check peel: ``query`` index, ``edges``
+                   queried, ``free`` (nothing was left)
 ``scenario_begin`` portfolio span open: ``scenario``, ``group``, ``index``,
                    ``shard``
 ``scenario_end``   portfolio span close: verdict, ``edges``/``new_edges``,
-                   per-scenario ``solver`` stat deltas, ``cache`` deltas,
-                   ``wall_time_s``
+                   per-scenario ``solver`` deltas (``solves``: peels),
+                   ``cache`` deltas, ``wall_time_s``
 ``session_summary`` end-of-group aggregate solver ``stats`` (the
                    reconciliation anchor: per-scenario deltas must sum to
                    these counters)
@@ -82,7 +70,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 #: Version of the event-stream shape.  Bump when events are renamed,
 #: removed, or their required fields change; additive optional fields do
 #: not need a bump.
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 #: Fields that legitimately differ between two runs of the same workload
 #: (wall-clock readings).  Everything else must be deterministic --
@@ -102,12 +90,7 @@ ENVIRONMENT_FIELDS = frozenset({"cache"})
 #: envelope ``eid``/``ev``/``t``).  Used by :func:`validate_trace`.
 EVENT_FIELDS: Dict[str, tuple] = {
     "trace_begin": ("schema",),
-    "solve_begin": ("solve", "assumptions", "prefix_reuse"),
-    "solve_end": ("sat", "delta"),
-    "solver_phase": ("conflicts", "delta", "trail"),
-    "restart": ("conflicts", "interval", "limit"),
-    "edge_batch": ("edges", "total"),
-    "oracle_query": ("query", "edges", "sat"),
+    "oracle_query": ("query", "edges", "free"),
     "scenario_begin": ("scenario", "group", "index", "shard"),
     "scenario_end": ("scenario", "group", "deadlock_free", "condition",
                      "edges", "new_edges", "solver", "cache", "wall_time_s"),
@@ -119,11 +102,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "store_lookup": ("group", "key", "hit"),
     "store_write": ("group", "written"),
 }
-
-#: Default solver phase-sampling cadence (conflicts between
-#: ``solver_phase`` records).
-DEFAULT_PHASE_INTERVAL = 256
-
 
 class TraceWriter:
     """Buffered JSONL trace sink with monotonic event ids.
@@ -143,7 +121,6 @@ class TraceWriter:
 
     def __init__(self, sink, clock: Optional[Callable[[], float]] = None,
                  label: str = "",
-                 phase_interval: int = DEFAULT_PHASE_INTERVAL,
                  buffer_limit: int = 512) -> None:
         if isinstance(sink, str):
             self._handle = open(sink, "w", encoding="utf-8")
@@ -153,9 +130,6 @@ class TraceWriter:
             self._owns_handle = False
         self._clock = clock if clock is not None else time.perf_counter
         self._epoch = self._clock()
-        #: Conflicts between consecutive ``solver_phase`` samples; read by
-        #: the solver at the start of every ``solve``.
-        self.phase_interval = max(1, int(phase_interval))
         self._buffer: List[str] = []
         self._buffer_limit = max(1, int(buffer_limit))
         self._eid = -1
@@ -255,13 +229,13 @@ def validate_trace(events: Iterable[Dict[str, object]]) -> List[str]:
     Checks the envelope (monotonic ``eid`` from 0, numeric ``t``, known
     ``ev``), the schema-versioned ``trace_begin`` header, the per-type
     required fields of :data:`EVENT_FIELDS` and span pairing
-    (``solve_begin``/``solve_end``, ``scenario_begin``/``scenario_end``,
+    (``scenario_begin``/``scenario_end`` and
     ``portfolio_begin``/``portfolio_end`` must balance).  This is the
     contract the CI trace-smoke lane enforces on shipped traces.
     """
     errors: List[str] = []
     expected_eid = 0
-    open_solves = open_scenarios = open_portfolios = 0
+    open_scenarios = open_portfolios = 0
     saw_header = False
     for event in events:
         eid = event.get("eid")
@@ -289,13 +263,6 @@ def validate_trace(events: Iterable[Dict[str, object]]) -> List[str]:
             continue
         if ev == "trace_begin":
             errors.append(f"{where}: duplicate trace_begin")
-        elif ev == "solve_begin":
-            open_solves += 1
-        elif ev == "solve_end":
-            open_solves -= 1
-            if open_solves < 0:
-                errors.append(f"{where}: solve_end without solve_begin")
-                open_solves = 0
         elif ev == "scenario_begin":
             open_scenarios += 1
         elif ev == "scenario_end":
@@ -314,8 +281,6 @@ def validate_trace(events: Iterable[Dict[str, object]]) -> List[str]:
                 open_portfolios = 0
     if not saw_header:
         errors.append("empty trace: no trace_begin header")
-    if open_solves:
-        errors.append(f"{open_solves} unclosed solve span(s)")
     if open_scenarios:
         errors.append(f"{open_scenarios} unclosed scenario span(s)")
     if open_portfolios:

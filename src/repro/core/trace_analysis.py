@@ -1,41 +1,27 @@
 """Offline analysis of trace-lab event streams (``repro trace``).
 
 The recording side (:mod:`repro.core.trace`) writes what the engine did;
-this module answers what it *meant*: where the solver work went, how the
-restart cadence behaved and which scenarios dominated the run.  Every
+this module answers what it *meant*: how many events of each kind, where
+the cross-check's peels went, what the verdict store served.  The
 analysis consumes a parsed event list
 (:func:`repro.core.trace.load_trace`), returns a JSON-serialisable dict
-(the ``--json`` payload) and has a ``format_*`` companion rendering the
-human table.
+(the ``--json`` payload) and has a ``format_summary`` companion rendering
+the human table.
 
 The :func:`analyze_summary` reconciliation is the trace lab's core
 integrity check: per session group, the per-scenario ``scenario_end``
 solver deltas must sum exactly to the group's ``session_summary``
-aggregate counters -- the event stream and the solver's own bookkeeping
+aggregate counters -- the event stream and the session's own bookkeeping
 describe the same run or the trace is lying.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.trace import TIMING_FIELDS  # noqa: F401  (re-export context)
-
-#: Stat counters treated as "solver work" when ranking scenarios.
-WORK_KEYS = ("propagations", "decisions", "conflicts")
-
-
-def _work_of(stats: Dict[str, int]) -> int:
-    """The scalar work metric of a stats(-delta) dict."""
-    return sum(int(stats.get(key, 0)) for key in WORK_KEYS)
-
-
-# ---------------------------------------------------------------------------
-# summary
-# ---------------------------------------------------------------------------
 
 def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Whole-run breakdown: totals, per-group reconciliation, work shares.
+    """Whole-run breakdown: totals, per-group reconciliation, peel shares.
 
     ``reconciled`` is True iff, for every group, the sum of the
     per-scenario ``scenario_end.solver`` deltas equals the group's
@@ -80,8 +66,7 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
                 "group": group,
                 "deadlock_free": event.get("deadlock_free"),
                 "status": event.get("status", "ok"),
-                "work": _work_of(solver),
-                "solver": solver,
+                "solves": int(solver.get("solves", 0)),
                 "wall_time_s": event.get("wall_time_s"),
             })
         elif ev == "session_summary":
@@ -112,21 +97,17 @@ def analyze_summary(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
             "mismatched_keys": mismatched,
         })
 
-    total_work = _work_of(totals)
+    total_solves = int(totals.get("solves", 0))
     for scenario in scenarios:
-        scenario["share"] = (scenario["work"] / total_work
-                             if total_work else 0.0)
-    work_share = {key: (int(totals.get(key, 0)) / total_work
-                        if total_work else 0.0)
-                  for key in WORK_KEYS}
+        scenario["share"] = (scenario["solves"] / total_solves
+                             if total_solves else 0.0)
     summary: Dict[str, object] = {
         "label": label,
         "events": len(events),
         "event_counts": dict(sorted(event_counts.items())),
         "groups": groups,
         "totals": totals,
-        "work_share": work_share,
-        "scenarios": sorted(scenarios, key=lambda s: -int(s["work"])),
+        "scenarios": sorted(scenarios, key=lambda s: -int(s["solves"])),
         "reconciled": reconciled,
     }
     if saw_store_events or store["cached_groups"]:
@@ -147,17 +128,8 @@ def format_summary(summary: Dict[str, object]) -> str:
     lines.append("  " + ", ".join(f"{ev}={count}"
                                   for ev, count in counts.items()))
     totals = summary["totals"]
-    share = summary["work_share"]
     if totals:
-        lines.append(
-            f"solver totals: {totals.get('solves', 0)} solves, "
-            f"{totals.get('conflicts', 0)} conflicts, "
-            f"{totals.get('propagations', 0)} propagations, "
-            f"{totals.get('decisions', 0)} decisions, "
-            f"{totals.get('learned', 0)} learned, "
-            f"{totals.get('restarts', 0)} restarts")
-        lines.append("work share: " + ", ".join(
-            f"{key} {share[key] * 100:.1f}%" for key in WORK_KEYS))
+        lines.append(f"session totals: {totals.get('solves', 0)} solves")
     store = summary.get("store")
     if store:
         lines.append(
@@ -170,99 +142,22 @@ def format_summary(summary: Dict[str, object]) -> str:
               f"{store['cached_scenarios']} scenarios replayed from cache")
     rows = [[group["group"], group["scenarios"],
              group["stats"].get("solves", 0),
-             group["stats"].get("conflicts", 0),
-             group["stats"].get("propagations", 0),
              "yes" if group["reconciled"] else
              f"NO ({', '.join(group['mismatched_keys']) or 'no summary'})"]
             for group in summary["groups"]]
     if rows:
         lines.append(format_table(
-            ["group", "scenarios", "solves", "conflicts", "propagations",
-             "reconciled"], rows, title="session groups"))
-    scenario_rows = [[s["scenario"], s["group"], s["work"],
+            ["group", "scenarios", "solves", "reconciled"], rows,
+            title="session groups"))
+    scenario_rows = [[s["scenario"], s["group"], s["solves"],
                       f"{s['share'] * 100:.1f}",
                       verdict_cell(s.get("status"), s["deadlock_free"])]
                      for s in summary["scenarios"]]
     if scenario_rows:
         lines.append(format_table(
-            ["scenario", "group", "work", "share %", "verdict"],
-            scenario_rows, title="per-scenario solver share"))
+            ["scenario", "group", "solves", "share %", "verdict"],
+            scenario_rows, title="per-scenario share of solves"))
     lines.append("reconciliation: " +
                  ("OK (scenario deltas sum to session aggregates)"
                   if summary["reconciled"] else "MISMATCH"))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# restarts
-# ---------------------------------------------------------------------------
-
-def analyze_restarts(events: Sequence[Dict[str, object]]
-                     ) -> Dict[str, object]:
-    """Restart cadence: one row per ``restart`` event plus summary stats."""
-    rows = [{"eid": event.get("eid"),
-             "conflicts": event.get("conflicts"),
-             "interval": int(event.get("interval", 0)),
-             "limit": event.get("limit")}
-            for event in events if event.get("ev") == "restart"]
-    intervals = [row["interval"] for row in rows]
-    return {
-        "restarts": len(rows),
-        "rows": rows,
-        "mean_interval": (sum(intervals) / len(intervals)
-                          if intervals else 0.0),
-        "min_interval": min(intervals) if intervals else 0,
-        "max_interval": max(intervals) if intervals else 0,
-    }
-
-
-def format_restarts(restarts: Dict[str, object]) -> str:
-    from repro.reporting.tables import format_table
-
-    if not restarts["rows"]:
-        return "no restarts in this trace"
-    table = format_table(
-        ["eid", "conflicts", "interval", "limit"],
-        [[row["eid"], row["conflicts"], row["interval"], row["limit"]]
-         for row in restarts["rows"]],
-        title=f"restart cadence ({restarts['restarts']} restarts)")
-    return (f"{table}\n"
-            f"interval: mean {restarts['mean_interval']:.1f}, "
-            f"min {restarts['min_interval']}, "
-            f"max {restarts['max_interval']}")
-
-
-# ---------------------------------------------------------------------------
-# hot
-# ---------------------------------------------------------------------------
-
-def analyze_hot(events: Sequence[Dict[str, object]],
-                top: int = 10) -> Dict[str, object]:
-    """Top-K scenarios by solver work (propagations + decisions +
-    conflicts of the scenario's stat delta)."""
-    summary = analyze_summary(events)
-    scenarios = summary["scenarios"]
-    return {
-        "top": top,
-        "total_scenarios": len(scenarios),
-        "total_work": _work_of(summary["totals"]),
-        "rows": scenarios[:top],
-    }
-
-
-def format_hot(hot: Dict[str, object]) -> str:
-    from repro.reporting.tables import format_table, verdict_cell
-
-    if not hot["rows"]:
-        return "no scenario spans in this trace"
-    rows = [[s["scenario"], s["group"], s["work"],
-             s["solver"].get("propagations", 0),
-             s["solver"].get("conflicts", 0),
-             f"{s['share'] * 100:.1f}",
-             verdict_cell(s.get("status"), s["deadlock_free"])]
-            for s in hot["rows"]]
-    return format_table(
-        ["scenario", "group", "work", "propagations", "conflicts",
-         "share %", "verdict"], rows,
-        title=f"top {len(rows)} of {hot['total_scenarios']} scenarios "
-              f"by solver work (total {hot['total_work']})")

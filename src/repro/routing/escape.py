@@ -26,7 +26,7 @@ channels stay inside the escape class and the freedom argument needs only
   channels is acyclic
 
 (checked by :func:`repro.core.theorems.check_deadlock_freedom_vc`, both
-explicitly and through the incremental CDCL session).  With ``num_vcs = 1``
+explicitly and through the Kahn-peeling session).  With ``num_vcs = 1``
 the two classes collapse onto the same single channel, (V-2) degenerates to
 the paper's Theorem 1 condition on the full graph, and the verdict is the
 single-VC one -- deadlock-prone for the adaptive baselines.

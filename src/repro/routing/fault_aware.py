@@ -32,6 +32,7 @@ from repro.core.errors import RoutingError
 from repro.network.port import Port, PortName
 from repro.network.topology import Topology
 from repro.routing.base import ColumnHops, _ids
+from repro.routing.turn_model import odd_even_directions
 
 Coordinate = Tuple[int, int]
 #: Direction filter: ordered preferred directions for (current, destination),
@@ -227,8 +228,6 @@ def _negative_first_filter(current: Port, destination: Port
 
 def _odd_even_filter(current: Port, destination: Port
                      ) -> Optional[Sequence[PortName]]:
-    from repro.routing.turn_model import odd_even_directions
-
     return odd_even_directions(current, destination) or None
 
 

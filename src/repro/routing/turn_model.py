@@ -38,6 +38,13 @@ from typing import List
 from repro.network.port import Port, PortName
 from repro.routing.base import MeshRoutingFunction
 
+# Module-level aliases: reading an enum member off its class costs a
+# Python-level attribute lookup, and odd_even_directions runs once per
+# route-table visit of a fault-aware odd-even routing.
+_NORTH, _SOUTH, _EAST, _WEST, _LOCAL = (
+    PortName.NORTH, PortName.SOUTH, PortName.EAST, PortName.WEST,
+    PortName.LOCAL)
+
 
 class _TurnModelRouting(MeshRoutingFunction):
     """Common scaffolding of the three turn models."""
@@ -116,18 +123,18 @@ def odd_even_directions(current: Port, destination: Port) -> List[PortName]:
     """
     dx = destination.x - current.x
     dy = destination.y - current.y
-    vertical = PortName.NORTH if dy < 0 else PortName.SOUTH
+    vertical = _NORTH if dy < 0 else _SOUTH
     if dx == 0:
         return [vertical]
     allowed: List[PortName] = []
     if dx > 0:
-        at_source = current.name is PortName.LOCAL
+        at_source = current.name is _LOCAL
         if dy != 0 and (current.x % 2 == 1 or at_source):
             allowed.append(vertical)
         if dy == 0 or destination.x % 2 == 1 or dx != 1:
-            allowed.append(PortName.EAST)
+            allowed.append(_EAST)
     else:
-        allowed.append(PortName.WEST)
+        allowed.append(_WEST)
         if dy != 0 and current.x % 2 == 0:
             allowed.append(vertical)
     return allowed

@@ -18,7 +18,7 @@ The deadlock story the builders support end to end:
 * ``build_vc_mesh_instance(3, 3, num_vcs=2)`` -- the same adaptive routing
   plus one XY escape VC: *proved* deadlock-free by
   :func:`repro.core.theorems.check_deadlock_freedom_vc` (explicitly) and
-  by the CDCL reference (one solve on a
+  by the Kahn-session reference (one peel on a
   :class:`~repro.core.deadlock.DeadlockQuerySession` restricted to the
   escape-class edges, as ``repro deadlock --vcs 2`` runs it);
 * ``build_vc_torus_instance(4, 4, num_vcs=2)`` -- the dateline escape pair

@@ -212,7 +212,7 @@ class TestImportPath:
 
     def test_cli_and_default_batch_load_only_the_graph_search(self,
                                                              tmp_path):
-        """The SAT stack, the store and the pool stay off the default
+        """The store, the pool and the simulation stay off the default
         path: a default ``repro batch`` at ``--jobs 1`` without
         ``--store`` loads the graph algorithms and no other
         ``repro.checking`` module."""
@@ -222,8 +222,7 @@ class TestImportPath:
             "repro.checking.graphs"]
         assert self.matching(after_batch, [
             "repro.core.store", "logging", "multiprocessing",
-            "concurrent.futures", "repro.simulation",
-            "repro.checking.sat"]) == []
+            "concurrent.futures", "repro.simulation"]) == []
 
     def test_default_batch_loads_no_genoc_witness_or_deadlock(self,
                                                                tmp_path):
@@ -262,14 +261,14 @@ class TestImportPath:
                                           "--messages", "4"])
         assert self.matching(after, [
             "repro.core.portfolio", "repro.core.store",
-            "repro.checking.sat"]) == []
+            "repro.checking."]) == []
         assert "repro.simulation.simulator" in after
 
     def test_simulate_loads_no_proof_obligation_spec_or_session(self,
                                                                  tmp_path):
         """``repro simulate`` checks CorrThm and EvacThm at run time: it
         loads no obligation checker, no graph search, no scenario spec
-        and not the module of the CDCL deadlock session (``Ω`` is asked
+        and not the module of the deadlock query session (``Ω`` is asked
         through :func:`repro.core.constituents.is_deadlock`)."""
         from repro.core.deadlock import DeadlockQuerySession
 
@@ -282,7 +281,7 @@ class TestImportPath:
         assert "repro.core.genoc" in after
 
     #: The ``repro`` modules a default ``repro batch`` loads: the graph
-    #: search and the five scenario kinds' build code, no solver, store,
+    #: search and the five scenario kinds' build code, no session, store,
     #: GeNoC engine or theorem checker.
     DEFAULT_BATCH = {
         "repro", "repro.checking", "repro.checking.graphs", "repro.cli",

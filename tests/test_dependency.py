@@ -107,11 +107,6 @@ class TestAcyclicityReport:
         assert not report.acyclic
         assert report.consistent
 
-    def test_sat_method(self, mesh):
-        graph = ExyDependencySpec(mesh).to_graph()
-        report = check_acyclicity(graph, methods=("dfs", "sat"))
-        assert report.acyclic
-
     def test_unknown_method_rejected(self, mesh):
         graph = ExyDependencySpec(mesh).to_graph()
         with pytest.raises(ValueError):

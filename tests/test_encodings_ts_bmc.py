@@ -1,55 +1,15 @@
-"""Tests for the SAT encodings, transition systems and the NoC state-space
-explorer."""
+"""Tests for the transition systems and the NoC state-space explorer."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.checking.bmc import (
     ConfigurationSpace,
     count_reachable_states,
     explore_configuration_space,
 )
-from repro.checking.encodings import encode_acyclicity, is_acyclic_by_sat
-from repro.checking.graphs import DirectedGraph, find_cycle_dfs
-from repro.checking.sat import solve_cnf
 from repro.checking.ts import TransitionSystem
 from repro.hermes.instantiation import build_hermes_instance
 from repro.ringnoc.instantiation import build_clockwise_ring_instance
-
-
-def graph_from_edges(edges, vertices=None):
-    return DirectedGraph.from_edges(edges, vertices=vertices)
-
-
-@st.composite
-def random_digraph(draw):
-    n = draw(st.integers(1, 6))
-    possible = [(a, b) for a in range(n) for b in range(n)]
-    edges = draw(st.lists(st.sampled_from(possible), max_size=12))
-    return DirectedGraph.from_edges(edges, vertices=range(n))
-
-
-class TestAcyclicityEncoding:
-    def test_dag_is_sat(self):
-        graph = graph_from_edges([(1, 2), (2, 3)])
-        assert is_acyclic_by_sat(graph)
-
-    def test_cycle_is_unsat(self):
-        graph = graph_from_edges([(1, 2), (2, 3), (3, 1)])
-        assert not is_acyclic_by_sat(graph)
-
-    def test_self_loop_is_unsat(self):
-        assert not is_acyclic_by_sat(graph_from_edges([(1, 1)]))
-
-    @given(random_digraph())
-    @settings(max_examples=60, deadline=None)
-    def test_sat_agrees_with_dfs(self, graph):
-        assert is_acyclic_by_sat(graph) == find_cycle_dfs(graph).acyclic
-
-    def test_encoding_size_is_reasonable(self):
-        graph = graph_from_edges([(i, i + 1) for i in range(20)])
-        cnf, _ = encode_acyclicity(graph)
-        assert cnf.num_clauses < 5000
 
 
 class TestTransitionSystem:

@@ -1,8 +1,8 @@
 """Tests for the Duato-style escape-channel routing relation and the
 VC-granular deadlock verification (the (V-1)/(V-2) condition), explicit and
-on the CDCL session -- including the headline result: the deadlock-prone
+on the Kahn session -- including the headline result: the deadlock-prone
 3x3 adaptive mesh is proved deadlock-free with 2 VCs and an XY escape class
-by BOTH the explicit dependency-graph checker and the CDCL session."""
+by BOTH the explicit dependency-graph checker and the Kahn session."""
 
 import pytest
 
@@ -34,10 +34,10 @@ from repro.routing.escape import (
 from repro.routing.torus import TorusXYRouting
 
 
-def cdcl_vc_verdict(relation, session=None):
-    """The (V-1)/(V-2) verdict with (V-2) decided by a CDCL session.
+def session_vc_verdict(relation, session=None):
+    """The (V-1)/(V-2) verdict with (V-2) decided by a Kahn session.
 
-    (V-2) is one solve restricted to the escape-class edges of the
+    (V-2) is one peel restricted to the escape-class edges of the
     relation's channel graph, merged into ``session`` when one is given.
     """
     graph = channel_dependency_graph(relation)
@@ -63,7 +63,7 @@ class TestMeshEscapeHeadline:
         assert not relation.classes_separated
         explicit = check_deadlock_freedom_vc(relation)
         assert not explicit.holds
-        assert not cdcl_vc_verdict(relation)
+        assert not session_vc_verdict(relation)
         assert explicit.counterexamples
 
     def test_two_vcs_with_escape_class_are_proved_free_by_both_paths(self):
@@ -75,10 +75,10 @@ class TestMeshEscapeHeadline:
         graph = channel_dependency_graph(relation)
         assert not find_cycle_dfs(graph).acyclic
         # ... but the design is deadlock-free by the escape condition,
-        # agreed on by the explicit checker and the CDCL session.
+        # agreed on by the explicit checker and the Kahn session.
         explicit = check_deadlock_freedom_vc(relation)
         assert explicit.holds
-        assert cdcl_vc_verdict(relation)
+        assert session_vc_verdict(relation)
         assert explicit.details["classes_separated"]
 
     def test_escape_subgraph_is_acyclic_while_adaptive_class_cycles(self):
@@ -94,7 +94,7 @@ class TestMeshEscapeHeadline:
         out = capsys.readouterr().out
         assert "DEADLOCK-PRONE" in out          # the single-VC baseline
         assert "DeadThm(vc): holds" in out
-        assert "CDCL session: holds" in out
+        assert "Kahn session: holds" in out
         assert "proved deadlock-free with 2 VCs" in out
 
 
@@ -169,7 +169,7 @@ class TestDatelineEscape:
         assert relation.escape_vcs == (0, 1)
         assert relation.adaptive_vcs == ()
         explicit = check_deadlock_freedom_vc(relation)
-        assert explicit.holds and cdcl_vc_verdict(relation)
+        assert explicit.holds and session_vc_verdict(relation)
 
     def test_torus_with_adaptive_class_on_top_is_free(self):
         relation = torus_escape_routing(Torus2D(4, 3), num_vcs=3)
@@ -186,7 +186,7 @@ class TestDatelineEscape:
         fixed = ring_escape_routing(Ring(4, bidirectional=True), num_vcs=2)
         assert not check_deadlock_freedom_vc(prone).holds
         explicit = check_deadlock_freedom_vc(fixed)
-        assert explicit.holds and cdcl_vc_verdict(fixed)
+        assert explicit.holds and session_vc_verdict(fixed)
 
     def test_dateline_repairs_the_clockwise_routing_itself(self):
         """The CLI's `--design clockwise-ring --vcs 2` path: the dateline
@@ -201,7 +201,7 @@ class TestDatelineEscape:
                                     base_routing=ClockwiseRingRouting(ring))
         assert not check_deadlock_freedom_vc(prone).holds
         assert check_deadlock_freedom_vc(fixed).holds
-        assert cdcl_vc_verdict(fixed)
+        assert session_vc_verdict(fixed)
 
     def test_dateline_vc_switch_happens_on_wrap_hops(self):
         relation = ring_escape_routing(Ring(4, bidirectional=True),
@@ -260,7 +260,7 @@ class TestIncrementalVcQueries:
                     escape, list(zip(cycle, cycle[1:] + cycle[:1]))))
 
     def test_shared_session_across_vc_counts(self):
-        """One solver session hosts the channel universes of several VC
+        """One session hosts the channel universes of several VC
         counts (the portfolio/benchmark usage pattern)."""
         from repro.checking.graphs import DirectedGraph
         from repro.network.vc import VCTopology
@@ -270,7 +270,7 @@ class TestIncrementalVcQueries:
         for channel in VCTopology(mesh, 4).ports:
             universe.add_vertex(channel)
         session = DeadlockQuerySession(universe, name="shared vc universe")
-        verdicts = {vcs: cdcl_vc_verdict(
+        verdicts = {vcs: session_vc_verdict(
             mesh_escape_routing(mesh, num_vcs=vcs), session=session)
             for vcs in (1, 2, 4)}
         assert verdicts == {1: False, 2: True, 4: True}

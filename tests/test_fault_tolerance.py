@@ -6,10 +6,9 @@ run is held to the engine's core invariant: the comparable verdict
 projection is identical to a fault-free run.  The matrix covers worker
 kills (pool rebuild + retry), repeated kills (serial degradation),
 planned errors and timeouts (structured verdicts), hung workers (parent
-watch-loop reaping), run deadlines, cooperative solver interruption
-mid-search, resume by rerunning with the same verdict store -- including
-resume after a SIGKILLed sweep on the 24-scenario acceptance matrix --
-and the ``repro batch`` SIGINT epilogue.
+watch-loop reaping), run deadlines, resume by rerunning with the same
+verdict store -- including resume after a SIGKILLed sweep on the
+24-scenario acceptance matrix -- and the ``repro batch`` SIGINT epilogue.
 """
 
 import json
@@ -21,7 +20,7 @@ import time
 
 import pytest
 
-from repro.checking.sat import IncrementalSatSolver, SolverTimeout
+from repro.core.errors import SolverTimeout
 from repro.core.faultplan import (
     DEFAULT_HANG_SECONDS,
     FAULT_PLAN_ENV,
@@ -130,57 +129,6 @@ class TestFaultPlan:
         execute_directive(("kill", 0.0), in_worker=False)
         execute_directive(("hang", 30.0), in_worker=False)
         execute_directive(None, in_worker=True)
-
-
-# ---------------------------------------------------------------------------
-# Cooperative solver interruption
-# ---------------------------------------------------------------------------
-
-def _hard_random_3sat(solver):
-    import random
-
-    rng = random.Random(7)
-    for _ in range(480):
-        variables = rng.sample(range(1, 121), 3)
-        clause = [var if rng.random() < 0.5 else -var
-                  for var in variables]
-        while solver.num_vars < 120:
-            solver.new_var()
-        solver.add_clause(clause)
-
-
-class TestSolverInterrupt:
-    def test_interrupt_fires_mid_search_on_conflict_heavy_instance(self):
-        solver = IncrementalSatSolver()
-        _hard_random_3sat(solver)
-        calls = {"n": 0}
-
-        def budget():
-            calls["n"] += 1
-            return "test budget" if calls["n"] >= 2 else None
-
-        solver.set_interrupt(budget)
-        with pytest.raises(SolverTimeout) as excinfo:
-            solver.solve()
-        assert excinfo.value.reason == "test budget"
-        assert calls["n"] >= 2  # polled during the search, not just at start
-
-    def test_solver_stays_usable_after_interrupt(self):
-        solver = IncrementalSatSolver()
-        _hard_random_3sat(solver)
-        solver.set_interrupt(lambda: "immediately")
-        with pytest.raises(SolverTimeout):
-            solver.solve()
-        solver.set_interrupt(None)
-        result = solver.solve()  # incremental state survived the abort
-        assert result.satisfiable in (True, False)
-
-    def test_interrupt_checked_at_solve_start(self):
-        solver = IncrementalSatSolver()
-        solver.add_clause([1])
-        solver.set_interrupt(lambda: "at start")
-        with pytest.raises(SolverTimeout):
-            solver.solve()
 
 
 # ---------------------------------------------------------------------------

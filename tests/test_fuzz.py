@@ -95,7 +95,7 @@ class TestCampaign:
         assert report.brute_checked > 0
         assert report.simulated > 0
         for verdict in report.verdicts:
-            assert verdict.cdcl_free == verdict.explicit_free
+            assert verdict.session_free == verdict.explicit_free
             if verdict.brute_free is not None:
                 assert verdict.brute_free == verdict.explicit_free
 
@@ -128,11 +128,11 @@ class TestCampaign:
         ("is_deadlock_free_edges", lambda answer: not answer),
         ("escape_edges_for", lambda answer: answer + [("ghost", "edge")]),
     ], ids=["verdict", "escape-set"])
-    def test_a_wrong_cdcl_answer_is_a_disagreement(self, method, lie,
-                                                   monkeypatch):
+    def test_a_wrong_session_answer_is_a_disagreement(self, method, lie,
+                                                      monkeypatch):
         """The cross-check compares the session's verdicts and, through
         ``escape_edges_for``, its single-edge repairs with the graph
-        search; either one lying must surface as ``cdcl-vs-explicit``."""
+        search; either one lying must surface as ``session-vs-explicit``."""
         from repro.core.deadlock import DeadlockQuerySession
 
         honest = getattr(DeadlockQuerySession, method)
@@ -141,7 +141,7 @@ class TestCampaign:
         report = run_fuzz_campaign(count=12, max_size=(3, 3),
                                    campaign_seed=2010, simulate=False)
         assert not report.ok
-        assert any(line.startswith("cdcl-vs-explicit")
+        assert any(line.startswith("session-vs-explicit")
                    for verdict in report.verdicts
                    for line in verdict.disagreements)
 

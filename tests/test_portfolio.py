@@ -1,14 +1,17 @@
-"""Tests for the incremental deadlock-query session, the portfolio batch
-driver, and the fast key-level wormhole stepper of the state-space
-explorer (cross-validated against the generic decode-based path)."""
+"""Tests for the deadlock-query session, the portfolio batch driver (its
+acceptance fixture and weighted sharding included), and the fast
+key-level wormhole stepper of the state-space explorer (cross-validated
+against the generic decode-based path)."""
 
+import json
+import os
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.bmc import ConfigurationSpace, explore_configuration_space
-from repro.checking.encodings import is_acyclic_by_sat
+from repro.checking.graphs import find_cycle_dfs
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import routing_dependency_graph
 from repro.core.portfolio import (
@@ -28,6 +31,8 @@ from repro.ringnoc.instantiation import (
 from repro.routing.adaptive import ZigZagRouting
 from repro.switching.store_and_forward import StoreAndForwardSwitching
 from repro.switching.virtual_cut_through import VirtualCutThroughSwitching
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def declared_session(instance):
@@ -72,13 +77,12 @@ class TestDeadlockQuerySession:
         (lambda: routing_dependency_graph(
             build_clockwise_ring_instance(8).routing), False, True),
     ], ids=["xy-mesh-4x4", "zigzag-mesh-4x4", "clockwise-ring-8"])
-    def test_cdcl_deciders_agree_beyond_toy_sizes(self, build, free,
-                                                  escapable):
-        """The one-shot SAT encoding and the session reach the same
-        verdict; only the ring's cycles share an edge whose removal breaks
-        them all."""
+    def test_session_agrees_with_dfs_beyond_toy_sizes(self, build, free,
+                                                      escapable):
+        """The DFS and the session reach the same verdict; only the
+        ring's cycles share an edge whose removal breaks them all."""
         graph = build()
-        assert is_acyclic_by_sat(graph) is free
+        assert find_cycle_dfs(graph).acyclic is free
         session = DeadlockQuerySession(graph, name="beyond-toy")
         assert session.is_deadlock_free() is free
         assert bool(session.escape_edges_for(session.edges)) is escapable
@@ -147,7 +151,7 @@ class TestPortfolioDriver:
             standard_portfolio(mesh_sizes=(3,), ring_sizes=()),
             cross_check=True)
         assert list(report.session_stats) == ["mesh-3x3"]
-        # Later scenarios re-use earlier encodings: at least one scenario
+        # Later scenarios re-use earlier edges: at least one scenario
         # contributed no new edges at all.
         assert any(v.new_edges == 0 for v in report.verdicts[1:])
 
@@ -164,7 +168,7 @@ class TestPortfolioDriver:
 
     def test_default_run_never_builds_a_solver_session(self, monkeypatch):
         """The verdict path is the graph search alone: a default run must
-        decide every condition kind without a CDCL session."""
+        decide every condition kind without a session."""
         def refuse(*_args, **_kwargs):
             raise AssertionError("default run built a DeadlockQuerySession")
 
@@ -177,14 +181,14 @@ class TestPortfolioDriver:
 
     @pytest.mark.parametrize("method, stub, answers", [
         ("is_deadlock_free_edges", lambda self, edges: True,
-         ("graph search free=False with 8", "CDCL session free=True")),
+         ("graph search free=False with 8", "Kahn session free=True")),
         ("cycle_core_for", lambda self, edges: [],
          ("graph search free=False with 8",
-          "CDCL session free=False with 0")),
+          "Kahn session free=False with 0")),
     ], ids=["verdict", "escape-set"])
     def test_cross_check_disagreement_is_an_error_verdict(
             self, monkeypatch, method, stub, answers):
-        """A CDCL session that calls every query free, or finds no core,
+        """A session that calls every query free, or finds no cycle,
         contradicts the graph search on the prone ring: that scenario
         must come back as an ``error`` verdict naming itself and both
         answers."""
@@ -213,7 +217,7 @@ def _mixed_portfolio():
 class TestParallelPortfolio:
     def test_parallel_verdicts_identical_to_serial(self):
         """The tentpole contract: ``--jobs 4`` reproduces ``--jobs 1``
-        bit for bit -- verdicts, ordering, cores, solver statistics --
+        bit for bit -- verdicts, ordering, cores, peel counts --
         across mesh, ring, VC-mesh and VC-torus scenario groups."""
         scenarios = _mixed_portfolio()
         serial = run_portfolio(scenarios, jobs=1)
@@ -251,9 +255,8 @@ class TestParallelPortfolio:
             assert verdict.solver  # schema 2: every scenario records work
             for key, value in verdict.solver.items():
                 totals[key] = totals.get(key, 0) + value
-        session = report.session_stats["mesh-3x3"]
-        for key in ("decisions", "conflicts", "solves"):
-            assert totals[key] == session[key]
+        assert totals == report.session_stats["mesh-3x3"]
+        assert list(totals) == ["solves"]
 
 
 class TestReportSchema:
@@ -423,3 +426,176 @@ class TestFastWormholeStepper:
         result = explore_configuration_space(instance, travels, capacity=1)
         assert result.complete
         assert not result.deadlock_found
+
+
+ACCEPTANCE_MATRIX = (
+    "mesh:3x3, routing=[xy,yx,west-first,north-last,negative-first,"
+    "adaptive,zigzag], switching=wormhole; "
+    "mesh:3x3, routing=xy, switching=vct; "
+    "mesh:4x4, routing=[xy,yx], switching=wormhole; "
+    "ring:4, routing=chain; ring:4, routing=clockwise, buffers=1; "
+    "vc-mesh:3x3, vcs=1..4; vc-torus:4x4, vcs=1..4; vc-ring:4, vcs=1..4"
+)
+
+
+class TestEngineAcceptanceFixture:
+    """The verdict path's acceptance contract against an older engine.
+
+    ``tests/data/acceptance_pr4_verdicts.json`` was generated by a SAT
+    engine on the acceptance matrix.  The graph-search verdict path must
+    reproduce every verdict, escape-edge set, edge count and condition
+    *bit for bit*.  Cycle cores are asserted to be genuine cycle
+    witnesses over the scenario's own edges: the DFS reports one simple
+    cycle, never larger than the old engine's UNSAT cores, so cores are
+    pinned semantically, not byte-wise.  The cross-checked run must
+    also reproduce the Kahn session's peel counts.
+    """
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        from repro.core.portfolio import (
+            merge_shard_reports,
+            run_portfolio,
+            scenarios_from_specs,
+        )
+        from repro.core.spec import expand_matrix
+
+        scenarios = scenarios_from_specs(expand_matrix(ACCEPTANCE_MATRIX))
+        full = run_portfolio(scenarios)
+        weighted = merge_shard_reports(
+            [run_portfolio(scenarios, shard=(index, 2),
+                           shard_balance="weighted")
+             for index in range(2)])
+        cross_checked = run_portfolio(scenarios, cross_check=True)
+        return full, weighted, cross_checked
+
+    def test_everything_but_cores_matches_the_pre_rewrite_engine(
+            self, reports):
+        full, _, _ = reports
+        with open(os.path.join(FIXTURE_DIR,
+                               "acceptance_pr4_verdicts.json")) as handle:
+            fixture = json.load(handle)
+        payload = full.comparable_dict()
+        del payload["session_stats"]
+        for entry in payload["scenarios"]:
+            del entry["solver"]
+        for entry in payload["scenarios"] + fixture["scenarios"]:
+            del entry["cycle_core"]
+            # The fixture lists each escape set in the old solver's core
+            # order; the set is what the engines must agree on.
+            entry["escape_edges"] = sorted(entry["escape_edges"])
+        assert payload == fixture
+
+    def test_cycle_cores_are_genuine_and_no_looser_than_before(self, reports):
+        """Every prone scenario's core must contain a cycle, and the cores
+        must stay at least as tight as the pre-rewrite engine's: per
+        scenario at most 1.5x the old witness, and no larger in
+        aggregate.  A future change that degrades cores to sloppy
+        supersets fails here."""
+        from repro.checking.graphs import DirectedGraph, find_cycle_dfs
+
+        full, _, _ = reports
+        with open(os.path.join(FIXTURE_DIR,
+                               "acceptance_pr4_verdicts.json")) as handle:
+            fixture = json.load(handle)
+        old_cores = {entry["scenario"]: entry["cycle_core"]
+                     for entry in fixture["scenarios"]}
+        prone = [verdict for verdict in full.verdicts
+                 if not verdict.deadlock_free]
+        assert prone, "the acceptance matrix must contain prone scenarios"
+        new_total = old_total = 0
+        for verdict in prone:
+            assert verdict.cycle_core, verdict.scenario
+            old_size = len(old_cores[verdict.scenario])
+            new_total += len(verdict.cycle_core)
+            old_total += old_size
+            assert len(verdict.cycle_core) <= 1.5 * old_size, \
+                verdict.scenario
+            witness = DirectedGraph()
+            for source, target in verdict.cycle_core:
+                witness.add_vertex(source)
+                witness.add_vertex(target)
+            for source, target in verdict.cycle_core:
+                witness.add_edge(source, target)
+            assert not find_cycle_dfs(witness).acyclic, verdict.scenario
+        assert new_total <= old_total, (new_total, old_total)
+
+    #: Peels per group of the cross-checked acceptance run: one per free
+    #: scenario; for a prone one, one for the verdict (when (V-1) holds),
+    #: one for the session's cycle and one per edge of that cycle.
+    SESSION_SOLVES = {"mesh-3x3": 34, "mesh-4x4": 2, "ring-4": 11,
+                      "vc-mesh-3x3": 17, "vc-torus-4x4": 13, "vc-ring-4": 13}
+
+    def test_session_stats_count_the_cross_check_peels(self, reports):
+        """Per group, ``{"solves": n}`` with the pinned peel count, and
+        per scenario a ``solves`` delta: 1 when free, at least the verdict
+        and cycle peels plus one per escape edge when prone.  A change
+        to how the session walks its cycle moves these counts."""
+        _, _, cross_checked = reports
+        payload = cross_checked.comparable_dict()
+        assert payload["session_stats"] == {
+            group: {"solves": solves}
+            for group, solves in self.SESSION_SOLVES.items()}
+        for entry in payload["scenarios"]:
+            solves = entry["solver"]["solves"]
+            assert set(entry["solver"]) == {"solves"}, entry["scenario"]
+            if entry["deadlock_free"]:
+                assert solves == 1, entry["scenario"]
+            else:
+                assert solves >= 2 + len(entry["escape_edges"]), \
+                    entry["scenario"]
+
+    def test_merged_weighted_shards_equal_the_unsharded_run(self, reports):
+        full, weighted, _ = reports
+        assert weighted.comparable_dict() == full.comparable_dict()
+
+    def test_cross_checked_run_matches_the_default_verdicts(self, reports):
+        """The Kahn session must agree with the graph search on every
+        acceptance scenario (a disagreement is an ``error`` verdict), so
+        the cross-checked report equals the default one once the peel
+        counts, which only the cross-check produces, are removed."""
+        full, _, cross_checked = reports
+        expected = full.comparable_dict()
+        actual = cross_checked.comparable_dict()
+        for payload in (expected, actual):
+            del payload["session_stats"]
+            for entry in payload["scenarios"]:
+                del entry["solver"]
+        assert actual == expected
+
+
+class TestWeightedSharding:
+    def test_lpt_assignment_is_deterministic_and_balanced(self):
+        from repro.core.portfolio import weighted_shard_assignment
+
+        costs = {"huge": 100.0, "big": 60.0, "mid": 40.0,
+                 "small": 10.0, "tiny": 5.0}
+        first = weighted_shard_assignment(costs, 2)
+        second = weighted_shard_assignment(dict(reversed(list(costs.items()))),
+                                           2)
+        assert first == second, "assignment must not depend on dict order"
+        # LPT: 'huge' alone on shard 0; everything else fits shard 1
+        # (60 + 40 + 10 + 5 = 115 vs 100).
+        assert first["huge"] == 0
+        loads = [0.0, 0.0]
+        for key, shard in first.items():
+            loads[shard] += costs[key]
+        assert max(loads) / sum(loads) < 0.6, loads
+
+    def test_scenario_cost_grows_with_dims_and_vcs(self):
+        from repro.core.portfolio import Scenario, scenario_cost
+        from repro.core.spec import ScenarioSpec
+
+        small = Scenario.from_spec(ScenarioSpec(kind="mesh", dims=(3, 3)))
+        large = Scenario.from_spec(ScenarioSpec(kind="mesh", dims=(8, 8)))
+        vc = Scenario.from_spec(ScenarioSpec(kind="vc-mesh", dims=(3, 3),
+                                             num_vcs=4))
+        assert scenario_cost(large) > scenario_cost(small)
+        assert scenario_cost(vc) > scenario_cost(small)
+
+    def test_unknown_balance_policy_is_rejected(self):
+        from repro.core.portfolio import run_portfolio, standard_portfolio
+
+        scenarios = standard_portfolio(mesh_sizes=(2,), ring_sizes=())
+        with pytest.raises(ValueError, match="shard_balance"):
+            run_portfolio(scenarios, shard=(0, 2), shard_balance="fair")

@@ -1,10 +1,10 @@
 """The trace lab: recording, validation, determinism, analysis, CLI.
 
-The contracts pinned here are the ones ISSUE 7 names: a ``None`` trace
-changes nothing (verdicts byte-identical on the pinned acceptance matrix),
-a real trace is deterministic modulo timing fields, the stream validates
-against the schema, and ``repro trace summary`` reconciles the event-stream
-deltas with the solver's own end-of-run aggregate counters.
+The contracts pinned here: a ``None`` trace changes nothing (verdicts
+byte-identical on the pinned acceptance matrix), a real trace is
+deterministic modulo timing fields, the stream validates against the
+schema, and ``repro trace summary`` reconciles the event-stream deltas
+with the session's own end-of-run peel counts.
 """
 
 import io
@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.checking.sat import IncrementalSatSolver
 from repro.core import trace_analysis
 from repro.core.cache import reset_instance_cache
 from repro.core.portfolio import run_portfolio, scenarios_from_specs
@@ -28,7 +27,7 @@ from repro.core.trace import (
 )
 
 #: The pinned 24-scenario acceptance matrix (same as the engine-acceptance
-#: fixture in test_clause_management.py).
+#: fixture in test_portfolio.py).
 ACCEPTANCE_MATRIX = (
     "mesh:3x3, routing=[xy,yx,west-first,north-last,negative-first,"
     "adaptive,zigzag], switching=wormhole; "
@@ -38,8 +37,8 @@ ACCEPTANCE_MATRIX = (
     "vc-mesh:3x3, vcs=1..4; vc-torus:4x4, vcs=1..4; vc-ring:4, vcs=1..4"
 )
 
-#: A small conflict-heavy matrix for the determinism / reconciliation
-#: tests (adaptive + zigzag are deadlock-prone -> real search work).
+#: A small matrix for the determinism / reconciliation tests (adaptive +
+#: zigzag are deadlock-prone -> cycle and escape peels).
 SMALL_MATRIX = ("mesh:3x3, routing=[xy,adaptive,zigzag]; "
                 "ring:4, routing=clockwise, buffers=1")
 
@@ -69,8 +68,8 @@ class TestTraceWriter:
         sink = io.StringIO()
         with TraceWriter(sink, clock=_counter_clock(), label="unit") as tr:
             assert tr.last_eid == 0  # the trace_begin header
-            assert tr.emit("restart", conflicts=1, interval=1, limit=32) == 1
-            assert tr.emit("restart", conflicts=2, interval=1, limit=32) == 2
+            assert tr.emit("oracle_query", query=1, edges=1, free=True) == 1
+            assert tr.emit("oracle_query", query=2, edges=1, free=True) == 2
         events = load_trace(sink.getvalue().splitlines())
         assert [event["eid"] for event in events] == [0, 1, 2]
         assert events[0]["ev"] == "trace_begin"
@@ -80,23 +79,23 @@ class TestTraceWriter:
     def test_path_sink_owned_and_closed(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with TraceWriter(path, clock=_counter_clock()) as tr:
-            tr.emit("restart", conflicts=5, interval=5, limit=32)
+            tr.emit("oracle_query", query=5, edges=1, free=True)
         events = load_trace(path)
         assert len(events) == 2
-        assert events[1]["conflicts"] == 5
+        assert events[1]["query"] == 5
 
     def test_emit_after_close_raises(self):
         tr = TraceWriter(io.StringIO(), clock=_counter_clock())
         tr.close()
         with pytest.raises(ValueError):
-            tr.emit("restart", conflicts=0, interval=0, limit=32)
+            tr.emit("oracle_query", query=0, edges=1, free=True)
 
     def test_buffering_flushes_on_limit(self):
         sink = io.StringIO()
         tr = TraceWriter(sink, clock=_counter_clock(), buffer_limit=4)
         assert sink.getvalue() == ""  # header still buffered
         for _ in range(4):
-            tr.emit("restart", conflicts=0, interval=0, limit=32)
+            tr.emit("oracle_query", query=0, edges=1, free=True)
         assert len(sink.getvalue().splitlines()) >= 4
         tr.close()
         assert len(load_trace(sink.getvalue().splitlines())) == 5
@@ -104,7 +103,7 @@ class TestTraceWriter:
     def test_timestamps_come_from_injected_clock(self):
         sink = io.StringIO()
         tr = TraceWriter(sink, clock=_counter_clock())
-        tr.emit("restart", conflicts=0, interval=0, limit=32)
+        tr.emit("oracle_query", query=0, edges=1, free=True)
         tr.close()
         events = load_trace(sink.getvalue().splitlines())
         # epoch read at construction, header at 1.0, event at 2.0
@@ -117,10 +116,12 @@ class TestValidateTrace:
         return [
             {"eid": 0, "ev": "trace_begin", "t": 0.0,
              "schema": TRACE_SCHEMA, "label": ""},
-            {"eid": 1, "ev": "solve_begin", "t": 0.1, "solve": 1,
-             "assumptions": 0, "prefix_reuse": 0},
-            {"eid": 2, "ev": "solve_end", "t": 0.2, "sat": True,
-             "delta": {}},
+            {"eid": 1, "ev": "scenario_begin", "t": 0.1, "scenario": "s",
+             "group": "g", "index": 0, "shard": None},
+            {"eid": 2, "ev": "scenario_end", "t": 0.2, "scenario": "s",
+             "group": "g", "deadlock_free": True, "condition": "theorem1",
+             "edges": 0, "new_edges": 0, "solver": {}, "cache": {},
+             "wall_time_s": 0.1},
         ]
 
     def test_valid_stream(self):
@@ -139,7 +140,7 @@ class TestValidateTrace:
 
     def test_missing_required_field(self):
         events = self._valid()
-        del events[1]["prefix_reuse"]
+        del events[1]["shard"]
         assert any("missing fields" in error
                    for error in validate_trace(events))
 
@@ -152,9 +153,16 @@ class TestValidateTrace:
         events[0]["schema"] = TRACE_SCHEMA + 1
         assert any("schema" in error for error in validate_trace(events))
 
-    def test_unbalanced_solve_span(self):
+    def test_unbalanced_scenario_span(self):
         events = self._valid()[:2]
-        assert any("unclosed solve" in error
+        assert any("unclosed scenario" in error
+                   for error in validate_trace(events))
+
+    def test_removed_solver_events_are_unknown(self):
+        events = self._valid() + [
+            {"eid": 3, "ev": "solve_end", "t": 0.3, "sat": True,
+             "delta": {}}]
+        assert any("unknown event type 'solve_end'" in error
                    for error in validate_trace(events))
 
     def test_scrub_timing_strips_nondeterministic_fields(self):
@@ -162,59 +170,6 @@ class TestValidateTrace:
                  "wall_time_s": 0.2, "cache": {"hits": 1}, "edges": 3}
         scrubbed = scrub_timing(event)
         assert scrubbed == {"eid": 1, "ev": "scenario_end", "edges": 3}
-
-
-# ---------------------------------------------------------------------------
-# Solver-level stream
-# ---------------------------------------------------------------------------
-
-class TestSolverTrace:
-
-    def test_trivially_unsat_stats_keys_match_main_path(self):
-        # The early-return path must report the exact key set of the
-        # main search path.
-        normal = IncrementalSatSolver()
-        normal.add_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2]])
-        normal_result = normal.solve()
-        trivial = IncrementalSatSolver()
-        trivial.add_clauses([[1], [-1]])
-        trivial_result = trivial.solve()
-        assert not trivial_result.satisfiable
-        assert set(trivial_result.stats) == set(normal_result.stats)
-
-    def test_solve_spans_and_deltas(self):
-        sink = io.StringIO()
-        trace = TraceWriter(sink, clock=_counter_clock())
-        solver = IncrementalSatSolver(trace=trace)
-        solver.add_clauses([[1, 2], [-1, 2]])
-        assert solver.solve([-2]).satisfiable is False
-        assert solver.solve([2]).satisfiable is True
-        trace.close()
-        events = load_trace(sink.getvalue().splitlines())
-        assert validate_trace(events) == []
-        begins = [event for event in events if event["ev"] == "solve_begin"]
-        ends = [event for event in events if event["ev"] == "solve_end"]
-        assert len(begins) == 2 and len(ends) == 2
-        assert [end["sat"] for end in ends] == [False, True]
-        # Every solve_end delta accounts for exactly one solve.
-        assert all(end["delta"]["solves"] == 1 for end in ends)
-
-    def test_trivially_unsat_emits_balanced_span(self):
-        sink = io.StringIO()
-        trace = TraceWriter(sink, clock=_counter_clock())
-        solver = IncrementalSatSolver(trace=trace)
-        solver.add_clauses([[1], [-1]])
-        result = solver.solve()
-        trace.close()
-        assert not result.satisfiable
-        events = load_trace(sink.getvalue().splitlines())
-        assert validate_trace(events) == []
-        ends = [event for event in events if event["ev"] == "solve_end"]
-        assert len(ends) == 1 and ends[0]["sat"] is False
-
-    def test_untraced_solver_holds_no_trace_state(self):
-        solver = IncrementalSatSolver()
-        assert solver.trace is None
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +229,7 @@ class TestTraceDeterminism:
 
     def test_no_trace_overhead_bound(self):
         # The None path must not pay for tracing: an untraced run of a
-        # solver-heavy workload may not be slower than the traced run of
+        # cross-checked workload may not be slower than the traced run of
         # the same workload (which does strictly more work) beyond noise.
         def run_once(trace):
             reset_instance_cache()
@@ -293,47 +248,6 @@ class TestTraceDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Solver-technique events (restart)
-# ---------------------------------------------------------------------------
-
-class TestSolverTechniqueEvents:
-    """The technique events must validate against the schema and
-    reconcile with the solver's aggregate counters."""
-
-    def test_direct_solver_event_stream_matches_stats(self):
-        # A deterministic incremental workload deep enough to restart:
-        # the per-event counts must match the solver's own aggregate
-        # counters.
-        import random
-
-        rng = random.Random(2)
-        sink = io.StringIO()
-        trace = TraceWriter(sink, clock=_counter_clock(), label="direct")
-        solver = IncrementalSatSolver(trace=trace)
-        num_vars = 60
-        for _ in range(num_vars):
-            solver.new_var()
-
-        def add_random_batch(count):
-            for _ in range(count):
-                chosen = rng.sample(range(1, num_vars + 1), 3)
-                solver.add_clause([var if rng.random() < 0.5 else -var
-                                   for var in chosen])
-
-        add_random_batch(int(num_vars * 4.26))  # phase-transition density
-        solver.solve()
-        add_random_batch(80)  # an incremental second batch
-        solver.solve()
-        trace.close()
-        events = load_trace(sink.getvalue().splitlines())
-        assert validate_trace(events) == []
-
-        restarts = [event for event in events if event["ev"] == "restart"]
-        assert restarts
-        assert solver.stats["restarts"] == len(restarts)
-
-
-# ---------------------------------------------------------------------------
 # Offline analysis
 # ---------------------------------------------------------------------------
 
@@ -344,7 +258,7 @@ class TestTraceAnalysis:
         return _traced_portfolio(SMALL_MATRIX, label="analysis",
                                  cross_check=True)
 
-    def test_summary_reconciles_with_solver_stats(self, run):
+    def test_summary_reconciles_with_session_stats(self, run):
         report, events = run
         summary = trace_analysis.analyze_summary(events)
         assert summary["reconciled"] is True
@@ -353,10 +267,8 @@ class TestTraceAnalysis:
         for group in summary["groups"]:
             assert group["stats"] == report.session_stats[group["group"]]
             assert group["scenario_delta_sum"] == group["stats"]
-        totals = summary["totals"]
-        for key in ("solves", "conflicts", "propagations", "decisions"):
-            assert totals[key] == sum(
-                stats[key] for stats in report.session_stats.values())
+        assert summary["totals"] == {"solves": sum(
+            stats["solves"] for stats in report.session_stats.values())}
 
     def test_summary_detects_mismatch(self, run):
         _, events = run
@@ -364,11 +276,11 @@ class TestTraceAnalysis:
         for event in tampered:
             if event["ev"] == "session_summary":
                 event["stats"] = dict(event["stats"])
-                event["stats"]["conflicts"] += 1
+                event["stats"]["solves"] += 1
                 break
         summary = trace_analysis.analyze_summary(tampered)
         assert summary["reconciled"] is False
-        assert any("conflicts" in group["mismatched_keys"]
+        assert any("solves" in group["mismatched_keys"]
                    for group in summary["groups"])
 
     def test_summary_scenario_shares_sum_to_one(self, run):
@@ -378,37 +290,17 @@ class TestTraceAnalysis:
         assert shares == sorted(shares, reverse=True)
         assert abs(sum(shares) - 1.0) < 1e-9
 
-    def test_restarts_cadence(self, run):
-        _, events = run
-        restarts = trace_analysis.analyze_restarts(events)
-        expected = sum(1 for event in events if event["ev"] == "restart")
-        assert restarts["restarts"] == expected
-        for row in restarts["rows"]:
-            assert row["interval"] >= row["limit"]
-
-    def test_hot_ranks_by_work(self, run):
-        _, events = run
-        hot = trace_analysis.analyze_hot(events, top=2)
-        assert len(hot["rows"]) == 2
-        assert hot["total_scenarios"] == 4
-        works = [row["work"] for row in hot["rows"]]
-        assert works == sorted(works, reverse=True)
-
     def test_formatters_render(self, run):
         _, events = run
-        assert "reconciliation: OK" in trace_analysis.format_summary(
+        formatted = trace_analysis.format_summary(
             trace_analysis.analyze_summary(events))
-        trace_analysis.format_restarts(
-            trace_analysis.analyze_restarts(events))
-        assert "scenarios by solver work" in trace_analysis.format_hot(
-            trace_analysis.analyze_hot(events))
+        assert "reconciliation: OK" in formatted
+        assert "per-scenario share of solves" in formatted
 
     def test_analyses_are_json_serialisable(self, run):
         _, events = run
-        for analysis in (trace_analysis.analyze_summary(events),
-                         trace_analysis.analyze_restarts(events),
-                         trace_analysis.analyze_hot(events)):
-            json.loads(json.dumps(analysis))
+        analysis = trace_analysis.analyze_summary(events)
+        assert json.loads(json.dumps(analysis)) == analysis
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +338,14 @@ class TestTraceCli:
         with pytest.raises(SystemExit, match="schema"):
             main(["trace", "summary", str(bad)])
 
-    @pytest.mark.parametrize("top", ["0", "-3"])
-    def test_trace_hot_rejects_top_below_one(self, tmp_path, top):
-        from repro.cli import main
-
-        path = str(tmp_path / "run.jsonl")
-        main(["batch", "--matrix", SMALL_MATRIX, "--trace", path])
-        with pytest.raises(SystemExit, match="--top must be at least 1"):
-            main(["trace", "hot", path, "--top", top])
-
     def test_trace_subcommands_render_tables(self, tmp_path, capsys):
         from repro.cli import main
 
         path = str(tmp_path / "run.jsonl")
         main(["batch", "--matrix", SMALL_MATRIX, "--trace", path])
         capsys.readouterr()
-        for args in (["trace", "restarts", path],
-                     ["trace", "hot", path, "--top", "3"]):
-            assert main(args) == 0
-        assert capsys.readouterr().out
+        assert main(["trace", "summary", path]) == 0
+        assert "reconciliation: OK" in capsys.readouterr().out
+        for retired in ("restarts", "hot"):
+            with pytest.raises(SystemExit):
+                main(["trace", retired, path])

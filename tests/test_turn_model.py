@@ -1,7 +1,7 @@
 """Unit tests for the turn-model routing family (west-first, north-last,
 negative-first, odd-even): allowed-turn sets, reachability/totality on
 3x3 and 4x4 meshes, and acyclicity of every dependency graph with the
-explicit and CDCL deciders agreeing.
+explicit deciders and the Kahn session agreeing.
 """
 
 import pytest
@@ -142,15 +142,16 @@ class TestReachabilityAndTotality:
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
 @pytest.mark.parametrize("routing_cls", TURN_MODELS)
 class TestAcyclicity:
-    def test_explicit_and_cdcl_deciders_agree_on_freedom(self, dims,
-                                                         routing_cls):
+    def test_explicit_and_session_deciders_agree_on_freedom(self, dims,
+                                                            routing_cls):
         routing = routing_cls(Mesh2D(*dims))
         graph = routing_dependency_graph(routing)
         by_dfs = find_cycle_dfs(graph).acyclic
         by_scc = is_acyclic_by_scc(graph)
         by_topo = topological_sort(graph) is not None
-        by_cdcl = DeadlockQuerySession.for_routing(routing).is_deadlock_free()
-        assert by_dfs == by_scc == by_topo == by_cdcl
+        by_session = DeadlockQuerySession.for_routing(
+            routing).is_deadlock_free()
+        assert by_dfs == by_scc == by_topo == by_session
         # Each turn model forbids a turn class, so all are deadlock-free.
         assert by_dfs, f"{routing.name()} on {dims} must be acyclic"
 
