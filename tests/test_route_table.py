@@ -159,7 +159,8 @@ def test_table_reproduces_the_plain_enumeration(term):
             == reference_v1(spec.build().routing)
 
 
-#: sha256 digests of every ``_terms()`` table, frozen from the loop-based
+#: sha256 digests of every ``_terms()`` and ``_larger_terms()`` table, frozen
+#: from the loop-based
 #: fill; regenerate with ``PYTHONPATH=src python -m tests.test_route_table``.
 DIGESTS = Path(__file__).parent / "data" / "route_table_digests.json"
 
@@ -173,7 +174,18 @@ def table_digests(routing):
             "edges": sha256(edges.encode()).hexdigest()}
 
 
-@pytest.mark.parametrize("term", list(_terms()))
+def _larger_terms():
+    """Healthy tables at larger sizes, pinned by digest only."""
+    for dims in ("5x5", "8x8"):
+        for routing in spec_registry().entry("mesh").routings:
+            term = f"mesh:{dims}, routing={routing}"
+            yield pytest.param(term, id=f"mesh-{dims}-{routing}")
+    for vcs in (1, 2, 3):
+        term = f"vc-mesh:8x8, vcs={vcs}"
+        yield pytest.param(term, id=term.replace(", ", "-"))
+
+
+@pytest.mark.parametrize("term", list(_terms()) + list(_larger_terms()))
 def test_table_matches_the_frozen_digests(term):
     (spec,) = expand_matrix(term)
     frozen = json.loads(DIGESTS.read_text())
@@ -338,7 +350,7 @@ def test_one_table_per_routing_and_a_fresh_graph_per_call():
 
 if __name__ == "__main__":
     digests = {}
-    for param in _terms():
+    for param in list(_terms()) + list(_larger_terms()):
         (term,) = param.values
         (spec,) = expand_matrix(term)
         digests[term] = table_digests(spec.build().routing)
