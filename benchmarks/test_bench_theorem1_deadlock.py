@@ -155,4 +155,4 @@ def test_bench_deterministic_run_reaches_deadlock(benchmark):
            f"deadlocked after {result.steps} steps; recovered cycle: "
            + " -> ".join(str(p) for p in (analysis.cycle or [])))
     assert result.deadlocked
-    assert analysis.has_cycle
+    assert analysis.cycle

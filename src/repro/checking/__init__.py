@@ -5,11 +5,11 @@ reproduction hint suggests NuSMV/Z3 style automated checking.  Neither is
 available offline, so this package implements the needed checking machinery
 from scratch:
 
-* :mod:`repro.checking.graphs` -- cycle detection (DFS), strongly connected
-  components (Tarjan), topological sorting and the Kahn peel behind
-  :class:`repro.core.deadlock.DeadlockQuerySession`: the classical
-  linear-time checks the paper mentions for fixed-size instances (Section
-  VII) and the related Taktak et al. approach (Section VIII).
+* :mod:`repro.checking.graphs` -- the linear-time cycle search the paper
+  mentions for fixed-size instances (Section VII): a DFS that hands each
+  answer over with a certificate (a numbering every edge descends, or a
+  cycle), the small checker that re-checks it, and the Kahn peel behind
+  :class:`repro.core.deadlock.DeadlockQuerySession`.
 * :mod:`repro.checking.ts`, :mod:`repro.checking.bmc` -- explicit-state
   transition systems and reachability analysis (the stand-in for NuSMV),
   used to validate Theorem 1 empirically by exhaustive exploration of small

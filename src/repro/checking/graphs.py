@@ -2,13 +2,15 @@
 
 The paper notes (Section VII) that for a fixed-size network "a simple search
 for a cycle suffices.  This search can be performed in linear time".  This
-module provides that search in three independent flavours -- iterative DFS
-with an explicit stack, Tarjan's strongly-connected-components algorithm and
-Kahn's topological sort (whose peel, :func:`kahn_peel`, also decides the
-queries of :class:`repro.core.deadlock.DeadlockQuerySession`) -- plus a
-cross-check against :mod:`networkx`.
-Having several independent implementations of the same decision procedure is
-the library's substitute for the redundancy a theorem prover gives for free.
+module provides that search -- an iterative DFS over dense ids, the one
+decider behind every verdict -- and a checker for its answers.  The search
+hands each answer over with a certificate: a numbering that every edge
+descends (acyclic), a cycle (cyclic) and, for the escape search, a
+numbering or a cycle per cycle edge.  :func:`check_certificate` re-checks
+it in linear time and shares no code with the search (McConnell,
+Mehlhorn, Näher & Schweitzer, "Certifying algorithms", 2011), so a verdict
+rests on the small checker, not on the search.  :func:`kahn_peel` is the
+loop of the separate Kahn-peel decider behind ``--cross-check``.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class DirectedGraph(Generic[V]):
     def successors(self, vertex: V) -> Set[V]:
         return set(self._successors.get(vertex, ()))
 
-    def has_edge(self, source: V, target: V) -> bool:
-        return target in self._successors.get(source, ())
-
     def edges(self) -> List[Tuple[V, V]]:
         return [(source, target)
                 for source, targets in self._successors.items()
@@ -146,14 +145,14 @@ class DirectedGraph(Generic[V]):
                 rev.add_edge(target, source)
         return rev
 
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (used for cross-checking)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._successors)
-        graph.add_edges_from(self.edges())
-        return graph
+    def to_ids(self, vertices: Optional[Sequence[V]] = None) -> "IdGraph[V]":
+        """The graph over dense ids: vertex ``i`` is ``vertices[i]``
+        (``self.vertices`` by default), each row in insertion order."""
+        vertices = self.vertices if vertices is None else vertices
+        ids = {vertex: i for i, vertex in enumerate(vertices)}
+        return IdGraph(vertices, [[ids[target] for target in
+                                   self._successors[vertex]]
+                                  for vertex in vertices])
 
 
 class IdGraph(Generic[V]):
@@ -238,12 +237,9 @@ class CycleSearchResult(Generic[V]):
     #: Number of vertices visited (an effort indicator for the benchmarks).
     visited: int = 0
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience only
-        return self.acyclic
-
 
 # ---------------------------------------------------------------------------
-# DFS cycle search
+# DFS cycle search: the decider
 # ---------------------------------------------------------------------------
 
 def find_cycle_dfs(graph: DirectedGraph[V]) -> CycleSearchResult[V]:
@@ -252,10 +248,18 @@ def find_cycle_dfs(graph: DirectedGraph[V]) -> CycleSearchResult[V]:
     Roots are taken in ``graph.vertices`` order and successors in ``repr``
     order, so the search -- and the cycle it returns -- depends only on
     the graph, not on hash order.  Returns the cycle as a vertex list
-    (without repeating the first vertex) if one exists.
+    (without repeating the first vertex) if one exists.  The answer is
+    certified: :func:`check_certificate` re-checks the search's numbering
+    or cycle over ``graph.edges()``, and a rejection raises
+    :class:`CertificateError`.
     """
     by_rank, ids, successors = _ranked_ids(graph)
-    cycle, visited = _dfs(ids.values(), successors)
+    cycle, numbering, visited = _dfs(ids.values(), successors)
+    rejected = check_certificate(graph.to_ids(by_rank).successors,
+                                 Certificate(cycle, numbering), by_rank,
+                                 with_escapes=False)
+    if rejected is not None:
+        raise CertificateError(rejected)
     if cycle is None:
         return CycleSearchResult(acyclic=True, cycle=None, visited=visited)
     return CycleSearchResult(acyclic=False, visited=visited,
@@ -284,11 +288,18 @@ def _ranked_ids(graph: DirectedGraph[V]
 
 
 def _dfs(roots: Iterable[int], successors: Sequence[Sequence[int]]
-         ) -> Tuple[Optional[List[int]], int]:
-    """White/grey/black DFS over dense ids: ``(cycle or None, visited)``."""
+         ) -> Tuple[Optional[List[int]], Optional[List[int]], int]:
+    """White/grey/black DFS over dense ids: ``(cycle, numbering, visited)``.
+
+    Exactly one of ``cycle`` and ``numbering`` is ``None``.  A cycle lists
+    its ids; the numbering is the post-order, so every edge leads to a
+    lower number (ids no root reaches keep -1).
+    """
     WHITE, GREY, BLACK = 0, 1, 2
     colour = bytearray(len(successors))
     parent = [-1] * len(successors)
+    numbering = [-1] * len(successors)
+    finished = 0
     visited = 0
     for root in roots:
         if colour[root] != WHITE:
@@ -312,167 +323,80 @@ def _dfs(roots: Iterable[int], successors: Sequence[Sequence[int]]
                         cycle.append(vertex)
                         vertex = parent[vertex]
                     cycle.reverse()
-                    return cycle, visited
+                    return cycle, None, visited
             else:
                 colour[vertex] = BLACK
+                numbering[vertex] = finished
+                finished += 1
                 stack.pop()
-    return None, visited
+    return None, numbering, visited
 
 
 def cycle_and_escape_edges(graph: IdGraph[V], ranks: Sequence[int]
-                           ) -> Tuple[List[Tuple[V, V]], List[Tuple[V, V]]]:
-    """:func:`find_cycle_dfs`'s cycle, as its edges, and
-    :func:`edges_on_every_cycle` on ids (both empty when acyclic).
+                           ) -> Tuple[List[Tuple[V, V]], List[Tuple[V, V]],
+                                      Certificate]:
+    """:func:`find_cycle_dfs`'s cycle, as its edges, and the escape
+    edges, those of the cycle whose removal alone leaves the graph acyclic
+    (both empty when acyclic), with the search's :class:`Certificate` for
+    :func:`check_certificate`.
 
-    ``ranks[i]`` orders vertex ``i`` as its ``repr`` does
-    (:class:`ReprRanks`), so the results equal those of the two functions
-    on the ``DirectedGraph`` whose vertices come in ``graph.roots`` order.
+    The escape edges are exactly the edges common to all cycles, so they
+    do not depend on which cycle the search found; they are sorted by
+    their ``"source -> target"`` text.  ``ranks[i]`` orders vertex ``i``
+    as its ``repr`` does (:class:`ReprRanks`), so the cycle equals
+    :func:`find_cycle_dfs`'s on the ``DirectedGraph`` whose vertices come
+    in ``graph.roots`` order.
     """
     key = ranks.__getitem__
     successors = [sorted(row, key=key) if len(row) > 1 else row
                   for row in graph.successors]
-    cycle, _ = _dfs(graph.roots, successors)
+    cycle, numbering, _ = _dfs(graph.roots, successors)
     if cycle is None:
-        return [], []
+        return [], [], Certificate(numbering=numbering)
     vertices = graph.vertices
     core = list(zip(cycle, cycle[1:] + cycle[:1]))
-    escape = [(vertices[core[position][0]], vertices[core[position][1]])
-              for position in _breaking_edges(graph.roots, successors, core)]
+    numberings, detours = _breaking_edges(graph.roots, successors, core)
+    certificate = Certificate(
+        cycle, escapes={core[at]: found for at, found in numberings.items()},
+        detours={core[at]: found for at, found in detours.items()})
+    escape = [(vertices[source], vertices[target])
+              for source, target in certificate.escapes]
     return ([(vertices[source], vertices[target]) for source, target in core],
-            sorted(escape, key=_edge_text))
-
-
-def edges_on_every_cycle(graph: DirectedGraph[V],
-                         cycle: Sequence[Tuple[V, V]]) -> List[Tuple[V, V]]:
-    """The edges of ``cycle`` whose removal alone leaves ``graph`` acyclic.
-
-    Those are exactly the edges common to all cycles of ``graph``, so the
-    result does not depend on which cycle a search returned.  The id graph
-    is built once; each edge is then one DFS with that edge skipped (an
-    edge absent from ``graph`` skips nothing).  Sorted by their
-    ``"source -> target"`` text.
-    """
-    if not cycle:
-        return []
-    _, ids, successors = _ranked_ids(graph)
-    found = _breaking_edges(
-        ids.values(), successors,
-        [(ids.get(source), ids.get(target)) for source, target in cycle])
-    return sorted([cycle[position] for position in found], key=_edge_text)
+            sorted(escape, key=_edge_text), certificate)
 
 
 def _breaking_edges(roots: Iterable[int], successors: List[Sequence[int]],
-                    edges: Sequence[Tuple[Optional[int], Optional[int]]]
-                    ) -> List[int]:
-    """The positions of the id ``edges`` whose removal alone leaves the
-    graph acyclic: one DFS per edge, with that edge skipped (an edge with
-    no source id skips nothing)."""
-    found = []
+                    edges: Sequence[Tuple[int, int]]
+                    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    """Split the positions of the id ``edges`` by whether removing that
+    edge alone leaves the graph acyclic.
+
+    Returns, for each position that does, the numbering of the graph
+    without its edge, and for each other position a cycle that avoids its
+    edge.  Each DFS skips one candidate edge; a cycle it finds avoids
+    every candidate not on it, so it rules all of those out at once.
+    """
+    numberings: Dict[int, List[int]] = {}
+    detours: Dict[int, List[int]] = {}
     for position, (source, target) in enumerate(edges):
-        kept = successors[source] if source is not None else ()
-        if target in kept:
-            successors[source] = [vertex for vertex in kept
-                                  if vertex != target]
-        if _dfs(roots, successors)[0] is None:
-            found.append(position)
-        if target in kept:
-            successors[source] = kept
-    return found
+        if position in detours:
+            continue
+        kept = successors[source]
+        successors[source] = [vertex for vertex in kept if vertex != target]
+        cycle, numbering, _ = _dfs(roots, successors)
+        successors[source] = kept
+        if cycle is None:
+            numberings[position] = numbering
+            continue
+        on_cycle = set(zip(cycle, cycle[1:] + cycle[:1]))
+        for later in range(position, len(edges)):
+            if edges[later] not in on_cycle:
+                detours.setdefault(later, cycle)
+    return numberings, detours
 
 
 def _edge_text(edge: Tuple) -> str:
     return f"{edge[0]} -> {edge[1]}"
-
-
-def has_cycle(graph: DirectedGraph[V]) -> bool:
-    return not find_cycle_dfs(graph).acyclic
-
-
-def is_acyclic(graph: DirectedGraph[V]) -> bool:
-    return find_cycle_dfs(graph).acyclic
-
-
-# ---------------------------------------------------------------------------
-# Tarjan strongly connected components
-# ---------------------------------------------------------------------------
-
-def strongly_connected_components(graph: DirectedGraph[V]) -> List[List[V]]:
-    """Tarjan's algorithm, implemented iteratively.
-
-    A graph is acyclic iff every SCC is a singleton without a self-loop --
-    the check used by the Taktak et al. deadlock-detection tool discussed in
-    the paper's related work.
-    """
-    index_counter = 0
-    index: Dict[V, int] = {}
-    lowlink: Dict[V, int] = {}
-    on_stack: Dict[V, bool] = {}
-    stack: List[V] = []
-    components: List[List[V]] = []
-
-    for root in graph.vertices:
-        if root in index:
-            continue
-        work: List[Tuple[V, List[V], int]] = [
-            (root, sorted(graph.successors(root), key=repr), 0)]
-        while work:
-            vertex, successors, pointer = work.pop()
-            if pointer == 0:
-                index[vertex] = index_counter
-                lowlink[vertex] = index_counter
-                index_counter += 1
-                stack.append(vertex)
-                on_stack[vertex] = True
-            recurse = False
-            while pointer < len(successors):
-                successor = successors[pointer]
-                pointer += 1
-                if successor not in index:
-                    work.append((vertex, successors, pointer))
-                    work.append((successor,
-                                 sorted(graph.successors(successor), key=repr),
-                                 0))
-                    recurse = True
-                    break
-                if on_stack.get(successor, False):
-                    lowlink[vertex] = min(lowlink[vertex], index[successor])
-            if recurse:
-                continue
-            if lowlink[vertex] == index[vertex]:
-                component: List[V] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == vertex:
-                        break
-                components.append(component)
-            if work:
-                parent_vertex = work[-1][0]
-                lowlink[parent_vertex] = min(lowlink[parent_vertex],
-                                             lowlink[vertex])
-    return components
-
-
-def is_acyclic_by_scc(graph: DirectedGraph[V]) -> bool:
-    """Acyclicity via SCC decomposition."""
-    for component in strongly_connected_components(graph):
-        if len(component) > 1:
-            return False
-        vertex = component[0]
-        if graph.has_edge(vertex, vertex):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Kahn topological sort
-# ---------------------------------------------------------------------------
-
-def topological_sort(graph: DirectedGraph[V]) -> Optional[List[V]]:
-    """Kahn's algorithm.  Returns ``None`` when the graph has a cycle."""
-    order, residue = kahn_peel(graph.in_degrees(), graph._successors)
-    return None if residue else order
 
 
 def kahn_peel(in_degree: Dict[V, int],
@@ -483,7 +407,9 @@ def kahn_peel(in_degree: Dict[V, int],
     ``in_degree`` counts every vertex's predecessors and is consumed.
     Returns the peel order and the residue, the vertices never peeled.
     The graph is acyclic iff the residue is empty; otherwise every
-    residue vertex keeps a predecessor inside the residue.
+    residue vertex keeps a predecessor inside the residue.  It decides the
+    queries of :class:`repro.core.deadlock.DeadlockQuerySession`, the
+    independent decider behind ``--cross-check``.
     """
     ready = [vertex for vertex, degree in in_degree.items() if degree == 0]
     order: List[V] = []
@@ -497,55 +423,109 @@ def kahn_peel(in_degree: Dict[V, int],
     return order, [vertex for vertex, degree in in_degree.items() if degree]
 
 
-def is_acyclic_by_toposort(graph: DirectedGraph[V]) -> bool:
-    return topological_sort(graph) is not None
+# ---------------------------------------------------------------------------
+# The checker: re-checks a search's certificate, sharing no code with it
+# ---------------------------------------------------------------------------
+
+class CertificateError(ValueError):
+    """A search answer whose certificate :func:`check_certificate`
+    rejected; the message names the failed check."""
 
 
-def is_acyclic_by_networkx(graph: DirectedGraph[V]) -> bool:
-    """Cross-check using networkx (an external, independent implementation)."""
-    import networkx as nx
+@dataclass
+class Certificate:
+    """The evidence for one search answer over dense ids.
 
-    return nx.is_directed_acyclic_graph(graph.to_networkx())
-
-
-def longest_path_length(graph: DirectedGraph[V]) -> int:
-    """Length (in edges) of the longest path of an *acyclic* graph.
-
-    Used by the flow analysis: the longest dependency chain of the XY
-    dependency graph grows linearly with the mesh diameter.
-    Raises ``ValueError`` if the graph has a cycle.
+    Acyclic: ``numbering``, a number per id that every edge lowers.
+    Cyclic: ``cycle``, the ids of one cycle in order; ``escapes`` maps each
+    cycle edge whose removal alone leaves the graph acyclic to a numbering
+    of the graph without it, and ``detours`` maps every other cycle edge
+    to a cycle that avoids it.  ``escapes`` holds the escape edges.
     """
-    order = topological_sort(graph)
-    if order is None:
-        raise ValueError("longest_path_length requires an acyclic graph")
-    distance: Dict[V, int] = {vertex: 0 for vertex in graph.vertices}
-    for vertex in order:
-        for successor in graph.successors(vertex):
-            distance[successor] = max(distance[successor],
-                                      distance[vertex] + 1)
-    return max(distance.values()) if distance else 0
+
+    cycle: Optional[List[int]] = None
+    numbering: Optional[Sequence[int]] = None
+    escapes: Dict[Tuple[int, int], Sequence[int]] = field(
+        default_factory=dict)
+    detours: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
 
 
-def check_rank_certificate(graph: DirectedGraph[V],
-                           rank: Mapping[V, Tuple[int, ...]],
-                           sinks: Optional[Set[V]] = None) -> List[Tuple[V, V]]:
-    """Check a rank certificate for acyclicity.
+def check_rank_certificate(successors: Sequence[Sequence[int]],
+                           rank: Sequence,
+                           skip: Optional[Tuple[int, int]] = None,
+                           ) -> List[Tuple[int, int]]:
+    """The edges ``p -> q`` (``skip`` aside) along which ``rank`` does
+    not strictly decrease.
 
-    A *rank certificate* assigns every vertex a tuple such that every edge
-    strictly decreases the rank (edges into declared ``sinks`` are exempt
-    because sinks have no outgoing edges and therefore cannot lie on a
-    cycle... but note a sink *with* outgoing edges would invalidate the
-    exemption, so sinks are also checked to have out-degree 0).  Returns the
-    list of violating edges (empty = certificate valid).
+    An empty list proves the graph without ``skip`` acyclic: every edge
+    lowers the rank, so no path comes back to where it started.  Ranks
+    need only compare: numbers, or tuples compared lexicographically.
     """
-    sinks = sinks or set()
-    violations: List[Tuple[V, V]] = []
-    for sink in sinks:
-        if graph.out_degree(sink) > 0:
-            violations.append((sink, sink))
-    for source, target in graph.edges():
-        if target in sinks:
-            continue
-        if not (rank[target] < rank[source]):
-            violations.append((source, target))
-    return violations
+    return [(p, q) for p, row in enumerate(successors) for q in row
+            if not rank[q] < rank[p] and (p, q) != skip]
+
+
+def check_certificate(successors: Sequence[Sequence[int]],
+                      certificate: Certificate,
+                      names: Optional[Sequence] = None,
+                      with_escapes: bool = True) -> Optional[str]:
+    """Re-check a search answer over id successor lists in O(V + E) per
+    numbering: ``None`` if the certificate holds, else the failed check.
+
+    * acyclic: every edge lowers ``numbering``;
+    * cyclic: every edge of ``cycle`` is in the graph; unless
+      ``with_escapes`` is off, the cycle edges also split exactly into
+      ``escapes`` and ``detours``, every escape edge's numbering holds on
+      the graph without that edge and every detour is a cycle of the
+      graph that avoids its edge.
+
+    Then the verdict, the cycle and the escape edges (exactly the cycle
+    edges whose removal alone leaves the graph acyclic) are proved.
+    ``names[i]`` labels id ``i`` in the message.
+    """
+    label = range(len(successors)) if names is None else names
+
+    def edge(pair: Tuple[int, int]) -> str:
+        return f"{label[pair[0]]} -> {label[pair[1]]}"
+
+    def not_a_cycle(ids: List[int], avoid=None) -> Optional[str]:
+        if not ids:
+            return "it is empty"
+        for pair in zip(ids, ids[1:] + ids[:1]):
+            if pair == avoid:
+                return f"it uses {edge(pair)}"
+            if pair[1] not in successors[pair[0]]:
+                return f"edge {edge(pair)} is not in the graph"
+        return None
+
+    if certificate.cycle is None:
+        if certificate.numbering is None:
+            return "numbering: none given"
+        ascents = check_rank_certificate(successors, certificate.numbering)
+        if ascents:
+            return f"numbering: edge {edge(ascents[0])} does not descend"
+        return None
+    problem = not_a_cycle(certificate.cycle)
+    if problem is not None:
+        return f"cycle: {problem}"
+    if not with_escapes:
+        return None
+    cycle = certificate.cycle
+    cycle_edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+    escapes, detours = certificate.escapes, certificate.detours
+    for pair in sorted(cycle_edges | escapes.keys() | detours.keys()):
+        if pair not in cycle_edges:
+            return f"escape split: {edge(pair)} is not a cycle edge"
+        if (pair in escapes) == (pair in detours):
+            return (f"escape split: cycle edge {edge(pair)} needs one "
+                    f"numbering or one detour")
+    for pair, numbering in escapes.items():
+        ascents = check_rank_certificate(successors, numbering, skip=pair)
+        if ascents:
+            return (f"escape edge {edge(pair)}: edge {edge(ascents[0])} "
+                    f"does not descend")
+    for pair, detour in detours.items():
+        problem = not_a_cycle(detour, avoid=pair)
+        if problem is not None:
+            return f"detour of {edge(pair)}: {problem}"
+    return None

@@ -53,10 +53,6 @@ class DeadlockAnalysis:
     wait_edges: List[Tuple[Port, Port]] = field(default_factory=list)
     cycle: Optional[List[Port]] = None
 
-    @property
-    def has_cycle(self) -> bool:
-        return bool(self.cycle)
-
 
 def analyse_deadlock(config: Configuration,
                      switching: SwitchingPolicy) -> DeadlockAnalysis:

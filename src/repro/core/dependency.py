@@ -42,11 +42,7 @@ from repro.network.topology import Topology
 if TYPE_CHECKING:
     # Imported where a graph is built or searched: declaring a spec (the
     # HERMES instance of ``repro simulate`` does) loads no graph code.
-    from repro.checking.graphs import (
-        CycleSearchResult,
-        DirectedGraph,
-        IdGraph,
-    )
+    from repro.checking.graphs import DirectedGraph, IdGraph
 
 
 class DependencyGraphSpec(abc.ABC):
@@ -170,66 +166,6 @@ def routing_dependency_graph(routing: RoutingFunction,
     edges port by port, then in destination order, then in hop order.
     Every call returns a fresh, mutable graph."""
     return dependency_id_graph(routing, destinations).to_graph()
-
-
-class AcyclicityReport:
-    """Result of checking a dependency graph for cycles with every method."""
-
-    def __init__(self, graph: DirectedGraph[Port]) -> None:
-        self.graph = graph
-        self.dfs_result: Optional[CycleSearchResult] = None
-        self.by_method: Dict[str, bool] = {}
-
-    @property
-    def acyclic(self) -> bool:
-        if not self.by_method:
-            raise ValueError("no acyclicity check has been run")
-        return all(self.by_method.values())
-
-    @property
-    def consistent(self) -> bool:
-        """Did every method agree?"""
-        values = set(self.by_method.values())
-        return len(values) <= 1
-
-    @property
-    def cycle(self) -> Optional[List[Port]]:
-        if self.dfs_result is None:
-            return None
-        return self.dfs_result.cycle
-
-
-def check_acyclicity(graph: DirectedGraph[Port],
-                     methods: Sequence[str] = ("dfs", "scc", "toposort"),
-                     ) -> AcyclicityReport:
-    """Check acyclicity with several independent methods and cross-compare.
-
-    Supported methods: ``dfs``, ``scc``, ``toposort`` and ``networkx``.
-    """
-    from repro.checking.graphs import (
-        find_cycle_dfs,
-        is_acyclic_by_networkx,
-        is_acyclic_by_scc,
-        is_acyclic_by_toposort,
-    )
-
-    report = AcyclicityReport(graph)
-    for method in methods:
-        if method == "dfs":
-            report.dfs_result = find_cycle_dfs(graph)
-            report.by_method["dfs"] = report.dfs_result.acyclic
-        elif method == "scc":
-            report.by_method["scc"] = is_acyclic_by_scc(graph)
-        elif method == "toposort":
-            report.by_method["toposort"] = is_acyclic_by_toposort(graph)
-        elif method == "networkx":
-            report.by_method["networkx"] = is_acyclic_by_networkx(graph)
-        else:
-            raise ValueError(f"unknown acyclicity method {method!r}")
-    if not report.consistent:
-        raise AssertionError(
-            f"acyclicity checkers disagree: {report.by_method}")
-    return report
 
 
 def channel_dependency_graph(relation) -> DirectedGraph:

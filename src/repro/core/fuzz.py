@@ -1,10 +1,11 @@
 """Randomized-topology fuzz campaign over the deadlock deciders.
 
 The repo decides deadlock freedom three independent ways -- the Kahn
-session (:mod:`repro.core.deadlock`), the explicit graph algorithms
-(:mod:`repro.checking.graphs`) and, at small sizes, a brute-force
-self-reachability sweep defined right here -- and can additionally run any
-verdict through the GeNoC simulation engine.  This module points all of
+session (:mod:`repro.core.deadlock`), the certified DFS of
+:mod:`repro.checking.graphs` (the batch verdict, whose certificate the
+checker re-checks) and, at small sizes, a brute-force self-reachability
+sweep defined right here -- and can additionally run any verdict through
+the GeNoC simulation engine.  This module points all of
 them at *randomized* instances: seeded irregular scenario specs (topology
 kind, dimensions, routing token, VC count and fault set all drawn from a
 deterministic per-seed RNG) whose verdicts must agree decider by decider.
@@ -16,10 +17,12 @@ Disagreement taxonomy (what the campaign reports):
   (:meth:`~repro.core.deadlock.DeadlockQuerySession.escape_edges_for`),
   differs from the DFS cycle search on the same graph: a peel or
   cycle-walk bug.
-* ``explicit-internal`` -- DFS, SCC decomposition and Kahn toposort
-  disagree among themselves: a graph-algorithm bug.
-* ``brute-vs-explicit`` -- the quadratic self-reachability sweep differs:
-  the clever algorithms miss a cycle or invent one.
+* ``certificate`` -- the checker
+  (:func:`~repro.checking.graphs.check_certificate`) rejects the DFS's
+  numbering, cycle or escape-edge evidence: a search bug, named by the
+  failed check.
+* ``brute-vs-explicit`` -- the quadratic self-reachability sweep differs
+  from the DFS: the clever algorithms miss a cycle or invent one.
 * ``sim-vs-verdict`` -- an instance *proved* deadlock-free deadlocks in
   simulation: the model and the prover disagree about the design (the
   hard direction; a *prone* verdict without a simulated stall is fine --
@@ -144,7 +147,7 @@ def brute_force_acyclic(edges: Sequence[Tuple],
     """Acyclicity by per-vertex forward self-reachability, or ``None``.
 
     The dumbest decider that can be written independently of the DFS
-    colouring and SCC machinery: for every vertex, walk the forward
+    colouring and the Kahn peel: for every vertex, walk the forward
     closure of its successors and ask whether the vertex shows up again.
     Quadratic (``O(V * E)``), which is exactly why it is trustworthy -- and
     why it refuses graphs beyond ``max_vertices`` (returning ``None``).
@@ -289,57 +292,42 @@ def _decide_instance(instance, brute_force: bool,
                                                        List[str]]:
     """All non-simulation deciders on one instance, plus disagreements."""
     from repro.checking.graphs import (
-        DirectedGraph,
-        edges_on_every_cycle,
-        find_cycle_dfs,
-        is_acyclic_by_scc,
-        topological_sort,
+        ReprRanks,
+        check_certificate,
+        cycle_and_escape_edges,
     )
     from repro.core.deadlock import DeadlockQuerySession
-    from repro.core.dependency import (
-        channel_dependency_graph,
-        class_edges,
-        routing_dependency_graph,
-    )
+    from repro.core.dependency import dependency_id_graph
     from repro.routing.escape import EscapeChannelRouting
 
     disagreements: List[str] = []
     relation = instance.routing
+    graph = dependency_id_graph(relation)
     if isinstance(relation, EscapeChannelRouting):
         from repro.core.obligations import check_v1_escape_coverage
-        from repro.core.theorems import check_deadlock_freedom_vc
+        from repro.network.vc import vc_of
 
+        # (V-2) restricted to the escape class is what every decider
+        # answers; (V-1) coverage is shared (a plain enumeration).
         condition = "vc-escape"
-        graph = channel_dependency_graph(relation)
-        coverage = check_v1_escape_coverage(relation)
-        covered = coverage.holds
-        explicit = check_deadlock_freedom_vc(
-            relation, graph=graph, coverage=coverage).holds
-        # (V-2) restricted to the escape class is what the session and
-        # brute force re-derive; (V-1) coverage is shared (it is a plain
-        # enumeration, not a solver).
-        query_edges = class_edges(graph, relation.escape_vcs)
-        query_graph = DirectedGraph.from_edges(query_edges)
+        covered = check_v1_escape_coverage(relation).holds
+        query = graph.restrict([vc_of(port) in relation.escape_vcs
+                                for port in graph.vertices])
     else:
         condition = "theorem1"
-        graph = routing_dependency_graph(relation)
         covered = True
-        dfs_free = find_cycle_dfs(graph).acyclic
-        scc_free = is_acyclic_by_scc(graph)
-        topo_free = topological_sort(graph) is not None
-        if not (dfs_free == scc_free == topo_free):
-            disagreements.append(
-                f"explicit-internal: dfs={dfs_free} scc={scc_free} "
-                f"toposort={topo_free}")
-        explicit = dfs_free
-        query_edges = graph.edges()
-        query_graph = graph
-    session = DeadlockQuerySession(graph, name=relation.name())
+        query = graph
+    core, escape, certificate = cycle_and_escape_edges(
+        query, ReprRanks().ranks(graph.vertices))
+    rejected = check_certificate(query.successors, certificate,
+                                 graph.vertices)
+    if rejected is not None:
+        disagreements.append(f"certificate: {rejected}")
+    explicit = covered and not core
+    query_edges = query.edges()
+    session = DeadlockQuerySession(graph.to_graph(), name=relation.name())
     peeled = covered and session.is_deadlock_free_edges(query_edges)
     fixes = set() if peeled else set(session.escape_edges_for(query_edges))
-    cycle = find_cycle_dfs(query_graph).cycle or []
-    escape = set(edges_on_every_cycle(
-        query_graph, list(zip(cycle, cycle[1:] + cycle[:1]))))
     brute_acyclic = (brute_force_acyclic(query_edges,
                                          max_vertices=max_brute_vertices)
                      if brute_force else None)
@@ -349,7 +337,7 @@ def _decide_instance(instance, brute_force: bool,
     if peeled != explicit:
         disagreements.append(
             f"session-vs-explicit: session={peeled} explicit={explicit}")
-    elif fixes != escape:
+    elif fixes != set(escape):
         disagreements.append(
             f"session-vs-explicit: {len(fixes)} session escape edges, "
             f"{len(escape)} by graph search")
@@ -395,8 +383,8 @@ def run_fuzz_campaign(count: int = 200,
     """Fuzz ``count`` randomized instances and cross-validate every verdict.
 
     Builds each seeded spec from :func:`generate_fuzz_specs`, decides it
-    with the Kahn session, the explicit graph algorithms and (while the
-    graph is small enough) the brute-force sweep, then -- for simulable
+    with the Kahn session, the certified DFS and (while the graph is
+    small enough) the brute-force sweep, then -- for simulable
     sizes -- runs a seeded random workload through the GeNoC engine.  Any
     disagreement is collected into the report (:attr:`FuzzReport.ok`);
     nothing raises, so a CI lane can print the full summary before

@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.checking.graphs import DirectedGraph
+from repro.checking.graphs import DirectedGraph, find_cycle_dfs
 from repro.core.configuration import Configuration
 from repro.core.constituents import (
     InjectionMethod,
@@ -39,7 +39,6 @@ from repro.core.constituents import (
 )
 from repro.core.dependency import (
     DependencyGraphSpec,
-    check_acyclicity,
     routing_dependency_graph,
 )
 from repro.core.errors import ObligationViolation
@@ -182,60 +181,48 @@ def check_c2(routing: RoutingFunction, spec: DependencyGraphSpec,
 # (C-3): the declared dependency graph has no cycle
 # ---------------------------------------------------------------------------
 
-def check_c3(spec: DependencyGraphSpec,
-             methods: Sequence[str] = ("dfs", "scc", "toposort"),
-             ) -> ObligationResult:
-    """(C-3): ``∀ P' ⊆ P . ¬ cycle_dep(P')`` -- the graph is acyclic."""
+def _certified_acyclicity(graph: DirectedGraph, what: str
+                          ) -> Tuple[bool, List[str], Dict[str, object]]:
+    """The certified DFS on ``graph``: whether it is acyclic, the cycle as
+    a counterexample and the ``certificate`` the checker accepted (the
+    numbering or the cycle) with the cycle in the details."""
+    cycle = find_cycle_dfs(graph).cycle
+    if cycle is None:
+        return True, [], {"certificate": "numbering"}
+    return (False, [f"{what}: " + " -> ".join(str(p) for p in cycle)],
+            {"certificate": "cycle", "cycle": [str(p) for p in cycle]})
+
+
+def _graph_acyclicity(name: str, build: Callable[[], DirectedGraph]
+                      ) -> ObligationResult:
+    """The certified DFS on the graph ``build`` makes, one check per edge:
+    the checker reads every edge once to accept the search's numbering
+    (or its cycle)."""
 
     def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
-        graph = spec.to_graph()
-        report = check_acyclicity(graph, methods=methods)
-        counterexamples: List[str] = []
-        if not report.acyclic:
-            cycle = report.cycle or []
-            counterexamples.append(
-                "dependency cycle: " + " -> ".join(str(p) for p in cycle))
-        checks = graph.edge_count * len(methods)
-        details: Dict[str, object] = {
-            "vertices": graph.vertex_count,
-            "edges": graph.edge_count,
-            "methods": dict(report.by_method),
-        }
-        if report.cycle:
-            details["cycle"] = [str(p) for p in report.cycle]
-        return (report.acyclic, checks, counterexamples, details)
+        graph = build()
+        holds, counterexamples, found = _certified_acyclicity(
+            graph, "dependency cycle")
+        return (holds, graph.edge_count, counterexamples,
+                {"vertices": graph.vertex_count, "edges": graph.edge_count,
+                 **found})
 
-    return _timed(run, "C-3")
+    return _timed(run, name)
 
 
-def check_c3_routing_induced(routing: RoutingFunction,
-                             methods: Sequence[str] = ("dfs",),
-                             ) -> ObligationResult:
+def check_c3(spec: DependencyGraphSpec) -> ObligationResult:
+    """(C-3): ``∀ P' ⊆ P . ¬ cycle_dep(P')`` -- the graph is acyclic."""
+    return _graph_acyclicity("C-3", spec.to_graph)
+
+
+def check_c3_routing_induced(routing: RoutingFunction) -> ObligationResult:
     """(C-3) applied to the routing-induced graph instead of the declared one.
 
     Useful for routing functions that do not come with a declared dependency
     graph (the baselines of :mod:`repro.routing`).
     """
-
-    def run() -> Tuple[bool, int, List[str], Dict[str, object]]:
-        graph = routing_dependency_graph(routing)
-        report = check_acyclicity(graph, methods=methods)
-        counterexamples: List[str] = []
-        if not report.acyclic:
-            cycle = report.cycle or []
-            counterexamples.append(
-                "dependency cycle: " + " -> ".join(str(p) for p in cycle))
-        details: Dict[str, object] = {
-            "vertices": graph.vertex_count,
-            "edges": graph.edge_count,
-            "methods": dict(report.by_method),
-        }
-        if report.cycle:
-            details["cycle"] = [str(p) for p in report.cycle]
-        return (report.acyclic, graph.edge_count * len(methods),
-                counterexamples, details)
-
-    return _timed(run, "C-3(induced)")
+    return _graph_acyclicity("C-3(induced)",
+                             lambda: routing_dependency_graph(routing))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +305,6 @@ def check_v1_escape_coverage(relation,
 
 
 def check_v2_escape_acyclicity(relation,
-                               methods: Sequence[str] = ("dfs", "scc",
-                                                         "toposort"),
                                graph: Optional[DirectedGraph] = None,
                                ) -> ObligationResult:
     """(V-2): the escape-class subgraph of the channel graph is acyclic.
@@ -339,24 +324,16 @@ def check_v2_escape_acyclicity(relation,
         full = graph if graph is not None \
             else channel_dependency_graph(relation)
         escape = class_subgraph(full, relation.escape_vcs)
-        report = check_acyclicity(escape, methods=methods)
-        counterexamples: List[str] = []
-        if not report.acyclic:
-            cycle = report.cycle or []
-            counterexamples.append(
-                "escape-class dependency cycle: "
-                + " -> ".join(str(c) for c in cycle))
+        holds, counterexamples, found = _certified_acyclicity(
+            escape, "escape-class dependency cycle")
         details: Dict[str, object] = {
             "channels": full.vertex_count,
             "edges": full.edge_count,
             "escape_channels": escape.vertex_count,
             "escape_edges": escape.edge_count,
-            "methods": dict(report.by_method),
+            **found,
         }
-        if report.cycle:
-            details["cycle"] = [str(c) for c in report.cycle]
-        return (report.acyclic, escape.edge_count * len(methods),
-                counterexamples, details)
+        return holds, escape.edge_count, counterexamples, details
 
     return _timed(run, "V-2")
 

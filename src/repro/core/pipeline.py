@@ -85,7 +85,6 @@ class VerificationReport:
 
 def discharge_obligations(instance: NoCInstance,
                           workloads: Sequence[Sequence[Travel]] = (),
-                          c3_methods: Sequence[str] = ("dfs", "scc", "toposort"),
                           ) -> Dict[str, ObligationResult]:
     """Discharge (C-1) ... (C-5) for an instance.
 
@@ -99,8 +98,7 @@ def discharge_obligations(instance: NoCInstance,
         results["C-1"] = check_c1(instance.routing, instance.dependency_spec)
         results["C-2"] = check_c2(instance.routing, instance.dependency_spec,
                                   instance.witness_destination)
-        results["C-3"] = check_c3(instance.dependency_spec,
-                                  methods=c3_methods)
+        results["C-3"] = check_c3(instance.dependency_spec)
     configurations: List[Configuration] = []
     for workload in workloads:
         config = instance.initial_configuration(workload)
@@ -114,7 +112,6 @@ def discharge_obligations(instance: NoCInstance,
 
 def verify_instance(instance: NoCInstance,
                     workloads: Sequence[Sequence[Travel]] = (),
-                    c3_methods: Sequence[str] = ("dfs", "scc", "toposort"),
                     run_workloads: bool = True) -> VerificationReport:
     """Run the full Fig. 2 pipeline on an instance.
 
@@ -124,12 +121,10 @@ def verify_instance(instance: NoCInstance,
     """
     start = time.perf_counter()
     report = VerificationReport(instance_name=instance.name)
-    report.obligations = discharge_obligations(instance, workloads,
-                                               c3_methods=c3_methods)
+    report.obligations = discharge_obligations(instance, workloads)
 
     if instance.dependency_spec is not None:
-        report.theorems["DeadThm"] = check_deadlock_freedom(
-            instance, methods=c3_methods)
+        report.theorems["DeadThm"] = check_deadlock_freedom(instance)
 
     if run_workloads and workloads:
         correctness_failures: List[str] = []

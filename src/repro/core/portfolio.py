@@ -12,9 +12,15 @@ the batch driver for that sweep:
 * scenarios are grouped by topology, and groups are the unit of
   scheduling, sharding and persistence;
 * each scenario's verdict is Theorem 1's condition decided directly: a
-  linear-time DFS (:func:`~repro.checking.graphs.find_cycle_dfs`) over its
-  dependency graph, which also yields the cycle witness and the escape
-  edges (the edges lying on every cycle) of a deadlock-prone design.
+  linear-time DFS (:func:`~repro.checking.graphs.cycle_and_escape_edges`)
+  over its dependency graph, which also yields the cycle witness and the
+  escape edges (the edges lying on every cycle) of a deadlock-prone
+  design;
+* every verdict is certified: the search hands over a numbering or a
+  cycle (plus one per cycle edge for the escape edges), and
+  :func:`~repro.checking.graphs.check_certificate` re-checks it before
+  the verdict is reported; a rejected certificate is an ``error``
+  verdict that names the failed check.
 
 ``cross_check=True`` re-derives every verdict and escape set on one
 :class:`~repro.core.deadlock.DeadlockQuerySession` per group (a Kahn
@@ -648,11 +654,15 @@ def _run_group(payload: Tuple,
     in a worker alike -- which makes parallel runs bit-for-bit
     reproductions of serial ones.
 
-    A verdict is :func:`~repro.checking.graphs.find_cycle_dfs` over the
-    scenario's query edges: the whole dependency graph (Theorem 1), or its
-    escape-class edges behind explicit (V-1) coverage (VC scenarios).  A
-    cyclic query reports the DFS cycle as ``cycle_core`` and the edges on
-    every cycle as ``escape_edges``.  ``cross_check`` replays the same
+    A verdict is :func:`~repro.checking.graphs.cycle_and_escape_edges`
+    over the scenario's query edges: the whole dependency graph (Theorem
+    1), or its escape-class edges behind explicit (V-1) coverage (VC
+    scenarios).  A cyclic query reports the DFS cycle as ``cycle_core``
+    and the edges on every cycle as ``escape_edges``.  Its certificate
+    goes through :func:`~repro.checking.graphs.check_certificate` first;
+    a rejection raises :class:`~repro.checking.graphs.CertificateError`,
+    which like any exception turns the group's unfinished scenarios into
+    ``error`` verdicts.  ``cross_check`` replays the same
     questions on one :class:`~repro.core.deadlock.DeadlockQuerySession`
     per group (new edges join its universe; a verdict is one peel of the
     query edges; a prone answer adds a cycle and one peel per cycle edge)
@@ -674,8 +684,10 @@ def _run_group(payload: Tuple,
     group's construction-cache counter deltas.
     """
     from repro.checking.graphs import (
+        CertificateError,
         DirectedGraph,
         ReprRanks,
+        check_certificate,
         cycle_and_escape_edges,
     )
     from repro.routing.escape import EscapeChannelRouting
@@ -770,8 +782,13 @@ def _run_group(payload: Tuple,
                 query = graph.restrict([vc_of(port) in escape_vcs
                                         for port in ports])
                 covered = check_v1_escape_coverage(relation).holds
-            cycle_core, escape = cycle_and_escape_edges(query,
-                                                        repr_ranks(ports))
+            cycle_core, escape, certificate = cycle_and_escape_edges(
+                query, repr_ranks(ports))
+            rejected = check_certificate(query.successors, certificate,
+                                         ports)
+            if rejected is not None:
+                raise CertificateError(
+                    f"{scenario.name}: certificate rejected: {rejected}")
             deadlock_free = covered and not cycle_core
 
             if session is not None:

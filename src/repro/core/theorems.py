@@ -162,9 +162,7 @@ def _validate_route(instance: NoCInstance, travel: Travel) -> List[str]:
 # Deadlock theorem
 # ---------------------------------------------------------------------------
 
-def check_deadlock_freedom(instance: NoCInstance,
-                           methods: Sequence[str] = ("dfs", "scc", "toposort"),
-                           ) -> TheoremResult:
+def check_deadlock_freedom(instance: NoCInstance) -> TheoremResult:
     """DeadThm: derive deadlock freedom from obligations (C-1)-(C-3)."""
     from repro.core.obligations import check_c1, check_c2, check_c3
 
@@ -176,20 +174,17 @@ def check_deadlock_freedom(instance: NoCInstance,
     c1 = check_c1(instance.routing, instance.dependency_spec)
     c2 = check_c2(instance.routing, instance.dependency_spec,
                   instance.witness_destination)
-    c3 = check_c3(instance.dependency_spec, methods=methods)
+    c3 = check_c3(instance.dependency_spec)
     holds = c1.holds and c2.holds and c3.holds
     counterexamples = c1.counterexamples + c2.counterexamples + c3.counterexamples
     elapsed = time.perf_counter() - start
     return TheoremResult(
         name="DeadThm", holds=holds, obligations=[c1, c2, c3],
         checks=c1.checks + c2.checks + c3.checks,
-        counterexamples=counterexamples, elapsed_seconds=elapsed,
-        details={"methods": list(methods)})
+        counterexamples=counterexamples, elapsed_seconds=elapsed)
 
 
 def check_deadlock_freedom_vc(relation,
-                              methods: Sequence[str] = ("dfs", "scc",
-                                                        "toposort"),
                               graph=None,
                               coverage: Optional["ObligationResult"] = None,
                               ) -> TheoremResult:
@@ -221,7 +216,7 @@ def check_deadlock_freedom_vc(relation,
         graph = channel_dependency_graph(relation)
     v1 = coverage if coverage is not None \
         else check_v1_escape_coverage(relation)
-    v2 = check_v2_escape_acyclicity(relation, methods=methods, graph=graph)
+    v2 = check_v2_escape_acyclicity(relation, graph=graph)
     holds = v1.holds and v2.holds
     elapsed = time.perf_counter() - start
     return TheoremResult(
@@ -236,7 +231,6 @@ def check_deadlock_freedom_vc(relation,
             "classes_separated": relation.classes_separated,
             "channels": graph.vertex_count,
             "edges": graph.edge_count,
-            "methods": list(methods),
         })
 
 

@@ -203,10 +203,11 @@ def check_rank_certificate_on_mesh(mesh: Mesh2D) -> List[Tuple[Port, Port]]:
     Returns the violating edges (empty list = certificate holds, hence the
     dependency graph is acyclic).
     """
-    graph = build_exy_graph(mesh)
-    rank = {port: hermes_rank(port, mesh.width, mesh.height)
-            for port in graph.vertices}
-    return check_rank_certificate(graph, rank, sinks=set())
+    graph = build_exy_graph(mesh).to_ids()
+    ports = graph.vertices
+    rank = [hermes_rank(port, mesh.width, mesh.height) for port in ports]
+    return [(ports[p], ports[q])
+            for p, q in check_rank_certificate(graph.successors, rank)]
 
 
 @dataclass

@@ -51,18 +51,17 @@ def discharge_c2_xy(instance: HermesInstance) -> ObligationResult:
 
 
 def discharge_c3_xy(instance: HermesInstance,
-                    methods: Sequence[str] = ("dfs", "scc", "toposort"),
                     include_parametric: bool = True) -> ObligationResult:
     """(C-3)xy: no cycle in ``Exy_dep``.
 
-    The bounded check runs the requested cycle-search methods on the concrete
+    The bounded check runs the certified cycle search on the concrete
     mesh; when ``include_parametric`` is set, the rank certificate is also
     checked edge-by-edge on the mesh and the size-independent case analysis
     is evaluated, mirroring the paper's arbitrary-size proof.
     """
     assert instance.dependency_spec is not None
     start = time.perf_counter()
-    bounded = check_c3(instance.dependency_spec, methods=methods)
+    bounded = check_c3(instance.dependency_spec)
     result = ObligationResult(
         name="C-3", holds=bounded.holds, checks=bounded.checks,
         counterexamples=list(bounded.counterexamples),
@@ -139,9 +138,7 @@ class HermesProofReport:
 
 def discharge_all(width: int, height: int,
                   workloads: Optional[Sequence[Sequence[Travel]]] = None,
-                  buffer_capacity: int = 2,
-                  c3_methods: Sequence[str] = ("dfs", "scc", "toposort"),
-                  ) -> HermesProofReport:
+                  buffer_capacity: int = 2) -> HermesProofReport:
     """Discharge (C-1) ... (C-5) for a ``width x height`` HERMES mesh.
 
     When no workloads are supplied, a small default family (one message per
@@ -156,7 +153,7 @@ def discharge_all(width: int, height: int,
     report = HermesProofReport(instance=instance)
     report.results["C-1"] = discharge_c1_xy(instance)
     report.results["C-2"] = discharge_c2_xy(instance)
-    report.results["C-3"] = discharge_c3_xy(instance, methods=c3_methods)
+    report.results["C-3"] = discharge_c3_xy(instance)
     report.results["C-4"] = discharge_c4_iid(instance, workloads)
     report.results["C-5"] = discharge_c5_wh(instance, workloads)
     report.elapsed_seconds = time.perf_counter() - start

@@ -24,7 +24,7 @@ class TestFrozenGraph:
         with pytest.raises(ValueError):
             graph.add_vertex("d")
         # Reads and derived (mutable) graphs keep working.
-        assert graph.has_edge("a", "b")
+        assert "b" in graph.successors("a")
         derived = graph.subgraph(["a", "b"])
         derived.add_edge("b", "a")
         assert not derived.frozen
@@ -92,4 +92,4 @@ class TestDependencySpecMemoisation:
         graph = spec.to_graph()
         assert graph.edge_count == len(spec.edges())
         for source, target in spec.edges():
-            assert graph.has_edge(source, target)
+            assert target in graph.successors(source)

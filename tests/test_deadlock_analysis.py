@@ -80,7 +80,7 @@ class TestDeadlockAnalysis:
         witness = ring_deadlock_configuration(ring)
         analysis = analyse_deadlock(witness.configuration, ring.switching)
         assert analysis.is_deadlock
-        assert analysis.has_cycle
+        assert analysis.cycle
         # The recovered cycle consists of unavailable ports.
         unavailable = set(analysis.unavailable_ports)
         assert all(port in unavailable for port in analysis.cycle)

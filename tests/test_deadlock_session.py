@@ -19,6 +19,7 @@ import pytest
 from repro.checking.graphs import (
     DirectedGraph,
     ReprRanks,
+    check_certificate,
     cycle_and_escape_edges,
 )
 from repro.cli import build_parser
@@ -134,8 +135,9 @@ def _decide_both_ways(routing):
     if isinstance(routing, EscapeChannelRouting):
         query = graph.restrict([vc_of(port) in routing.escape_vcs
                                 for port in graph.vertices])
-    core, escape = cycle_and_escape_edges(query,
-                                          ReprRanks().ranks(graph.vertices))
+    core, escape, certificate = cycle_and_escape_edges(
+        query, ReprRanks().ranks(graph.vertices))
+    assert check_certificate(query.successors, certificate) is None
     query_edges = query.edges()
     session = DeadlockQuerySession(graph.to_graph())
     free = session.is_deadlock_free_edges(query_edges)

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.checking.graphs import (
+    ReprRanks,
+    check_certificate,
+    cycle_and_escape_edges,
+    find_cycle_dfs,
+)
 from repro.core.dependency import (
     ExplicitDependencySpec,
-    check_acyclicity,
     graph_statistics,
     routing_dependency_graph,
 )
@@ -48,11 +53,11 @@ class TestRoutingInducedGraph:
 
     def test_xy_induced_graph_is_acyclic(self, mesh):
         graph = routing_dependency_graph(XYRouting(mesh))
-        assert check_acyclicity(graph).acyclic
+        assert find_cycle_dfs(graph).acyclic
 
     def test_adaptive_induced_graph_is_cyclic(self, mesh):
         graph = routing_dependency_graph(FullyAdaptiveMinimalRouting(mesh))
-        report = check_acyclicity(graph)
+        report = find_cycle_dfs(graph)
         assert not report.acyclic
         assert report.cycle
 
@@ -72,7 +77,7 @@ class TestDependencySpecs:
         assert spec.has_edge(a, b)
         assert not spec.has_edge(b, a)
         assert (a, b) in spec.edges()
-        assert spec.to_graph().has_edge(a, b)
+        assert b in spec.to_graph().successors(a)
 
     def test_explicit_spec_rejects_foreign_ports(self, mesh):
         a = Port(0, 0, PortName.LOCAL, Direction.IN)
@@ -91,32 +96,22 @@ class TestDependencySpecs:
         assert set(spec.ports()) == set(mesh.ports)
 
 
-class TestAcyclicityReport:
-    def test_methods_agree_on_acyclic_graph(self, mesh):
-        graph = ExyDependencySpec(mesh).to_graph()
-        report = check_acyclicity(graph, methods=("dfs", "scc", "toposort",
-                                                  "networkx"))
-        assert report.acyclic
-        assert report.consistent
-        assert report.cycle is None
+def _certified(graph):
+    ids = graph.to_ids()
+    core, _, certificate = cycle_and_escape_edges(
+        ids, ReprRanks().ranks(ids.vertices))
+    return core, check_certificate(ids.successors, certificate)
 
-    def test_methods_agree_on_cyclic_graph(self, mesh):
-        graph = routing_dependency_graph(FullyAdaptiveMinimalRouting(mesh))
-        report = check_acyclicity(graph, methods=("dfs", "scc", "toposort",
-                                                  "networkx"))
-        assert not report.acyclic
-        assert report.consistent
 
-    def test_unknown_method_rejected(self, mesh):
-        graph = ExyDependencySpec(mesh).to_graph()
-        with pytest.raises(ValueError):
-            check_acyclicity(graph, methods=("magic",))
+class TestCertifiedSearch:
+    def test_checker_accepts_the_numbering_of_exy_dep(self, mesh):
+        core, rejected = _certified(ExyDependencySpec(mesh).to_graph())
+        assert core == [] and rejected is None
 
-    def test_report_without_checks_raises(self, mesh):
-        graph = ExyDependencySpec(mesh).to_graph()
-        report = check_acyclicity(graph, methods=())
-        with pytest.raises(ValueError):
-            _ = report.acyclic
+    def test_checker_accepts_the_cycle_of_the_adaptive_graph(self, mesh):
+        core, rejected = _certified(
+            routing_dependency_graph(FullyAdaptiveMinimalRouting(mesh)))
+        assert core and rejected is None
 
 
 class TestGraphStatistics:

@@ -6,7 +6,11 @@ by BOTH the explicit dependency-graph checker and the Kahn session."""
 
 import pytest
 
-from repro.checking.graphs import edges_on_every_cycle, find_cycle_dfs
+from repro.checking.graphs import (
+    ReprRanks,
+    cycle_and_escape_edges,
+    find_cycle_dfs,
+)
 from repro.cli import main as cli_main
 from repro.core.deadlock import DeadlockQuerySession
 from repro.core.dependency import (
@@ -253,11 +257,10 @@ class TestIncrementalVcQueries:
                 == explicit.holds
             # The session stays usable for follow-up queries: its
             # single-edge repairs are the graph search's.
-            escape = class_subgraph(graph, relation.escape_vcs)
-            cycle = find_cycle_dfs(escape).cycle or []
-            assert set(session.escape_edges_for(escape_class)) == set(
-                edges_on_every_cycle(
-                    escape, list(zip(cycle, cycle[1:] + cycle[:1]))))
+            escape = class_subgraph(graph, relation.escape_vcs).to_ids()
+            _, fixes, _ = cycle_and_escape_edges(
+                escape, ReprRanks().ranks(escape.vertices))
+            assert set(session.escape_edges_for(escape_class)) == set(fixes)
 
     def test_shared_session_across_vc_counts(self):
         """One session hosts the channel universes of several VC

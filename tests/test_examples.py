@@ -52,7 +52,7 @@ class TestExamples:
     def test_dependency_graph_figure(self, capsys):
         run_example("dependency_graph_figure.py", ["2", "2"])
         output = capsys.readouterr().out
-        assert "acyclic (all methods agree): True" in output
+        assert "acyclic (certificate checked): True" in output
         assert "statistics" in output
 
 

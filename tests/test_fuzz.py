@@ -145,6 +145,21 @@ class TestCampaign:
                    for verdict in report.verdicts
                    for line in verdict.disagreements)
 
+    def test_a_wrong_search_answer_is_a_certificate_disagreement(
+            self, monkeypatch):
+        """A DFS that calls every graph acyclic hands over numberings the
+        checker rejects on the prone instances."""
+        import repro.checking.graphs as graphs
+
+        monkeypatch.setattr(graphs, "_dfs", lambda roots, successors: (
+            None, [0] * len(successors), 0))
+        report = run_fuzz_campaign(count=12, max_size=(3, 3),
+                                   campaign_seed=2010, simulate=False)
+        assert not report.ok
+        assert any(line.startswith("certificate: numbering: edge ")
+                   for verdict in report.verdicts
+                   for line in verdict.disagreements)
+
     def test_summary_reports_agreement(self, report):
         text = report.format_summary()
         assert "12 instances" in text

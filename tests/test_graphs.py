@@ -1,22 +1,21 @@
-"""Tests for the graph algorithms of the checking substrate."""
+"""Tests for the graph algorithms of the checking substrate: the DFS
+decider, its certificates and the checker that re-checks them."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.checking.graphs as graphs
 from repro.checking.graphs import (
+    Certificate,
+    CertificateError,
     CycleSearchResult,
     DirectedGraph,
+    ReprRanks,
+    check_certificate,
     check_rank_certificate,
-    edges_on_every_cycle,
+    cycle_and_escape_edges,
     find_cycle_dfs,
-    has_cycle,
-    is_acyclic,
-    is_acyclic_by_networkx,
-    is_acyclic_by_scc,
-    is_acyclic_by_toposort,
-    longest_path_length,
-    strongly_connected_components,
-    topological_sort,
+    kahn_peel,
 )
 from repro.network.port import Direction, Port, PortName
 from repro.network.vc import VirtualChannel
@@ -39,8 +38,8 @@ class TestDirectedGraph:
         graph = DirectedGraph()
         graph.add_edge("a", "b")
         assert set(graph.vertices) == {"a", "b"}
-        assert graph.has_edge("a", "b")
-        assert not graph.has_edge("b", "a")
+        assert "b" in graph.successors("a")
+        assert "a" not in graph.successors("b")
 
     def test_counts(self):
         graph = graph_from_edges([(1, 2), (2, 3), (1, 3)])
@@ -57,26 +56,27 @@ class TestDirectedGraph:
     def test_subgraph(self):
         graph = graph_from_edges([(1, 2), (2, 3), (3, 1)])
         sub = graph.subgraph([1, 2])
-        assert sub.has_edge(1, 2)
-        assert not sub.has_edge(2, 3)
+        assert 2 in sub.successors(1)
+        assert 3 not in sub.successors(2)
         assert sub.vertex_count == 2
 
     def test_reverse(self):
         graph = graph_from_edges([(1, 2)])
         reversed_graph = graph.reverse()
-        assert reversed_graph.has_edge(2, 1)
-        assert not reversed_graph.has_edge(1, 2)
+        assert 1 in reversed_graph.successors(2)
+        assert 2 not in reversed_graph.successors(1)
 
-    def test_to_networkx(self):
-        graph = graph_from_edges([(1, 2), (2, 3)])
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 3
-        assert nx_graph.number_of_edges() == 2
+    def test_to_ids(self):
+        graph = graph_from_edges([(1, 2), (2, 3), (1, 3)])
+        ids = graph.to_ids([3, 2, 1])
+        assert ids.vertices == [3, 2, 1]
+        assert ids.successors == [[], [0], [1, 0]]
+        assert ids.to_graph().edges() == [(2, 3), (1, 2), (1, 3)]
 
 
 class TestCycleSearch:
     def test_empty_graph_is_acyclic(self):
-        assert is_acyclic(DirectedGraph())
+        assert find_cycle_dfs(DirectedGraph()).acyclic
 
     def test_dag_is_acyclic(self):
         graph = graph_from_edges([(1, 2), (2, 3), (1, 3)])
@@ -93,7 +93,6 @@ class TestCycleSearch:
 
     def test_self_loop_is_a_cycle(self):
         graph = graph_from_edges([(1, 1)])
-        assert has_cycle(graph)
         assert find_cycle_dfs(graph).cycle == [1]
 
     def test_cycle_vertices_form_a_real_cycle(self):
@@ -101,19 +100,25 @@ class TestCycleSearch:
         cycle = find_cycle_dfs(graph).cycle
         assert cycle is not None
         for index, vertex in enumerate(cycle):
-            assert graph.has_edge(vertex, cycle[(index + 1) % len(cycle)])
+            assert cycle[(index + 1) % len(cycle)] \
+                in graph.successors(vertex)
 
     def test_disconnected_components(self):
         graph = graph_from_edges([(1, 2), (3, 4), (4, 3)])
-        assert has_cycle(graph)
+        assert not find_cycle_dfs(graph).acyclic
 
     @given(random_digraph())
     @settings(max_examples=100, deadline=None)
-    def test_all_methods_agree(self, graph):
-        dfs = find_cycle_dfs(graph).acyclic
-        assert dfs == is_acyclic_by_scc(graph)
-        assert dfs == is_acyclic_by_toposort(graph)
-        assert dfs == is_acyclic_by_networkx(graph)
+    def test_checker_accepts_the_dfs_certificate(self, graph):
+        """A checked numbering proves acyclicity and a checked cycle proves
+        a cycle, so the checker is the oracle for every verdict."""
+        ids = graph.to_ids()
+        core, escape, certificate = cycle_and_escape_edges(
+            ids, ReprRanks().ranks(ids.vertices))
+        assert check_certificate(ids.successors, certificate) is None
+        assert (certificate.cycle is None) is (not core)
+        assert find_cycle_dfs(graph).acyclic is (not core)
+        assert escape == reference_edges_on_every_cycle(graph, core)
 
     @given(random_digraph())
     @settings(max_examples=100, deadline=None)
@@ -122,7 +127,8 @@ class TestCycleSearch:
         if result.cycle is not None:
             cycle = result.cycle
             for index, vertex in enumerate(cycle):
-                assert graph.has_edge(vertex, cycle[(index + 1) % len(cycle)])
+                assert cycle[(index + 1) % len(cycle)] \
+                    in graph.successors(vertex)
 
 
 def reference_find_cycle_dfs(graph):
@@ -235,28 +241,15 @@ class TestIdSearchMatchesReference:
         assert (result.acyclic, result.cycle, result.visited) \
             == (expected.acyclic, expected.cycle, expected.visited)
 
-    @given(mixed_digraph(), st.data())
+    @given(mixed_digraph())
     @settings(max_examples=300, deadline=None)
-    def test_same_escape_edges(self, graph, data):
+    def test_same_escape_edges(self, graph):
         cycle = find_cycle_dfs(graph).cycle or []
-        core = list(zip(cycle, cycle[1:] + cycle[:1]))
-        if core and data.draw(st.booleans()):
-            # A core drawn from the graph's edges, not only from a cycle.
-            core = data.draw(st.lists(st.sampled_from(graph.edges()),
-                                      min_size=1, max_size=4))
-        assert edges_on_every_cycle(graph, core) \
-            == reference_edges_on_every_cycle(graph, core)
-
-    def test_core_edge_absent_from_the_graph_is_never_an_escape(self):
-        graph = graph_from_edges([(1, 2), (2, 1), (3, 3)], vertices=[4])
-        core = [(1, 2), (2, 1), (1, 3), (5, 6)]
-        assert edges_on_every_cycle(graph, core) \
-            == reference_edges_on_every_cycle(graph, core) == []
-        graph = graph_from_edges([(1, 2), (2, 1)])
-        core = [(2, 1), (9, 1), (1, 2), (1, 9)]
-        assert edges_on_every_cycle(graph, core) \
-            == reference_edges_on_every_cycle(graph, core) \
-            == [(1, 2), (2, 1)]
+        ids = graph.to_ids()
+        core, escape, _ = cycle_and_escape_edges(
+            ids, ReprRanks().ranks(ids.vertices))
+        assert core == list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert escape == reference_edges_on_every_cycle(graph, core)
 
     def test_successors_follow_repr_order_not_insertion_order(self):
         graph = graph_from_edges([(0, 30), (0, 4), (30, 0), (4, 4)])
@@ -265,76 +258,118 @@ class TestIdSearchMatchesReference:
         assert reference_find_cycle_dfs(graph).cycle == [30, 0]
 
 
-class TestSCC:
-    def test_scc_of_dag_are_singletons(self):
-        graph = graph_from_edges([(1, 2), (2, 3)])
-        components = strongly_connected_components(graph)
-        assert sorted(len(c) for c in components) == [1, 1, 1]
-
-    def test_scc_finds_the_cycle_component(self):
-        graph = graph_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
-        components = strongly_connected_components(graph)
-        sizes = sorted(len(c) for c in components)
-        assert sizes == [1, 3]
-
-    def test_scc_partition_covers_all_vertices(self):
-        graph = graph_from_edges([(1, 2), (2, 1), (3, 4), (4, 5), (5, 3)])
-        components = strongly_connected_components(graph)
-        union = sorted(v for component in components for v in component)
-        assert union == [1, 2, 3, 4, 5]
-
-    @given(random_digraph())
-    @settings(max_examples=100, deadline=None)
-    def test_scc_is_a_partition(self, graph):
-        components = strongly_connected_components(graph)
-        flattened = [v for component in components for v in component]
-        assert sorted(flattened) == sorted(graph.vertices)
-        assert len(flattened) == len(set(flattened))
-
-
-class TestTopologicalSort:
+class TestKahnPeel:
     def test_order_respects_edges(self):
         graph = graph_from_edges([(1, 2), (1, 3), (3, 4), (2, 4)])
-        order = topological_sort(graph)
+        order, residue = kahn_peel(graph.in_degrees(), {
+            vertex: graph.successors(vertex) for vertex in graph.vertices})
         position = {vertex: index for index, vertex in enumerate(order)}
+        assert residue == []
         for source, target in graph.edges():
             assert position[source] < position[target]
 
     def test_cyclic_graph_has_no_order(self):
-        graph = graph_from_edges([(1, 2), (2, 1)])
-        assert topological_sort(graph) is None
-
-    def test_longest_path(self):
-        graph = graph_from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
-        assert longest_path_length(graph) == 3
-
-    def test_longest_path_rejects_cycles(self):
-        graph = graph_from_edges([(1, 2), (2, 1)])
-        with pytest.raises(ValueError):
-            longest_path_length(graph)
-
-    def test_longest_path_of_empty_graph(self):
-        assert longest_path_length(DirectedGraph()) == 0
+        order, residue = kahn_peel({0: 0, 1: 2, 2: 1},
+                                   {0: [1], 1: [2], 2: [1]})
+        assert order == [0] and sorted(residue) == [1, 2]
 
 
 class TestRankCertificate:
     def test_valid_certificate(self):
-        graph = graph_from_edges([(1, 2), (2, 3)])
-        rank = {1: (2,), 2: (1,), 3: (0,)}
-        assert check_rank_certificate(graph, rank) == []
+        assert check_rank_certificate([[1], [2], []], [(2,), (1,), (0,)]) \
+            == []
 
     def test_violating_edge_reported(self):
-        graph = graph_from_edges([(1, 2)])
-        rank = {1: (0,), 2: (1,)}
-        assert check_rank_certificate(graph, rank) == [(1, 2)]
+        assert check_rank_certificate([[1], []], [(0,), (1,)]) == [(0, 1)]
 
-    def test_sink_exemption(self):
-        graph = graph_from_edges([(1, 2)])
-        rank = {1: (0,), 2: (5,)}
-        assert check_rank_certificate(graph, rank, sinks={2}) == []
+    def test_skipped_edge_is_exempt(self):
+        assert check_rank_certificate([[1], [0]], [1, 0], skip=(1, 0)) == []
 
-    def test_sink_with_outgoing_edges_is_a_violation(self):
-        graph = graph_from_edges([(2, 1)])
-        rank = {1: (0,), 2: (5,)}
-        violations = check_rank_certificate(graph, rank, sinks={2})
-        assert (2, 2) in violations
+
+def _certified(successors):
+    """The id search's answer and certificate on ``successors``."""
+    ranks = list(range(len(successors)))
+    from repro.checking.graphs import IdGraph
+
+    return cycle_and_escape_edges(IdGraph(ranks, successors), ranks)
+
+
+class TestCertificateChecker:
+    """Mutation tests: each kind of wrong evidence is rejected, naming the
+    check that failed."""
+
+    #: A 4-cycle 0 -> 1 -> 2 -> 3 -> 0 with a chord 1 -> 3: (0, 1) and
+    #: (3, 0) are on every cycle, (1, 2) and (2, 3) are not.
+    CHORDED = [[1], [2, 3], [3], [0]]
+
+    def test_the_search_certificates_are_accepted(self):
+        dag = [[1, 2], [2], []]
+        for successors in (dag, self.CHORDED):
+            _, _, certificate = _certified(successors)
+            assert check_certificate(successors, certificate) is None
+
+    def test_a_numbering_with_one_edge_reversed_is_rejected(self):
+        dag = [[1, 2], [2], []]
+        _, _, certificate = _certified(dag)
+        numbering = list(certificate.numbering)
+        numbering[1], numbering[2] = numbering[2], numbering[1]
+        assert check_certificate(dag, Certificate(numbering=numbering)) \
+            == "numbering: edge 1 -> 2 does not descend"
+
+    def test_a_cycle_using_an_edge_not_in_the_graph_is_rejected(self):
+        _, _, certificate = _certified(self.CHORDED)
+        certificate.cycle = [0, 2, 3]
+        assert check_certificate(self.CHORDED, certificate) \
+            == "cycle: edge 0 -> 2 is not in the graph"
+        assert check_certificate([[1], []], Certificate(cycle=[0, 1])) \
+            == "cycle: edge 1 -> 0 is not in the graph"
+
+    def test_a_claimed_escape_edge_whose_removal_leaves_a_cycle(self):
+        core, escape, certificate = _certified(self.CHORDED)
+        assert escape == [(0, 1), (3, 0)]
+        # Claim (1, 2) as an escape edge too, with some numbering.
+        certificate.detours.pop((1, 2))
+        certificate.escapes[(1, 2)] = certificate.escapes[(0, 1)]
+        assert check_certificate(self.CHORDED, certificate).startswith(
+            "escape edge 1 -> 2: edge ")
+
+    def test_an_escape_edge_left_out_is_rejected(self):
+        _, _, certificate = _certified(self.CHORDED)
+        del certificate.escapes[(3, 0)]
+        assert check_certificate(self.CHORDED, certificate) \
+            == ("escape split: cycle edge 3 -> 0 needs one numbering or "
+                "one detour")
+
+    def test_a_detour_through_its_own_edge_is_rejected(self):
+        _, _, certificate = _certified(self.CHORDED)
+        certificate.detours[(1, 2)] = [0, 1, 2, 3]
+        assert check_certificate(self.CHORDED, certificate) \
+            == "detour of 1 -> 2: it uses 1 -> 2"
+
+    def test_a_wrong_search_raises_certificate_error(self, monkeypatch):
+        """``find_cycle_dfs`` reports nothing the checker rejected."""
+        monkeypatch.setattr(graphs, "_dfs", lambda roots, successors: (
+            None, [0] * len(successors), 0))
+        with pytest.raises(CertificateError, match="numbering: edge 1 -> 2"):
+            find_cycle_dfs(graph_from_edges([(1, 2)]))
+
+
+class TestEscapeSearch:
+    def test_one_second_cycle_rules_out_several_candidates(self,
+                                                           monkeypatch):
+        """The cycle 0..4 shares only 0 -> 1 with the cycle 0 -> 1 -> 5:
+        the first escape search, which skips 1 -> 2, finds that second
+        cycle and so rules out 2 -> 3, 3 -> 4 and 4 -> 0 as well."""
+        successors = [[1], [2, 5], [3], [4], [0], [0]]
+        calls = []
+        search = graphs._dfs
+        monkeypatch.setattr(graphs, "_dfs", lambda roots, rows: (
+            calls.append(1) or search(roots, rows)))
+        core, escape, certificate = _certified(successors)
+        assert core == [(1, 2), (2, 3), (3, 4), (4, 0), (0, 1)]
+        assert escape == [(0, 1)]
+        assert len(calls) == 3  # the verdict, then skipping 1 -> 2, 0 -> 1
+        assert list(certificate.detours) == core[:4]
+        assert all(detour == [1, 5, 0]
+                   for detour in certificate.detours.values())
+        assert check_certificate(successors, certificate) is None

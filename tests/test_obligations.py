@@ -110,8 +110,8 @@ class TestC3:
     def test_holds_for_exy(self, instance):
         result = check_c3(instance.dependency_spec)
         assert result.holds
-        assert result.details["methods"] == {"dfs": True, "scc": True,
-                                             "toposort": True}
+        assert result.details["certificate"] == "numbering"
+        assert result.checks == result.details["edges"]
 
     def test_fails_for_cyclic_spec(self):
         mesh = Mesh2D(2, 2)
@@ -122,6 +122,7 @@ class TestC3:
         assert not result.holds
         assert "cycle" in result.counterexamples[0]
         assert "cycle" in result.details
+        assert result.details["certificate"] == "cycle"
 
     def test_routing_induced_variant_positive(self):
         result = check_c3_routing_induced(XYRouting(Mesh2D(3, 3)))

@@ -204,6 +204,40 @@ class TestPortfolioDriver:
         for answer in answers:
             assert answer in failed.error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_wrong_decider_is_an_error_verdict(self, monkeypatch, jobs):
+        """A search that calls every cyclic graph acyclic hands over a
+        numbering the checker rejects: the first prone scenario of each
+        group, and those after it, come back as ``error`` verdicts naming
+        the failed check, in pool workers as well as serially."""
+        import multiprocessing
+
+        import repro.checking.graphs as graphs
+
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the patch only when forked")
+        scenarios = standard_portfolio(mesh_sizes=(3,), ring_sizes=(4,))
+        clean = run_portfolio(scenarios)
+        search = graphs._dfs
+
+        def lying(roots, successors):
+            cycle, numbering, visited = search(roots, successors)
+            if cycle is None:
+                return cycle, numbering, visited
+            return None, [0] * len(successors), visited
+
+        monkeypatch.setattr(graphs, "_dfs", lying)
+        report = run_portfolio(scenarios, jobs=jobs)
+        assert report.jobs == jobs
+        failed = [v for v in report.verdicts if v.status == "error"]
+        assert {v.scenario for v in failed} >= {
+            v.scenario for v in clean.verdicts if not v.deadlock_free}
+        for verdict in failed:
+            assert "certificate rejected: numbering: edge " in verdict.error
+        for verdict, expected in zip(report.verdicts, clean.verdicts):
+            if verdict.status == "ok":
+                assert verdict.deadlock_free is expected.deadlock_free is True
+
 
 def _mixed_portfolio():
     """Mesh, ring and VC mesh/torus scenarios -- every condition kind."""

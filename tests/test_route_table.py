@@ -23,8 +23,8 @@ import pytest
 from repro.checking.graphs import (
     DirectedGraph,
     ReprRanks,
+    check_certificate,
     cycle_and_escape_edges,
-    edges_on_every_cycle,
     find_cycle_dfs,
 )
 from repro.core.dependency import (
@@ -49,6 +49,7 @@ from repro.routing.escape import (
 from repro.routing.ring import ClockwiseRingRouting
 from repro.routing.xy import XYRouting
 from tests.routing_reference import occurring_pairs, reachable_pairs
+from tests.test_graphs import reference_edges_on_every_cycle
 
 
 def reference_graph(routing):
@@ -159,9 +160,9 @@ def test_table_reproduces_the_plain_enumeration(term):
             == reference_v1(spec.build().routing)
 
 
-#: sha256 digests of every ``_terms()`` and ``_larger_terms()`` table, frozen
-#: from the loop-based
-#: fill; regenerate with ``PYTHONPATH=src python -m tests.test_route_table``.
+#: sha256 digests of every ``_terms()`` and ``_larger_terms()`` table,
+#: frozen from the loop-based fill; regenerate with
+#: ``PYTHONPATH=src python -m tests.test_route_table``.
 DIGESTS = Path(__file__).parent / "data" / "route_table_digests.json"
 
 
@@ -210,8 +211,10 @@ def test_id_decision_matches_the_port_graph_search(term):
     assert query.edges() == query_edges
     cycle = find_cycle_dfs(reference).cycle or []
     core = list(zip(cycle, cycle[1:] + cycle[:1]))
-    assert cycle_and_escape_edges(query, ReprRanks().ranks(graph.vertices)) \
-        == (core, edges_on_every_cycle(reference, core))
+    *answer, certificate = cycle_and_escape_edges(
+        query, ReprRanks().ranks(graph.vertices))
+    assert answer == [core, reference_edges_on_every_cycle(reference, core)]
+    assert check_certificate(query.successors, certificate) is None
 
 
 def test_prone_terms_are_among_the_differential_cases():
