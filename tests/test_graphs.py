@@ -10,6 +10,7 @@ from repro.checking.graphs import (
     CertificateError,
     CycleSearchResult,
     DirectedGraph,
+    IdGraph,
     ReprRanks,
     check_certificate,
     check_rank_certificate,
@@ -289,8 +290,6 @@ class TestRankCertificate:
 def _certified(successors):
     """The id search's answer and certificate on ``successors``."""
     ranks = list(range(len(successors)))
-    from repro.checking.graphs import IdGraph
-
     return cycle_and_escape_edges(IdGraph(ranks, successors), ranks)
 
 
