@@ -566,20 +566,23 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
 
         travels = []
 
-    c3 = check_c3_routing_induced(instance.routing)
+    # One enumeration of the dependency graph serves (C-3), the cycle
+    # and the Kahn session.
+    graph = routing_dependency_graph(instance.routing)
+    c3 = check_c3_routing_induced(instance.routing, graph=graph)
     print(f"(C-3) for {instance.routing.name()}: "
           f"{'holds' if c3.holds else 'VIOLATED'}")
     if c3.holds:
         print("design is deadlock-free; nothing to demonstrate")
         return 0
-    cycle = find_cycle_dfs(routing_dependency_graph(instance.routing)).cycle
+    cycle = find_cycle_dfs(graph).cycle
     print("dependency cycle: " + " -> ".join(str(p) for p in cycle))
 
     # Escape analysis on the Kahn session: a cycle, then one peel per
     # cycle edge removal.
     from repro.core.deadlock import DeadlockQuerySession
 
-    session = DeadlockQuerySession.for_routing(instance.routing)
+    session = DeadlockQuerySession(graph)
     escapes = session.escape_edges_for(session.edges)
     if escapes:
         print("escape fixes (single-edge removals restoring freedom):")
@@ -740,9 +743,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
               f"verdicts identical to --jobs 1")
     for group, stats in report.session_stats.items():
         print(f"  session {group}: {stats['solves']} Kahn peels")
-    cache = report.cache_stats
-    print(f"  construction cache: {cache.get('hits', 0)} hits, "
-          f"{cache.get('misses', 0)} misses")
+    print(f"  instances built: {report.cache_stats.get('misses', 0)}")
     recovery = report.recovery
     if recovery.get("crash_retries"):
         print(f"  recovered from {recovery['crash_retries']} worker "

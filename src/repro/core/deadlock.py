@@ -206,6 +206,10 @@ class DeadlockQuerySession:
         return {"solves": self.queries}
 
     # -- growing the universe -------------------------------------------------
+    def add_vertices(self, vertices: Iterable[Port]) -> None:
+        """Grow the vertex set the universe's edges may join."""
+        self._vertices.update(vertices)
+
     def add_edge(self, source: Port, target: Port) -> None:
         """Add a dependency edge to the universe (idempotent).
 

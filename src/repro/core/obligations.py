@@ -215,14 +215,19 @@ def check_c3(spec: DependencyGraphSpec) -> ObligationResult:
     return _graph_acyclicity("C-3", spec.to_graph)
 
 
-def check_c3_routing_induced(routing: RoutingFunction) -> ObligationResult:
+def check_c3_routing_induced(routing: RoutingFunction,
+                             graph: Optional[DirectedGraph] = None,
+                             ) -> ObligationResult:
     """(C-3) applied to the routing-induced graph instead of the declared one.
 
     Useful for routing functions that do not come with a declared dependency
-    graph (the baselines of :mod:`repro.routing`).
+    graph (the baselines of :mod:`repro.routing`).  ``graph`` is that
+    graph when the caller already enumerated it.
     """
-    return _graph_acyclicity("C-3(induced)",
-                             lambda: routing_dependency_graph(routing))
+    return _graph_acyclicity(
+        "C-3(induced)",
+        lambda: graph if graph is not None
+        else routing_dependency_graph(routing))
 
 
 # ---------------------------------------------------------------------------

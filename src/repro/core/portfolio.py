@@ -7,8 +7,10 @@ deadlock-free, and if not, which escape edges would fix it?  This module is
 the batch driver for that sweep:
 
 * scenarios are described declaratively (:class:`~repro.core.spec.ScenarioSpec`
-  via :func:`~repro.core.spec.expand_matrix`) and resolved lazily in the
-  worker that runs them, through the per-process construction cache;
+  via :func:`~repro.core.spec.expand_matrix`) and built in the worker
+  that runs them, one at a time: each scenario is built right before it
+  is decided and dropped once its verdict exists, so batch memory is
+  bounded by the largest scenario, not by the sweep;
 * scenarios are grouped by topology, and groups are the unit of
   scheduling, sharding and persistence;
 * each scenario's verdict is Theorem 1's condition decided directly: a
@@ -24,8 +26,8 @@ the batch driver for that sweep:
 
 ``cross_check=True`` re-derives every verdict and escape set on one
 :class:`~repro.core.deadlock.DeadlockQuerySession` per group (a Kahn
-peel per query, over the union of the group's edges) and turns any
-disagreement into an ``error`` verdict.
+peel per query, over the union of the group's edges so far) and turns
+any disagreement into an ``error`` verdict.
 
 The engine (graphs, dependency enumeration, the cross-check session), the
 verdict store and the process pool are imported on the paths that use
@@ -87,10 +89,9 @@ class Scenario:
     A scenario is backed either by an already-built ``instance`` or --
     the cheap, preferred form -- by a declarative ``spec``
     (:class:`~repro.core.spec.ScenarioSpec`).  Spec-backed scenarios ship
-    to portfolio worker processes as a few primitives and are resolved
-    lazily through the per-process
-    :class:`~repro.core.cache.InstanceCache`, so the parent never builds
-    (or pickles) the heavy network objects.
+    to portfolio worker processes as a few primitives and are built
+    where they are decided, so the parent never builds (or pickles) the
+    heavy network objects.
     """
 
     name: str
@@ -116,10 +117,12 @@ class Scenario:
                    group=group, spec=spec)
 
     def resolve(self) -> NoCInstance:
-        """The scenario's instance (built through the process cache).
+        """The scenario's instance: a fresh build of its spec, counted by
+        :func:`~repro.core.cache.instance_cache`.
 
         Deliberately does *not* store the built instance on the scenario:
-        a resolved spec-backed scenario stays cheap to pickle.
+        a resolved spec-backed scenario stays cheap to pickle, and the
+        instance dies with its caller's last reference.
         """
         if self.instance is not None:
             return self.instance
@@ -330,8 +333,8 @@ class PortfolioReport:
     session_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Worker processes the run was scheduled across (1 = in-process serial).
     jobs: int = 1
-    #: Construction-cache counters accumulated during the run (summed over
-    #: the workers in a parallel run).
+    #: Build counters of the run (summed over the workers in a parallel
+    #: run): ``misses`` is the number of instances built, ``hits`` is 0.
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: ``(index, count)`` of a sharded run (``None``: the whole matrix).
     shard: Optional[Tuple[int, int]] = None
@@ -421,8 +424,8 @@ class PortfolioReport:
 
         Serial and parallel runs of the same scenario list produce
         *identical* verdicts, ordering, cores and solver statistics; only
-        wall times, the job count and the cache counters (which depend on
-        process boundaries and cross-group sharing) legitimately differ.
+        wall times, the job count and the build counters (a store replay
+        builds nothing) legitimately differ.
         Scheduling artefacts -- the shard markers and the originating spec
         dicts -- are stripped too, so a matrix-expanded run can be compared
         bit for bit against the same scenarios built by hand, and the
@@ -648,11 +651,13 @@ def _run_group(payload: Tuple,
 
     ``payload`` is one picklable tuple ``(group_key, indexed_scenarios,
     cross_check, shard[, budget_s, fault_directive, parent_pid])``, so the
-    function ships as-is to a pool worker, which resolves spec-backed
-    scenarios through its own :class:`~repro.core.cache.InstanceCache`.
-    Scenarios run in submission order on this one code path, serially or
-    in a worker alike -- which makes parallel runs bit-for-bit
-    reproductions of serial ones.
+    function ships as-is to a pool worker.  Scenarios run in submission
+    order on this one code path, serially or in a worker alike -- which
+    makes parallel runs bit-for-bit reproductions of serial ones.  Each
+    scenario is built right before it is decided and dropped once its
+    verdict exists, so a group holds one instance and one route table at
+    a time; an exception raised while building a scenario becomes that
+    scenario's own ``error`` verdict, and the group goes on.
 
     A verdict is :func:`~repro.checking.graphs.cycle_and_escape_edges`
     over the scenario's query edges: the whole dependency graph (Theorem
@@ -661,16 +666,17 @@ def _run_group(payload: Tuple,
     and the edges on every cycle as ``escape_edges``.  Its certificate
     goes through :func:`~repro.checking.graphs.check_certificate` first;
     a rejection raises :class:`~repro.checking.graphs.CertificateError`,
-    which like any exception turns the group's unfinished scenarios into
-    ``error`` verdicts.  ``cross_check`` replays the same
-    questions on one :class:`~repro.core.deadlock.DeadlockQuerySession`
-    per group (new edges join its universe; a verdict is one peel of the
-    query edges; a prone answer adds a cycle and one peel per cycle edge)
-    and raises on any difference; only then are solver stats (the peel
-    count) recorded.
+    which like any exception raised while deciding turns the group's
+    unfinished scenarios into ``error`` verdicts.  ``cross_check`` replays
+    the same questions on one
+    :class:`~repro.core.deadlock.DeadlockQuerySession` per group (each
+    scenario's ports and new edges join its universe; a verdict is one
+    peel of the query edges; a prone answer adds a cycle and one peel per
+    cycle edge) and raises on any difference; only then are solver stats
+    (the peel count) recorded.
 
-    ``budget_s`` arms a cooperative deadline, checked before every build
-    and scenario; ``fault_directive`` is a test-only injected failure
+    ``budget_s`` arms a cooperative deadline, checked before every
+    scenario; ``fault_directive`` is a test-only injected failure
     (:mod:`repro.core.faultplan`); ``parent_pid`` tells a sacrificial
     worker from the orchestrating process.  A group never aborts the run:
     a :class:`SolverTimeout` or any other exception turns the unfinished
@@ -681,7 +687,7 @@ def _run_group(payload: Tuple,
 
     Returns the group key, the ``(original_index, verdict)`` pairs, the
     session's solver statistics (empty without a cross-check) and the
-    group's construction-cache counter deltas.
+    group's build counts (``misses``: instances built; ``hits``: 0).
     """
     from repro.checking.graphs import (
         CertificateError,
@@ -698,9 +704,8 @@ def _run_group(payload: Tuple,
     parent_pid = payload[6] if len(payload) > 6 else os.getpid()
     in_worker = os.getpid() != parent_pid
 
-    cache = instance_cache()
-    cache_hits_before = cache.hits
-    cache_misses_before = cache.misses
+    builds = instance_cache()
+    builds_before = builds.misses
 
     deadline = (time.monotonic() + budget_s
                 if budget_s is not None else None)
@@ -713,129 +718,130 @@ def _run_group(payload: Tuple,
         return session.solver_stats if session is not None else {}
 
     session: Optional[DeadlockQuerySession] = None
-    resolved: List[Tuple[int, Scenario, NoCInstance]] = []
-    instances: Dict[int, NoCInstance] = {}
-    cache_deltas: Dict[int, Dict[str, int]] = {}
     results: List[Tuple[int, ScenarioVerdict]] = []
     #: The scenario whose span is open when a failure strikes:
-    #: ``(index, scenario, instance, solver_before, started)``.
+    #: ``(index, scenario, instance, solver_before, started, built)``.
     current: Optional[Tuple] = None
     failure: Optional[Tuple[str, str]] = None
+    #: Edges already met in the group, as pairs of group-wide port ids.
+    port_ids: Dict[Port, int] = {}
+    known_edges: set = set()
+    repr_ranks = ReprRanks().ranks
+
+    def decide(index: int, scenario: Scenario) -> ScenarioVerdict:
+        """Build, decide and drop one scenario: its locals, the instance
+        and its route table among them, die when this returns."""
+        nonlocal current
+        if trace is not None:
+            trace.emit("scenario_begin", scenario=scenario.name,
+                       group=group_key, index=index,
+                       shard=list(shard) if shard is not None else None)
+        misses_before = builds.misses
+        try:
+            instance = scenario.resolve()
+        except Exception as exc:  # KeyboardInterrupt deliberately excluded
+            if trace is not None:
+                _emit_undecided_end(trace, scenario, group_key, "error", {},
+                                    {"hits": 0, "misses": 0}, 0.0)
+            return _failure_verdict(index, scenario, group_key, shard,
+                                    "error", f"{type(exc).__name__}: {exc}")
+        built = {"hits": 0, "misses": builds.misses - misses_before}
+        scenario_start = time.perf_counter()
+        solver_before = solver_stats()
+        current = (index, scenario, instance, solver_before, scenario_start,
+                   built)
+        graph = routing_dependency_graph(instance.routing)
+        ports = graph.vertices
+        ids = [port_ids.setdefault(port, len(port_ids)) for port in ports]
+        new_edges = [(p, q) for p, row in enumerate(graph.successors)
+                     for q in row if (ids[p], ids[q]) not in known_edges]
+        known_edges.update((ids[p], ids[q]) for p, q in new_edges)
+
+        relation = (instance.routing
+                    if isinstance(instance.routing, EscapeChannelRouting)
+                    else None)
+        if relation is None:
+            condition = "theorem1"
+            num_vcs = 1
+            query = graph
+            covered = True
+        else:
+            # The VC-granular Duato condition: explicit (V-1) coverage
+            # plus the escape-class restriction of (V-2).
+            from repro.core.obligations import check_v1_escape_coverage
+            from repro.network.vc import vc_of
+
+            condition = "vc-escape"
+            num_vcs = relation.num_vcs
+            escape_vcs = relation.escape_vcs
+            query = graph.restrict([vc_of(port) in escape_vcs
+                                    for port in ports])
+            covered = check_v1_escape_coverage(relation).holds
+        cycle_core, escape, certificate = cycle_and_escape_edges(
+            query, repr_ranks(ports))
+        rejected = check_certificate(query.successors, certificate, ports)
+        if rejected is not None:
+            raise CertificateError(
+                f"{scenario.name}: certificate rejected: {rejected}")
+        deadlock_free = covered and not cycle_core
+
+        if session is not None:
+            session.add_vertices(ports)
+            for p, q in new_edges:
+                session.add_edge(ports[p], ports[q])
+            query_edges = query.edges()
+            free = covered and session.is_deadlock_free_edges(query_edges)
+            fixes = (set() if free
+                     else set(session.escape_edges_for(query_edges)))
+            if free != deadlock_free or fixes != set(escape):
+                raise AssertionError(
+                    f"cross-check disagrees on {scenario.name}: graph "
+                    f"search free={deadlock_free} with {len(escape)} "
+                    f"escape edges, Kahn session free={free} with "
+                    f"{len(fixes)} escape edges")
+
+        solver_after = solver_stats()
+        solver_delta = {key: solver_after[key] - solver_before.get(key, 0)
+                        for key in solver_after}
+        elapsed = time.perf_counter() - scenario_start
+        if trace is not None:
+            trace.emit("scenario_end", scenario=scenario.name,
+                       group=group_key, deadlock_free=deadlock_free,
+                       condition=condition, edges=graph.edge_count,
+                       new_edges=len(new_edges), solver=solver_delta,
+                       cache=built, wall_time_s=round(elapsed, 6),
+                       status="ok")
+        current = None
+        return ScenarioVerdict(
+            scenario=scenario.name,
+            topology=str(instance.topology),
+            routing=instance.routing.name(),
+            switching=instance.switching.name(),
+            deadlock_free=deadlock_free,
+            edges=graph.edge_count,
+            new_edges=len(new_edges),
+            elapsed_seconds=elapsed,
+            cycle_core=cycle_core,
+            escape_edges=escape,
+            condition=condition,
+            num_vcs=num_vcs,
+            solver=solver_delta,
+            spec=(scenario.spec.to_dict()
+                  if scenario.spec is not None else None),
+            shard=shard,
+            index=index,
+        )
 
     try:
         execute_directive(directive, in_worker)
-        for index, scenario in indexed_scenarios:
-            checkpoint()
-            hits_before, misses_before = cache.hits, cache.misses
-            instance = scenario.resolve()
-            cache_deltas[index] = {"hits": cache.hits - hits_before,
-                                   "misses": cache.misses - misses_before}
-            resolved.append((index, scenario, instance))
-            instances[index] = instance
         if cross_check:
             from repro.core.deadlock import DeadlockQuerySession
 
-            base: DirectedGraph[Port] = DirectedGraph()
-            for _, _, instance in resolved:
-                for port in instance.topology.ports:
-                    base.add_vertex(port)
-            session = DeadlockQuerySession(base, name=group_key, trace=trace)
-        #: Edges already met in the group, as pairs of group-wide port ids.
-        port_ids: Dict[Port, int] = {}
-        known_edges: set = set()
-        repr_ranks = ReprRanks().ranks
-
-        for index, scenario, instance in resolved:
+            session = DeadlockQuerySession(DirectedGraph(), name=group_key,
+                                           trace=trace)
+        for index, scenario in indexed_scenarios:
             checkpoint()
-            if trace is not None:
-                trace.emit("scenario_begin", scenario=scenario.name,
-                           group=group_key, index=index,
-                           shard=list(shard) if shard is not None else None)
-            scenario_start = time.perf_counter()
-            solver_before = solver_stats()
-            current = (index, scenario, instance, solver_before,
-                       scenario_start)
-            graph = routing_dependency_graph(instance.routing)
-            ports = graph.vertices
-            ids = [port_ids.setdefault(port, len(port_ids)) for port in ports]
-            new_edges = [(p, q) for p, row in enumerate(graph.successors)
-                         for q in row if (ids[p], ids[q]) not in known_edges]
-            known_edges.update((ids[p], ids[q]) for p, q in new_edges)
-
-            relation = (instance.routing
-                        if isinstance(instance.routing, EscapeChannelRouting)
-                        else None)
-            if relation is None:
-                condition = "theorem1"
-                num_vcs = 1
-                query = graph
-                covered = True
-            else:
-                # The VC-granular Duato condition: explicit (V-1) coverage
-                # plus the escape-class restriction of (V-2).
-                from repro.core.obligations import check_v1_escape_coverage
-                from repro.network.vc import vc_of
-
-                condition = "vc-escape"
-                num_vcs = relation.num_vcs
-                escape_vcs = relation.escape_vcs
-                query = graph.restrict([vc_of(port) in escape_vcs
-                                        for port in ports])
-                covered = check_v1_escape_coverage(relation).holds
-            cycle_core, escape, certificate = cycle_and_escape_edges(
-                query, repr_ranks(ports))
-            rejected = check_certificate(query.successors, certificate,
-                                         ports)
-            if rejected is not None:
-                raise CertificateError(
-                    f"{scenario.name}: certificate rejected: {rejected}")
-            deadlock_free = covered and not cycle_core
-
-            if session is not None:
-                for p, q in new_edges:
-                    session.add_edge(ports[p], ports[q])
-                query_edges = query.edges()
-                free = covered and session.is_deadlock_free_edges(query_edges)
-                fixes = (set() if free
-                         else set(session.escape_edges_for(query_edges)))
-                if free != deadlock_free or fixes != set(escape):
-                    raise AssertionError(
-                        f"cross-check disagrees on {scenario.name}: graph "
-                        f"search free={deadlock_free} with {len(escape)} "
-                        f"escape edges, Kahn session free={free} with "
-                        f"{len(fixes)} escape edges")
-
-            solver_after = solver_stats()
-            solver_delta = {key: solver_after[key] - solver_before.get(key, 0)
-                            for key in solver_after}
-            elapsed = time.perf_counter() - scenario_start
-            if trace is not None:
-                trace.emit("scenario_end", scenario=scenario.name,
-                           group=group_key, deadlock_free=deadlock_free,
-                           condition=condition, edges=graph.edge_count,
-                           new_edges=len(new_edges), solver=solver_delta,
-                           cache=cache_deltas[index],
-                           wall_time_s=round(elapsed, 6), status="ok")
-            results.append((index, ScenarioVerdict(
-                scenario=scenario.name,
-                topology=str(instance.topology),
-                routing=instance.routing.name(),
-                switching=instance.switching.name(),
-                deadlock_free=deadlock_free,
-                edges=graph.edge_count,
-                new_edges=len(new_edges),
-                elapsed_seconds=elapsed,
-                cycle_core=cycle_core,
-                escape_edges=escape,
-                condition=condition,
-                num_vcs=num_vcs,
-                solver=solver_delta,
-                spec=(scenario.spec.to_dict()
-                      if scenario.spec is not None else None),
-                shard=shard,
-                index=index,
-            )))
-            current = None
+            results.append((index, decide(index, scenario)))
     except SolverTimeout as exc:
         failure = ("timeout", getattr(exc, "reason", None) or str(exc))
     except Exception as exc:  # KeyboardInterrupt deliberately excluded
@@ -848,17 +854,14 @@ def _run_group(payload: Tuple,
             # work it burned before the cut-off -- the per-group
             # reconciliation (scenario deltas sum to session aggregates)
             # must keep holding on truncated traces.
-            index, scenario, instance, solver_before, started = current
+            index, scenario, instance, solver_before, started, built = current
             solver_after = solver_stats()
             partial = {key: solver_after[key] - solver_before.get(key, 0)
                        for key in solver_after}
             elapsed = time.perf_counter() - started
             if trace is not None:
-                trace.emit("scenario_end", scenario=scenario.name,
-                           group=group_key, deadlock_free=None,
-                           condition="none", edges=0, new_edges=0,
-                           solver=partial, cache=cache_deltas.get(index, {}),
-                           wall_time_s=round(elapsed, 6), status=status)
+                _emit_undecided_end(trace, scenario, group_key, status,
+                                    partial, built, elapsed)
             results.append((index, _failure_verdict(
                 index, scenario, group_key, shard, status, reason,
                 instance=instance, solver=partial, elapsed=elapsed)))
@@ -866,8 +869,7 @@ def _run_group(payload: Tuple,
         for index, scenario in indexed_scenarios:
             if index not in done:
                 results.append((index, _failure_verdict(
-                    index, scenario, group_key, shard, status, reason,
-                    instance=instances.get(index))))
+                    index, scenario, group_key, shard, status, reason)))
         results.sort(key=lambda pair: pair[0])
         if trace is not None:
             trace.emit("group_timeout" if status == "timeout"
@@ -876,9 +878,19 @@ def _run_group(payload: Tuple,
     session_stats = solver_stats()
     if trace is not None:
         trace.emit("session_summary", group=group_key, stats=session_stats)
-    cache_delta = {"hits": cache.hits - cache_hits_before,
-                   "misses": cache.misses - cache_misses_before}
-    return group_key, results, session_stats, cache_delta
+    return (group_key, results, session_stats,
+            {"hits": 0, "misses": builds.misses - builds_before})
+
+
+def _emit_undecided_end(trace, scenario: Scenario, group_key: str,
+                        status: str, solver: Dict[str, int],
+                        built: Dict[str, int], elapsed: float) -> None:
+    """Close the trace span of a scenario that ended without a verdict
+    (its build raised, or its group was cut off while deciding it)."""
+    trace.emit("scenario_end", scenario=scenario.name, group=group_key,
+               deadlock_free=None, condition="none", edges=0, new_edges=0,
+               solver=solver, cache=built, wall_time_s=round(elapsed, 6),
+               status=status)
 
 
 def _emit_replayed_group(trace, result: Tuple,
@@ -916,8 +928,8 @@ def _select_groups(scenarios: Sequence[Scenario],
     """The run's ``(index, scenario)`` groups, cut to its shard.
 
     Groups and the scenarios within them keep submission order.  A
-    cross-checked group seeds its session with the union of the group's
-    vertex universes, so scenarios over growing channel sets (1, 2, 4 VCs
+    cross-checked group grows its session's vertex set with each
+    scenario's ports, so scenarios over growing channel sets (1, 2, 4 VCs
     of one topology) can share one edge universe.
     """
     groups: Dict[str, List[Tuple[int, Scenario]]] = {}
@@ -956,8 +968,7 @@ def _replay_stored_groups(verdict_store: VerdictStore, fingerprint: str,
 
     The one replay path: :func:`run_portfolio` skips these groups, and
     :func:`stored_groups` (the ``repro batch`` SIGINT epilogue) prints
-    them.  A replayed group built nothing, so it contributes no
-    construction-cache work.
+    them.  A replayed group built nothing, so it adds no build count.
     """
     replayed: Dict[str, Tuple] = {}
     for key, specs in group_specs.items():
@@ -1050,10 +1061,10 @@ def run_portfolio(scenarios: Sequence[Scenario],
     ``jobs`` schedules the scenario *groups* across that many worker
     processes (``0``/``None``: one per core).  Scheduling is group-affine:
     scenarios sharing a ``group_key`` stay on one worker, in submission
-    order, so the per-process instance cache (and a cross-check's
-    group session) keep paying off exactly as in a serial run.  The
+    order, so a cross-check's group session sees the same edges in the
+    same order as in a serial run.  The
     verdicts -- ordering, verdict bits, cores, solver statistics -- are
-    identical to ``jobs=1``; only wall times and cache counters differ
+    identical to ``jobs=1``; only wall times and build counters differ
     (assert with :meth:`PortfolioReport.comparable_dict`).
 
     ``shard=(i, n)`` restricts the run to the ``i``-th of ``n`` partitions

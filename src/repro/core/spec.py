@@ -12,8 +12,7 @@ module replaces that with three declarative layers:
   VC count, escape style, route-commit policy, buffer/injection/measure
   options) with an exact ``to_dict()``/``from_dict()`` round trip.  Specs
   are hashable, picklable and *cheap*: a portfolio worker receives specs
-  and resolves them lazily through the per-process
-  :class:`~repro.core.cache.InstanceCache`.
+  and builds each one right before deciding it.
 * :class:`SpecRegistry` -- named :class:`InstanceBuilder` entries, one per
   topology kind.  The five shipped kinds are registered at the end of this
   module, with their parameter spaces and scenario namers; each builder is
@@ -139,9 +138,9 @@ class ScenarioSpec:
     are the topology dimensions that entry expects (``(width, height)``
     for 2D kinds, ``(size,)`` for rings).  The remaining fields select the
     constituents; ``None`` means "the kind's default" and is filled in by
-    :meth:`normalized`.  Specs are frozen and hashable, so they double as
-    construction-cache keys, and they contain only primitives, so they
-    pickle cheaply to portfolio worker processes.
+    :meth:`normalized`.  Specs are frozen and hashable, and they contain
+    only primitives, so they pickle cheaply to portfolio worker
+    processes.
     """
 
     kind: str
@@ -265,9 +264,8 @@ class ScenarioSpec:
         """Construct the :class:`~repro.core.instance.NoCInstance`.
 
         The single construction path: dispatches through the registered
-        :class:`InstanceBuilder` of :attr:`kind`.  Prefer
-        :meth:`repro.core.cache.InstanceCache.instance_for` when the same
-        spec may be built repeatedly in one process.
+        :class:`InstanceBuilder` of :attr:`kind`.  Every call builds
+        afresh; nothing is memoised.
         """
         spec = self.normalized()
         return spec_registry().entry(spec.kind).build(spec)

@@ -33,7 +33,7 @@ Event taxonomy (``ev`` field):
                    ``shard``
 ``scenario_end``   portfolio span close: verdict, ``edges``/``new_edges``,
                    per-scenario ``solver`` deltas (``solves``: peels),
-                   ``cache`` deltas, ``wall_time_s``
+                   ``cache`` build counts, ``wall_time_s``
 ``session_summary`` end-of-group aggregate solver ``stats`` (the
                    reconciliation anchor: per-scenario deltas must sum to
                    these counters)
@@ -77,11 +77,10 @@ TRACE_SCHEMA = 4
 #: :func:`scrub_timing` strips these for the determinism tests.
 TIMING_FIELDS = frozenset({"t", "wall_time_s"})
 
-#: Fields that depend on process history rather than the workload: the
-#: construction-cache counters of a ``scenario_end`` hit where a previous
-#: run in the same process already built the instance.  The same
-#: legitimate-difference class as :data:`TIMING_FIELDS` (and stripped with
-#: them), matching what
+#: Fields that describe how a run was executed rather than the workload:
+#: the build counters of a ``scenario_end`` (a scenario replayed from the
+#: verdict store built nothing).  The same legitimate-difference class as
+#: :data:`TIMING_FIELDS` (and stripped with them), matching what
 #: :meth:`~repro.core.portfolio.PortfolioReport.comparable_dict` strips
 #: from verdict reports.
 ENVIRONMENT_FIELDS = frozenset({"cache"})

@@ -1,11 +1,10 @@
-"""Tests for the process-wide instance cache (`repro.core.cache`), the
+"""Tests for the per-process build counter (`repro.core.cache`), the
 frozen-graph contract and the dependency-spec memoisation."""
 
 import pytest
 
 from repro.checking.graphs import DirectedGraph
-from repro.core.cache import InstanceCache, instance_cache, \
-    reset_instance_cache
+from repro.core.cache import InstanceCache
 from repro.core.dependency import routing_dependency_graph
 from repro.core.spec import expand_matrix
 from repro.hermes.dependency import ExyDependencySpec
@@ -43,28 +42,29 @@ class TestInstanceCache:
             routing, destinations=routing.destinations()[:1])
         assert not narrowed.frozen
 
-    def test_stats_and_clear(self):
+    def test_every_build_is_a_miss(self):
+        # Nothing is memoised: the same spec builds a new instance each
+        # time, and the counter counts the builds.
         cache = InstanceCache()
         (spec,) = expand_matrix("mesh:2x2")
         first = cache.instance_for(spec)
         second = cache.instance_for(spec)
-        assert first is second
-        stats = cache.stats()
-        assert stats == {"hits": 1, "misses": 1, "instances": 1}
-        cache.clear()
-        assert cache.stats() == {"hits": 0, "misses": 0, "instances": 0}
+        assert first is not second
+        assert (cache.hits, cache.misses) == (0, 2)
 
-    def test_reset_instance_cache_clears_the_global_cache(self):
-        cache = instance_cache()
-        cache.instance_for(expand_matrix("mesh:2x2")[0])
-        assert reset_instance_cache() is cache
-        assert cache.stats()["instances"] == 0
+    def test_failed_build_is_not_counted(self):
+        from repro.core.errors import SpecificationError
+
+        cache = InstanceCache()
+        (spec,) = expand_matrix("ring:5, routing=chain, faults=2")
+        with pytest.raises(SpecificationError):
+            cache.instance_for(spec)
+        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_cached_graph_survives_oracle_and_session_use(self):
         """The frozen cached graph must be accepted by every consumer."""
         from repro.core.deadlock import DeadlockQuerySession
 
-        reset_instance_cache()
         routing = XYRouting(Mesh2D(3, 3))
         session = DeadlockQuerySession.for_routing(routing)
         assert session.is_deadlock_free()

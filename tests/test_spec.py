@@ -114,19 +114,6 @@ class TestSpecRegistry:
         assert ring.name == "VC-ring-4-2vc"
         assert ring.num_vcs == 2
 
-    def test_instance_cache_memoises_spec_builds(self):
-        from repro.core.cache import reset_instance_cache
-
-        cache = reset_instance_cache()
-        spec = ScenarioSpec(kind="mesh", dims=(2, 2), routing="xy",
-                            switching="wormhole")
-        first = cache.instance_for(spec)
-        again = cache.instance_for(ScenarioSpec.from_dict(spec.to_dict()))
-        assert first is again
-        assert cache.stats()["instances"] == 1
-        reset_instance_cache()
-        assert cache.stats()["instances"] == 0
-
 
 #: One term per naming path of every shipped kind: each routing token,
 #: each switching token, 1-4 VCs and a faulty variant of each kind.

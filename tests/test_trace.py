@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.core import trace_analysis
-from repro.core.cache import reset_instance_cache
 from repro.core.portfolio import run_portfolio, scenarios_from_specs
 from repro.core.spec import expand_matrix
 from repro.core.trace import (
@@ -186,18 +185,16 @@ class TestTraceDeterminism:
         assert ([scrub_timing(event) for event in first]
                 == [scrub_timing(event) for event in second])
 
-    def test_cache_counters_agree_on_cold_cache(self):
-        # On a cold construction cache even the cache counters (the
-        # ENVIRONMENT_FIELDS scrub_timing strips) agree -- only the
+    def test_build_counters_agree_between_runs(self):
+        # Every run builds each scenario once, so even the build counters
+        # (the ENVIRONMENT_FIELDS scrub_timing strips) agree -- only the
         # wall-clock TIMING_FIELDS remain legitimately different.
         def strip_wall(event):
             return {key: value for key, value in event.items()
                     if key not in ("t", "wall_time_s")}
 
-        reset_instance_cache()
         _, first = _traced_portfolio(SMALL_MATRIX, label="det",
                                      cross_check=True)
-        reset_instance_cache()
         _, second = _traced_portfolio(SMALL_MATRIX, label="det",
                                       cross_check=True)
         assert ([strip_wall(event) for event in first]
@@ -232,7 +229,6 @@ class TestTraceDeterminism:
         # cross-checked workload may not be slower than the traced run of
         # the same workload (which does strictly more work) beyond noise.
         def run_once(trace):
-            reset_instance_cache()
             scenarios = scenarios_from_specs(expand_matrix(SMALL_MATRIX))
             started = time.perf_counter()
             run_portfolio(scenarios, cross_check=True, trace=trace)
